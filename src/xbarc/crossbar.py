@@ -27,15 +27,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple
 
 from .errors import CompileError, CrossbarError
-from .instructions import (
-    CYCLE_FAMILY,
-    Cycle,
-    Instruction,
-    InstrKind,
-    MOVE_KINDS,
-    SG_KINDS,
-    pack_positions,
-)
+from .instructions import CYCLE_FAMILY, DELTAS, Cycle, Instruction, InstrKind, MOVE_KINDS, SG_KINDS
 
 
 class Line(NamedTuple):
@@ -84,7 +76,8 @@ class Grid:
     """Immutable qubit -> site bijection on an N x N array.
 
     Methods return new Grid values; instances are never mutated after
-    construction, so they are safe to share and to key position history on.
+    construction, so they are safe to share between the scheduler's
+    tentative expansions.
     """
 
     __slots__ = ("n", "pos", "_site_map")
@@ -132,9 +125,6 @@ class Grid:
 
     def parity_members(self, parity: int) -> tuple[int, ...]:
         return tuple(q for q in range(len(self.pos)) if self.pos[q][0] % 2 == parity)
-
-    def packed(self) -> bytes:
-        return pack_positions(self.pos)
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.n == other.n and self.pos == other.pos
@@ -203,17 +193,14 @@ def barrier_between(a, b) -> Line:
     raise CompileError(f"sites {a} and {b} are not adjacent")
 
 
-_DELTAS = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
-
-
-def _shuttle_signals(grid: Grid, q: int, direction: str, movers: frozenset[int]) -> SignalRequirements:
-    """Signal requirements for moving q one site; stay-put constraints are
-    emitted only for qubits outside `movers`."""
+def _shuttle_signals(grid: Grid, q: int, delta, movers: frozenset[int]) -> SignalRequirements:
+    """Signal requirements for moving q one site by `delta`; stay-put
+    constraints are emitted only for qubits outside `movers`."""
     origin = grid.site_of(q)
-    dx, dy = _DELTAS[direction]
+    dx, dy = delta
     dest = (origin[0] + dx, origin[1] + dy)
     if not grid.in_grid(dest):
-        raise CrossbarError(f"shuttle of qubit {q} {direction} leaves the grid from {origin}")
+        raise CrossbarError(f"shuttle of qubit {q} by {delta} leaves the grid from {origin}")
     barrier = barrier_between(origin, dest)
     lowered = {barrier}
     raised = (site_barriers(origin, grid.n) | site_barriers(dest, grid.n)) - lowered
@@ -241,13 +228,13 @@ def shuttle_requirements(grid: Grid, q: int, direction: str) -> SignalRequiremen
     occupied, and a plain CrossbarError for out-of-grid moves.
     """
     origin = grid.site_of(q)
-    dx, dy = _DELTAS[direction]
+    dx, dy = DELTAS[direction]
     dest = (origin[0] + dx, origin[1] + dy)
     if grid.in_grid(dest) and grid.occupied(dest):
         raise CrossbarError(
             f"destination {dest} of qubit {q} is occupied", kind=ConflictKind.BLOCKED_PATH
         )
-    return _shuttle_signals(grid, q, direction, frozenset({q}))
+    return _shuttle_signals(grid, q, (dx, dy), frozenset({q}))
 
 
 def _sqswap_signals(grid: Grid, a: int, b: int) -> SignalRequirements:
@@ -260,18 +247,6 @@ def _sqswap_signals(grid: Grid, a: int, b: int) -> SignalRequirements:
     # the two QL lines must sit at equal potential; equality adds no
     # ordering constraint to the inequality digraph
     return SignalRequirements(frozenset(lowered), frozenset(raised), frozenset())
-
-
-def _instr_direction(op: Instruction) -> str:
-    if op.kind is InstrKind.SH_L:
-        return "L"
-    if op.kind is InstrKind.SH_R:
-        return "R"
-    if op.kind is InstrKind.SH_U:
-        return "U"
-    if op.kind is InstrKind.SH_D:
-        return "D"
-    return op.direction  # zsh / zsh_ret
 
 
 def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
@@ -353,9 +328,8 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
     for i, op in enumerate(ops):
         if op.kind in MOVE_KINDS:
             q = op.qubits[0]
-            direction = _instr_direction(op)
             origin = grid.site_of(q)
-            dx, dy = _DELTAS[direction]
+            dx, dy = op.move_delta()
             dest = (origin[0] + dx, origin[1] + dy)
             if not grid.in_grid(dest):
                 return ConflictReport(
@@ -365,7 +339,7 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                     detail=f"qubit {q} shuttled off-grid from {origin}",
                 )
             dests[i] = dest
-            reqs.append(_shuttle_signals(grid, q, direction, movers))
+            reqs.append(_shuttle_signals(grid, q, (dx, dy), movers))
         elif op.kind is InstrKind.SQSWAP:
             try:
                 reqs.append(_sqswap_signals(grid, op.qubits[0], op.qubits[1]))
@@ -435,54 +409,29 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                     ql_pairs=ql_pairs,
                 )
 
-    # unwanted interactions: a lowered barrier also separating an occupied
-    # pair elsewhere couples those qubits regardless of QL relations
-    for i, op in enumerate(ops):
-        if op.kind in MOVE_KINDS:
-            q = op.qubits[0]
-            origin = grid.site_of(q)
-            direction = _instr_direction(op)
-            dx, dy = _DELTAS[direction]
-            if dy != 0:  # vertical shuttle lowers RL_j in one column
-                j = min(origin[1], origin[1] + dy)
-                for col in range(grid.n):
-                    if col == origin[0]:
-                        continue
-                    if grid.occupied((col, j)) and grid.occupied((col, j + 1)):
-                        return ConflictReport(
-                            ok=False,
-                            kind=ConflictKind.UNWANTED_INTERACTION,
-                            culprits=(i,),
-                            detail=f"RL_{j} lowered while column {col} holds an occupied pair",
-                            ql_pairs=ql_pairs,
-                        )
-            else:  # horizontal shuttle lowers CL_i in one row
-                ci = min(origin[0], origin[0] + dx)
-                for row in range(grid.n):
-                    if row == origin[1]:
-                        continue
-                    if grid.occupied((ci, row)) and grid.occupied((ci + 1, row)):
-                        return ConflictReport(
-                            ok=False,
-                            kind=ConflictKind.UNWANTED_INTERACTION,
-                            culprits=(i,),
-                            detail=f"CL_{ci} lowered while row {row} holds an occupied pair",
-                            ql_pairs=ql_pairs,
-                        )
-        elif op.kind is InstrKind.SQSWAP:
-            sa, sb = grid.site_of(op.qubits[0]), grid.site_of(op.qubits[1])
-            j = min(sa[1], sb[1])
-            for col in range(grid.n):
-                if col == sa[0]:
-                    continue
-                if grid.occupied((col, j)) and grid.occupied((col, j + 1)):
-                    return ConflictReport(
-                        ok=False,
-                        kind=ConflictKind.UNWANTED_INTERACTION,
-                        culprits=(i,),
-                        detail=f"RL_{j} lowered while column {col} holds an occupied pair",
-                        ql_pairs=ql_pairs,
-                    )
+    # unwanted interactions: the barrier an instruction lowers runs the
+    # whole line, so an occupied pair across it elsewhere couples those
+    # qubits regardless of QL relations
+    occupied = grid.occupied
+    for i, (op, req) in enumerate(zip(ops, reqs)):
+        (line,) = req.lowered
+        x, y = grid.site_of(op.qubits[0])
+        k = line.index
+        if line.family == "RL":  # vertical shuttle or sqswap: other columns
+            hits = (m for m in range(grid.n) if m != x and occupied((m, k)) and occupied((m, k + 1)))
+            where = "column"
+        else:  # horizontal shuttle: other rows
+            hits = (m for m in range(grid.n) if m != y and occupied((k, m)) and occupied((k + 1, m)))
+            where = "row"
+        hit = next(hits, None)
+        if hit is not None:
+            return ConflictReport(
+                ok=False,
+                kind=ConflictKind.UNWANTED_INTERACTION,
+                culprits=(i,),
+                detail=f"{line} lowered while {where} {hit} holds an occupied pair",
+                ql_pairs=ql_pairs,
+            )
 
     cycle = _find_ql_cycle(merged_pairs)
     if cycle is not None:

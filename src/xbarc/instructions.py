@@ -1,16 +1,22 @@
 """Compiled-program representation: instructions, cycles, schedules.
 
-A Schedule is a sequence of single-type cycles of parallel instructions,
-plus the initial placement and a position snapshot after every cycle.
-The JSON document produced by schedule_to_doc is the authoritative
-compiled artifact; schedule_from_doc round-trips it exactly.
+A Schedule is a sequence of single-type cycles of parallel instructions
+from an initial placement. Positions after each cycle follow from those
+two; the schedule keeps only their sha256 (TrajectoryDigest), which replay
+recomputes to catch a document whose cycles no longer reproduce the
+compiled trajectory. The JSON document produced by schedule_to_doc is the
+authoritative compiled artifact; schedule_from_doc round-trips it exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import hashlib
+import struct
+from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
+from .errors import XbarcError
 
 
 class InstrKind(Enum):
@@ -48,15 +54,15 @@ CYCLE_FAMILY = {
     InstrKind.SQSWAP: CycleType.TWOQ,
 }
 
-# Unit moves: plain shuttles encode direction in the kind, zsh/zsh_ret in
-# their direction field.
-_KIND_DELTA = {
-    InstrKind.SH_L: (-1, 0),
-    InstrKind.SH_R: (1, 0),
-    InstrKind.SH_U: (0, 1),
-    InstrKind.SH_D: (0, -1),
+# Unit move per direction. Plain shuttles name their direction in the kind,
+# zsh/zsh_ret in their direction field.
+DELTAS = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
+_SHUTTLE_DIRECTION = {
+    InstrKind.SH_L: "L",
+    InstrKind.SH_R: "R",
+    InstrKind.SH_U: "U",
+    InstrKind.SH_D: "D",
 }
-_DIR_DELTA = {"L": (-1, 0), "R": (1, 0)}
 
 MOVE_KINDS = frozenset(
     {InstrKind.SH_L, InstrKind.SH_R, InstrKind.SH_U, InstrKind.SH_D, InstrKind.ZSH, InstrKind.ZSH_RET}
@@ -75,11 +81,10 @@ class Instruction:
     src: tuple[int, ...] = ()  # indices of source gates in the decomposed circuit
 
     def move_delta(self) -> tuple[int, int] | None:
-        if self.kind in _KIND_DELTA:
-            return _KIND_DELTA[self.kind]
         if self.kind in (InstrKind.ZSH, InstrKind.ZSH_RET):
-            return _DIR_DELTA[self.direction]
-        return None
+            return DELTAS[self.direction]
+        direction = _SHUTTLE_DIRECTION.get(self.kind)
+        return None if direction is None else DELTAS[direction]
 
 
 @dataclass(frozen=True)
@@ -99,7 +104,7 @@ class Schedule:
     grid_n: int
     placement: tuple[tuple[int, int], ...]
     cycles: tuple[Cycle, ...]
-    positions: tuple[bytes, ...]  # packed (x, y) per qubit, one snapshot per cycle
+    trajectory_sha256: str  # TrajectoryDigest of the occupancy after every cycle
     circuit: Circuit | None = None  # decomposed source, embedded for verification
 
     @property
@@ -111,16 +116,25 @@ class Schedule:
         return len(self.cycles)
 
 
-def pack_positions(pos) -> bytes:
-    out = bytearray()
-    for x, y in pos:
-        out.append(x)
-        out.append(y)
-    return bytes(out)
+class TrajectoryDigest:
+    """sha256 over the occupancy after every cycle of a schedule.
 
+    Each snapshot is every qubit's (x, y) in qubit order, packed as
+    little-endian uint32, so any grid size encodes without loss.
+    """
 
-def unpack_positions(data: bytes) -> tuple[tuple[int, int], ...]:
-    return tuple((data[i], data[i + 1]) for i in range(0, len(data), 2))
+    __slots__ = ("_sha",)
+
+    def __init__(self, snapshots=()):
+        self._sha = hashlib.sha256()
+        for pos in snapshots:
+            self.add(pos)
+
+    def add(self, pos) -> None:
+        self._sha.update(struct.pack(f"<{2 * len(pos)}I", *chain.from_iterable(pos)))
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
 
 
 def instruction_to_dict(op: Instruction) -> dict:
@@ -162,26 +176,53 @@ def schedule_to_doc(s: Schedule) -> dict:
             {"type": c.type.value, "ops": [instruction_to_dict(op) for op in c.ops]}
             for c in s.cycles
         ],
-        "positions": [[list(p) for p in unpack_positions(snap)] for snap in s.positions],
+        "trajectory_sha256": s.trajectory_sha256,
     }
     if s.circuit is not None:
         doc["circuit"] = circuit_to_dict(s.circuit)
     return doc
 
 
+def _check_operands(op: Instruction, n: int) -> None:
+    arity = 2 if op.kind is InstrKind.SQSWAP else 0 if op.kind in SG_KINDS else 1
+    if len(op.qubits) != arity:
+        raise XbarcError(f"{op.kind.value} needs {arity} qubit(s), document gives {op.qubits}")
+    for q in op.qubits:
+        if not (isinstance(q, int) and 0 <= q < n):
+            raise XbarcError(f"{op.kind.value} names qubit {q!r}, outside range({n})")
+    if op.kind in (InstrKind.ZSH, InstrKind.ZSH_RET) and op.direction not in ("L", "R"):
+        raise XbarcError(f"{op.kind.value} needs direction L or R, document gives {op.direction!r}")
+
+
 def schedule_from_doc(doc: dict) -> Schedule:
-    cycles = tuple(
-        Cycle(CycleType(c["type"]), tuple(instruction_from_dict(op) for op in c["ops"]))
-        for c in doc["cycles"]
-    )
-    positions = tuple(pack_positions(snap) for snap in doc["positions"])
-    circuit = circuit_from_dict(doc["circuit"]) if "circuit" in doc else None
-    return Schedule(
-        name=doc.get("name", ""),
-        n_qubits=doc["n"],
-        grid_n=doc["grid"],
-        placement=tuple(tuple(p) for p in doc["placement"]),
-        cycles=cycles,
-        positions=positions,
-        circuit=circuit,
-    )
+    """Inverse of schedule_to_doc; a malformed document raises XbarcError."""
+    if not isinstance(doc, dict):
+        raise XbarcError("schedule document must be a JSON object")
+    if "trajectory_sha256" not in doc and "positions" in doc:
+        raise XbarcError(
+            "document stores a position history instead of trajectory_sha256; "
+            "it predates this format, recompile it"
+        )
+    try:
+        n = doc["n"]
+        cycles = tuple(
+            Cycle(CycleType(c["type"]), tuple(instruction_from_dict(op) for op in c["ops"]))
+            for c in doc["cycles"]
+        )
+        schedule = Schedule(
+            name=doc.get("name", ""),
+            n_qubits=n,
+            grid_n=doc["grid"],
+            placement=tuple(tuple(p) for p in doc["placement"]),
+            cycles=cycles,
+            trajectory_sha256=doc["trajectory_sha256"],
+            circuit=circuit_from_dict(doc["circuit"]) if "circuit" in doc else None,
+        )
+    except KeyError as e:
+        raise XbarcError(f"schedule document lacks key {e.args[0]!r}") from None
+    if len(schedule.placement) != n:
+        raise XbarcError(f"placement holds {len(schedule.placement)} sites for {n} qubits")
+    for c in cycles:
+        for op in c.ops:
+            _check_operands(op, n)
+    return schedule

@@ -63,25 +63,16 @@ def decompose(circuit: Circuit, config: ArchConfig) -> Circuit:
 
 
 def dependency_depth(circuit: Circuit) -> int:
-    """ASAP depth over the dependency DAG.
+    """ASAP depth over the dependency DAG; an empty circuit has depth 0."""
+    return max(asap_levels(circuit), default=0)
+
+
+def asap_levels(circuit: Circuit) -> list[int]:
+    """Dependency level (1-based) of every gate.
 
     Gates sharing an operand are ordered by program order; commutation is
     ignored and no architectural constraint is applied.
     """
-    if not circuit.gates:
-        raise ValueError("empty circuit")
-    level = [0] * circuit.n_qubits
-    depth = 0
-    for g in circuit.gates:
-        lvl = 1 + max(level[q] for q in g.qubits)
-        for q in g.qubits:
-            level[q] = lvl
-        depth = max(depth, lvl)
-    return depth
-
-
-def asap_levels(circuit: Circuit) -> list[int]:
-    """Dependency level (1-based) of every gate, same rule as dependency_depth."""
     level = [0] * circuit.n_qubits
     out = []
     for g in circuit.gates:

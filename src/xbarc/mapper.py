@@ -159,18 +159,21 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> RoutedBlock:
     return RoutedBlock("twoq", tuple(cycles), srcs)
 
 
-def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> RoutedBlock:
-    """Z rotation as a phase-carrying shuttle to a neighbouring column and
-    back; the empty horizontal neighbour with the lower column index wins
-    ties."""
+def z_direction(grid: Grid, q: int) -> str:
+    """Direction of q's Z shuttle: toward the empty horizontal neighbour,
+    the lower column index winning ties."""
     x, y = grid.site_of(q)
-    direction = None
     if x - 1 >= 0 and not grid.occupied((x - 1, y)):
-        direction = "L"
-    elif x + 1 < grid.n and not grid.occupied((x + 1, y)):
-        direction = "R"
-    if direction is None:
-        raise MapperConflict(f"both horizontal neighbours of qubit {q} at {(x, y)} are blocked")
+        return "L"
+    if x + 1 < grid.n and not grid.occupied((x + 1, y)):
+        return "R"
+    raise MapperConflict(f"both horizontal neighbours of qubit {q} at {(x, y)} are blocked")
+
+
+def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> RoutedBlock:
+    """Z rotation as a phase-carrying shuttle to a neighbouring column (see
+    z_direction) and back."""
+    direction = z_direction(grid, q)
     out = Cycle(
         CycleType.Z,
         (Instruction(InstrKind.ZSH, (q,), angle=angle, direction=direction, src=(src,)),),

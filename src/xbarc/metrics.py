@@ -150,9 +150,8 @@ def overhead_report(
 ) -> MetricsReport:
     """Gate overhead is extra instructions over the decomposed count (a
     semi-global pulse counts as one instruction regardless of spectators);
-    depth overhead compares cycle count against the dependency-only depth."""
-    if not decomposed.gates:
-        raise ValueError("empty decomposed circuit")
+    depth overhead compares cycle count against the dependency-only depth.
+    An empty circuit compiles to an empty schedule: 0 % of both."""
     n_dec = len(decomposed.gates)
     n_final = schedule.n_instructions
     d_dep = dependency_depth(decomposed)
@@ -162,10 +161,10 @@ def overhead_report(
         n_qubits=decomposed.n_qubits,
         n_decomposed=n_dec,
         n_final=n_final,
-        gate_overhead_pct=100.0 * (n_final - n_dec) / n_dec,
+        gate_overhead_pct=100.0 * (n_final - n_dec) / n_dec if n_dec else 0.0,
         d_dependency=d_dep,
         d_final=d_final,
-        depth_overhead_pct=100.0 * (d_final - d_dep) / d_dep,
+        depth_overhead_pct=100.0 * (d_final - d_dep) / d_dep if d_dep else 0.0,
         esp=esp(schedule, fmap),
         compile_time_ms=compile_time_ms,
         counts=counts_by_type(decomposed),

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from .circuits import Circuit, GateKind
 from .crossbar import Grid, apply_cycle, check_parallel_set
 from .errors import CompileError, MapperConflict
-from .instructions import Cycle, CycleType, Instruction, InstrKind, Schedule
+from .instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 from .ir import asap_levels
-from .mapper import RoutedBlock, expand_semi_global, route_two_qubit, z_route
+from .mapper import RoutedBlock, expand_semi_global, route_two_qubit, z_direction, z_route
 
 
 @dataclass(frozen=True)
@@ -47,22 +47,13 @@ def _pass1(circuit: Circuit) -> list[ProtoCycle]:
     return [ProtoCycle(_proto_kind(circuit.gates[i].kind), (i,)) for i in order]
 
 
-def _z_direction(grid: Grid, q: int) -> str:
-    x, y = grid.site_of(q)
-    if x - 1 >= 0 and not grid.occupied((x - 1, y)):
-        return "L"
-    if x + 1 < grid.n and not grid.occupied((x + 1, y)):
-        return "R"
-    raise MapperConflict(f"both horizontal neighbours of qubit {q} at {(x, y)} are blocked")
-
-
 def _expand_z_group(circuit: Circuit, grid: Grid, gates) -> RoutedBlock:
     """One Z cycle (phase shuttles) plus one return cycle for a gate group."""
     outs, backs = [], []
     for i in gates:
         g = circuit.gates[i]
         q = g.qubits[0]
-        d = _z_direction(grid, q)
+        d = z_direction(grid, q)
         outs.append(Instruction(InstrKind.ZSH, (q,), angle=g.angle, direction=d, src=(i,)))
         backs.append(
             Instruction(InstrKind.ZSH_RET, (q,), direction="L" if d == "R" else "R", src=(i,))
@@ -145,7 +136,7 @@ def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None
 
     placement = grid.pos
     cycles: list[Cycle] = []
-    positions: list[bytes] = []
+    trajectory = TrajectoryDigest()
 
     for proto in _pass1(decomposed):
         try:
@@ -156,7 +147,7 @@ def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None
             for cycle in block.cycles:
                 grid = apply_cycle(grid, cycle)
                 cycles.append(cycle)
-                positions.append(grid.packed())
+                trajectory.add(grid.pos)
 
     if not grid.is_checkerboard():
         raise CompileError("final occupancy is not the idle configuration")
@@ -167,7 +158,7 @@ def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None
         grid_n=grid.n,
         placement=placement,
         cycles=tuple(cycles),
-        positions=tuple(positions),
+        trajectory_sha256=trajectory.hexdigest(),
         circuit=decomposed,
     )
 

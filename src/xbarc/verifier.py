@@ -1,8 +1,10 @@
 """Independent schedule validation.
 
 Replay verification re-runs every cycle through the grid-level conflict
-checker and compares the resulting occupancy against the stored position
-history; it shares no code path with the scheduler's own bookkeeping.
+checker from the initial placement, hashes the occupancy after every cycle
+with TrajectoryDigest and compares the digest with the one the scheduler
+stored; a document whose cycles no longer reproduce the compiled
+trajectory fails even when every cycle on its own is legal.
 Statevector equivalence simulates the compiled schedule literally
 (spectator rotations included) against the decomposed circuit at small
 qubit counts.
@@ -16,7 +18,7 @@ import numpy as np
 from .circuits import Circuit
 from .crossbar import ConflictKind, ConflictReport, Grid, apply_op, check_parallel_set
 from .errors import CrossbarError
-from .instructions import CYCLE_FAMILY, InstrKind, Schedule
+from .instructions import CYCLE_FAMILY, InstrKind, Schedule, TrajectoryDigest
 from .sim import (
     SQSWAP_MATRIX,
     apply_1q,
@@ -37,7 +39,7 @@ SKIPPED = "skipped (n > cap)"
 class VerifyReport:
     replay_ok: bool
     violations: tuple[tuple[int, ConflictReport], ...] = ()
-    position_mismatches: tuple[int, ...] = ()
+    trajectory_match: bool = True
     equivalence_fidelity: float | str | None = None
 
     def to_json_dict(self) -> dict:
@@ -52,7 +54,7 @@ class VerifyReport:
                 }
                 for i, r in self.violations
             ],
-            "position_mismatches": list(self.position_mismatches),
+            "trajectory_match": self.trajectory_match,
             "equivalence_fidelity": self.equivalence_fidelity,
         }
 
@@ -63,7 +65,7 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
     Total: problems land in the report, never in an exception.
     """
     violations: list[tuple[int, ConflictReport]] = []
-    mismatches: list[int] = []
+    trajectory = TrajectoryDigest()
     grid = Grid(schedule.grid_n, schedule.placement)
     for idx, cycle in enumerate(schedule.cycles):
         families = {CYCLE_FAMILY[op.kind] for op in cycle.ops}
@@ -100,15 +102,13 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
                 )
             )
             next_grid = grid  # keep replaying from the last consistent state
-        if idx < len(schedule.positions) and next_grid.packed() != schedule.positions[idx]:
-            mismatches.append(idx)
+        trajectory.add(next_grid.pos)
         grid = next_grid
-    if len(schedule.positions) != len(schedule.cycles):
-        mismatches.extend(range(len(schedule.cycles), len(schedule.positions)))
+    match = trajectory.hexdigest() == schedule.trajectory_sha256
     return VerifyReport(
-        replay_ok=not violations and not mismatches,
+        replay_ok=not violations and match,
         violations=tuple(violations),
-        position_mismatches=tuple(mismatches),
+        trajectory_match=match,
     )
 
 
@@ -162,6 +162,6 @@ def verify(schedule: Schedule, cap: int = EQUIV_CAP, seed: int = 0) -> VerifyRep
     return VerifyReport(
         replay_ok=base.replay_ok,
         violations=base.violations,
-        position_mismatches=base.position_mismatches,
+        trajectory_match=base.trajectory_match,
         equivalence_fidelity=fidelity,
     )

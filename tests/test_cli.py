@@ -43,10 +43,91 @@ def test_verify_detects_corruption(tmp_path, bell_qasm):
     out = tmp_path / "out.json"
     assert main(["compile", "-i", str(bell_qasm), "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
-    doc["positions"][0][0] = [3, 3]
+    doc["trajectory_sha256"] = "0" * 64
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", "-i", str(bad)]) == 2
+
+
+def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
+    # mirroring one zsh/zsh_ret pair keeps every cycle legal and leaves the
+    # final occupancy and the fidelity unchanged; only the trajectory differs
+    src = tmp_path / "zz.qasm"
+    src.write_text("qreg q[3]; rz(0.7) q[2]; rz(0.3) q[0];\n")
+    out = tmp_path / "zz.json"
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    (zsh,), (ret,) = doc["cycles"][0]["ops"], doc["cycles"][1]["ops"]
+    assert (zsh["kind"], zsh["dir"], ret["dir"]) == ("zsh", "L", "R")
+    zsh["dir"], ret["dir"] = "R", "L"
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "-i", str(out)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["violations"] == [] and report["trajectory_match"] is False
+    assert report["equivalence_fidelity"] > 1 - 1e-9
+
+
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+
+    return edit
+
+
+def _name_qubit_7(doc):
+    op = next(op for c in doc["cycles"] for op in c["ops"] if op["kind"] == "sqswap")
+    op["q"] = [0, 7]
+
+
+def _old_format(doc):
+    del doc["trajectory_sha256"]
+    doc["positions"] = [doc["placement"]] * len(doc["cycles"])
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop("cycles"), "lacks key 'cycles'"),
+        (_drop("placement"), "lacks key 'placement'"),
+        (_drop("trajectory_sha256"), "lacks key 'trajectory_sha256'"),
+        (_name_qubit_7, "qubit 7, outside range(2)"),
+        (_old_format, "recompile"),
+    ],
+    ids=["no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history"],
+)
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_malformed_document_is_a_user_error(tmp_path, bell_qasm, capsys, command, edit, message):
+    out = tmp_path / "out.json"
+    assert main(["compile", "-i", str(bell_qasm), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "-i", str(out)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["qreg q[3];", "qreg q[2]; creg c[2]; measure q[0] -> c[0];"])
+def test_empty_circuit_compiles_to_empty_schedule(tmp_path, source):
+    src = tmp_path / "empty.qasm"
+    src.write_text(source + "\n")
+    out = tmp_path / "empty.json"
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["cycles"] == []
+    assert doc["metrics"]["gate_overhead_pct"] == 0.0 == doc["metrics"]["depth_overhead_pct"]
+    assert main(["verify", "-i", str(out)]) == 0
+
+
+def test_grid_wider_than_a_byte(tmp_path):
+    # 32 769 qubits need N = 257; site coordinates no longer fit in a byte
+    src = tmp_path / "wide.qasm"
+    src.write_text("qreg q[32769]; x q[0];\n")
+    out = tmp_path / "wide.json"
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["grid"] == 257
+    assert main(["verify", "-i", str(out)]) == 0
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -162,9 +162,8 @@ class TestDependencyDepth:
         dec = decompose(Circuit("c", 2, (Gate(GateKind.CNOT, (0, 1)),)), config)
         assert dependency_depth(dec) == brute_force_asap(dec.gates, 2)
 
-    def test_empty_circuit_errors(self):
-        with pytest.raises(ValueError):
-            dependency_depth(Circuit("e", 1, ()))
+    def test_empty_circuit_depth_zero(self):
+        assert dependency_depth(Circuit("e", 1, ())) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())

@@ -3,7 +3,6 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 
 from xbarc import (
     BenchSpec,
@@ -18,7 +17,7 @@ from xbarc import (
     overhead_report,
 )
 from xbarc.config import ArchConfig
-from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule
+from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 
 from conftest import compile_native
 
@@ -74,7 +73,7 @@ def diagonal_twoq_schedule():
 
 class TestEsp:
     def test_empty_schedule_is_one(self):
-        s = Schedule("e", 2, 2, ((0, 0), (1, 1)), (), ())
+        s = Schedule("e", 2, 2, ((0, 0), (1, 1)), (), TrajectoryDigest().hexdigest())
         fmap = build_fidelity_map(grid_for(2), zero_std_config())
         assert esp(s, fmap) == 1.0
 
@@ -174,12 +173,13 @@ class TestOverheadReport:
         fmap = build_fidelity_map(grid_for(3), zero_std_config())
         assert overhead_report(dec, s, fmap).gate_overhead_pct == 200.0
 
-    def test_empty_circuit_rejected(self):
+    def test_empty_circuit_zero_overhead(self):
         c = Circuit("e", 2, ())
         dec, s = compile_native(c)
         fmap = build_fidelity_map(grid_for(2), zero_std_config())
-        with pytest.raises(ValueError):
-            overhead_report(dec, s, fmap)
+        r = overhead_report(dec, s, fmap)
+        assert (r.n_final, r.d_final, r.d_dependency) == (0, 0, 0)
+        assert r.gate_overhead_pct == 0.0 and r.depth_overhead_pct == 0.0 and r.esp == 1.0
 
     def test_overheads_nonnegative_on_random_circuits(self):
         fmap_cache = {}

@@ -11,7 +11,7 @@ from xbarc import (
 )
 from xbarc.crossbar import Grid, apply_cycle
 from xbarc.errors import CompileError
-from xbarc.instructions import CycleType, InstrKind
+from xbarc.instructions import CycleType, InstrKind, TrajectoryDigest
 from xbarc.scheduler import ProtoCycle, _expand_proto, split_cycle
 
 from conftest import compile_native, sparse_grid
@@ -70,15 +70,17 @@ class TestScheduleInvariants:
             grid = apply_cycle(grid, cy)
         assert grid.is_checkerboard()
 
-    def test_positions_history_matches_replay(self):
+    def test_trajectory_digest_matches_replay(self):
         from xbarc import BenchSpec, gen_random_uniform
 
         c = gen_random_uniform(BenchSpec(5, 30, 25.0, 9))
         dec, s = compile_native(c)
         grid = Grid(s.grid_n, s.placement)
-        for cy, snap in zip(s.cycles, s.positions):
+        trajectory = TrajectoryDigest()
+        for cy in s.cycles:
             grid = apply_cycle(grid, cy)
-            assert grid.packed() == snap
+            trajectory.add(grid.pos)
+        assert trajectory.hexdigest() == s.trajectory_sha256
 
     def test_determinism_bit_identical(self):
         from xbarc import BenchSpec, gen_random_uniform
@@ -116,7 +118,7 @@ class TestScheduleInvariants:
 
     def test_empty_circuit_empty_schedule(self):
         s = schedule_integrated(native("e", 2), grid_for(2))
-        assert s.depth == 0 and s.positions == ()
+        assert s.depth == 0 and s.trajectory_sha256 == TrajectoryDigest().hexdigest()
 
 
 class TestSplitCycle:

@@ -15,7 +15,7 @@ from xbarc import (
     replay_verify,
     statevector_equiv,
 )
-from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule
+from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 from xbarc.sim import apply_1q, apply_2q, gate_matrix, zero_state
 from xbarc.verifier import SKIPPED, simulate_schedule
 
@@ -55,18 +55,19 @@ class TestReplay:
             c = gen_random_uniform(BenchSpec(6, 40, 50.0, seed))
             report = replay_verify(compiled(c))
             assert report.replay_ok
-            assert report.violations == () and report.position_mismatches == ()
+            assert report.violations == () and report.trajectory_match
 
     def test_corrupted_snapshot_detected(self):
         s = compiled(Circuit("z", 2, (Gate(GateKind.RZ, (0,), 0.5),)))
-        bad = bytearray(s.positions[0])
-        bad[0] ^= 1
-        corrupted = dataclasses.replace(
-            s, positions=(bytes(bad),) + s.positions[1:]
-        )
+        # qubit 0 shuttles right and back; store the digest of a trajectory
+        # whose first snapshot has its x off by one
+        real = TrajectoryDigest([((1, 0), (1, 1)), ((0, 0), (1, 1))]).hexdigest()
+        assert s.trajectory_sha256 == real
+        wrong = TrajectoryDigest([((0, 0), (1, 1)), ((0, 0), (1, 1))]).hexdigest()
+        corrupted = dataclasses.replace(s, trajectory_sha256=wrong)
         report = replay_verify(corrupted)
         assert not report.replay_ok
-        assert 0 in report.position_mismatches
+        assert report.violations == () and not report.trajectory_match
 
     def test_mixed_cycle_flagged(self):
         ops = (
@@ -79,7 +80,7 @@ class TestReplay:
             2,
             ((0, 0), (1, 1)),
             (Cycle(CycleType.XY_ROT, ops),),
-            (b"\x01\x00\x01\x01",),
+            TrajectoryDigest([((1, 0), (1, 1))]).hexdigest(),
         )
         report = replay_verify(s)
         assert not report.replay_ok
@@ -89,7 +90,9 @@ class TestReplay:
         # hand-built parallel pair that contradicts on QL ordering
         ops = (Instruction(InstrKind.SH_L, (2,)), Instruction(InstrKind.SH_R, (5,)))
         placement = ((0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
-        s = Schedule("bad", 8, 4, placement, (Cycle(CycleType.SHUTTLE, ops),), (b"",))
+        moved = ((0, 0), (2, 0), (0, 1), (3, 1), (0, 2), (3, 2), (1, 3), (3, 3))
+        digest = TrajectoryDigest([moved]).hexdigest()
+        s = Schedule("bad", 8, 4, placement, (Cycle(CycleType.SHUTTLE, ops),), digest)
         report = replay_verify(s)
         assert any(r.kind is ConflictKind.QL_CONTRADICTION for _, r in report.violations)
 
@@ -130,7 +133,7 @@ class TestEquivalence:
         c = Circuit("x", 3, (Gate(GateKind.RX, (0,), 1.3),))
         s = compiled(c)
         kept = tuple(cy for cy in s.cycles if cy.type is not CycleType.XY_ROT_INV)
-        broken = dataclasses.replace(s, cycles=kept, positions=s.positions[: len(kept)])
+        broken = dataclasses.replace(s, cycles=kept)
         state = zero_state(3)
         out = simulate_schedule(broken, state)
         ref = zero_state(3)
