@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands: compile, verify, stats, benchgen, sweep. Exit codes:
-0 success, 1 usage error, 2 verification failure, 3 internal defensive
-error. The SPINQ_SEED environment variable overrides the config seed.
+0 success, 1 usage error, 2 verification failure (replay failed or
+equivalence fidelity below 1 - 1e-9), 3 internal defensive error. The
+SPINQ_SEED environment variable overrides the config seed.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +28,7 @@ from .mapper import initial_placement
 from .metrics import CSV_COLUMNS, build_fidelity_map, csv_row, overhead_report
 from .qasm import circuit_to_qasm, emit_output, parse_qasm
 from .scheduler import timed_schedule
-from .verifier import EQUIV_CAP, replay_verify, statevector_equiv, verify
-
-FIDELITY_FLOOR = 1.0 - 1e-9
+from .verifier import verify
 
 
 def _load_arch(path: str | None) -> ArchConfig:
@@ -40,9 +39,7 @@ def _load_arch(path: str | None) -> ArchConfig:
             seed = int(env_seed)
         except ValueError:
             raise XbarcError(f"SPINQ_SEED must be an integer, got {env_seed!r}") from None
-        config = ArchConfig(
-            means=config.means, stds=config.stds, seed=seed, decompositions=config.decompositions
-        )
+        config = replace(config, seed=seed)
     return config
 
 
@@ -58,13 +55,10 @@ def cmd_compile(args) -> int:
     circuit = parse_qasm(Path(args.input).read_text(), name=Path(args.input).stem)
     dec, schedule, ms = _compile_circuit(circuit, config)
 
-    failed = False
-    if not args.no_verify:
-        report = verify(schedule, cap=EQUIV_CAP, seed=config.seed)
-        fid = report.equivalence_fidelity
-        failed = not report.replay_ok or (isinstance(fid, float) and fid < FIDELITY_FLOOR)
-        if failed:
-            print("verification FAILED:", json.dumps(report.to_json_dict()), file=sys.stderr)
+    report = None if args.no_verify else verify(schedule)
+    failed = report is not None and not report.ok
+    if failed:
+        print("verification FAILED:", json.dumps(report.to_json_dict()), file=sys.stderr)
 
     fmap = build_fidelity_map(grid_for(dec.n_qubits), config)
     metrics = overhead_report(dec, schedule, fmap, compile_time_ms=ms)
@@ -87,17 +81,22 @@ def cmd_verify(args) -> int:
     schedule = schedule_from_doc(doc)
     report = verify(schedule)
     print(json.dumps(report.to_json_dict(), indent=1))
-    return 0 if report.replay_ok else 2
+    return 0 if report.ok else 2
 
 
 def cmd_stats(args) -> int:
     doc = json.loads(Path(args.input).read_text())
     schedule = schedule_from_doc(doc)
+    m = doc.get("metrics")
+    if m is not None:
+        for key in ("gate_overhead_pct", "depth_overhead_pct", "esp"):
+            value = m.get(key) if isinstance(m, dict) else None
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise XbarcError(f"document metrics lack a number under key {key!r}")
     print(f"name: {schedule.name}")
     print(f"qubits: {schedule.n_qubits} on a {schedule.grid_n}x{schedule.grid_n} grid")
     print(f"cycles: {schedule.depth}, instructions: {schedule.n_instructions}")
-    if "metrics" in doc:
-        m = doc["metrics"]
+    if m is not None:
         print(f"gate overhead: {m['gate_overhead_pct']:.2f}%  depth overhead: "
               f"{m['depth_overhead_pct']:.2f}%  esp: {m['esp']:.6f}")
     if schedule.circuit is not None:
@@ -180,15 +179,12 @@ def run_sweep(spec: SweepSpec, config: ArchConfig) -> None:
             try:
                 circuit = gen_random_uniform(bench)
                 dec, schedule, ms = _compile_circuit(circuit, config)
-                replay = replay_verify(schedule)
-                if not replay.replay_ok:
+                report = verify(schedule)
+                if not report.ok:
                     raise CompileError(
-                        f"replay verification failed with {len(replay.violations)} violations"
+                        f"verification failed: {len(report.violations)} violations, "
+                        f"equivalence fidelity {report.equivalence_fidelity}"
                     )
-                if dec.n_qubits <= EQUIV_CAP:
-                    fid = statevector_equiv(dec, schedule, seed=config.seed)
-                    if isinstance(fid, float) and fid < FIDELITY_FLOOR:
-                        raise CompileError(f"equivalence fidelity {fid} below threshold")
                 if schedule.grid_n not in fmap_cache:
                     fmap_cache[schedule.grid_n] = build_fidelity_map(
                         grid_for(dec.n_qubits), config

@@ -68,6 +68,7 @@ MOVE_KINDS = frozenset(
     {InstrKind.SH_L, InstrKind.SH_R, InstrKind.SH_U, InstrKind.SH_D, InstrKind.ZSH, InstrKind.ZSH_RET}
 )
 SG_KINDS = frozenset({InstrKind.SG_ROT, InstrKind.SG_ROT_INV})
+ANGLE_KINDS = SG_KINDS | {InstrKind.ZSH}
 
 
 @dataclass(frozen=True)
@@ -138,20 +139,17 @@ class TrajectoryDigest:
 
 
 def instruction_to_dict(op: Instruction) -> dict:
-    d: dict = {"kind": op.kind.value}
-    if op.qubits:
-        d["q"] = list(op.qubits)
-    if op.angle is not None:
-        d["angle"] = op.angle
-    if op.axis is not None:
-        d["axis"] = op.axis
-    if op.parity is not None:
-        d["parity"] = op.parity
-    if op.direction is not None:
-        d["dir"] = op.direction
-    if op.src:
-        d["src"] = list(op.src)
-    return d
+    """Document form of an instruction; unset fields are left out."""
+    d = {
+        "kind": op.kind.value,
+        "q": list(op.qubits) or None,
+        "angle": op.angle,
+        "axis": op.axis,
+        "parity": op.parity,
+        "dir": op.direction,
+        "src": list(op.src) or None,
+    }
+    return {key: value for key, value in d.items() if value is not None}
 
 
 def instruction_from_dict(d: dict) -> Instruction:
@@ -183,15 +181,27 @@ def schedule_to_doc(s: Schedule) -> dict:
     return doc
 
 
-def _check_operands(op: Instruction, n: int) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_instruction(op: Instruction, n: int) -> None:
     arity = 2 if op.kind is InstrKind.SQSWAP else 0 if op.kind in SG_KINDS else 1
     if len(op.qubits) != arity:
         raise XbarcError(f"{op.kind.value} needs {arity} qubit(s), document gives {op.qubits}")
     for q in op.qubits:
-        if not (isinstance(q, int) and 0 <= q < n):
+        if not (_is_int(q) and 0 <= q < n):
             raise XbarcError(f"{op.kind.value} names qubit {q!r}, outside range({n})")
     if op.kind in (InstrKind.ZSH, InstrKind.ZSH_RET) and op.direction not in ("L", "R"):
         raise XbarcError(f"{op.kind.value} needs direction L or R, document gives {op.direction!r}")
+    numeric = isinstance(op.angle, (int, float)) and not isinstance(op.angle, bool)
+    if op.kind in ANGLE_KINDS and not numeric:
+        raise XbarcError(f"{op.kind.value} needs a numeric angle, document gives {op.angle!r}")
+    if op.kind in SG_KINDS:
+        if op.axis not in ("x", "y"):
+            raise XbarcError(f"{op.kind.value} needs axis x or y, document gives {op.axis!r}")
+        if not (_is_int(op.parity) and op.parity in (0, 1)):
+            raise XbarcError(f"{op.kind.value} needs parity 0 or 1, document gives {op.parity!r}")
 
 
 def schedule_from_doc(doc: dict) -> Schedule:
@@ -204,7 +214,17 @@ def schedule_from_doc(doc: dict) -> Schedule:
             "it predates this format, recompile it"
         )
     try:
-        n = doc["n"]
+        n, grid_n, placement = doc["n"], doc["grid"], doc["placement"]
+        for key, value in (("n", n), ("grid", grid_n)):
+            if not (_is_int(value) and value >= 1):
+                raise XbarcError(f"{key} must be a positive integer, document gives {value!r}")
+        if not isinstance(placement, list) or len(placement) != n:
+            raise XbarcError(f"placement must list one site for each of the {n} qubits")
+        for q, site in enumerate(placement):
+            if not (isinstance(site, list) and len(site) == 2 and all(map(_is_int, site))):
+                raise XbarcError(
+                    f"placement of qubit {q} must be an [x, y] integer pair, document gives {site!r}"
+                )
         cycles = tuple(
             Cycle(CycleType(c["type"]), tuple(instruction_from_dict(op) for op in c["ops"]))
             for c in doc["cycles"]
@@ -212,17 +232,17 @@ def schedule_from_doc(doc: dict) -> Schedule:
         schedule = Schedule(
             name=doc.get("name", ""),
             n_qubits=n,
-            grid_n=doc["grid"],
-            placement=tuple(tuple(p) for p in doc["placement"]),
+            grid_n=grid_n,
+            placement=tuple(tuple(p) for p in placement),
             cycles=cycles,
             trajectory_sha256=doc["trajectory_sha256"],
             circuit=circuit_from_dict(doc["circuit"]) if "circuit" in doc else None,
         )
     except KeyError as e:
         raise XbarcError(f"schedule document lacks key {e.args[0]!r}") from None
-    if len(schedule.placement) != n:
-        raise XbarcError(f"placement holds {len(schedule.placement)} sites for {n} qubits")
+    if schedule.circuit is not None and schedule.circuit.n_qubits != n:
+        raise XbarcError(f"embedded circuit has {schedule.circuit.n_qubits} qubits, schedule has {n}")
     for c in cycles:
         for op in c.ops:
-            _check_operands(op, n)
+            _check_instruction(op, n)
     return schedule

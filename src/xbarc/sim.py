@@ -1,7 +1,9 @@
 """Dense statevector simulation for small-scale equivalence checks.
 
 Little-endian convention: basis index bit q holds qubit q, so the state
-vector has length 2**n and qubit q maps to tensor axis n-1-q.
+vector has length 2**n and qubit q maps to tensor axis n-1-q. A state may
+carry a trailing batch axis, shape (2**n, k): every gate acts on each of
+the k columns, so several probe states go through one simulation pass.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ SQSWAP_MATRIX = np.array(
     dtype=complex,
 )
 
-_FIXED_1Q = {
+_FIXED = {
     GateKind.H: np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2,
     GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
     GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -47,29 +49,18 @@ _FIXED_1Q = {
     GateKind.SDG: np.diag([1, -1j]).astype(complex),
     GateKind.T: np.diag([1, np.exp(1j * np.pi / 4)]),
     GateKind.TDG: np.diag([1, np.exp(-1j * np.pi / 4)]),
+    GateKind.SQSWAP: SQSWAP_MATRIX,
+    GateKind.CNOT: np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    GateKind.CZ: np.diag([1, 1, 1, -1]).astype(complex),
 }
-
-CNOT_MATRIX = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-CZ_MATRIX = np.diag([1, 1, 1, -1]).astype(complex)
+_ROTATIONS = {GateKind.RX: rx_matrix, GateKind.RY: ry_matrix, GateKind.RZ: rz_matrix}
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
-    if g.kind is GateKind.RX:
-        return rx_matrix(g.angle)
-    if g.kind is GateKind.RY:
-        return ry_matrix(g.angle)
-    if g.kind is GateKind.RZ:
-        return rz_matrix(g.angle)
-    if g.kind is GateKind.SQSWAP:
-        return SQSWAP_MATRIX
-    if g.kind is GateKind.CNOT:
-        return CNOT_MATRIX
-    if g.kind is GateKind.CZ:
-        return CZ_MATRIX
-    if g.kind in _FIXED_1Q:
-        return _FIXED_1Q[g.kind]
+    if g.kind in _ROTATIONS:
+        return _ROTATIONS[g.kind](g.angle)
+    if g.kind in _FIXED:
+        return _FIXED[g.kind]
     raise ValueError(f"no matrix for {g.kind.value}")
 
 
@@ -90,29 +81,28 @@ def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
     return state
 
 
+def apply_unitary(state: np.ndarray, n: int, qubits, u: np.ndarray) -> np.ndarray:
+    """Apply the 2**k x 2**k matrix u to k qubits, qubits[0] the high bit of
+    its basis; `state` has shape (2**n,) or (2**n, batch)."""
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits]
+    t = state.reshape([2] * n + [-1])
+    t = np.tensordot(u.reshape([2] * (2 * k)), t, axes=[list(range(k, 2 * k)), axes])
+    t = np.moveaxis(t, list(range(k)), axes)
+    return np.ascontiguousarray(t).reshape(state.shape)
+
+
 def apply_1q(state: np.ndarray, n: int, q: int, u: np.ndarray) -> np.ndarray:
-    t = state.reshape([2] * n)
-    axis = n - 1 - q
-    t = np.tensordot(u, t, axes=[[1], [axis]])
-    t = np.moveaxis(t, 0, axis)
-    return np.ascontiguousarray(t).reshape(-1)
+    return apply_unitary(state, n, (q,), u)
 
 
 def apply_2q(state: np.ndarray, n: int, q1: int, q2: int, u4: np.ndarray) -> np.ndarray:
     """u4 acts on |q1 q2> with q1 the high bit of the 4x4 basis."""
-    t = state.reshape([2] * n)
-    a1, a2 = n - 1 - q1, n - 1 - q2
-    u = u4.reshape(2, 2, 2, 2)
-    t = np.tensordot(u, t, axes=[[2, 3], [a1, a2]])
-    t = np.moveaxis(t, [0, 1], [a1, a2])
-    return np.ascontiguousarray(t).reshape(-1)
+    return apply_unitary(state, n, (q1, q2), u4)
 
 
 def apply_gate(state: np.ndarray, n: int, g: Gate) -> np.ndarray:
-    m = gate_matrix(g)
-    if len(g.qubits) == 1:
-        return apply_1q(state, n, g.qubits[0], m)
-    return apply_2q(state, n, g.qubits[0], g.qubits[1], m)
+    return apply_unitary(state, n, g.qubits, gate_matrix(g))
 
 
 def simulate_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:

@@ -1,17 +1,17 @@
-"""Independent schedule validation.
+"""Schedule verification: replay and statevector equivalence, one verdict.
 
-Replay verification re-runs every cycle through the grid-level conflict
-checker from the initial placement, hashes the occupancy after every cycle
-with TrajectoryDigest and compares the digest with the one the scheduler
-stored; a document whose cycles no longer reproduce the compiled
-trajectory fails even when every cycle on its own is legal.
-Statevector equivalence simulates the compiled schedule literally
+Replay re-runs every cycle from the initial placement through the
+scheduler's own check_parallel_set/apply_op (so it cannot catch a fault in
+the conflict model itself), hashes the occupancy after every cycle with
+TrajectoryDigest and compares it with the digest the scheduler stored, so
+cycles that are each legal but no longer reproduce the compiled trajectory
+fail. Statevector equivalence simulates the compiled schedule literally
 (spectator rotations included) against the decomposed circuit at small
-qubit counts.
+qubit counts. verify() runs both; VerifyReport.ok is the verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .sim import (
 
 EQUIV_CAP = 12
 SKIPPED = "skipped (n > cap)"
+FIDELITY_FLOOR = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,16 @@ class VerifyReport:
     trajectory_match: bool = True
     equivalence_fidelity: float | str | None = None
 
+    @property
+    def ok(self) -> bool:
+        """The replay passed and no computed fidelity is below FIDELITY_FLOOR."""
+        fid = self.equivalence_fidelity
+        below = isinstance(fid, float) and not fid >= FIDELITY_FLOOR  # NaN counts as below
+        return self.replay_ok and not below
+
     def to_json_dict(self) -> dict:
         return {
+            "ok": self.ok,
             "replay_ok": self.replay_ok,
             "violations": [
                 {
@@ -70,37 +79,24 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
     for idx, cycle in enumerate(schedule.cycles):
         families = {CYCLE_FAMILY[op.kind] for op in cycle.ops}
         if families != {cycle.type}:
-            violations.append(
-                (
-                    idx,
-                    ConflictReport(
-                        ok=False,
-                        kind=ConflictKind.MIXED_TYPES,
-                        culprits=tuple(range(len(cycle.ops))),
-                        detail=f"cycle declared {cycle.type.value} but holds "
-                        f"{sorted(f.value for f in families)}",
-                    ),
-                )
+            held = sorted(f.value for f in families)
+            report = ConflictReport(
+                ok=False,
+                kind=ConflictKind.MIXED_TYPES,
+                culprits=tuple(range(len(cycle.ops))),
+                detail=f"cycle declared {cycle.type.value} but holds {held}",
             )
         else:
             report = check_parallel_set(grid, cycle.ops)
-            if not report.ok:
-                violations.append((idx, report))
+        if not report.ok:
+            violations.append((idx, report))
         try:
             next_grid = grid
             for op in cycle.ops:
                 next_grid = apply_op(next_grid, op)
         except CrossbarError as e:
-            violations.append(
-                (
-                    idx,
-                    ConflictReport(
-                        ok=False,
-                        kind=e.kind or ConflictKind.BLOCKED_PATH,
-                        detail=f"cycle is not applicable: {e}",
-                    ),
-                )
-            )
+            kind = e.kind or ConflictKind.BLOCKED_PATH
+            violations.append((idx, ConflictReport(False, kind, detail=f"cycle is not applicable: {e}")))
             next_grid = grid  # keep replaying from the last consistent state
         trajectory.add(next_grid.pos)
         grid = next_grid
@@ -139,29 +135,24 @@ def statevector_equiv(
     decomposed: Circuit, schedule: Schedule, cap: int = EQUIV_CAP, seed: int = 0
 ) -> float | str:
     """Min fidelity |<psi_circuit|psi_schedule>|^2 over the all-zero state
-    and 3 seeded random product states; the skipped marker above `cap`."""
+    and 3 seeded random product states, simulated at once as the columns of
+    one (2**n, 4) array; the skipped marker above `cap`."""
     n = decomposed.n_qubits
     if n > cap:
         return SKIPPED
     rng = np.random.default_rng([seed, n])
-    states = [zero_state(n)] + [random_product_state(n, rng) for _ in range(3)]
-    fidelity = 1.0
-    for s0 in states:
-        a = simulate_circuit(decomposed, s0)
-        b = simulate_schedule(schedule, s0)
-        fidelity = min(fidelity, float(abs(np.vdot(a, b)) ** 2))
-    return fidelity
+    probes = np.stack([zero_state(n)] + [random_product_state(n, rng) for _ in range(3)], axis=1)
+    a = simulate_circuit(decomposed, probes)
+    b = simulate_schedule(schedule, probes)
+    overlaps = np.einsum("ik,ik->k", a.conj(), b)
+    return min(1.0, float(np.min(np.abs(overlaps) ** 2)))
 
 
-def verify(schedule: Schedule, cap: int = EQUIV_CAP, seed: int = 0) -> VerifyReport:
-    """Replay verification plus statevector equivalence when available."""
-    base = replay_verify(schedule)
-    fidelity = None
-    if schedule.circuit is not None:
-        fidelity = statevector_equiv(schedule.circuit, schedule, cap=cap, seed=seed)
-    return VerifyReport(
-        replay_ok=base.replay_ok,
-        violations=base.violations,
-        trajectory_match=base.trajectory_match,
-        equivalence_fidelity=fidelity,
-    )
+def verify(schedule: Schedule) -> VerifyReport:
+    """Replay verification, then statevector equivalence when the schedule
+    embeds its circuit and every cycle replayed without a violation; the
+    verdict is the report's `ok`."""
+    report = replay_verify(schedule)
+    if report.violations or schedule.circuit is None:
+        return report
+    return replace(report, equivalence_fidelity=statevector_equiv(schedule.circuit, schedule))

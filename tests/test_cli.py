@@ -39,10 +39,16 @@ def test_compile_verify_stats_flow(tmp_path, bell_qasm, capsys):
     assert (tmp_path / "qig.dot").read_text().startswith("graph qig {")
 
 
-def test_verify_detects_corruption(tmp_path, bell_qasm):
+@pytest.fixture()
+def bell_doc(tmp_path, bell_qasm):
+    """(path, parsed document) of the compiled Bell circuit."""
     out = tmp_path / "out.json"
     assert main(["compile", "-i", str(bell_qasm), "-o", str(out)]) == 0
-    doc = json.loads(out.read_text())
+    return out, json.loads(out.read_text())
+
+
+def test_verify_detects_corruption(tmp_path, bell_doc):
+    _, doc = bell_doc
     doc["trajectory_sha256"] = "0" * 64
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
@@ -68,6 +74,33 @@ def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
     assert report["equivalence_fidelity"] > 1 - 1e-9
 
 
+def test_verify_fails_on_wrong_angle(bell_doc, capsys):
+    path, doc = bell_doc
+    zsh = next(op for c in doc["cycles"] for op in c["ops"] if op["kind"] == "zsh")
+    zsh["angle"] += 1.0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "-i", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["replay_ok"] is True and report["ok"] is False
+    assert report["equivalence_fidelity"] < 1 - 1e-9
+
+
+def test_verify_reports_illegal_move_without_equivalence(bell_doc, capsys):
+    path, doc = bell_doc
+    cycle, op = next(
+        (i, op) for i, c in enumerate(doc["cycles"]) for op in c["ops"] if op["kind"] == "sh_r"
+    )
+    op["kind"] = "sh_l"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "-i", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["replay_ok"] is False and report["ok"] is False
+    assert cycle in [v["cycle"] for v in report["violations"]]
+    assert report["equivalence_fidelity"] is None
+
+
 def _drop(key):
     def edit(doc):
         del doc[key]
@@ -75,9 +108,14 @@ def _drop(key):
     return edit
 
 
-def _name_qubit_7(doc):
-    op = next(op for c in doc["cycles"] for op in c["ops"] if op["kind"] == "sqswap")
-    op["q"] = [0, 7]
+def _set_op(kind, key, value):
+    """Set `key` of the first instruction of `kind`."""
+
+    def edit(doc):
+        op = next(op for c in doc["cycles"] for op in c["ops"] if op["kind"] == kind)
+        op[key] = value
+
+    return edit
 
 
 def _old_format(doc):
@@ -91,21 +129,40 @@ def _old_format(doc):
         (_drop("cycles"), "lacks key 'cycles'"),
         (_drop("placement"), "lacks key 'placement'"),
         (_drop("trajectory_sha256"), "lacks key 'trajectory_sha256'"),
-        (_name_qubit_7, "qubit 7, outside range(2)"),
+        (_set_op("sqswap", "q", [0, 7]), "qubit 7, outside range(2)"),
         (_old_format, "recompile"),
+        (lambda doc: doc.update(grid="3"), "grid must be a positive integer"),
+        (_set_op("sg_rot", "angle", None), "sg_rot needs a numeric angle"),
+        (_set_op("zsh", "angle", None), "zsh needs a numeric angle"),
+        (_set_op("sg_rot", "axis", "z"), "needs axis x or y"),
+        (_set_op("sg_rot", "parity", 2), "needs parity 0 or 1"),
+        (lambda doc: doc.update(placement=[[0], [1, 1]]), "placement of qubit 0"),
+        (lambda doc: doc["circuit"].update(n_qubits=3), "embedded circuit has 3 qubits"),
     ],
-    ids=["no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history"],
+    ids=[
+        "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
+        "grid-string", "sg-angle-null", "zsh-angle-null", "axis-z", "parity-2",
+        "placement-not-pair", "circuit-qubits-mismatch",
+    ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])
-def test_malformed_document_is_a_user_error(tmp_path, bell_qasm, capsys, command, edit, message):
-    out = tmp_path / "out.json"
-    assert main(["compile", "-i", str(bell_qasm), "-o", str(out)]) == 0
-    doc = json.loads(out.read_text())
+def test_malformed_document_is_a_user_error(bell_doc, capsys, command, edit, message):
+    out, doc = bell_doc
     edit(doc)
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main([command, "-i", str(out)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["gate_overhead_pct", "depth_overhead_pct", "esp"])
+def test_stats_metrics_without_a_key_is_a_user_error(bell_doc, capsys, key):
+    out, doc = bell_doc
+    del doc["metrics"][key]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["stats", "-i", str(out)]) == 1
+    assert repr(key) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["qreg q[3];", "qreg q[2]; creg c[2]; measure q[0] -> c[0];"])

@@ -14,7 +14,9 @@ from xbarc import (
     gen_random_uniform,
     replay_verify,
     statevector_equiv,
+    verify,
 )
+from xbarc import verifier
 from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 from xbarc.sim import apply_1q, apply_2q, gate_matrix, zero_state
 from xbarc.verifier import SKIPPED, simulate_schedule
@@ -26,18 +28,24 @@ def compiled(circuit):
     return compile_native(circuit)[1]
 
 
+def random_unitary(rng, d):
+    return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+
+
 class TestSimPrimitives:
     def test_apply_1q_matches_kron(self):
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = rng.integers(1, 5)
-            q = int(rng.integers(n))
-            u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            state = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            full = np.array([[1.0]], dtype=complex)
-            for k in range(n - 1, -1, -1):
-                full = np.kron(full, u if k == q else np.eye(2))
-            assert np.allclose(apply_1q(state, n, q, u), full @ state)
+        # one state, then a (2**n, 3) batch: the kron reference acts on each column
+        for batch in ((), (3,)):
+            for _ in range(20):
+                n = rng.integers(1, 5)
+                q = int(rng.integers(n))
+                u = random_unitary(rng, 2)
+                state = rng.normal(size=(2**n, *batch)) + 1j * rng.normal(size=(2**n, *batch))
+                full = np.array([[1.0]], dtype=complex)
+                for k in range(n - 1, -1, -1):
+                    full = np.kron(full, u if k == q else np.eye(2))
+                assert np.allclose(apply_1q(state, n, q, u), full @ state)
 
     def test_apply_2q_matches_explicit_cnot(self):
         # CNOT with control 0, target 1 on 2 qubits, little-endian indexing
@@ -47,6 +55,20 @@ class TestSimPrimitives:
         expect = np.zeros(4, dtype=complex)
         expect[3] = 1.0  # both excited
         assert np.allclose(out, expect)
+
+    def test_apply_2q_batch_columns_match_single_states(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            q1, q2 = (int(q) for q in rng.choice(n, size=2, replace=False))
+            u4 = random_unitary(rng, 4)
+            states = rng.normal(size=(2**n, 4)) + 1j * rng.normal(size=(2**n, 4))
+            out = apply_2q(states, n, q1, q2, u4)
+            assert out.shape == states.shape
+            # tensordot may sum in another order once the batch axis is there
+            for k in range(states.shape[1]):
+                single = apply_2q(states[:, k], n, q1, q2, u4)
+                assert np.allclose(out[:, k], single, rtol=0, atol=1e-12)
 
 
 class TestReplay:
@@ -147,8 +169,34 @@ class TestEquivalence:
             fid = statevector_equiv(c, s, seed=seed)
             assert fid >= 1 - 1e-9, (seed, fid)
 
+    def test_each_side_simulated_once(self, monkeypatch):
+        calls = {"simulate_circuit": 0, "simulate_schedule": 0}
+        for name in calls:
+            original = getattr(verifier, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(verifier, name, counted)
+        c = gen_random_uniform(BenchSpec(4, 20, 50.0, 0))
+        assert statevector_equiv(c, compiled(c)) >= 1 - 1e-9
+        assert calls == {"simulate_circuit": 1, "simulate_schedule": 1}
+
     def test_global_phase_immune(self):
         # rz-only circuit: schedule realizes it up to global phase
         c = Circuit("p", 2, (Gate(GateKind.RZ, (0,), 1.0), Gate(GateKind.RZ, (1,), -2.0)))
         s = compiled(c)
         assert statevector_equiv(c, s) >= 1 - 1e-12
+
+
+class TestVerify:
+    def test_illegal_move_fails_without_equivalence(self):
+        s = compiled(Circuit("c", 2, (Gate(GateKind.SQSWAP, (0, 1)),)))
+        i = next(i for i, cy in enumerate(s.cycles) if cy.ops[0].kind is InstrKind.SH_R)
+        flipped = Cycle(CycleType.SHUTTLE, (dataclasses.replace(s.cycles[i].ops[0], kind=InstrKind.SH_L),))
+        broken = dataclasses.replace(s, cycles=s.cycles[:i] + (flipped,) + s.cycles[i + 1:])
+        report = verify(broken)
+        assert not report.ok and not report.replay_ok
+        assert i in [cycle for cycle, _ in report.violations]
+        assert report.equivalence_fidelity is None
