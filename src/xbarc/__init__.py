@@ -19,7 +19,7 @@ from .crossbar import (
 )
 from .instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, schedule_from_doc
 from .ir import QIG, CountsByType, counts_by_type, decompose, dependency_depth, interaction_graph
-from .mapper import RoutedBlock, expand_semi_global, initial_placement, route_two_qubit, z_route
+from .mapper import expand_semi_global, initial_placement, route_two_qubit, z_route
 from .metrics import FidelityMap, MetricsReport, build_fidelity_map, esp, overhead_report
 from .qasm import emit_output, parse_qasm
 from .scheduler import schedule_integrated, split_cycle
@@ -42,7 +42,6 @@ __all__ = [
     "InstrKind",
     "MetricsReport",
     "QIG",
-    "RoutedBlock",
     "Schedule",
     "SignalRequirements",
     "VerifyReport",

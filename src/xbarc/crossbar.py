@@ -22,8 +22,9 @@ is satisfiable exactly when the merged digraph is acyclic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import CompileError, CrossbarError
@@ -52,11 +53,6 @@ class ConflictReport:
     kind: ConflictKind | None = None
     culprits: tuple[int, ...] = ()
     detail: str = ""
-    ql_pairs: tuple[tuple[int, int], ...] = ()  # merged inequality set, dest > origin order
-
-    @property
-    def verdict(self) -> str:
-        return "ok" if self.ok else "conflict"
 
 
 @dataclass(frozen=True)
@@ -155,12 +151,7 @@ def grid_for(n_qubits: int) -> Grid:
     n = 1
     while (n * n + 1) // 2 < n_qubits:
         n += 1
-    sites = []
-    for site in checkerboard_sites(n):
-        sites.append(site)
-        if len(sites) == n_qubits:
-            break
-    return Grid(n, tuple(sites))
+    return Grid(n, tuple(islice(checkerboard_sites(n), n_qubits)))
 
 
 def ql_index(site) -> int:
@@ -193,31 +184,38 @@ def barrier_between(a, b) -> Line:
     raise CompileError(f"sites {a} and {b} are not adjacent")
 
 
-def _shuttle_signals(grid: Grid, q: int, delta, movers: frozenset[int]) -> SignalRequirements:
-    """Signal requirements for moving q one site by `delta`; stay-put
-    constraints are emitted only for qubits outside `movers`."""
-    origin = grid.site_of(q)
+def move_sites(grid: Grid, q: int, delta) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Origin and destination of a one-site move of q by `delta` (the
+    destination may lie off the grid)."""
+    x, y = grid.site_of(q)
     dx, dy = delta
-    dest = (origin[0] + dx, origin[1] + dy)
-    if not grid.in_grid(dest):
-        raise CrossbarError(f"shuttle of qubit {q} by {delta} leaves the grid from {origin}")
+    return (x, y), (x + dx, y + dy)
+
+
+def sqswap_sites(grid: Grid, a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Sites of sqswap(a, b); raises CrossbarError unless they are
+    vertically adjacent."""
+    sa, sb = grid.site_of(a), grid.site_of(b)
+    if sa[0] != sb[0] or abs(sa[1] - sb[1]) != 1:
+        raise CrossbarError(f"sqswap({a},{b}) needs vertically adjacent sites, got {sa}, {sb}")
+    return sa, sb
+
+
+def _shuttle_signals(grid: Grid, origin, dest, movers: frozenset[int]) -> SignalRequirements:
+    """Signal requirements for a one-site move from origin to dest; stay-put
+    constraints are emitted only for qubits outside `movers`."""
     barrier = barrier_between(origin, dest)
     lowered = {barrier}
     raised = (site_barriers(origin, grid.n) | site_barriers(dest, grid.n)) - lowered
     ql_gt = {(ql_index(dest), ql_index(origin))}
-    if dy == 0:
+    if origin[1] == dest[1]:
         # horizontal move: bias every other qubit in the two affected
         # columns above its empty neighbour across the lowered barrier
-        cols = (origin[0], dest[0])
-        for other in range(grid.n_qubits):
-            if other == q or other in movers:
-                continue
-            ox, oy = grid.site_of(other)
-            if ox not in cols:
-                continue
-            across = (dest[0] if ox == origin[0] else origin[0], oy)
-            if not grid.occupied(across):
-                ql_gt.add((ql_index((ox, oy)), ql_index(across)))
+        for x, across_x in ((origin[0], dest[0]), (dest[0], origin[0])):
+            for y in range(grid.n):
+                other = grid.qubit_at((x, y))
+                if other is not None and other not in movers and not grid.occupied((across_x, y)):
+                    ql_gt.add((ql_index((x, y)), ql_index((across_x, y))))
     return SignalRequirements(frozenset(lowered), frozenset(raised), frozenset(ql_gt))
 
 
@@ -227,20 +225,19 @@ def shuttle_requirements(grid: Grid, q: int, direction: str) -> SignalRequiremen
     Raises CrossbarError (kind BLOCKED_PATH) when the destination is
     occupied, and a plain CrossbarError for out-of-grid moves.
     """
-    origin = grid.site_of(q)
-    dx, dy = DELTAS[direction]
-    dest = (origin[0] + dx, origin[1] + dy)
-    if grid.in_grid(dest) and grid.occupied(dest):
+    delta = DELTAS[direction]
+    origin, dest = move_sites(grid, q, delta)
+    if not grid.in_grid(dest):
+        raise CrossbarError(f"shuttle of qubit {q} by {delta} leaves the grid from {origin}")
+    if grid.occupied(dest):
         raise CrossbarError(
             f"destination {dest} of qubit {q} is occupied", kind=ConflictKind.BLOCKED_PATH
         )
-    return _shuttle_signals(grid, q, (dx, dy), frozenset({q}))
+    return _shuttle_signals(grid, origin, dest, frozenset({q}))
 
 
 def _sqswap_signals(grid: Grid, a: int, b: int) -> SignalRequirements:
-    sa, sb = grid.site_of(a), grid.site_of(b)
-    if sa[0] != sb[0] or abs(sa[1] - sb[1]) != 1:
-        raise CrossbarError(f"sqswap({a},{b}) needs vertically adjacent sites, got {sa}, {sb}")
+    sa, sb = sqswap_sites(grid, a, b)
     barrier = barrier_between(sa, sb)
     lowered = {barrier}
     raised = (site_barriers(sa, grid.n) | site_barriers(sb, grid.n)) - lowered
@@ -328,9 +325,7 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
     for i, op in enumerate(ops):
         if op.kind in MOVE_KINDS:
             q = op.qubits[0]
-            origin = grid.site_of(q)
-            dx, dy = op.move_delta()
-            dest = (origin[0] + dx, origin[1] + dy)
+            origin, dest = move_sites(grid, q, op.move_delta())
             if not grid.in_grid(dest):
                 return ConflictReport(
                     ok=False,
@@ -339,7 +334,7 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                     detail=f"qubit {q} shuttled off-grid from {origin}",
                 )
             dests[i] = dest
-            reqs.append(_shuttle_signals(grid, q, (dx, dy), movers))
+            reqs.append(_shuttle_signals(grid, origin, dest, movers))
         elif op.kind is InstrKind.SQSWAP:
             try:
                 reqs.append(_sqswap_signals(grid, op.qubits[0], op.qubits[1]))
@@ -349,15 +344,6 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                 )
         else:  # pragma: no cover - families filtered above
             raise CompileError(f"unexpected kind {op.kind}")
-
-    merged_pairs: list[tuple[int, int]] = []
-    pair_owner: dict[tuple[int, int], list[int]] = {}
-    for i, r in enumerate(reqs):
-        for p in sorted(r.ql_gt):
-            if p not in pair_owner:
-                merged_pairs.append(p)
-            pair_owner.setdefault(p, []).append(i)
-    ql_pairs = tuple(merged_pairs)
 
     # blocked paths: duplicate movers, shared destinations, occupied destinations
     seen_mover: dict[int, int] = {}
@@ -371,7 +357,6 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                 kind=ConflictKind.BLOCKED_PATH,
                 culprits=(seen_mover[q], i),
                 detail=f"qubit {q} moved by two instructions",
-                ql_pairs=ql_pairs,
             )
         seen_mover[q] = i
     seen_dest: dict[tuple[int, int], int] = {}
@@ -382,7 +367,6 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                 kind=ConflictKind.BLOCKED_PATH,
                 culprits=(seen_dest[dest], i),
                 detail=f"two instructions target {dest}",
-                ql_pairs=ql_pairs,
             )
         seen_dest[dest] = i
         if grid.occupied(dest):
@@ -391,7 +375,6 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                 kind=ConflictKind.BLOCKED_PATH,
                 culprits=(i,),
                 detail=f"destination {dest} is occupied",
-                ql_pairs=ql_pairs,
             )
 
     # barrier clashes between lowered and raised sets
@@ -406,7 +389,6 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                     kind=ConflictKind.BARRIER_CLASH,
                     culprits=(i, j),
                     detail=f"{sorted(clash)} lowered by one instruction, raised by another",
-                    ql_pairs=ql_pairs,
                 )
 
     # unwanted interactions: the barrier an instruction lowers runs the
@@ -430,31 +412,28 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                 kind=ConflictKind.UNWANTED_INTERACTION,
                 culprits=(i,),
                 detail=f"{line} lowered while {where} {hit} holds an occupied pair",
-                ql_pairs=ql_pairs,
             )
 
-    cycle = _find_ql_cycle(merged_pairs)
+    # merged inequality set: instruction by instruction, each one's pairs
+    # sorted, first occurrence kept, so the reported cycle is deterministic
+    cycle = _find_ql_cycle(dict.fromkeys(p for r in reqs for p in sorted(r.ql_gt)))
     if cycle is not None:
-        edge_set = set(zip(cycle, cycle[1:]))
-        culprits = sorted({i for p, owners in pair_owner.items() if p in edge_set for i in owners})
+        edges = set(zip(cycle, cycle[1:]))
         return ConflictReport(
             ok=False,
             kind=ConflictKind.QL_CONTRADICTION,
-            culprits=tuple(culprits),
+            culprits=tuple(i for i, r in enumerate(reqs) if r.ql_gt & edges),
             detail="QL inequality cycle " + " > ".join(f"QL_{v}" for v in cycle),
-            ql_pairs=ql_pairs,
         )
 
-    return ConflictReport(ok=True, ql_pairs=ql_pairs)
+    return ConflictReport(ok=True)
 
 
 def apply_op(grid: Grid, op: Instruction) -> Grid:
     """Advance positions by one instruction (defensive legality re-check)."""
     if op.kind in MOVE_KINDS:
         q = op.qubits[0]
-        x, y = grid.site_of(q)
-        dx, dy = op.move_delta()
-        dest = (x + dx, y + dy)
+        _, dest = move_sites(grid, q, op.move_delta())
         if not grid.in_grid(dest):
             raise CrossbarError(f"{op.kind.value} moves qubit {q} off-grid to {dest}")
         if grid.occupied(dest):
@@ -463,11 +442,8 @@ def apply_op(grid: Grid, op: Instruction) -> Grid:
             )
         return grid.move(q, dest)
     if op.kind is InstrKind.SQSWAP:
-        sa, sb = grid.site_of(op.qubits[0]), grid.site_of(op.qubits[1])
-        if sa[0] != sb[0] or abs(sa[1] - sb[1]) != 1:
-            raise CrossbarError(f"sqswap operands not vertically adjacent: {sa}, {sb}")
-        return grid
-    return grid  # semi-global rotations leave positions unchanged
+        sqswap_sites(grid, *op.qubits)
+    return grid  # sqswap and semi-global rotations leave positions unchanged
 
 
 def apply_cycle(grid: Grid, cycle: Cycle) -> Grid:

@@ -10,6 +10,7 @@ authoritative compiled artifact; schedule_from_doc round-trips it exactly.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -155,12 +156,12 @@ def instruction_to_dict(op: Instruction) -> dict:
 def instruction_from_dict(d: dict) -> Instruction:
     return Instruction(
         kind=InstrKind(d["kind"]),
-        qubits=tuple(d.get("q", ())),
+        qubits=tuple(_typed(d.get("q", []), list, f"{d['kind']} q")),
         angle=d.get("angle"),
         axis=d.get("axis"),
         parity=d.get("parity"),
         direction=d.get("dir"),
-        src=tuple(d.get("src", ())),
+        src=tuple(_typed(d.get("src", []), list, f"{d['kind']} src")),
     )
 
 
@@ -185,6 +186,41 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_angle(value) -> bool:
+    """A real number that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def _typed(value, kind: type, what: str):
+    """`value`, if it is a `kind` (list or dict); an XbarcError naming `what` otherwise."""
+    if not isinstance(value, kind):
+        noun = "a list" if kind is list else "an object"
+        raise XbarcError(f"{what} must be {noun}, document gives {value!r}")
+    return value
+
+
+def _circuit_from_doc(d) -> Circuit:
+    """circuit_from_dict after the checks its constructors leave out."""
+    _typed(d, dict, "circuit")
+    n = d["n_qubits"]
+    if not (_is_int(n) and n >= 1):
+        raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {n!r}")
+    for i, g in enumerate(_typed(d["gates"], list, "circuit gates")):
+        q = _typed(_typed(g, dict, f"circuit gate {i}")["q"], list, f"circuit gate {i} q")
+        if not all(map(_is_int, q)):
+            raise XbarcError(f"circuit gate {i} q must list integers, document gives {q!r}")
+        if "angle" in g and not _is_angle(g["angle"]):
+            raise XbarcError(
+                f"circuit gate {i} angle must be a finite number, document gives {g['angle']!r}"
+            )
+    return circuit_from_dict(d)
+
+
 def _check_instruction(op: Instruction, n: int) -> None:
     arity = 2 if op.kind is InstrKind.SQSWAP else 0 if op.kind in SG_KINDS else 1
     if len(op.qubits) != arity:
@@ -194,9 +230,10 @@ def _check_instruction(op: Instruction, n: int) -> None:
             raise XbarcError(f"{op.kind.value} names qubit {q!r}, outside range({n})")
     if op.kind in (InstrKind.ZSH, InstrKind.ZSH_RET) and op.direction not in ("L", "R"):
         raise XbarcError(f"{op.kind.value} needs direction L or R, document gives {op.direction!r}")
-    numeric = isinstance(op.angle, (int, float)) and not isinstance(op.angle, bool)
-    if op.kind in ANGLE_KINDS and not numeric:
-        raise XbarcError(f"{op.kind.value} needs a numeric angle, document gives {op.angle!r}")
+    if op.kind in ANGLE_KINDS and not _is_angle(op.angle):
+        raise XbarcError(
+            f"{op.kind.value} needs a numeric angle, finite as a float, document gives {op.angle!r}"
+        )
     if op.kind in SG_KINDS:
         if op.axis not in ("x", "y"):
             raise XbarcError(f"{op.kind.value} needs axis x or y, document gives {op.axis!r}")
@@ -226,8 +263,14 @@ def schedule_from_doc(doc: dict) -> Schedule:
                     f"placement of qubit {q} must be an [x, y] integer pair, document gives {site!r}"
                 )
         cycles = tuple(
-            Cycle(CycleType(c["type"]), tuple(instruction_from_dict(op) for op in c["ops"]))
-            for c in doc["cycles"]
+            Cycle(
+                CycleType(_typed(c, dict, f"cycle {i}")["type"]),
+                tuple(
+                    instruction_from_dict(_typed(op, dict, f"cycle {i} op"))
+                    for op in _typed(c["ops"], list, f"cycle {i} ops")
+                ),
+            )
+            for i, c in enumerate(_typed(doc["cycles"], list, "cycles"))
         )
         schedule = Schedule(
             name=doc.get("name", ""),
@@ -236,7 +279,7 @@ def schedule_from_doc(doc: dict) -> Schedule:
             placement=tuple(tuple(p) for p in placement),
             cycles=cycles,
             trajectory_sha256=doc["trajectory_sha256"],
-            circuit=circuit_from_dict(doc["circuit"]) if "circuit" in doc else None,
+            circuit=_circuit_from_doc(doc["circuit"]) if "circuit" in doc else None,
         )
     except KeyError as e:
         raise XbarcError(f"schedule document lacks key {e.args[0]!r}") from None

@@ -12,7 +12,7 @@ parity back, shuttle the targets home.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import islice
 
 from .circuits import Circuit
 from .crossbar import Grid, apply_cycle, check_parallel_set, checkerboard_sites
@@ -20,30 +20,13 @@ from .errors import CompileError, MapperConflict
 from .instructions import Cycle, CycleType, Instruction, InstrKind
 
 
-@dataclass(frozen=True)
-class RoutedBlock:
-    """Instruction cycles realizing one source gate (or one gate group)."""
-
-    block_type: str  # "twoq" | "z" | "xy"
-    cycles: tuple[Cycle, ...]
-    sources: tuple[int, ...]
-
-    @property
-    def instructions(self) -> tuple[Instruction, ...]:
-        return tuple(op for c in self.cycles for op in c.ops)
-
-
 def initial_placement(circuit: Circuit, grid: Grid) -> Grid:
     """Trivial one-to-one placement: qubit i on the i-th checkerboard site
     in left-to-right, bottom-to-top order."""
-    sites = []
-    for site in checkerboard_sites(grid.n):
-        sites.append(site)
-        if len(sites) == circuit.n_qubits:
-            break
+    sites = tuple(islice(checkerboard_sites(grid.n), circuit.n_qubits))
     if len(sites) < circuit.n_qubits:
         raise CompileError(f"{grid.n}x{grid.n} grid cannot hold {circuit.n_qubits} qubits")
-    return Grid(grid.n, tuple(sites))
+    return Grid(grid.n, sites)
 
 
 def _h_shuttle(q: int, dx: int, src) -> Instruction:
@@ -107,7 +90,7 @@ def _diagonal_path(grid: Grid, start, target):
     return steps
 
 
-def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> RoutedBlock:
+def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ...]:
     """Route qubit a next to b and emit the interaction cycles.
 
     k diagonal steps (k = Chebyshev(a, b) - 1) bring a diagonally adjacent
@@ -156,7 +139,7 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> RoutedBlock:
     grid = _checked(grid, cycle_out)
     cycles.append(cycle_out)
 
-    return RoutedBlock("twoq", tuple(cycles), srcs)
+    return tuple(cycles)
 
 
 def z_direction(grid: Grid, q: int) -> str:
@@ -170,7 +153,7 @@ def z_direction(grid: Grid, q: int) -> str:
     raise MapperConflict(f"both horizontal neighbours of qubit {q} at {(x, y)} are blocked")
 
 
-def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> RoutedBlock:
+def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]:
     """Z rotation as a phase-carrying shuttle to a neighbouring column (see
     z_direction) and back."""
     direction = z_direction(grid, q)
@@ -191,7 +174,7 @@ def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> RoutedBlock:
     )
     grid = _checked(grid, out)
     _checked(grid, back)
-    return RoutedBlock("z", (out, back), (src,))
+    return out, back
 
 
 def expand_semi_global(
@@ -200,7 +183,7 @@ def expand_semi_global(
     axis: str,
     angle: float,
     sources: dict[int, int] | None = None,
-) -> RoutedBlock:
+) -> tuple[Cycle, ...]:
     """Semi-global X/Y rotation on `targets`, all in one column parity.
 
     If the targets are exactly the parity population, one pulse suffices.
@@ -221,7 +204,7 @@ def expand_semi_global(
 
     rot = Instruction(InstrKind.SG_ROT, angle=angle, axis=axis, parity=parity, src=all_src)
     if set(targets) == set(grid.parity_members(parity)):
-        return RoutedBlock("xy", (Cycle(CycleType.XY_ROT, (rot,)),), all_src)
+        return (Cycle(CycleType.XY_ROT, (rot,)),)
 
     def can_move(q, dx):
         x, y = grid.site_of(q)
@@ -253,4 +236,4 @@ def expand_semi_global(
                 f"scheme shuttles conflict ({report.kind.value}): {report.detail}"
             )
         g = apply_cycle(g, cycle)
-    return RoutedBlock("xy", cycles, all_src)
+    return cycles

@@ -15,7 +15,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .config import ArchConfig, FIDELITY_CLASSES
-from .crossbar import Grid, apply_op
+from .crossbar import Grid, apply_op, move_sites, sqswap_sites
 from .errors import CompileError
 from .instructions import InstrKind, MOVE_KINDS, Schedule
 from .ir import CountsByType, counts_by_type, dependency_depth
@@ -127,14 +127,11 @@ def esp(schedule: Schedule, fmap: FidelityMap) -> float:
     for cycle in schedule.cycles:
         for op in cycle.ops:
             if op.kind in MOVE_KINDS:
-                q = op.qubits[0]
-                x, y = grid.site_of(q)
-                dx, dy = op.move_delta()
-                total *= fmap.lookup("shuttle", (x + dx, y + dy))
+                _, dest = move_sites(grid, op.qubits[0], op.move_delta())
+                total *= fmap.lookup("shuttle", dest)
             elif op.kind is InstrKind.SQSWAP:
-                sa = grid.site_of(op.qubits[0])
-                sb = grid.site_of(op.qubits[1])
-                total *= fmap.lookup("sqswap", min(sa, sb, key=lambda s: s[1]))
+                lower = min(sqswap_sites(grid, *op.qubits), key=lambda s: s[1])
+                total *= fmap.lookup("sqswap", lower)
             else:  # semi-global pulse: every qubit in the parity contributes
                 for q in grid.parity_members(op.parity):
                     total *= fmap.lookup("single_qubit", grid.site_of(q))

@@ -73,16 +73,29 @@ _ALLOWED_EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast
 def _eval_angle(expr: str, line: int) -> float:
     try:
         tree = ast.parse(expr, mode="eval")
-    except SyntaxError:
+    except (SyntaxError, RecursionError, MemoryError):  # the last two: nesting too deep
         raise QasmError(f"bad angle expression {expr!r}", line) from None
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_EXPR_NODES):
             raise QasmError(f"unsupported construct in angle {expr!r}", line)
         if isinstance(node, ast.Name) and node.id != "pi":
             raise QasmError(f"unknown symbol {node.id!r} in angle {expr!r}", line)
-        if isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)):
-            raise QasmError(f"bad constant in angle {expr!r}", line)
-    return float(eval(compile(tree, "<angle>", "eval"), {"__builtins__": {}}, {"pi": math.pi}))
+        if isinstance(node, ast.Constant):
+            if not isinstance(node.value, (int, float)):
+                raise QasmError(f"bad constant in angle {expr!r}", line)
+            # float arithmetic throughout, so `**` on integer literals overflows
+            # instead of computing an exponent tower exactly
+            try:
+                node.value = float(node.value)
+            except OverflowError:
+                raise QasmError(f"constant out of range in angle {expr!r}", line) from None
+    try:
+        angle = eval(compile(tree, "<angle>", "eval"), {"__builtins__": {}}, {"pi": math.pi})
+    except (ArithmeticError, RecursionError) as e:
+        raise QasmError(f"cannot evaluate angle {expr!r}: {e}", line) from None
+    if not (isinstance(angle, float) and math.isfinite(angle)):
+        raise QasmError(f"angle {expr!r} is not a finite real number", line)
+    return angle
 
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")

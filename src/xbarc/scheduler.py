@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from .circuits import Circuit, GateKind
 from .crossbar import Grid, apply_cycle, check_parallel_set
 from .errors import CompileError, MapperConflict
 from .instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 from .ir import asap_levels
-from .mapper import RoutedBlock, expand_semi_global, route_two_qubit, z_direction, z_route
+from .mapper import expand_semi_global, route_two_qubit, z_direction, z_route
 
 
 @dataclass(frozen=True)
@@ -47,7 +48,7 @@ def _pass1(circuit: Circuit) -> list[ProtoCycle]:
     return [ProtoCycle(_proto_kind(circuit.gates[i].kind), (i,)) for i in order]
 
 
-def _expand_z_group(circuit: Circuit, grid: Grid, gates) -> RoutedBlock:
+def _expand_z_group(circuit: Circuit, grid: Grid, gates) -> tuple[Cycle, ...]:
     """One Z cycle (phase shuttles) plus one return cycle for a gate group."""
     outs, backs = [], []
     for i in gates:
@@ -66,10 +67,10 @@ def _expand_z_group(circuit: Circuit, grid: Grid, gates) -> RoutedBlock:
         if not report.ok:
             raise MapperConflict(f"z shuttles conflict ({report.kind.value}): {report.detail}")
         g = apply_cycle(g, cycle)
-    return RoutedBlock("z", (out_cycle, back_cycle), tuple(gates))
+    return out_cycle, back_cycle
 
 
-def _expand_proto(circuit: Circuit, grid: Grid, proto: ProtoCycle) -> RoutedBlock:
+def _expand_proto(circuit: Circuit, grid: Grid, proto: ProtoCycle) -> tuple[Cycle, ...]:
     if proto.kind == "twoq":
         if len(proto.gates) != 1:
             raise CompileError("two-qubit blocks are never grouped")
@@ -94,7 +95,7 @@ def _expand_proto(circuit: Circuit, grid: Grid, proto: ProtoCycle) -> RoutedBloc
     return expand_semi_global(grid, targets, axis, first.angle, sources)
 
 
-def split_cycle(circuit: Circuit, grid: Grid, proto: ProtoCycle) -> list[RoutedBlock]:
+def split_cycle(circuit: Circuit, grid: Grid, proto: ProtoCycle) -> list[tuple[Cycle, ...]]:
     """Partition a conflicted cycle into sequential conflict-free blocks.
 
     Greedy in program order: keep extending the current subset while it
@@ -102,7 +103,7 @@ def split_cycle(circuit: Circuit, grid: Grid, proto: ProtoCycle) -> list[RoutedB
     subset. Terminates in at most len(gates) rounds; a stored remainder
     that is itself clean reschedules in one extra round.
     """
-    blocks: list[RoutedBlock] = []
+    blocks: list[tuple[Cycle, ...]] = []
     remaining = list(proto.gates)
     while remaining:
         subset: list[int] = []
@@ -143,11 +144,10 @@ def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None
             blocks = [_expand_proto(decomposed, grid, proto)]
         except MapperConflict:
             blocks = split_cycle(decomposed, grid, proto)
-        for block in blocks:
-            for cycle in block.cycles:
-                grid = apply_cycle(grid, cycle)
-                cycles.append(cycle)
-                trajectory.add(grid.pos)
+        for cycle in chain.from_iterable(blocks):
+            grid = apply_cycle(grid, cycle)
+            cycles.append(cycle)
+            trajectory.add(grid.pos)
 
     if not grid.is_checkerboard():
         raise CompileError("final occupancy is not the idle configuration")

@@ -145,7 +145,7 @@ def statevector_equiv(
     a = simulate_circuit(decomposed, probes)
     b = simulate_schedule(schedule, probes)
     overlaps = np.einsum("ik,ik->k", a.conj(), b)
-    return min(1.0, float(np.min(np.abs(overlaps) ** 2)))
+    return float(np.minimum(1.0, np.min(np.abs(overlaps) ** 2)))  # NaN stays NaN
 
 
 def verify(schedule: Schedule) -> VerifyReport:

@@ -118,6 +118,27 @@ def _set_op(kind, key, value):
     return edit
 
 
+def _set_circuit_gate(key, value):
+    """Set `key` of the first embedded circuit gate that has an angle."""
+
+    def edit(doc):
+        next(g for g in doc["circuit"]["gates"] if "angle" in g)[key] = value
+
+    return edit
+
+
+def _set_first(path, value):
+    """Replace the item at `path` (keys and indices from the document root)."""
+
+    def edit(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
 def _old_format(doc):
     del doc["trajectory_sha256"]
     doc["positions"] = [doc["placement"]] * len(doc["cycles"])
@@ -138,11 +159,27 @@ def _old_format(doc):
         (_set_op("sg_rot", "parity", 2), "needs parity 0 or 1"),
         (lambda doc: doc.update(placement=[[0], [1, 1]]), "placement of qubit 0"),
         (lambda doc: doc["circuit"].update(n_qubits=3), "embedded circuit has 3 qubits"),
+        (_set_op("sqswap", "q", 5), "sqswap q must be a list"),
+        (_set_op("sqswap", "src", 5), "sqswap src must be a list"),
+        (_set_first(["cycles", 0, "ops"], 5), "cycle 0 ops must be a list"),
+        (_set_first(["cycles"], 5), "cycles must be a list"),
+        (_set_first(["circuit", "gates"], 5), "circuit gates must be a list"),
+        (_set_first(["cycles", 0], 5), "cycle 0 must be an object"),
+        (_set_first(["cycles", 0, "ops", 0], 5), "cycle 0 op must be an object"),
+        (_set_circuit_gate("q", 0), "circuit gate 0 q must be a list"),
+        (_set_first(["circuit", "n_qubits"], "2"), "circuit n_qubits must be a positive integer"),
+        (_set_circuit_gate("angle", "0.5"), "circuit gate 0 angle must be a finite number"),
+        (_set_op("zsh", "angle", 10**400), "zsh needs a numeric angle, finite as a float"),
+        (_set_op("zsh", "angle", float("nan")), "zsh needs a numeric angle, finite as a float"),
+        (_set_op("zsh", "angle", float("inf")), "zsh needs a numeric angle, finite as a float"),
     ],
     ids=[
         "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
         "grid-string", "sg-angle-null", "zsh-angle-null", "axis-z", "parity-2",
-        "placement-not-pair", "circuit-qubits-mismatch",
+        "placement-not-pair", "circuit-qubits-mismatch", "q-number", "src-number", "ops-number",
+        "cycles-number", "circuit-gates-number", "cycle-not-object", "op-not-object",
+        "circuit-gate-q-number", "circuit-qubits-string", "circuit-angle-string", "zsh-angle-401-digits",
+        "zsh-angle-nan", "zsh-angle-inf",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])

@@ -100,7 +100,7 @@ class TestParallelSet:
         rep = check_parallel_set(g, ops)
         assert not rep.ok
         assert rep.kind is ConflictKind.QL_CONTRADICTION
-        assert (0, 1) in rep.ql_pairs and (1, 0) in rep.ql_pairs
+        assert rep.culprits == (0, 1)
 
     def test_swap_pair_parallelizes(self):
         # the horizontal half of a shuttle-based exchange: two opposite
@@ -171,6 +171,79 @@ class TestParallelSet:
         assert not check_parallel_set(g, [rot, other]).ok
 
 
+G8 = grid_for(8)
+
+# (grid, cycle, (ok, kind, culprits, detail)): one hand-built cycle per case
+CONFLICT_PINS = {
+    "mixed-types": (
+        grid_for(4),
+        [Instruction(InstrKind.SG_ROT, angle=1.0, axis="x", parity=0), sh(InstrKind.SH_R, 0)],
+        (False, ConflictKind.MIXED_TYPES, (0, 1), "instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
+    ),
+    "clash-semi-global": (
+        grid_for(4),
+        [
+            Instruction(InstrKind.SG_ROT, angle=0.5, axis="x", parity=0),
+            Instruction(InstrKind.SG_ROT, angle=0.7, axis="x", parity=0),
+        ],
+        (False, ConflictKind.BARRIER_CLASH, (0, 1), "conflicting semi-global drives on the shared column lines"),
+    ),
+    "clash-shuttles": (
+        G8,
+        [sh(InstrKind.SH_L, G8.qubit_at((1, 1))), sh(InstrKind.SH_L, G8.qubit_at((2, 2)))],
+        (False, ConflictKind.BARRIER_CLASH, (0, 1), "[CL_0] lowered by one instruction, raised by another"),
+    ),
+    "off-grid": (
+        sparse_grid(2, [(0, 0)]),
+        [sh(InstrKind.SH_L, 0)],
+        (False, ConflictKind.BLOCKED_PATH, (0,), "qubit 0 shuttled off-grid from (0, 0)"),
+    ),
+    "duplicate-mover": (
+        sparse_grid(4, [(1, 1)]),
+        [sh(InstrKind.SH_L, 0), sh(InstrKind.SH_R, 0)],
+        (False, ConflictKind.BLOCKED_PATH, (0, 1), "qubit 0 moved by two instructions"),
+    ),
+    "shared-destination": (
+        sparse_grid(4, [(0, 0), (2, 0)]),
+        [sh(InstrKind.SH_R, 0), sh(InstrKind.SH_L, 1)],
+        (False, ConflictKind.BLOCKED_PATH, (0, 1), "two instructions target (1, 0)"),
+    ),
+    "occupied-destination": (
+        sparse_grid(4, [(0, 0), (1, 0)]),
+        [sh(InstrKind.SH_R, 0)],
+        (False, ConflictKind.BLOCKED_PATH, (0,), "destination (1, 0) is occupied"),
+    ),
+    "sqswap-not-adjacent": (
+        sparse_grid(4, [(0, 0), (2, 2)]),
+        [Instruction(InstrKind.SQSWAP, (0, 1))],
+        (False, ConflictKind.BLOCKED_PATH, (0,), "sqswap(0,1) needs vertically adjacent sites, got (0, 0), (2, 2)"),
+    ),
+    "unwanted-row": (
+        sparse_grid(4, [(1, 1), (0, 3), (1, 3)]),
+        [sh(InstrKind.SH_L, 0)],
+        (False, ConflictKind.UNWANTED_INTERACTION, (0,), "CL_0 lowered while row 3 holds an occupied pair"),
+    ),
+    "unwanted-column": (
+        sparse_grid(4, [(1, 1), (3, 0), (3, 1)]),
+        [sh(InstrKind.SH_D, 0)],
+        (False, ConflictKind.UNWANTED_INTERACTION, (0,), "RL_0 lowered while column 3 holds an occupied pair"),
+    ),
+    "ql-contradiction": (
+        # qubit 4's move owns no pair of the cycle, qubit 3's does
+        sparse_grid(5, [(2, 2), (4, 2), (4, 4), (0, 0), (0, 4)]),
+        [sh(InstrKind.SH_D, 4), sh(InstrKind.SH_L, 1), sh(InstrKind.SH_U, 3), sh(InstrKind.SH_L, 0)],
+        (False, ConflictKind.QL_CONTRADICTION, (1, 2, 3), "QL inequality cycle QL_0 > QL_-1 > QL_0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(CONFLICT_PINS))
+def test_conflict_report_pinned(case):
+    grid, ops, expected = CONFLICT_PINS[case]
+    rep = check_parallel_set(grid, ops)
+    assert (rep.ok, rep.kind, rep.culprits, rep.detail) == expected
+
+
 def all_legal_single_shuttles(g):
     for q in range(g.n_qubits):
         x, y = g.site_of(q)
@@ -232,6 +305,11 @@ class TestApplyOp:
         g = sparse_grid(2, [(0, 0), (1, 0)])
         with pytest.raises(CrossbarError):
             apply_op(g, sh(InstrKind.SH_R, 0))
+
+    def test_non_adjacent_sqswap_apply_message(self):
+        g = sparse_grid(4, [(0, 0), (2, 2)])
+        with pytest.raises(CrossbarError, match=r"^sqswap\(0,1\) needs vertically adjacent sites, got \(0, 0\), \(2, 2\)$"):
+            apply_op(g, Instruction(InstrKind.SQSWAP, (0, 1)))
 
 
 class TestQlDigraph:

@@ -25,11 +25,15 @@ from conftest import sparse_grid
 
 def replay_block(grid, block):
     """Apply a block cycle by cycle, asserting conflict-freedom."""
-    for cycle in block.cycles:
+    for cycle in block:
         report = check_parallel_set(grid, cycle.ops)
         assert report.ok, (cycle, report)
         grid = apply_cycle(grid, cycle)
     return grid
+
+
+def instructions(block):
+    return [op for cycle in block for op in cycle.ops]
 
 
 class TestInitialPlacement:
@@ -51,21 +55,21 @@ class TestRouteTwoQubit:
     def test_already_diagonal(self):
         g = sparse_grid(3, [(1, 1), (0, 0)])
         block = route_two_qubit(g, 0, 1)
-        kinds = [op.kind for op in block.instructions]
+        kinds = [op.kind for op in instructions(block)]
         assert len(kinds) == 3
         assert kinds[1] is InstrKind.SQSWAP
         # exactly 2 extra shuttles per two-qubit gate
         assert sum(k is not InstrKind.SQSWAP for k in kinds) == 2
-        assert len(block.cycles) == 3
+        assert len(block) == 3
 
     def test_one_exchange_then_interaction(self):
         g = grid_for(8)
         a, b = g.qubit_at((0, 0)), g.qubit_at((2, 2))
         block = route_two_qubit(g, a, b)
-        assert len(block.instructions) == 7  # 4 exchange shuttles + 2 + sqswap
-        assert len(block.cycles) == 5
+        assert len(instructions(block)) == 7  # 4 exchange shuttles + 2 + sqswap
+        assert len(block) == 5
         # the exchange itself: 4 instructions over 2 cycles
-        first_two = block.cycles[:2]
+        first_two = block[:2]
         assert [len(c.ops) for c in first_two] == [2, 2]
         assert all(c.type is CycleType.SHUTTLE for c in first_two)
 
@@ -82,8 +86,8 @@ class TestRouteTwoQubit:
         # route across an empty checkerboard site: no exchange partner
         g = sparse_grid(4, [(0, 0), (2, 2)])
         block = route_two_qubit(g, 0, 1)
-        assert len(block.instructions) == 5  # 2 step shuttles + 2 + sqswap
-        assert len(block.cycles) == 5
+        assert len(instructions(block)) == 5  # 2 step shuttles + 2 + sqswap
+        assert len(block) == 5
         end = replay_block(g, block)
         assert end.is_checkerboard()
 
@@ -93,7 +97,7 @@ class TestRouteTwoQubit:
         block = route_two_qubit(g, a, b)
         cur = g
         boards = []
-        for cycle in block.cycles:
+        for cycle in block:
             cur = apply_cycle(cur, cycle)
             boards.append(cur.is_checkerboard())
         assert boards[-1]  # restored at block end
@@ -125,8 +129,8 @@ class TestRouteGeometry:
         b = data.draw(st.integers(0, k - 1).filter(lambda x: x != a))
         block = route_two_qubit(g, a, b)
         sa, sb = g.site_of(a), g.site_of(b)
-        steps = (len(block.cycles) - 3) // 2
-        assert len(block.cycles) == 3 + 2 * steps
+        steps = (len(block) - 3) // 2
+        assert len(block) == 3 + 2 * steps
         assert steps == chebyshev(sa, sb) - 1
         # the Manhattan reading holds exactly on equal-axis displacements
         if abs(sa[0] - sb[0]) == abs(sa[1] - sb[1]):
@@ -152,7 +156,7 @@ class TestZRoute:
     def test_tie_prefers_lower_column(self):
         g = sparse_grid(4, [(1, 1)])
         block = z_route(g, 0, 0.7)
-        out, back = block.instructions
+        out, back = instructions(block)
         assert out.kind is InstrKind.ZSH and out.direction == "L"
         assert out.angle == 0.7
         assert back.kind is InstrKind.ZSH_RET and back.direction == "R"
@@ -162,45 +166,45 @@ class TestZRoute:
     def test_edge_goes_right(self):
         g = sparse_grid(2, [(0, 0)])
         block = z_route(g, 0, 0.1)
-        assert block.instructions[0].direction == "R"
+        assert instructions(block)[0].direction == "R"
 
     def test_overhead_one_instruction_one_cycle(self):
         g = sparse_grid(4, [(1, 1)])
         block = z_route(g, 0, 0.5)
-        assert len(block.instructions) == 2  # gate shuttle + 1 overhead
-        assert len(block.cycles) == 2
+        assert len(instructions(block)) == 2  # gate shuttle + 1 overhead
+        assert len(block) == 2
 
     def test_z_cycle_types(self):
         g = sparse_grid(4, [(1, 1)])
         block = z_route(g, 0, 0.5)
-        assert [c.type for c in block.cycles] == [CycleType.Z, CycleType.SHUTTLE]
+        assert [c.type for c in block] == [CycleType.Z, CycleType.SHUTTLE]
 
 
 class TestSemiGlobal:
     def test_full_parity_single_pulse(self):
         g = sparse_grid(2, [(0, 0), (1, 1)])
         block = expand_semi_global(g, [0], "x", 0.4)
-        assert len(block.instructions) == 1
-        assert block.instructions[0].kind is InstrKind.SG_ROT
+        assert len(instructions(block)) == 1
+        assert instructions(block)[0].kind is InstrKind.SG_ROT
 
     def test_lone_target_four_steps(self):
         # rotating one qubit of a populated parity costs the 4-step scheme
         g = grid_for(8)
         target = g.qubit_at((0, 2))
         block = expand_semi_global(g, [target], "y", 1.1)
-        kinds = [op.kind for op in block.instructions]
+        kinds = [op.kind for op in instructions(block)]
         assert kinds == [InstrKind.SG_ROT, InstrKind.SH_R, InstrKind.SG_ROT_INV, InstrKind.SH_L]
-        assert len(block.cycles) == 4
-        assert block.cycles[0].type is CycleType.XY_ROT
-        assert block.cycles[2].type is CycleType.XY_ROT_INV
+        assert len(block) == 4
+        assert block[0].type is CycleType.XY_ROT
+        assert block[2].type is CycleType.XY_ROT_INV
         end = replay_block(g, block)
         assert end.pos == g.pos
 
     def test_inverse_angle_negated(self):
         g = grid_for(8)
         block = expand_semi_global(g, [0], "x", 0.9)
-        rot = block.instructions[0]
-        inv = block.instructions[2]
+        rot = instructions(block)[0]
+        inv = instructions(block)[2]
         assert inv.angle == -rot.angle
 
     def test_multi_target_shares_pulses(self):
@@ -208,21 +212,21 @@ class TestSemiGlobal:
         g = grid_for(8)
         targets = [g.qubit_at((0, 0)), g.qubit_at((0, 2))]
         block = expand_semi_global(g, targets, "x", 0.3)
-        kinds = [op.kind for op in block.instructions]
+        kinds = [op.kind for op in instructions(block)]
         assert kinds.count(InstrKind.SG_ROT) == 1
         assert kinds.count(InstrKind.SG_ROT_INV) == 1
-        assert len(block.cycles) == 4
-        assert len(block.cycles[1].ops) == 2  # both targets shuttle together
+        assert len(block) == 4
+        assert len(block[1].ops) == 2  # both targets shuttle together
         end = replay_block(g, block)
         assert end.pos == g.pos
 
     def test_direction_right_unless_blocked(self):
         g = sparse_grid(3, [(0, 0), (2, 0), (1, 1)])
         block = expand_semi_global(g, [0], "x", 0.2)
-        assert block.instructions[1].kind is InstrKind.SH_R
+        assert instructions(block)[1].kind is InstrKind.SH_R
         # target on the right edge must go left
         block = expand_semi_global(g, [1], "x", 0.2)
-        assert block.instructions[1].kind is InstrKind.SH_L
+        assert instructions(block)[1].kind is InstrKind.SH_L
 
     def test_mixed_parities_rejected(self):
         g = grid_for(8)

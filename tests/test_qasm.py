@@ -68,6 +68,19 @@ def test_positioned_errors(src, fragment):
     assert "line" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "angle",
+    ["pi/0", "10**400", "1e400", "1e400-1e400", "9**9**9**9", "(-8)**0.5", "1" * 400,
+     "-" * 100000 + "1", "+".join(["1"] * 100000)],
+    ids=["divide-by-zero", "int-power-overflow", "float-literal-inf", "inf-minus-inf", "power-tower",
+         "complex", "long-int-literal", "deep-unary", "deep-sum"],
+)
+def test_angle_arithmetic_errors_are_positioned(angle):
+    with pytest.raises(QasmError, match="angle") as exc:
+        parse_qasm(f"qreg q[1];\nrz({angle}) q[0];\n")
+    assert exc.value.line == 2
+
+
 def test_error_line_numbers():
     with pytest.raises(QasmError) as exc:
         parse_qasm("qreg q[2];\nh q[0];\nfoo q[1];\n")

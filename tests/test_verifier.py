@@ -200,3 +200,14 @@ class TestVerify:
         assert not report.ok and not report.replay_ok
         assert i in [cycle for cycle, _ in report.violations]
         assert report.equivalence_fidelity is None
+
+    def test_nan_fidelity_fails(self):
+        # a non-finite zsh angle makes every overlap NaN; it must not be
+        # clamped to a passing 1.0
+        s = compiled(Circuit("z", 2, (Gate(GateKind.RZ, (0,), 0.5),)))
+        i = next(i for i, cy in enumerate(s.cycles) if cy.ops[0].kind is InstrKind.ZSH)
+        nan_cycle = Cycle(CycleType.Z, (dataclasses.replace(s.cycles[i].ops[0], angle=math.nan),))
+        broken = dataclasses.replace(s, cycles=s.cycles[:i] + (nan_cycle,) + s.cycles[i + 1:])
+        report = verify(broken)
+        assert report.replay_ok and math.isnan(report.equivalence_fidelity)
+        assert not report.ok
