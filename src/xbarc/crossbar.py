@@ -19,6 +19,10 @@ affected columns biased above its empty site across the lowered barrier so
 it stays put. Only ordering relations between QL voltages matter, so (4)
 and (5) become a digraph of strict inequalities; a parallel instruction set
 is satisfiable exactly when the merged digraph is acyclic.
+
+Each fact is checked in one place: instructions.check_placement checks a
+placement when a Schedule is made or schedule_integrated starts, apply_op
+checks each move, and Grid trusts both.
 """
 from __future__ import annotations
 
@@ -27,8 +31,10 @@ from enum import Enum
 from itertools import islice
 from typing import Iterable, NamedTuple
 
-from .errors import CompileError, CrossbarError
-from .instructions import CYCLE_FAMILY, DELTAS, Cycle, Instruction, InstrKind, MOVE_KINDS, SG_KINDS
+from .errors import CrossbarError
+from .instructions import (
+    CYCLE_FAMILY, DELTAS, MOVE_KINDS, SG_KINDS, Cycle, Instruction, InstrKind, grid_side,
+)
 
 
 class Line(NamedTuple):
@@ -57,15 +63,9 @@ class ConflictReport:
 
 @dataclass(frozen=True)
 class SignalRequirements:
-    lowered: frozenset[Line]
-    raised: frozenset[Line]
+    lowered: Line  # the one barrier an instruction opens
+    raised: frozenset[Line]  # every other barrier bordering its two sites
     ql_gt: frozenset[tuple[int, int]]  # (a, b) means voltage(QL_a) > voltage(QL_b)
-
-    def __post_init__(self):
-        if self.lowered & self.raised:
-            raise CompileError(f"barrier both lowered and raised: {self.lowered & self.raised}")
-        if any(a == b for a, b in self.ql_gt):
-            raise CompileError("reflexive QL inequality")
 
 
 class Grid:
@@ -73,7 +73,9 @@ class Grid:
 
     Methods return new Grid values; instances are never mutated after
     construction, so they are safe to share between the scheduler's
-    tentative expansions.
+    tentative expansions. Grid checks nothing: its placement comes from a
+    checked Schedule, from schedule_integrated's check_placement or from
+    the checkerboard, and every move from apply_op.
     """
 
     __slots__ = ("n", "pos", "_site_map")
@@ -81,15 +83,7 @@ class Grid:
     def __init__(self, n: int, pos: tuple[tuple[int, int], ...]):
         self.n = n
         self.pos = tuple(tuple(p) for p in pos)
-        site_map = {}
-        for q, site in enumerate(self.pos):
-            x, y = site
-            if not (0 <= x < n and 0 <= y < n):
-                raise CrossbarError(f"qubit {q} at {site} outside {n}x{n} grid")
-            if site in site_map:
-                raise CrossbarError(f"qubits {site_map[site]} and {q} share site {site}")
-            site_map[site] = q
-        self._site_map = site_map
+        self._site_map = {site: q for q, site in enumerate(self.pos)}
 
     @property
     def n_qubits(self) -> int:
@@ -109,9 +103,7 @@ class Grid:
         return 0 <= x < self.n and 0 <= y < self.n
 
     def move(self, q: int, site: tuple[int, int]) -> "Grid":
-        pos = list(self.pos)
-        pos[q] = tuple(site)
-        return Grid(self.n, tuple(pos))
+        return Grid(self.n, self.pos[:q] + (tuple(site),) + self.pos[q + 1:])
 
     def is_checkerboard(self) -> bool:
         return all((x + y) % 2 == 0 for x, y in self.pos)
@@ -121,12 +113,6 @@ class Grid:
 
     def parity_members(self, parity: int) -> tuple[int, ...]:
         return tuple(q for q in range(len(self.pos)) if self.pos[q][0] % 2 == parity)
-
-    def __eq__(self, other):
-        return isinstance(other, Grid) and self.n == other.n and self.pos == other.pos
-
-    def __hash__(self):
-        return hash((self.n, self.pos))
 
     def __repr__(self):
         return f"Grid(n={self.n}, pos={self.pos})"
@@ -141,16 +127,10 @@ def checkerboard_sites(n: int):
 
 
 def grid_for(n_qubits: int) -> Grid:
-    """Smallest grid whose checkerboard holds n_qubits, trivially placed.
-
-    N is the least integer with ceil(N^2 / 2) >= n_qubits; qubit i sits on
-    the i-th checkerboard site in left-to-right, bottom-to-top order.
-    """
-    if n_qubits < 1:
-        raise ValueError("need at least one qubit")
-    n = 1
-    while (n * n + 1) // 2 < n_qubits:
-        n += 1
+    """Smallest grid whose checkerboard holds n_qubits (side grid_side),
+    with qubit i on the i-th checkerboard site in left-to-right,
+    bottom-to-top order."""
+    n = grid_side(n_qubits)
     return Grid(n, tuple(islice(checkerboard_sites(n), n_qubits)))
 
 
@@ -175,13 +155,10 @@ def site_barriers(site, n: int) -> set[Line]:
 
 
 def barrier_between(a, b) -> Line:
-    ax, ay = a
-    bx, by = b
-    if ay == by and abs(ax - bx) == 1:
-        return Line("CL", min(ax, bx))
-    if ax == bx and abs(ay - by) == 1:
-        return Line("RL", min(ay, by))
-    raise CompileError(f"sites {a} and {b} are not adjacent")
+    """Barrier between two sites one column or one row apart (a move's
+    origin and destination, or sqswap_sites)."""
+    (ax, ay), (bx, by) = a, b
+    return Line("CL", min(ax, bx)) if ay == by else Line("RL", min(ay, by))
 
 
 def move_sites(grid: Grid, q: int, delta) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -201,12 +178,17 @@ def sqswap_sites(grid: Grid, a: int, b: int) -> tuple[tuple[int, int], tuple[int
     return sa, sb
 
 
+def _barrier_signals(grid: Grid, a, b, ql_gt=frozenset()) -> SignalRequirements:
+    """Lower the barrier between adjacent sites a and b and raise every
+    other barrier bordering either site."""
+    lowered = barrier_between(a, b)
+    raised = (site_barriers(a, grid.n) | site_barriers(b, grid.n)) - {lowered}
+    return SignalRequirements(lowered, frozenset(raised), frozenset(ql_gt))
+
+
 def _shuttle_signals(grid: Grid, origin, dest, movers: frozenset[int]) -> SignalRequirements:
     """Signal requirements for a one-site move from origin to dest; stay-put
     constraints are emitted only for qubits outside `movers`."""
-    barrier = barrier_between(origin, dest)
-    lowered = {barrier}
-    raised = (site_barriers(origin, grid.n) | site_barriers(dest, grid.n)) - lowered
     ql_gt = {(ql_index(dest), ql_index(origin))}
     if origin[1] == dest[1]:
         # horizontal move: bias every other qubit in the two affected
@@ -216,34 +198,31 @@ def _shuttle_signals(grid: Grid, origin, dest, movers: frozenset[int]) -> Signal
                 other = grid.qubit_at((x, y))
                 if other is not None and other not in movers and not grid.occupied((across_x, y)):
                     ql_gt.add((ql_index((x, y)), ql_index((across_x, y))))
-    return SignalRequirements(frozenset(lowered), frozenset(raised), frozenset(ql_gt))
+    return _barrier_signals(grid, origin, dest, ql_gt)
+
+
+def _legal_move(grid: Grid, q: int, delta, name: str):
+    """move_sites of a legal move; CrossbarError, naming the move `name`,
+    when the destination is off the grid or (kind BLOCKED_PATH) occupied."""
+    origin, dest = move_sites(grid, q, delta)
+    if not grid.in_grid(dest):
+        raise CrossbarError(f"{name} moves qubit {q} off-grid to {dest}")
+    if grid.occupied(dest):
+        raise CrossbarError(f"{name} destination {dest} occupied", kind=ConflictKind.BLOCKED_PATH)
+    return origin, dest
 
 
 def shuttle_requirements(grid: Grid, q: int, direction: str) -> SignalRequirements:
-    """Requirements for a lone shuttle of q one site L/R/U/D.
-
-    Raises CrossbarError (kind BLOCKED_PATH) when the destination is
-    occupied, and a plain CrossbarError for out-of-grid moves.
-    """
-    delta = DELTAS[direction]
-    origin, dest = move_sites(grid, q, delta)
-    if not grid.in_grid(dest):
-        raise CrossbarError(f"shuttle of qubit {q} by {delta} leaves the grid from {origin}")
-    if grid.occupied(dest):
-        raise CrossbarError(
-            f"destination {dest} of qubit {q} is occupied", kind=ConflictKind.BLOCKED_PATH
-        )
+    """Requirements for a lone shuttle of q one site L/R/U/D; an illegal
+    move raises apply_op's CrossbarError."""
+    origin, dest = _legal_move(grid, q, DELTAS[direction], f"shuttle {direction}")
     return _shuttle_signals(grid, origin, dest, frozenset({q}))
 
 
 def _sqswap_signals(grid: Grid, a: int, b: int) -> SignalRequirements:
-    sa, sb = sqswap_sites(grid, a, b)
-    barrier = barrier_between(sa, sb)
-    lowered = {barrier}
-    raised = (site_barriers(sa, grid.n) | site_barriers(sb, grid.n)) - lowered
     # the two QL lines must sit at equal potential; equality adds no
     # ordering constraint to the inequality digraph
-    return SignalRequirements(frozenset(lowered), frozenset(raised), frozenset())
+    return _barrier_signals(grid, *sqswap_sites(grid, a, b))
 
 
 def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
@@ -335,40 +314,35 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
                 )
             dests[i] = dest
             reqs.append(_shuttle_signals(grid, origin, dest, movers))
-        elif op.kind is InstrKind.SQSWAP:
+        else:  # sqswap, the one kind left after the family checks above
             try:
                 reqs.append(_sqswap_signals(grid, op.qubits[0], op.qubits[1]))
             except CrossbarError as e:
                 return ConflictReport(
                     ok=False, kind=ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e)
                 )
-        else:  # pragma: no cover - families filtered above
-            raise CompileError(f"unexpected kind {op.kind}")
 
     # blocked paths: duplicate movers, shared destinations, occupied destinations
+    # (dests lists the movers in instruction order)
     seen_mover: dict[int, int] = {}
-    for i, op in enumerate(ops):
-        if op.kind not in MOVE_KINDS:
-            continue
-        q = op.qubits[0]
-        if q in seen_mover:
+    for i in dests:
+        q = ops[i].qubits[0]
+        if seen_mover.setdefault(q, i) != i:
             return ConflictReport(
                 ok=False,
                 kind=ConflictKind.BLOCKED_PATH,
                 culprits=(seen_mover[q], i),
                 detail=f"qubit {q} moved by two instructions",
             )
-        seen_mover[q] = i
     seen_dest: dict[tuple[int, int], int] = {}
     for i, dest in dests.items():
-        if dest in seen_dest:
+        if seen_dest.setdefault(dest, i) != i:
             return ConflictReport(
                 ok=False,
                 kind=ConflictKind.BLOCKED_PATH,
                 culprits=(seen_dest[dest], i),
                 detail=f"two instructions target {dest}",
             )
-        seen_dest[dest] = i
         if grid.occupied(dest):
             return ConflictReport(
                 ok=False,
@@ -380,15 +354,12 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
     # barrier clashes between lowered and raised sets
     for i, ri in enumerate(reqs):
         for j, rj in enumerate(reqs):
-            if i == j:
-                continue
-            clash = ri.lowered & rj.raised
-            if clash:
+            if i != j and ri.lowered in rj.raised:
                 return ConflictReport(
                     ok=False,
                     kind=ConflictKind.BARRIER_CLASH,
                     culprits=(i, j),
-                    detail=f"{sorted(clash)} lowered by one instruction, raised by another",
+                    detail=f"[{ri.lowered}] lowered by one instruction, raised by another",
                 )
 
     # unwanted interactions: the barrier an instruction lowers runs the
@@ -396,7 +367,7 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
     # qubits regardless of QL relations
     occupied = grid.occupied
     for i, (op, req) in enumerate(zip(ops, reqs)):
-        (line,) = req.lowered
+        line = req.lowered
         x, y = grid.site_of(op.qubits[0])
         k = line.index
         if line.family == "RL":  # vertical shuttle or sqswap: other columns
@@ -430,16 +401,11 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
 
 
 def apply_op(grid: Grid, op: Instruction) -> Grid:
-    """Advance positions by one instruction (defensive legality re-check)."""
+    """Advance positions by one instruction; the one check that a move
+    stays on the grid and lands on an empty site."""
     if op.kind in MOVE_KINDS:
         q = op.qubits[0]
-        _, dest = move_sites(grid, q, op.move_delta())
-        if not grid.in_grid(dest):
-            raise CrossbarError(f"{op.kind.value} moves qubit {q} off-grid to {dest}")
-        if grid.occupied(dest):
-            raise CrossbarError(
-                f"{op.kind.value} destination {dest} occupied", kind=ConflictKind.BLOCKED_PATH
-            )
+        _, dest = _legal_move(grid, q, op.move_delta(), op.kind.value)
         return grid.move(q, dest)
     if op.kind is InstrKind.SQSWAP:
         sqswap_sites(grid, *op.qubits)

@@ -24,7 +24,7 @@ class DecompositionError(XbarcError):
 
 
 class CrossbarError(XbarcError):
-    """Illegal operation on the grid (out-of-grid move, occupied destination).
+    """Illegal placement or move (off-grid site, shared or occupied site).
 
     `kind` carries the ConflictKind name when the failure maps to one.
     """

@@ -17,7 +17,7 @@ from enum import Enum
 from itertools import chain
 
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict
-from .errors import XbarcError
+from .errors import CrossbarError, XbarcError
 
 
 class InstrKind(Enum):
@@ -99,8 +99,29 @@ class Cycle:
             raise ValueError("cycle must hold at least one instruction")
 
 
+def grid_side(n_qubits: int) -> int:
+    """Side N of the grid `xbarc compile` uses for n_qubits: the least N
+    whose checkerboard holds them, ceil(N^2 / 2) >= n_qubits."""
+    if n_qubits < 1:
+        raise ValueError("need at least one qubit")
+    return math.isqrt(2 * n_qubits - 2) + 1
+
+
+def check_placement(grid_n: int, placement) -> None:
+    """Raise CrossbarError unless every site lies on the grid_n x grid_n
+    grid and no two qubits share a site."""
+    owner: dict[tuple[int, int], int] = {}
+    for q, (x, y) in enumerate(placement):
+        if not (0 <= x < grid_n and 0 <= y < grid_n):
+            raise CrossbarError(f"qubit {q} at {(x, y)} outside {grid_n}x{grid_n} grid")
+        if owner.setdefault((x, y), q) != q:
+            raise CrossbarError(f"qubits {owner[x, y]} and {q} share site {(x, y)}")
+
+
 @dataclass(frozen=True)
 class Schedule:
+    """A compiled program; its placement is legal (check_placement)."""
+
     name: str
     n_qubits: int
     grid_n: int
@@ -108,6 +129,9 @@ class Schedule:
     cycles: tuple[Cycle, ...]
     trajectory_sha256: str  # TrajectoryDigest of the occupancy after every cycle
     circuit: Circuit | None = None  # decomposed source, embedded for verification
+
+    def __post_init__(self):
+        check_placement(self.grid_n, self.placement)
 
     @property
     def n_instructions(self) -> int:
@@ -255,6 +279,8 @@ def schedule_from_doc(doc: dict) -> Schedule:
         for key, value in (("n", n), ("grid", grid_n)):
             if not (_is_int(value) and value >= 1):
                 raise XbarcError(f"{key} must be a positive integer, document gives {value!r}")
+        if grid_n != grid_side(n):
+            raise XbarcError(f"grid must be {grid_side(n)} for {n} qubits, document gives {grid_n}")
         if not isinstance(placement, list) or len(placement) != n:
             raise XbarcError(f"placement must list one site for each of the {n} qubits")
         for q, site in enumerate(placement):

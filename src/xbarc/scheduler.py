@@ -21,7 +21,9 @@ from itertools import chain
 from .circuits import Circuit, GateKind
 from .crossbar import Grid, apply_cycle, check_parallel_set
 from .errors import CompileError, MapperConflict
-from .instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
+from .instructions import (
+    Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest, check_placement,
+)
 from .ir import asap_levels
 from .mapper import expand_semi_global, route_two_qubit, z_direction, z_route
 
@@ -127,9 +129,11 @@ def split_cycle(circuit: Circuit, grid: Grid, proto: ProtoCycle) -> list[tuple[C
 
 
 def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None) -> Schedule:
-    """Compile a native circuit on an idle-configuration grid."""
+    """Compile a native circuit on an idle-configuration grid; an illegal
+    placement raises CrossbarError before anything is routed."""
     if not decomposed.is_native:
         raise ValueError("schedule_integrated needs a decomposed (native-only) circuit")
+    check_placement(grid.n, grid.pos)
     if not grid.is_checkerboard():
         raise ValueError("initial grid must be in the idle configuration")
     if grid.n_qubits != decomposed.n_qubits:

@@ -71,7 +71,8 @@ class VerifyReport:
 def replay_verify(schedule: Schedule) -> VerifyReport:
     """Re-run every cycle from the initial placement and collect deviations.
 
-    Total: problems land in the report, never in an exception.
+    Total for every Schedule (its placement was checked when it was made):
+    problems land in the report, never in an exception.
     """
     violations: list[tuple[int, ConflictReport]] = []
     trajectory = TrajectoryDigest()

@@ -172,6 +172,10 @@ def _old_format(doc):
         (_set_op("zsh", "angle", 10**400), "zsh needs a numeric angle, finite as a float"),
         (_set_op("zsh", "angle", float("nan")), "zsh needs a numeric angle, finite as a float"),
         (_set_op("zsh", "angle", float("inf")), "zsh needs a numeric angle, finite as a float"),
+        (lambda doc: doc.update(grid=10**19), "grid must be 2 for 2 qubits"),
+        (lambda doc: doc.update(grid=9), "grid must be 2 for 2 qubits"),
+        (lambda doc: doc.update(placement=[[5, 5], [1, 1]]), "qubit 0 at (5, 5) outside 2x2 grid"),
+        (lambda doc: doc.update(placement=[[1, 1], [1, 1]]), "qubits 0 and 1 share site (1, 1)"),
     ],
     ids=[
         "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -179,7 +183,8 @@ def _old_format(doc):
         "placement-not-pair", "circuit-qubits-mismatch", "q-number", "src-number", "ops-number",
         "cycles-number", "circuit-gates-number", "cycle-not-object", "op-not-object",
         "circuit-gate-q-number", "circuit-qubits-string", "circuit-angle-string", "zsh-angle-401-digits",
-        "zsh-angle-nan", "zsh-angle-inf",
+        "zsh-angle-nan", "zsh-angle-inf", "grid-huge", "grid-too-large", "placement-off-grid",
+        "placement-shared-site",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])

@@ -61,14 +61,14 @@ class TestShuttleRequirements:
         g = grid_for(8)
         q = g.qubit_at((1, 1))
         r = shuttle_requirements(g, q, "L")
-        assert r.lowered == frozenset({Line("CL", 0)})
+        assert r.lowered == Line("CL", 0)
         assert r.raised == frozenset({Line("CL", 1), Line("RL", 0), Line("RL", 1)})
         assert r.ql_gt == frozenset({(-1, 0), (0, 1), (-2, -1), (-2, -3)})
 
     def test_lone_qubit_vacuous_stayput(self):
         g = sparse_grid(2, [(0, 0)])
         r = shuttle_requirements(g, 0, "R")
-        assert r.lowered == frozenset({Line("CL", 0)})
+        assert r.lowered == Line("CL", 0)
         assert r.raised == frozenset({Line("RL", 0)})
         assert r.ql_gt == frozenset({(1, 0)})
 
@@ -192,6 +192,11 @@ CONFLICT_PINS = {
         G8,
         [sh(InstrKind.SH_L, G8.qubit_at((1, 1))), sh(InstrKind.SH_L, G8.qubit_at((2, 2)))],
         (False, ConflictKind.BARRIER_CLASH, (0, 1), "[CL_0] lowered by one instruction, raised by another"),
+    ),
+    "clash-sqswaps": (
+        sparse_grid(4, [(1, 0), (1, 1), (2, 1), (2, 2)]),
+        [Instruction(InstrKind.SQSWAP, (0, 1)), Instruction(InstrKind.SQSWAP, (2, 3))],
+        (False, ConflictKind.BARRIER_CLASH, (0, 1), "[RL_0] lowered by one instruction, raised by another"),
     ),
     "off-grid": (
         sparse_grid(2, [(0, 0)]),

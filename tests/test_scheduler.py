@@ -8,9 +8,10 @@ from xbarc import (
     check_parallel_set,
     grid_for,
     schedule_integrated,
+    scheduler,
 )
 from xbarc.crossbar import Grid, apply_cycle
-from xbarc.errors import CompileError
+from xbarc.errors import CompileError, CrossbarError
 from xbarc.instructions import CycleType, InstrKind, TrajectoryDigest
 from xbarc.scheduler import ProtoCycle, _expand_proto, split_cycle
 
@@ -120,6 +121,17 @@ class TestScheduleInvariants:
         c = native("z", 2, Gate(GateKind.RZ, (0,), 0.5))
         with pytest.raises(ValueError):
             schedule_integrated(c, Grid(2, ((1, 0), (1, 1))))
+
+    def test_rejects_shared_site_before_routing(self, monkeypatch):
+        c = native("zz", 2, Gate(GateKind.RZ, (0,), 0.5), Gate(GateKind.RZ, (1,), 0.5))
+        grid = Grid(4, ((1, 1), (1, 1)))
+
+        def route(*args):
+            raise AssertionError("routed before the placement was checked")
+
+        monkeypatch.setattr(scheduler, "_expand_proto", route)
+        with pytest.raises(CrossbarError, match=r"^qubits 0 and 1 share site \(1, 1\)$"):
+            schedule_integrated(c, grid)
 
     def test_empty_circuit_empty_schedule(self):
         s = schedule_integrated(native("e", 2), grid_for(2))
