@@ -32,7 +32,12 @@ class BenchSpec:
 
     @property
     def name(self) -> str:
-        return f"randu_q{self.n_qubits}_g{self.n_gates}_p{self.twoq_pct:g}_s{self.seed}"
+        return bench_name(self.n_qubits, self.n_gates, self.twoq_pct, self.seed)
+
+
+def bench_name(n_qubits: int, n_gates: int, twoq_pct: float, seed: int) -> str:
+    """Name of the random-uniform circuit of these parameters, feasible or not."""
+    return f"randu_q{n_qubits}_g{n_gates}_p{twoq_pct:g}_s{seed}"
 
 
 def planned_counts(spec: BenchSpec) -> tuple[int, int, int]:

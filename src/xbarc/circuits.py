@@ -6,6 +6,7 @@ kinds that must be decomposed before mapping.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +32,20 @@ class GateKind(Enum):
 NATIVE_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.SQSWAP})
 ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})
 TWO_QUBIT_KINDS = frozenset({GateKind.SQSWAP, GateKind.CNOT, GateKind.CZ})
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """A real number (not a bool) that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchgen import BenchSpec, gen_bernstein_vazirani, gen_random_uniform
+from .benchgen import BenchSpec, bench_name, gen_bernstein_vazirani, gen_random_uniform
 from .circuits import Circuit
-from .config import ArchConfig, load_config
+from .config import ArchConfig, check_seed, load_config
 from .crossbar import grid_for
 from .errors import CompileError, XbarcError
 from .instructions import Schedule, schedule_from_doc, schedule_to_doc
@@ -38,30 +38,30 @@ def _load_arch(path: str | None) -> ArchConfig:
         try:
             seed = int(env_seed)
         except ValueError:
-            raise XbarcError(f"SPINQ_SEED must be an integer, got {env_seed!r}") from None
-        config = replace(config, seed=seed)
+            seed = env_seed
+        config = replace(config, seed=check_seed("SPINQ_SEED", seed))
     return config
 
 
 def _compile_circuit(circuit: Circuit, config: ArchConfig):
+    """(schedule, metrics) of a circuit compiled on the smallest grid that
+    holds it; the callers verify, since `compile --no-verify` does not."""
     dec = decompose(circuit, config)
-    grid = initial_placement(dec, grid_for(dec.n_qubits))
-    schedule, ms = timed_schedule(dec, grid, name=circuit.name)
-    return dec, schedule, ms
+    grid = grid_for(dec.n_qubits)
+    schedule, ms = timed_schedule(dec, initial_placement(dec, grid), name=circuit.name)
+    metrics = overhead_report(dec, schedule, build_fidelity_map(grid, config), compile_time_ms=ms)
+    return schedule, metrics
 
 
 def cmd_compile(args) -> int:
     config = _load_arch(args.config)
     circuit = parse_qasm(Path(args.input).read_text(), name=Path(args.input).stem)
-    dec, schedule, ms = _compile_circuit(circuit, config)
-
+    schedule, metrics = _compile_circuit(circuit, config)
     report = None if args.no_verify else verify(schedule)
     failed = report is not None and not report.ok
     if failed:
         print("verification FAILED:", json.dumps(report.to_json_dict()), file=sys.stderr)
 
-    fmap = build_fidelity_map(grid_for(dec.n_qubits), config)
-    metrics = overhead_report(dec, schedule, fmap, compile_time_ms=ms)
     qasm_text, doc = emit_output(schedule)
     doc["metrics"] = metrics.to_json_dict()
     Path(args.output).write_text(json.dumps(doc, indent=1))
@@ -71,7 +71,7 @@ def cmd_compile(args) -> int:
         f"{schedule.name}: {metrics.n_decomposed} -> {metrics.n_final} instructions "
         f"({metrics.gate_overhead_pct:.1f}% gate overhead), depth {metrics.d_dependency} -> "
         f"{metrics.d_final} ({metrics.depth_overhead_pct:.1f}%), esp {metrics.esp:.4f}, "
-        f"{ms:.1f} ms"
+        f"{metrics.compile_time_ms:.1f} ms"
     )
     return 2 if failed else 0
 
@@ -167,7 +167,6 @@ def run_sweep(spec: SweepSpec, config: ArchConfig) -> None:
     Rows are deterministic apart from the timing column; per-point failures
     land in the error column and the sweep continues.
     """
-    fmap_cache = {}
     with open(spec.csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
@@ -175,25 +174,19 @@ def run_sweep(spec: SweepSpec, config: ArchConfig) -> None:
             point_seed = int(
                 np.random.SeedSequence([config.seed, q, g, p, rep]).generate_state(1)[0]
             )
-            bench = BenchSpec(q, g, float(p), point_seed)
-            try:
-                circuit = gen_random_uniform(bench)
-                dec, schedule, ms = _compile_circuit(circuit, config)
+            try:  # BenchSpec raises ValueError on an infeasible point
+                circuit = gen_random_uniform(BenchSpec(q, g, float(p), point_seed))
+                schedule, metrics = _compile_circuit(circuit, config)
                 report = verify(schedule)
                 if not report.ok:
                     raise CompileError(
                         f"verification failed: {len(report.violations)} violations, "
                         f"equivalence fidelity {report.equivalence_fidelity}"
                     )
-                if schedule.grid_n not in fmap_cache:
-                    fmap_cache[schedule.grid_n] = build_fidelity_map(
-                        grid_for(dec.n_qubits), config
-                    )
-                metrics = overhead_report(dec, schedule, fmap_cache[schedule.grid_n], ms)
                 writer.writerow(csv_row(metrics))
-            except XbarcError as e:
-                row = [bench.name, q] + [""] * (len(CSV_COLUMNS) - 3) + [str(e)]
-                writer.writerow(row)
+            except (XbarcError, ValueError) as e:
+                row = [bench_name(q, g, float(p), point_seed), q] + [""] * (len(CSV_COLUMNS) - 3)
+                writer.writerow(row + [str(e)])
 
 
 def cmd_sweep(args) -> int:

@@ -25,7 +25,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .circuits import GateKind, NATIVE_KINDS, ROTATION_KINDS
+from .circuits import NATIVE_KINDS, TWO_QUBIT_KINDS, Gate, GateKind, is_finite_real, is_int
 from .errors import ConfigError
 
 FIDELITY_CLASSES = ("single_qubit", "shuttle", "sqswap")
@@ -95,6 +95,14 @@ def _check_fidelity(name: str, value) -> float:
     return float(value)
 
 
+def check_seed(name: str, value) -> int:
+    """`value` if it is a nonnegative integer (numpy's seed domain); a
+    ConfigError naming `name` otherwise."""
+    if not (is_int(value) and value >= 0):
+        raise ConfigError(f"{name} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def _parse_rule(src_kind: str, steps) -> tuple[GateKind, tuple[DecompStep, ...]]:
     try:
         kind = GateKind(src_kind)
@@ -104,31 +112,37 @@ def _parse_rule(src_kind: str, steps) -> tuple[GateKind, tuple[DecompStep, ...]]
         raise ConfigError(f"decompositions: {src_kind!r} is native, no rule allowed")
     if not isinstance(steps, list) or not steps:
         raise ConfigError(f"decompositions.{src_kind} must be a nonempty list")
+    where = f"decompositions.{src_kind}"
+    arity = 2 if kind in TWO_QUBIT_KINDS else 1
     out = []
     for s in steps:
         try:
             step_kind = GateKind(s["kind"])
         except (KeyError, ValueError, TypeError):
-            raise ConfigError(f"decompositions.{src_kind}: bad step {s!r}") from None
+            raise ConfigError(f"{where}: bad step {s!r}") from None
         if step_kind not in NATIVE_KINDS:
-            raise ConfigError(
-                f"decompositions.{src_kind}: template may contain only native kinds, got {s['kind']!r}"
-            )
-        roles = tuple(s.get("operand_roles", [0]))
-        if not roles or any(not isinstance(r, int) or r < 0 for r in roles):
-            raise ConfigError(f"decompositions.{src_kind}: bad operand_roles {roles}")
+            raise ConfigError(f"{where}: template may contain only native kinds, got {s['kind']!r}")
+        roles = s.get("operand_roles", [0])
+        if not (isinstance(roles, list) and all(is_int(r) and 0 <= r < arity for r in roles)):
+            raise ConfigError(f"{where}: operand_roles must index {arity} operand(s), got {roles!r}")
         angle = s.get("angle")
-        if (angle is not None) != (step_kind in ROTATION_KINDS):
-            raise ConfigError(f"decompositions.{src_kind}: angle iff rotation step, got {s!r}")
-        out.append(DecompStep(step_kind, angle, roles))
+        if angle is not None and not is_finite_real(angle):
+            raise ConfigError(f"{where}: angle must be a finite number, got {angle!r}")
+        try:  # operand count, distinct operands, angle iff rotation
+            Gate(step_kind, tuple(roles), angle)
+        except ValueError as e:
+            raise ConfigError(f"{where}: {e}") from None
+        out.append(DecompStep(step_kind, angle, tuple(roles)))
     return kind, tuple(out)
 
 
 def load_config(text: str) -> ArchConfig:
     """Parse a JSON config, filling defaults for absent fields.
 
-    Raises ConfigError on schema violations (fidelity outside (0,1],
-    non-native decomposition steps, unknown kinds).
+    Raises ConfigError, naming the field, on schema violations (fidelity
+    outside (0,1], std not finite and nonnegative, negative seed,
+    non-native decomposition steps, unknown kinds, non-finite angles,
+    operand roles past the gate's operands).
     """
     try:
         raw = json.loads(text)
@@ -155,16 +169,17 @@ def load_config(text: str) -> ArchConfig:
             means[cls] = _check_fidelity(f"{cls}.mean", spec["mean"])
         if "std" in spec:
             std = spec["std"]
-            if not isinstance(std, (int, float)) or isinstance(std, bool) or std < 0:
-                raise ConfigError(f"fidelities.{cls}.std must be a nonnegative number")
+            if not (is_finite_real(std) and std >= 0):
+                raise ConfigError(f"fidelities.{cls}.std must be finite and nonnegative, got {std!r}")
             stds[cls] = float(std)
 
-    seed = raw.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    seed = check_seed("seed", raw.get("seed", DEFAULT_SEED))
 
     rules = dict(DEFAULT_DECOMPOSITIONS)
-    for src_kind, steps in raw.get("decompositions", {}).items():
+    decompositions = raw.get("decompositions", {})
+    if not isinstance(decompositions, dict):
+        raise ConfigError("decompositions must be an object")
+    for src_kind, steps in decompositions.items():
         kind, rule = _parse_rule(src_kind, steps)
         rules[kind] = rule
 

@@ -203,12 +203,12 @@ def _shuttle_signals(grid: Grid, origin, dest, movers: frozenset[int]) -> Signal
 
 def _legal_move(grid: Grid, q: int, delta, name: str):
     """move_sites of a legal move; CrossbarError, naming the move `name`,
-    when the destination is off the grid or (kind BLOCKED_PATH) occupied."""
+    when the destination is off the grid or occupied."""
     origin, dest = move_sites(grid, q, delta)
     if not grid.in_grid(dest):
         raise CrossbarError(f"{name} moves qubit {q} off-grid to {dest}")
     if grid.occupied(dest):
-        raise CrossbarError(f"{name} destination {dest} occupied", kind=ConflictKind.BLOCKED_PATH)
+        raise CrossbarError(f"{name} destination {dest} occupied")
     return origin, dest
 
 

@@ -24,14 +24,7 @@ class DecompositionError(XbarcError):
 
 
 class CrossbarError(XbarcError):
-    """Illegal placement or move (off-grid site, shared or occupied site).
-
-    `kind` carries the ConflictKind name when the failure maps to one.
-    """
-
-    def __init__(self, message, kind=None):
-        self.kind = kind
-        super().__init__(message)
+    """Illegal placement or move (off-grid site, shared or occupied site)."""
 
 
 class MapperConflict(XbarcError):

@@ -4,8 +4,11 @@ A Schedule is a sequence of single-type cycles of parallel instructions
 from an initial placement. Positions after each cycle follow from those
 two; the schedule keeps only their sha256 (TrajectoryDigest), which replay
 recomputes to catch a document whose cycles no longer reproduce the
-compiled trajectory. The JSON document produced by schedule_to_doc is the
-authoritative compiled artifact; schedule_from_doc round-trips it exactly.
+compiled trajectory. A cycle's type follows from its instructions and the
+qubit count from the placement, so neither is stored. The JSON document
+produced by schedule_to_doc is the authoritative compiled artifact and
+still writes both; schedule_from_doc round-trips it exactly and is the one
+place that checks every such redundant field against the derived value.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 
-from .circuits import Circuit, circuit_from_dict, circuit_to_dict
+from .circuits import Circuit, circuit_from_dict, circuit_to_dict, is_finite_real, is_int
 from .errors import CrossbarError, XbarcError
 
 
@@ -91,12 +94,20 @@ class Instruction:
 
 @dataclass(frozen=True)
 class Cycle:
-    type: CycleType
     ops: tuple[Instruction, ...]
 
     def __post_init__(self):
         if not self.ops:
             raise ValueError("cycle must hold at least one instruction")
+        families = {CYCLE_FAMILY[op.kind] for op in self.ops}
+        if len(families) > 1:
+            held = sorted(f.value for f in families)
+            raise ValueError(f"instruction families {held} cannot share a cycle")
+
+    @property
+    def type(self) -> CycleType:
+        """The one family (CYCLE_FAMILY) of the cycle's instructions."""
+        return CYCLE_FAMILY[self.ops[0].kind]
 
 
 def grid_side(n_qubits: int) -> int:
@@ -123,7 +134,6 @@ class Schedule:
     """A compiled program; its placement is legal (check_placement)."""
 
     name: str
-    n_qubits: int
     grid_n: int
     placement: tuple[tuple[int, int], ...]
     cycles: tuple[Cycle, ...]
@@ -132,6 +142,10 @@ class Schedule:
 
     def __post_init__(self):
         check_placement(self.grid_n, self.placement)
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.placement)
 
     @property
     def n_instructions(self) -> int:
@@ -206,20 +220,6 @@ def schedule_to_doc(s: Schedule) -> dict:
     return doc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_angle(value) -> bool:
-    """A real number that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
 def _typed(value, kind: type, what: str):
     """`value`, if it is a `kind` (list or dict); an XbarcError naming `what` otherwise."""
     if not isinstance(value, kind):
@@ -232,13 +232,13 @@ def _circuit_from_doc(d) -> Circuit:
     """circuit_from_dict after the checks its constructors leave out."""
     _typed(d, dict, "circuit")
     n = d["n_qubits"]
-    if not (_is_int(n) and n >= 1):
+    if not (is_int(n) and n >= 1):
         raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {n!r}")
     for i, g in enumerate(_typed(d["gates"], list, "circuit gates")):
         q = _typed(_typed(g, dict, f"circuit gate {i}")["q"], list, f"circuit gate {i} q")
-        if not all(map(_is_int, q)):
+        if not all(map(is_int, q)):
             raise XbarcError(f"circuit gate {i} q must list integers, document gives {q!r}")
-        if "angle" in g and not _is_angle(g["angle"]):
+        if "angle" in g and not is_finite_real(g["angle"]):
             raise XbarcError(
                 f"circuit gate {i} angle must be a finite number, document gives {g['angle']!r}"
             )
@@ -250,23 +250,43 @@ def _check_instruction(op: Instruction, n: int) -> None:
     if len(op.qubits) != arity:
         raise XbarcError(f"{op.kind.value} needs {arity} qubit(s), document gives {op.qubits}")
     for q in op.qubits:
-        if not (_is_int(q) and 0 <= q < n):
+        if not (is_int(q) and 0 <= q < n):
             raise XbarcError(f"{op.kind.value} names qubit {q!r}, outside range({n})")
     if op.kind in (InstrKind.ZSH, InstrKind.ZSH_RET) and op.direction not in ("L", "R"):
         raise XbarcError(f"{op.kind.value} needs direction L or R, document gives {op.direction!r}")
-    if op.kind in ANGLE_KINDS and not _is_angle(op.angle):
+    if op.kind in ANGLE_KINDS and not is_finite_real(op.angle):
         raise XbarcError(
             f"{op.kind.value} needs a numeric angle, finite as a float, document gives {op.angle!r}"
         )
     if op.kind in SG_KINDS:
         if op.axis not in ("x", "y"):
             raise XbarcError(f"{op.kind.value} needs axis x or y, document gives {op.axis!r}")
-        if not (_is_int(op.parity) and op.parity in (0, 1)):
+        if not (is_int(op.parity) and op.parity in (0, 1)):
             raise XbarcError(f"{op.kind.value} needs parity 0 or 1, document gives {op.parity!r}")
 
 
+def _cycle_from_doc(i: int, c: dict) -> Cycle:
+    """Cycle i of a document, after checking its written type against the
+    family its instructions hold."""
+    ops = tuple(
+        instruction_from_dict(_typed(op, dict, f"cycle {i} op"))
+        for op in _typed(c["ops"], list, f"cycle {i} ops")
+    )
+    try:
+        cycle = Cycle(ops)
+    except ValueError as e:
+        raise XbarcError(f"cycle {i}: {e}") from None
+    if c["type"] != cycle.type.value:
+        raise XbarcError(
+            f"cycle {i} is written as type {c['type']!r} but holds {cycle.type.value} instructions"
+        )
+    return cycle
+
+
 def schedule_from_doc(doc: dict) -> Schedule:
-    """Inverse of schedule_to_doc; a malformed document raises XbarcError."""
+    """Inverse of schedule_to_doc. A malformed document, or one whose written
+    n or cycle type disagrees with its placement or instructions, raises
+    XbarcError."""
     if not isinstance(doc, dict):
         raise XbarcError("schedule document must be a JSON object")
     if "trajectory_sha256" not in doc and "positions" in doc:
@@ -277,30 +297,23 @@ def schedule_from_doc(doc: dict) -> Schedule:
     try:
         n, grid_n, placement = doc["n"], doc["grid"], doc["placement"]
         for key, value in (("n", n), ("grid", grid_n)):
-            if not (_is_int(value) and value >= 1):
+            if not (is_int(value) and value >= 1):
                 raise XbarcError(f"{key} must be a positive integer, document gives {value!r}")
         if grid_n != grid_side(n):
             raise XbarcError(f"grid must be {grid_side(n)} for {n} qubits, document gives {grid_n}")
         if not isinstance(placement, list) or len(placement) != n:
             raise XbarcError(f"placement must list one site for each of the {n} qubits")
         for q, site in enumerate(placement):
-            if not (isinstance(site, list) and len(site) == 2 and all(map(_is_int, site))):
+            if not (isinstance(site, list) and len(site) == 2 and all(map(is_int, site))):
                 raise XbarcError(
                     f"placement of qubit {q} must be an [x, y] integer pair, document gives {site!r}"
                 )
         cycles = tuple(
-            Cycle(
-                CycleType(_typed(c, dict, f"cycle {i}")["type"]),
-                tuple(
-                    instruction_from_dict(_typed(op, dict, f"cycle {i} op"))
-                    for op in _typed(c["ops"], list, f"cycle {i} ops")
-                ),
-            )
+            _cycle_from_doc(i, _typed(c, dict, f"cycle {i}"))
             for i, c in enumerate(_typed(doc["cycles"], list, "cycles"))
         )
         schedule = Schedule(
             name=doc.get("name", ""),
-            n_qubits=n,
             grid_n=grid_n,
             placement=tuple(tuple(p) for p in placement),
             cycles=cycles,

@@ -17,7 +17,7 @@ from itertools import islice
 from .circuits import Circuit
 from .crossbar import Grid, apply_cycle, check_parallel_set, checkerboard_sites
 from .errors import CompileError, MapperConflict
-from .instructions import Cycle, CycleType, Instruction, InstrKind
+from .instructions import Cycle, Instruction, InstrKind
 
 
 def initial_placement(circuit: Circuit, grid: Grid) -> Grid:
@@ -117,7 +117,7 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
             h_ops.append(_h_shuttle(partner, -sx, srcs))
             v_ops.append(_v_shuttle(partner, -sy, srcs))
         for ops in (h_ops, v_ops):
-            cycle = Cycle(CycleType.SHUTTLE, tuple(ops))
+            cycle = Cycle(tuple(ops))
             grid = _checked(grid, cycle)
             cycles.append(cycle)
 
@@ -127,15 +127,15 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
         raise CompileError(f"routing left {a} at {(ax, ay)}, not diagonal to {b} at {(bx, by)}")
 
     dx = bx - ax
-    cycle_in = Cycle(CycleType.SHUTTLE, (_h_shuttle(a, dx, srcs),))
+    cycle_in = Cycle((_h_shuttle(a, dx, srcs),))
     grid = _checked(grid, cycle_in)
     cycles.append(cycle_in)
 
-    swap = Cycle(CycleType.TWOQ, (Instruction(InstrKind.SQSWAP, (a, b), src=srcs),))
+    swap = Cycle((Instruction(InstrKind.SQSWAP, (a, b), src=srcs),))
     grid = _checked(grid, swap)
     cycles.append(swap)
 
-    cycle_out = Cycle(CycleType.SHUTTLE, (_h_shuttle(a, -dx, srcs),))
+    cycle_out = Cycle((_h_shuttle(a, -dx, srcs),))
     grid = _checked(grid, cycle_out)
     cycles.append(cycle_out)
 
@@ -157,21 +157,9 @@ def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]
     """Z rotation as a phase-carrying shuttle to a neighbouring column (see
     z_direction) and back."""
     direction = z_direction(grid, q)
-    out = Cycle(
-        CycleType.Z,
-        (Instruction(InstrKind.ZSH, (q,), angle=angle, direction=direction, src=(src,)),),
-    )
-    back = Cycle(
-        CycleType.SHUTTLE,
-        (
-            Instruction(
-                InstrKind.ZSH_RET,
-                (q,),
-                direction="L" if direction == "R" else "R",
-                src=(src,),
-            ),
-        ),
-    )
+    out = Cycle((Instruction(InstrKind.ZSH, (q,), angle=angle, direction=direction, src=(src,)),))
+    back_dir = "L" if direction == "R" else "R"
+    back = Cycle((Instruction(InstrKind.ZSH_RET, (q,), direction=back_dir, src=(src,)),))
     grid = _checked(grid, out)
     _checked(grid, back)
     return out, back
@@ -204,7 +192,7 @@ def expand_semi_global(
 
     rot = Instruction(InstrKind.SG_ROT, angle=angle, axis=axis, parity=parity, src=all_src)
     if set(targets) == set(grid.parity_members(parity)):
-        return (Cycle(CycleType.XY_ROT, (rot,)),)
+        return (Cycle((rot,)),)
 
     def can_move(q, dx):
         x, y = grid.site_of(q)
@@ -223,10 +211,10 @@ def expand_semi_global(
     inv = Instruction(InstrKind.SG_ROT_INV, angle=-angle, axis=axis, parity=parity, src=all_src)
 
     cycles = (
-        Cycle(CycleType.XY_ROT, (rot,)),
-        Cycle(CycleType.SHUTTLE, out_ops),
-        Cycle(CycleType.XY_ROT_INV, (inv,)),
-        Cycle(CycleType.SHUTTLE, back_ops),
+        Cycle((rot,)),
+        Cycle(out_ops),
+        Cycle((inv,)),
+        Cycle(back_ops),
     )
     g = grid
     for cycle in cycles:

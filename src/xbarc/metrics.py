@@ -9,7 +9,7 @@ included.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -61,24 +61,10 @@ class MetricsReport:
     counts: CountsByType
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n_qubits": self.n_qubits,
-            "n_decomposed": self.n_decomposed,
-            "n_final": self.n_final,
-            "gate_overhead_pct": self.gate_overhead_pct,
-            "d_dependency": self.d_dependency,
-            "d_final": self.d_final,
-            "depth_overhead_pct": self.depth_overhead_pct,
-            "esp": self.esp,
-            "compile_time_ms": self.compile_time_ms,
-            "counts": {
-                "n_xy": self.counts.n_xy,
-                "n_z": self.counts.n_z,
-                "n_twoq": self.counts.n_twoq,
-                "n_total": self.counts.n_total,
-            },
-        }
+        """The fields in declaration order; counts gain their n_total."""
+        d = asdict(self)
+        d["counts"]["n_total"] = self.counts.n_total
+        return d
 
 
 # stable CSV layout; twoq/xy percentages use the share-of-total convention

@@ -21,9 +21,7 @@ from itertools import chain
 from .circuits import Circuit, GateKind
 from .crossbar import Grid, apply_cycle, check_parallel_set
 from .errors import CompileError, MapperConflict
-from .instructions import (
-    Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest, check_placement,
-)
+from .instructions import Cycle, Instruction, InstrKind, Schedule, TrajectoryDigest, check_placement
 from .ir import asap_levels
 from .mapper import expand_semi_global, route_two_qubit, z_direction, z_route
 
@@ -61,8 +59,8 @@ def _expand_z_group(circuit: Circuit, grid: Grid, gates) -> tuple[Cycle, ...]:
         backs.append(
             Instruction(InstrKind.ZSH_RET, (q,), direction="L" if d == "R" else "R", src=(i,))
         )
-    out_cycle = Cycle(CycleType.Z, tuple(outs))
-    back_cycle = Cycle(CycleType.SHUTTLE, tuple(backs))
+    out_cycle = Cycle(tuple(outs))
+    back_cycle = Cycle(tuple(backs))
     g = grid
     for cycle in (out_cycle, back_cycle):
         report = check_parallel_set(g, cycle.ops)
@@ -158,7 +156,6 @@ def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None
 
     return Schedule(
         name=name if name is not None else decomposed.name,
-        n_qubits=decomposed.n_qubits,
         grid_n=grid.n,
         placement=placement,
         cycles=tuple(cycles),

@@ -8,6 +8,10 @@ cycles that are each legal but no longer reproduce the compiled trajectory
 fail. Statevector equivalence simulates the compiled schedule literally
 (spectator rotations included) against the decomposed circuit at small
 qubit counts. verify() runs both; VerifyReport.ok is the verdict.
+
+Redundant document fields (qubit count, each cycle's written type) are
+checked by the loader, instructions.schedule_from_doc, and a Cycle cannot
+mix instruction families, so replay sees only what the schedule implies.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import numpy as np
 from .circuits import Circuit
 from .crossbar import ConflictKind, ConflictReport, Grid, apply_op, check_parallel_set
 from .errors import CrossbarError
-from .instructions import CYCLE_FAMILY, InstrKind, Schedule, TrajectoryDigest
+from .instructions import InstrKind, Schedule, TrajectoryDigest
 from .sim import (
     SQSWAP_MATRIX,
     apply_1q,
@@ -38,10 +42,13 @@ FIDELITY_FLOOR = 1.0 - 1e-9
 
 @dataclass(frozen=True)
 class VerifyReport:
-    replay_ok: bool
     violations: tuple[tuple[int, ConflictReport], ...] = ()
     trajectory_match: bool = True
     equivalence_fidelity: float | str | None = None
+
+    @property
+    def replay_ok(self) -> bool:
+        return not self.violations and self.trajectory_match
 
     @property
     def ok(self) -> bool:
@@ -78,17 +85,7 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
     trajectory = TrajectoryDigest()
     grid = Grid(schedule.grid_n, schedule.placement)
     for idx, cycle in enumerate(schedule.cycles):
-        families = {CYCLE_FAMILY[op.kind] for op in cycle.ops}
-        if families != {cycle.type}:
-            held = sorted(f.value for f in families)
-            report = ConflictReport(
-                ok=False,
-                kind=ConflictKind.MIXED_TYPES,
-                culprits=tuple(range(len(cycle.ops))),
-                detail=f"cycle declared {cycle.type.value} but holds {held}",
-            )
-        else:
-            report = check_parallel_set(grid, cycle.ops)
+        report = check_parallel_set(grid, cycle.ops)
         if not report.ok:
             violations.append((idx, report))
         try:
@@ -96,17 +93,12 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
             for op in cycle.ops:
                 next_grid = apply_op(next_grid, op)
         except CrossbarError as e:
-            kind = e.kind or ConflictKind.BLOCKED_PATH
-            violations.append((idx, ConflictReport(False, kind, detail=f"cycle is not applicable: {e}")))
+            detail = f"cycle is not applicable: {e}"
+            violations.append((idx, ConflictReport(False, ConflictKind.BLOCKED_PATH, detail=detail)))
             next_grid = grid  # keep replaying from the last consistent state
         trajectory.add(next_grid.pos)
         grid = next_grid
-    match = trajectory.hexdigest() == schedule.trajectory_sha256
-    return VerifyReport(
-        replay_ok=not violations and match,
-        violations=tuple(violations),
-        trajectory_match=match,
-    )
+    return VerifyReport(tuple(violations), trajectory.hexdigest() == schedule.trajectory_sha256)
 
 
 def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:

@@ -139,6 +139,13 @@ def _set_first(path, value):
     return edit
 
 
+def _append_op(cycle, op):
+    def edit(doc):
+        doc["cycles"][cycle]["ops"].append(op)
+
+    return edit
+
+
 def _old_format(doc):
     del doc["trajectory_sha256"]
     doc["positions"] = [doc["placement"]] * len(doc["cycles"])
@@ -176,6 +183,9 @@ def _old_format(doc):
         (lambda doc: doc.update(grid=9), "grid must be 2 for 2 qubits"),
         (lambda doc: doc.update(placement=[[5, 5], [1, 1]]), "qubit 0 at (5, 5) outside 2x2 grid"),
         (lambda doc: doc.update(placement=[[1, 1], [1, 1]]), "qubits 0 and 1 share site (1, 1)"),
+        (_set_first(["cycles", 1, "type"], "twoq"), "cycle 1 is written as type 'twoq' but holds shuttle"),
+        (_append_op(1, {"kind": "sg_rot", "angle": 0.1, "axis": "x", "parity": 0}),
+         "cycle 1: instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
     ],
     ids=[
         "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -184,7 +194,7 @@ def _old_format(doc):
         "cycles-number", "circuit-gates-number", "cycle-not-object", "op-not-object",
         "circuit-gate-q-number", "circuit-qubits-string", "circuit-angle-string", "zsh-angle-401-digits",
         "zsh-angle-nan", "zsh-angle-inf", "grid-huge", "grid-too-large", "placement-off-grid",
-        "placement-shared-site",
+        "placement-shared-site", "cycle-type-mismatch", "cycle-mixed",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])
@@ -292,6 +302,18 @@ def test_sweep_csv(tmp_path):
     assert by_col["name"].startswith("randu_q3_")
 
 
+def test_sweep_reports_an_infeasible_point_and_goes_on(tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--qubits", "1:3", "--gates", "10", "--twoq", "50", "--csv", str(out)]
+    assert main(args) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["n_qubits"] for r in rows] == ["1", "2", "3"]
+    assert "two-qubit gates need at least 2 qubits" in rows[0]["error"]
+    assert rows[0]["name"].startswith("randu_q1_g10_p50_s")
+    assert [r["error"] for r in rows[1:]] == ["", ""]
+
+
 def test_sweep_rows_deterministic_apart_from_timing(tmp_path):
     args = [
         "sweep", "--qubits", "4", "--gates", "15", "--twoq", "50",
@@ -322,6 +344,15 @@ def test_spinq_seed_env_override(tmp_path, bell_qasm, monkeypatch):
 
     monkeypatch.setenv("SPINQ_SEED", "oops")
     assert main(["compile", "-i", str(bell_qasm), "-o", str(out1)]) == 1
+
+
+def test_bad_config_is_a_user_error(tmp_path, bell_qasm, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"decompositions": {"x": [{"kind": "rx", "angle": NaN}]}}')
+    out = tmp_path / "out.json"
+    assert main(["compile", "-i", str(bell_qasm), "-c", str(cfg), "-o", str(out)]) == 1
+    assert "decompositions.x" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_no_verify_skips(tmp_path, bell_qasm):

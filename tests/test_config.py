@@ -1,9 +1,12 @@
 """Config parsing, defaults and schema validation."""
+import re
+
 import pytest
 
 from xbarc import GateKind, load_config
 from xbarc.config import DEFAULT_DECOMPOSITIONS, DEFAULT_SEED, DEFAULT_STD
-from xbarc.errors import ConfigError
+from xbarc.cli import _load_arch
+from xbarc.errors import ConfigError, XbarcError
 
 
 def test_empty_config_gets_defaults():
@@ -71,3 +74,33 @@ def test_seed_must_be_int():
 def test_determinism():
     text = '{"fidelities": {"sqswap": {"mean": 0.995}}, "seed": 7}'
     assert load_config(text) == load_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, env_seed, field",
+    [
+        ('{"decompositions": []}', None, "decompositions must be an object"),
+        ('{"decompositions": {"x": [{"kind": "rx", "angle": "pi"}]}}', None, "decompositions.x: angle"),
+        ('{"decompositions": {"x": [{"kind": "rx", "angle": 1.0, "operand_roles": [3]}]}}', None,
+         "decompositions.x: operand_roles"),
+        ('{"decompositions": {"x": [{"kind": "rx", "angle": NaN}]}}', None, "decompositions.x: angle"),
+        ('{"decompositions": {"x": [{"kind": "rx", "angle": true}]}}', None, "decompositions.x: angle"),
+        ('{"fidelities": {"shuttle": {"std": NaN}}}', None, "fidelities.shuttle.std"),
+        ('{"fidelities": {"shuttle": {"std": Infinity}}}', None, "fidelities.shuttle.std"),
+        ('{"seed": -1}', None, "seed must be a nonnegative integer"),
+        ("{}", "-1", "SPINQ_SEED must be a nonnegative integer"),
+    ],
+    ids=[
+        "decompositions-list", "angle-string", "roles-past-arity", "angle-nan", "angle-bool",
+        "std-nan", "std-inf", "seed-negative", "env-seed-negative",
+    ],
+)
+def test_bad_config_names_the_field(tmp_path, monkeypatch, text, env_seed, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    if env_seed is None:
+        monkeypatch.delenv("SPINQ_SEED", raising=False)
+    else:
+        monkeypatch.setenv("SPINQ_SEED", env_seed)
+    with pytest.raises(XbarcError, match=re.escape(field)):
+        _load_arch(str(path))

@@ -73,7 +73,7 @@ def diagonal_twoq_schedule():
 
 class TestEsp:
     def test_empty_schedule_is_one(self):
-        s = Schedule("e", 2, 2, ((0, 0), (1, 1)), (), TrajectoryDigest().hexdigest())
+        s = Schedule("e", 2, ((0, 0), (1, 1)), (), TrajectoryDigest().hexdigest())
         fmap = build_fidelity_map(grid_for(2), zero_std_config())
         assert esp(s, fmap) == 1.0
 
@@ -87,7 +87,7 @@ class TestEsp:
         dec, s = diagonal_twoq_schedule()
         fmap = build_fidelity_map(grid_for(3), zero_std_config())
         base = esp(s, fmap)
-        extra = Cycle(CycleType.Z, (Instruction(InstrKind.ZSH, (0,), angle=0.1, direction="R"),))
+        extra = Cycle((Instruction(InstrKind.ZSH, (0,), angle=0.1, direction="R"),))
         grown = dataclasses.replace(s, cycles=s.cycles + (extra,))
         assert esp(grown, fmap) <= base
 
@@ -191,3 +191,14 @@ class TestOverheadReport:
             assert rep.gate_overhead_pct >= 0
             assert rep.depth_overhead_pct >= 0
             assert 0 < rep.esp <= 1
+
+    def test_json_dict_keys_in_document_order(self):
+        dec, s = compile_native(Circuit("x", 3, (Gate(GateKind.RX, (0,), 0.5),)))
+        rep = overhead_report(dec, s, build_fidelity_map(grid_for(3), zero_std_config()), 1.5)
+        d = rep.to_json_dict()
+        assert list(d) == [
+            "name", "n_qubits", "n_decomposed", "n_final", "gate_overhead_pct", "d_dependency",
+            "d_final", "depth_overhead_pct", "esp", "compile_time_ms", "counts",
+        ]
+        assert list(d["counts"].items()) == [("n_xy", 1), ("n_z", 0), ("n_twoq", 0), ("n_total", 1)]
+        assert (d["name"], d["n_qubits"], d["compile_time_ms"]) == ("x", 3, 1.5)

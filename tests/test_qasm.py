@@ -6,7 +6,7 @@ import pytest
 
 from xbarc import GateKind, emit_output, parse_qasm, schedule_from_doc
 from xbarc.errors import QasmError
-from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
+from xbarc.instructions import Cycle, Instruction, InstrKind, Schedule, TrajectoryDigest
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm
 
 from conftest import compile_native
@@ -94,16 +94,16 @@ def test_comments_ignored():
 
 class TestEmit:
     def test_empty_schedule(self):
-        s = Schedule("empty", 2, 2, ((0, 0), (1, 1)), (), TrajectoryDigest().hexdigest())
+        s = Schedule("empty", 2, ((0, 0), (1, 1)), (), TrajectoryDigest().hexdigest())
         text, doc = emit_output(s)
         assert "qreg q[2];" in text
         assert "// cycle" not in text
         assert doc["cycles"] == []
 
     def test_single_twoq_cycle_format(self):
-        cyc = Cycle(CycleType.TWOQ, (Instruction(InstrKind.SQSWAP, (0, 1)),))
+        cyc = Cycle((Instruction(InstrKind.SQSWAP, (0, 1)),))
         digest = TrajectoryDigest([((1, 0), (1, 1))]).hexdigest()
-        s = Schedule("one", 2, 2, ((1, 0), (1, 1)), (cyc,), digest)
+        s = Schedule("one", 2, ((1, 0), (1, 1)), (cyc,), digest)
         text, _ = emit_output(s)
         assert "// cycle 0 [twoq]" in text
         assert "sqswap q[0],q[1];" in text

@@ -92,21 +92,13 @@ class TestReplay:
         assert report.violations == () and not report.trajectory_match
 
     def test_mixed_cycle_flagged(self):
+        # a Cycle holds one instruction family, so replay never meets a mixed one
         ops = (
             Instruction(InstrKind.SG_ROT, angle=0.1, axis="x", parity=0),
             Instruction(InstrKind.SH_R, (0,)),
         )
-        s = Schedule(
-            "bad",
-            2,
-            2,
-            ((0, 0), (1, 1)),
-            (Cycle(CycleType.XY_ROT, ops),),
-            TrajectoryDigest([((1, 0), (1, 1))]).hexdigest(),
-        )
-        report = replay_verify(s)
-        assert not report.replay_ok
-        assert report.violations[0][1].kind is ConflictKind.MIXED_TYPES
+        with pytest.raises(ValueError, match=r"families \['shuttle', 'xy_rot'\] cannot share a cycle"):
+            Cycle(ops)
 
     def test_conflicting_cycle_flagged(self):
         # hand-built parallel pair that contradicts on QL ordering
@@ -114,7 +106,7 @@ class TestReplay:
         placement = ((0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
         moved = ((0, 0), (2, 0), (0, 1), (3, 1), (0, 2), (3, 2), (1, 3), (3, 3))
         digest = TrajectoryDigest([moved]).hexdigest()
-        s = Schedule("bad", 8, 4, placement, (Cycle(CycleType.SHUTTLE, ops),), digest)
+        s = Schedule("bad", 4, placement, (Cycle(ops),), digest)
         report = replay_verify(s)
         assert any(r.kind is ConflictKind.QL_CONTRADICTION for _, r in report.violations)
 
@@ -140,7 +132,7 @@ class TestEquivalence:
         for i, cy in enumerate(cycles):
             if cy.type is CycleType.XY_ROT_INV:
                 op = cy.ops[0]
-                cycles[i] = Cycle(cy.type, (dataclasses.replace(op, angle=op.angle + 0.5),))
+                cycles[i] = Cycle((dataclasses.replace(op, angle=op.angle + 0.5),))
         tampered = dataclasses.replace(s, cycles=tuple(cycles))
         fid = statevector_equiv(s.circuit, tampered)
         assert fid < 1 - 1e-3
@@ -194,7 +186,7 @@ class TestVerify:
     def test_illegal_move_fails_without_equivalence(self):
         s = compiled(Circuit("c", 2, (Gate(GateKind.SQSWAP, (0, 1)),)))
         i = next(i for i, cy in enumerate(s.cycles) if cy.ops[0].kind is InstrKind.SH_R)
-        flipped = Cycle(CycleType.SHUTTLE, (dataclasses.replace(s.cycles[i].ops[0], kind=InstrKind.SH_L),))
+        flipped = Cycle((dataclasses.replace(s.cycles[i].ops[0], kind=InstrKind.SH_L),))
         broken = dataclasses.replace(s, cycles=s.cycles[:i] + (flipped,) + s.cycles[i + 1:])
         report = verify(broken)
         assert not report.ok and not report.replay_ok
@@ -206,7 +198,7 @@ class TestVerify:
         # clamped to a passing 1.0
         s = compiled(Circuit("z", 2, (Gate(GateKind.RZ, (0,), 0.5),)))
         i = next(i for i, cy in enumerate(s.cycles) if cy.ops[0].kind is InstrKind.ZSH)
-        nan_cycle = Cycle(CycleType.Z, (dataclasses.replace(s.cycles[i].ops[0], angle=math.nan),))
+        nan_cycle = Cycle((dataclasses.replace(s.cycles[i].ops[0], angle=math.nan),))
         broken = dataclasses.replace(s, cycles=s.cycles[:i] + (nan_cycle,) + s.cycles[i + 1:])
         report = verify(broken)
         assert report.replay_ok and math.isnan(report.equivalence_fidelity)
