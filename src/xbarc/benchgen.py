@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import Circuit, Gate, GateKind, is_finite_real
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class BenchSpec:
             raise ValueError("n_qubits must be positive")
         if self.n_gates < 1:
             raise ValueError("n_gates must be positive")
+        if not is_finite_real(self.n_gates * self.twoq_pct):  # NaN, inf, or too large
+            raise ValueError(f"twoq_pct times n_gates must be finite, got twoq_pct {self.twoq_pct!r}")
         if self.twoq_pct < 0:
             raise ValueError("twoq_pct must be nonnegative")
         if self.twoq_pct > 0 and self.n_qubits < 2:

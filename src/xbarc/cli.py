@@ -18,11 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .benchgen import BenchSpec, bench_name, gen_bernstein_vazirani, gen_random_uniform
-from .circuits import Circuit
+from .circuits import Circuit, is_finite_real
 from .config import ArchConfig, check_seed, load_config
 from .crossbar import grid_for
 from .errors import CompileError, XbarcError
-from .instructions import Schedule, schedule_from_doc, schedule_to_doc
+from .instructions import schedule_from_doc
 from .ir import counts_by_type, decompose, interaction_graph
 from .mapper import initial_placement
 from .metrics import CSV_COLUMNS, build_fidelity_map, csv_row, overhead_report
@@ -137,6 +137,10 @@ class SweepSpec:
     twoq: tuple[int, int, int]
     seeds: int
     csv_path: str
+
+    def __post_init__(self):
+        if not all(map(is_finite_real, self.twoq[:2])):  # float(p) would overflow
+            raise XbarcError(f"--twoq bounds must be finite as floats, got {self.twoq[:2]}")
 
     def points(self):
         for q in range(self.qubits[0], self.qubits[1] + 1, self.qubits[2]):

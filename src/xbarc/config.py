@@ -16,6 +16,10 @@ The JSON schema:
 
 Absent fields fall back to the defaults below. Decomposition templates are
 listed in program order; operand_roles index into the source gate's operands.
+A template step is the Gate it describes, with roles for qubits, so Gate
+owns operand counts, distinct operands and "angle iff rotation"; the loader
+checks only what a Gate cannot know: native step kinds, roles within the
+source gate's operands, and finite angles.
 The shipped CNOT rule was pinned by a brute-force unitary search: it equals
 CNOT up to global phase to better than 1e-12 per entry.
 """
@@ -36,43 +40,32 @@ DEFAULT_SEED = 1
 
 _PI = math.pi
 
-
-@dataclass(frozen=True)
-class DecompStep:
-    kind: GateKind
-    angle: float | None
-    roles: tuple[int, ...]
-
-
-def _step(kind: str, angle: float | None, roles) -> DecompStep:
-    return DecompStep(GateKind(kind), angle, tuple(roles))
-
-
-# Program-order templates onto the native set. Each is unitary-equivalent to
-# its source gate up to global phase (re-verified in the test suite).
-DEFAULT_DECOMPOSITIONS: dict[GateKind, tuple[DecompStep, ...]] = {
-    GateKind.H: (_step("rz", _PI, [0]), _step("ry", _PI / 2, [0])),
-    GateKind.X: (_step("rx", _PI, [0]),),
-    GateKind.Y: (_step("ry", _PI, [0]),),
-    GateKind.Z: (_step("rz", _PI, [0]),),
-    GateKind.S: (_step("rz", _PI / 2, [0]),),
-    GateKind.SDG: (_step("rz", -_PI / 2, [0]),),
-    GateKind.T: (_step("rz", _PI / 4, [0]),),
-    GateKind.TDG: (_step("rz", -_PI / 4, [0]),),
+# Program-order templates onto the native set, as Gates whose qubits are
+# operand roles. Each is unitary-equivalent to its source gate up to global
+# phase (re-verified in the test suite).
+DEFAULT_DECOMPOSITIONS: dict[GateKind, tuple[Gate, ...]] = {
+    GateKind.H: (Gate(GateKind.RZ, (0,), _PI), Gate(GateKind.RY, (0,), _PI / 2)),
+    GateKind.X: (Gate(GateKind.RX, (0,), _PI),),
+    GateKind.Y: (Gate(GateKind.RY, (0,), _PI),),
+    GateKind.Z: (Gate(GateKind.RZ, (0,), _PI),),
+    GateKind.S: (Gate(GateKind.RZ, (0,), _PI / 2),),
+    GateKind.SDG: (Gate(GateKind.RZ, (0,), -_PI / 2),),
+    GateKind.T: (Gate(GateKind.RZ, (0,), _PI / 4),),
+    GateKind.TDG: (Gate(GateKind.RZ, (0,), -_PI / 4),),
     GateKind.CNOT: (
-        _step("ry", _PI / 2, [1]),
-        _step("sqswap", None, [0, 1]),
-        _step("rz", _PI / 2, [0]),
-        _step("rz", -_PI / 2, [1]),
-        _step("sqswap", None, [0, 1]),
-        _step("ry", -_PI / 2, [1]),
+        Gate(GateKind.RY, (1,), _PI / 2),
+        Gate(GateKind.SQSWAP, (0, 1)),
+        Gate(GateKind.RZ, (0,), _PI / 2),
+        Gate(GateKind.RZ, (1,), -_PI / 2),
+        Gate(GateKind.SQSWAP, (0, 1)),
+        Gate(GateKind.RY, (1,), -_PI / 2),
     ),
     GateKind.CZ: (
-        _step("sqswap", None, [0, 1]),
-        _step("rz", _PI, [0]),
-        _step("sqswap", None, [0, 1]),
-        _step("rz", _PI / 2, [0]),
-        _step("rz", -_PI / 2, [1]),
+        Gate(GateKind.SQSWAP, (0, 1)),
+        Gate(GateKind.RZ, (0,), _PI),
+        Gate(GateKind.SQSWAP, (0, 1)),
+        Gate(GateKind.RZ, (0,), _PI / 2),
+        Gate(GateKind.RZ, (1,), -_PI / 2),
     ),
 }
 
@@ -82,7 +75,7 @@ class ArchConfig:
     means: dict[str, float] = field(default_factory=lambda: dict(DEFAULT_MEANS))
     stds: dict[str, float] = field(default_factory=lambda: {c: DEFAULT_STD for c in FIDELITY_CLASSES})
     seed: int = DEFAULT_SEED
-    decompositions: dict[GateKind, tuple[DecompStep, ...]] = field(
+    decompositions: dict[GateKind, tuple[Gate, ...]] = field(
         default_factory=lambda: dict(DEFAULT_DECOMPOSITIONS)
     )
 
@@ -103,7 +96,7 @@ def check_seed(name: str, value) -> int:
     return value
 
 
-def _parse_rule(src_kind: str, steps) -> tuple[GateKind, tuple[DecompStep, ...]]:
+def _parse_rule(src_kind: str, steps) -> tuple[GateKind, tuple[Gate, ...]]:
     try:
         kind = GateKind(src_kind)
     except ValueError:
@@ -129,10 +122,9 @@ def _parse_rule(src_kind: str, steps) -> tuple[GateKind, tuple[DecompStep, ...]]
         if angle is not None and not is_finite_real(angle):
             raise ConfigError(f"{where}: angle must be a finite number, got {angle!r}")
         try:  # operand count, distinct operands, angle iff rotation
-            Gate(step_kind, tuple(roles), angle)
+            out.append(Gate(step_kind, tuple(roles), angle))
         except ValueError as e:
             raise ConfigError(f"{where}: {e}") from None
-        out.append(DecompStep(step_kind, angle, tuple(roles)))
     return kind, tuple(out)
 
 

@@ -20,9 +20,10 @@ it stays put. Only ordering relations between QL voltages matter, so (4)
 and (5) become a digraph of strict inequalities; a parallel instruction set
 is satisfiable exactly when the merged digraph is acyclic.
 
-Each fact is checked in one place: instructions.check_placement checks a
-placement when a Schedule is made or schedule_integrated starts, apply_op
-checks each move, and Grid trusts both.
+Each rule has one owner: instructions.check_placement checks a placement
+when a Schedule is made or schedule_integrated starts, Cycle keeps every
+cycle to one instruction family, apply_op checks each move, and Grid and
+check_parallel_set trust all three.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CrossbarError
 from .instructions import (
-    CYCLE_FAMILY, DELTAS, MOVE_KINDS, SG_KINDS, Cycle, Instruction, InstrKind, grid_side,
+    DELTAS, MOVE_KINDS, SG_KINDS, Cycle, Instruction, InstrKind, grid_side,
 )
 
 
@@ -50,15 +51,17 @@ class ConflictKind(Enum):
     BARRIER_CLASH = "barrier_clash"
     UNWANTED_INTERACTION = "unwanted_interaction"
     BLOCKED_PATH = "blocked_path"
-    MIXED_TYPES = "mixed_types"
 
 
 @dataclass(frozen=True)
 class ConflictReport:
-    ok: bool
-    kind: ConflictKind | None = None
+    kind: ConflictKind | None = None  # None: the cycle is legal
     culprits: tuple[int, ...] = ()
     detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.kind is None
 
 
 @dataclass(frozen=True)
@@ -73,16 +76,17 @@ class Grid:
 
     Methods return new Grid values; instances are never mutated after
     construction, so they are safe to share between the scheduler's
-    tentative expansions. Grid checks nothing: its placement comes from a
-    checked Schedule, from schedule_integrated's check_placement or from
-    the checkerboard, and every move from apply_op.
+    tentative expansions. Grid checks and converts nothing: its placement,
+    a tuple of (x, y) tuples, comes from a checked Schedule, from
+    schedule_integrated's check_placement or from the checkerboard, and
+    every move from apply_op.
     """
 
     __slots__ = ("n", "pos", "_site_map")
 
     def __init__(self, n: int, pos: tuple[tuple[int, int], ...]):
         self.n = n
-        self.pos = tuple(tuple(p) for p in pos)
+        self.pos = pos
         self._site_map = {site: q for q, site in enumerate(self.pos)}
 
     @property
@@ -96,14 +100,14 @@ class Grid:
         return self._site_map.get(site)
 
     def occupied(self, site) -> bool:
-        return tuple(site) in self._site_map
+        return site in self._site_map
 
     def in_grid(self, site) -> bool:
         x, y = site
         return 0 <= x < self.n and 0 <= y < self.n
 
     def move(self, q: int, site: tuple[int, int]) -> "Grid":
-        return Grid(self.n, self.pos[:q] + (tuple(site),) + self.pos[q + 1:])
+        return Grid(self.n, self.pos[:q] + (site,) + self.pos[q + 1:])
 
     def is_checkerboard(self) -> bool:
         return all((x + y) % 2 == 0 for x, y in self.pos)
@@ -264,37 +268,25 @@ def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
     return None
 
 
-def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
-    """Can these instructions share one cycle on this grid?
+def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
+    """Can this cycle's instructions run in parallel on this grid?
 
-    Intended movers contribute mover constraints; only non-movers
-    contribute stay-put constraints. Conflicts are classified as
-    MIXED_TYPES, BLOCKED_PATH, BARRIER_CLASH, UNWANTED_INTERACTION or
-    QL_CONTRADICTION (checked in that order).
+    The cycle holds one instruction family (Cycle's rule), so it is
+    semi-global iff its first instruction is. Intended movers contribute
+    mover constraints; only non-movers contribute stay-put constraints.
+    Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
+    UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
     """
-    ops = tuple(instructions)
-    if not ops:
-        return ConflictReport(ok=True)
-
-    families = {CYCLE_FAMILY[op.kind] for op in ops}
-    if len(families) > 1:
-        return ConflictReport(
-            ok=False,
-            kind=ConflictKind.MIXED_TYPES,
-            culprits=tuple(range(len(ops))),
-            detail=f"instruction families {sorted(f.value for f in families)} cannot share a cycle",
-        )
-
-    if all(op.kind in SG_KINDS for op in ops):
+    ops = cycle.ops
+    if ops[0].kind in SG_KINDS:
         distinct = {(op.kind, op.axis, op.angle, op.parity) for op in ops}
         if len(distinct) > 1:
             return ConflictReport(
-                ok=False,
                 kind=ConflictKind.BARRIER_CLASH,
                 culprits=tuple(range(len(ops))),
                 detail="conflicting semi-global drives on the shared column lines",
             )
-        return ConflictReport(ok=True)
+        return ConflictReport()
 
     movers = frozenset(op.qubits[0] for op in ops if op.kind in MOVE_KINDS)
 
@@ -307,20 +299,17 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
             origin, dest = move_sites(grid, q, op.move_delta())
             if not grid.in_grid(dest):
                 return ConflictReport(
-                    ok=False,
                     kind=ConflictKind.BLOCKED_PATH,
                     culprits=(i,),
                     detail=f"qubit {q} shuttled off-grid from {origin}",
                 )
             dests[i] = dest
             reqs.append(_shuttle_signals(grid, origin, dest, movers))
-        else:  # sqswap, the one kind left after the family checks above
+        else:  # sqswap, the one kind left in a non-semi-global cycle
             try:
                 reqs.append(_sqswap_signals(grid, op.qubits[0], op.qubits[1]))
             except CrossbarError as e:
-                return ConflictReport(
-                    ok=False, kind=ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e)
-                )
+                return ConflictReport(ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e))
 
     # blocked paths: duplicate movers, shared destinations, occupied destinations
     # (dests lists the movers in instruction order)
@@ -329,7 +318,6 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
         q = ops[i].qubits[0]
         if seen_mover.setdefault(q, i) != i:
             return ConflictReport(
-                ok=False,
                 kind=ConflictKind.BLOCKED_PATH,
                 culprits=(seen_mover[q], i),
                 detail=f"qubit {q} moved by two instructions",
@@ -338,14 +326,12 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
     for i, dest in dests.items():
         if seen_dest.setdefault(dest, i) != i:
             return ConflictReport(
-                ok=False,
                 kind=ConflictKind.BLOCKED_PATH,
                 culprits=(seen_dest[dest], i),
                 detail=f"two instructions target {dest}",
             )
         if grid.occupied(dest):
             return ConflictReport(
-                ok=False,
                 kind=ConflictKind.BLOCKED_PATH,
                 culprits=(i,),
                 detail=f"destination {dest} is occupied",
@@ -356,7 +342,6 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
         for j, rj in enumerate(reqs):
             if i != j and ri.lowered in rj.raised:
                 return ConflictReport(
-                    ok=False,
                     kind=ConflictKind.BARRIER_CLASH,
                     culprits=(i, j),
                     detail=f"[{ri.lowered}] lowered by one instruction, raised by another",
@@ -379,7 +364,6 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
         hit = next(hits, None)
         if hit is not None:
             return ConflictReport(
-                ok=False,
                 kind=ConflictKind.UNWANTED_INTERACTION,
                 culprits=(i,),
                 detail=f"{line} lowered while {where} {hit} holds an occupied pair",
@@ -391,13 +375,12 @@ def check_parallel_set(grid: Grid, instructions) -> ConflictReport:
     if cycle is not None:
         edges = set(zip(cycle, cycle[1:]))
         return ConflictReport(
-            ok=False,
             kind=ConflictKind.QL_CONTRADICTION,
             culprits=tuple(i for i, r in enumerate(reqs) if r.ql_gt & edges),
             detail="QL inequality cycle " + " > ".join(f"QL_{v}" for v in cycle),
         )
 
-    return ConflictReport(ok=True)
+    return ConflictReport()
 
 
 def apply_op(grid: Grid, op: Instruction) -> Grid:

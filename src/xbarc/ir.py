@@ -57,7 +57,7 @@ def decompose(circuit: Circuit, config: ArchConfig) -> Circuit:
         if rule is None:
             raise DecompositionError(f"no decomposition rule for {g.kind.value}")
         for step in rule:
-            operands = tuple(g.qubits[r] for r in step.roles)
+            operands = tuple(g.qubits[r] for r in step.qubits)
             out.append(Gate(step.kind, operands, step.angle))
     return Circuit(circuit.name, circuit.n_qubits, tuple(out))
 

@@ -38,7 +38,7 @@ def _v_shuttle(q: int, dy: int, src) -> Instruction:
 
 
 def _checked(grid: Grid, cycle: Cycle) -> Grid:
-    report = check_parallel_set(grid, cycle.ops)
+    report = check_parallel_set(grid, cycle)
     if not report.ok:
         raise CompileError(f"internal routing conflict: {report.kind.value}: {report.detail}")
     return apply_cycle(grid, cycle)
@@ -218,7 +218,7 @@ def expand_semi_global(
     )
     g = grid
     for cycle in cycles:
-        report = check_parallel_set(g, cycle.ops)
+        report = check_parallel_set(g, cycle)
         if not report.ok:
             raise MapperConflict(
                 f"scheme shuttles conflict ({report.kind.value}): {report.detail}"

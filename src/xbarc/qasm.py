@@ -1,10 +1,12 @@
 """QASM subset frontend and compiled-output emission.
 
-Input: OPENQASM 2.0 statements only — header, one qreg, gate calls from
-h|x|y|z|s|sdg|t|tdg|rx|ry|rz|cx|cz|sqswap, and measure (parsed, warned
-about and dropped; readout is outside this toolchain). `include` and
-`creg` statements are tolerated as no-ops so unmodified corpus files
-compile. Anything else is rejected with a positioned error.
+Input: OPENQASM 2.0 statements only — header, one qreg, gate calls named
+by a GateKind value (h|x|y|z|s|sdg|t|tdg|rx|ry|rz|cx|cz|sqswap), and
+measure (parsed, warned about and dropped; readout is outside this
+toolchain). `include` and `creg` statements are tolerated as no-ops so
+unmodified corpus files compile. Keywords match as whole words. Gate
+enforces operand counts; the parser positions its error. Anything else is
+rejected with a positioned error.
 
 Output: the compiled schedule as a cycle-annotated QASM dialect plus the
 authoritative JSON document (see instructions.schedule_to_doc).
@@ -16,28 +18,9 @@ import math
 import re
 import warnings
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import ROTATION_KINDS, Circuit, Gate, GateKind
 from .errors import QasmError
 from .instructions import Instruction, InstrKind, Schedule, schedule_to_doc
-
-GATE_NAMES = {
-    "h": GateKind.H,
-    "x": GateKind.X,
-    "y": GateKind.Y,
-    "z": GateKind.Z,
-    "s": GateKind.S,
-    "sdg": GateKind.SDG,
-    "t": GateKind.T,
-    "tdg": GateKind.TDG,
-    "rx": GateKind.RX,
-    "ry": GateKind.RY,
-    "rz": GateKind.RZ,
-    "cx": GateKind.CNOT,
-    "cz": GateKind.CZ,
-    "sqswap": GateKind.SQSWAP,
-}
-PARAM_GATES = {"rx", "ry", "rz"}
-
 
 class MeasurementDropped(UserWarning):
     pass
@@ -114,12 +97,14 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
     n_qubits = 0
     gates: list[Gate] = []
     for line, stmt in _statements(text):
-        if stmt.upper().startswith("OPENQASM"):
+        call = _CALL_RE.match(stmt)
+        keyword = call.group(1) if call else ""  # matched whole, never as a prefix
+        if keyword.upper() == "OPENQASM":
             version = stmt.split(None, 1)[1] if len(stmt.split()) > 1 else ""
             if not version.startswith("2"):
                 raise QasmError(f"unsupported QASM version {version!r}", line)
             continue
-        if stmt.startswith("include"):
+        if keyword == "include":
             warnings.warn(f"line {line}: include statement ignored", UserWarning, stacklevel=2)
             continue
         m = _QREG_RE.match(stmt)
@@ -133,22 +118,23 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
             continue
         if _CREG_RE.match(stmt):
             continue
-        if stmt.startswith("measure"):
+        if keyword == "measure":
             warnings.warn(
                 f"line {line}: measurement dropped (readout not compiled)",
                 MeasurementDropped,
                 stacklevel=2,
             )
             continue
-        m = _CALL_RE.match(stmt)
-        if not m:
+        if not call:
             raise QasmError(f"cannot parse statement {stmt!r}", line)
-        gate_name, _, param, operand_text = m.groups()
-        if gate_name not in GATE_NAMES:
-            raise QasmError(f"unknown gate {gate_name!r}", line)
+        gate_name, _, param, operand_text = call.groups()
+        try:
+            kind = GateKind(gate_name)
+        except ValueError:
+            raise QasmError(f"unknown gate {gate_name!r}", line) from None
         if reg_name is None:
             raise QasmError("gate call before qreg declaration", line)
-        if (param is not None) != (gate_name in PARAM_GATES):
+        if (param is not None) != (kind in ROTATION_KINDS):
             raise QasmError(f"{gate_name} parameter mismatch", line)
         angle = _eval_angle(param, line) if param is not None else None
         operands = []
@@ -162,11 +148,7 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
             if idx >= n_qubits:
                 raise QasmError(f"operand {reg_name}[{idx}] out of register bounds", line)
             operands.append(idx)
-        kind = GATE_NAMES[gate_name]
-        expected = 2 if kind in (GateKind.CNOT, GateKind.CZ, GateKind.SQSWAP) else 1
-        if len(operands) != expected:
-            raise QasmError(f"{gate_name} takes {expected} operand(s)", line)
-        try:
+        try:  # operand count, distinct operands
             gates.append(Gate(kind, tuple(operands), angle))
         except ValueError as e:
             raise QasmError(str(e), line) from None

@@ -1,12 +1,17 @@
 """Two-pass routing-integrated scheduler.
 
-Pass 1 walks the dependency DAG in ASAP order and lines the gates up as
-ideal single-type cycles, routing each two-qubit gate at the grid state it
-meets (routed blocks are placed atomically, in order, and never
-parallelized across gates). Pass 2 turns every single-qubit cycle into its
-shuttle-backed block; when a cycle's generated shuttles conflict, the
-offending gate subset is removed, the clean subset committed, and the
-remainder rescheduled as its own cycle(s) via split_cycle.
+Pass 1 orders the gates by ASAP dependency level (program order within a
+level) and emits one ProtoCycle per gate. Pass 2 expands each ProtoCycle at
+the grid state it meets: a two-qubit gate into its routed block, a Z gate
+into its phase shuttle and return, an X/Y gate into its compensation
+scheme. Blocks are placed in order and never parallelized across gates.
+split_cycle runs only when an expansion raises MapperConflict (a Z gate
+whose two horizontal neighbours are both occupied, or a scheme with no
+common shuttle direction), and on a one-gate ProtoCycle it turns that
+conflict into a CompileError. The multi-gate paths (_expand_z_group,
+grouped X/Y schemes, the greedy split) are reached by tests only: grouping
+gates into shared cycles waits for a benchmark-only change that stops
+pinning these names in perfbench's tracer.
 
 Every X/Y rotation claims its own compensation scheme instance: the pulse,
 shuttle, inverse-pulse, shuttle-back cost is charged per gate, which is
@@ -63,7 +68,7 @@ def _expand_z_group(circuit: Circuit, grid: Grid, gates) -> tuple[Cycle, ...]:
     back_cycle = Cycle(tuple(backs))
     g = grid
     for cycle in (out_cycle, back_cycle):
-        report = check_parallel_set(g, cycle.ops)
+        report = check_parallel_set(g, cycle)
         if not report.ok:
             raise MapperConflict(f"z shuttles conflict ({report.kind.value}): {report.detail}")
         g = apply_cycle(g, cycle)

@@ -64,7 +64,7 @@ class VerifyReport:
             "violations": [
                 {
                     "cycle": i,
-                    "kind": r.kind.value if r.kind else None,
+                    "kind": r.kind.value,
                     "culprits": list(r.culprits),
                     "detail": r.detail,
                 }
@@ -85,7 +85,7 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
     trajectory = TrajectoryDigest()
     grid = Grid(schedule.grid_n, schedule.placement)
     for idx, cycle in enumerate(schedule.cycles):
-        report = check_parallel_set(grid, cycle.ops)
+        report = check_parallel_set(grid, cycle)
         if not report.ok:
             violations.append((idx, report))
         try:
@@ -94,7 +94,7 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
                 next_grid = apply_op(next_grid, op)
         except CrossbarError as e:
             detail = f"cycle is not applicable: {e}"
-            violations.append((idx, ConflictReport(False, ConflictKind.BLOCKED_PATH, detail=detail)))
+            violations.append((idx, ConflictReport(ConflictKind.BLOCKED_PATH, detail=detail)))
             next_grid = grid  # keep replaying from the last consistent state
         trajectory.add(next_grid.pos)
         grid = next_grid

@@ -269,6 +269,22 @@ def test_benchgen_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("twoq", ["1e308", "nan", "inf"])
+def test_benchgen_rejects_an_unusable_twoq(tmp_path, capsys, twoq):
+    # planned_counts rounds n_gates * twoq_pct to an int, so the product must be finite
+    args = ["benchgen", "--qubits", "2", "--gates", "5", "--twoq", twoq, "-o", str(tmp_path / "b.qasm")]
+    assert main(args) == 1
+    assert "twoq_pct" in capsys.readouterr().err
+
+
+def test_sweep_rejects_a_twoq_bound_past_float_range(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--qubits", "2", "--gates", "5", "--twoq", "1" + "0" * 400, "--csv", str(out)]
+    assert main(args) == 1
+    assert "--twoq" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parse_range():
     assert parse_range("3") == (3, 3, 1)
     assert parse_range("3:9") == (3, 9, 1)

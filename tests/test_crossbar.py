@@ -15,7 +15,7 @@ from xbarc.crossbar import (
     site_barriers,
 )
 from xbarc.errors import CrossbarError
-from xbarc.instructions import Instruction, InstrKind
+from xbarc.instructions import Cycle, Instruction, InstrKind
 
 from conftest import sparse_grid
 
@@ -96,7 +96,7 @@ class TestParallelSet:
     def test_opposing_shuttles_ql_contradiction(self):
         g = grid_for(8)
         ops = [sh(InstrKind.SH_L, g.qubit_at((1, 1))), sh(InstrKind.SH_R, g.qubit_at((2, 2)))]
-        rep = check_parallel_set(g, ops)
+        rep = check_parallel_set(g, Cycle(tuple(ops)))
         assert not rep.ok
         assert rep.kind is ConflictKind.QL_CONTRADICTION
         assert rep.culprits == (0, 1)
@@ -107,49 +107,40 @@ class TestParallelSet:
         g = grid_for(8)
         a, b = g.qubit_at((1, 1)), g.qubit_at((2, 2))
         ops = [sh(InstrKind.SH_R, a), sh(InstrKind.SH_L, b)]
-        assert check_parallel_set(g, ops).ok
+        assert check_parallel_set(g, Cycle(tuple(ops))).ok
 
     def test_vertical_unwanted_interaction(self):
         # vertical shuttle lowers RL_0 while column 3 holds an occupied pair
         g = sparse_grid(4, [(1, 1), (3, 0), (3, 1)])
-        rep = check_parallel_set(g, [sh(InstrKind.SH_D, 0)])
+        rep = check_parallel_set(g, Cycle((sh(InstrKind.SH_D, 0),)))
         assert rep.kind is ConflictKind.UNWANTED_INTERACTION
 
     def test_horizontal_unwanted_interaction(self):
         g = sparse_grid(4, [(1, 1), (0, 3), (1, 3)])
-        rep = check_parallel_set(g, [sh(InstrKind.SH_L, 0)])
+        rep = check_parallel_set(g, Cycle((sh(InstrKind.SH_L, 0),)))
         assert rep.kind is ConflictKind.UNWANTED_INTERACTION
-
-    def test_mixed_types(self):
-        g = grid_for(4)
-        ops = [
-            Instruction(InstrKind.SG_ROT, angle=1.0, axis="x", parity=0),
-            sh(InstrKind.SH_R, 0),
-        ]
-        rep = check_parallel_set(g, ops)
-        assert rep.kind is ConflictKind.MIXED_TYPES
 
     def test_same_destination_blocked(self):
         g = sparse_grid(4, [(0, 0), (2, 0)])
         ops = [sh(InstrKind.SH_R, 0), sh(InstrKind.SH_L, 1)]
-        rep = check_parallel_set(g, ops)
+        rep = check_parallel_set(g, Cycle(tuple(ops)))
         assert rep.kind is ConflictKind.BLOCKED_PATH
 
     def test_occupied_destination_blocked(self):
         g = sparse_grid(4, [(0, 0), (1, 1), (2, 2)])
-        rep = check_parallel_set(g, [sh(InstrKind.SH_U, 2)])  # (2,2) -> (2,3) fine
+        rep = check_parallel_set(g, Cycle((sh(InstrKind.SH_U, 2),)))  # (2,2) -> (2,3) fine
         assert rep.ok
-        rep = check_parallel_set(g, [Instruction(InstrKind.ZSH, (0,), angle=0.3, direction="R")])
+        rep = check_parallel_set(g, Cycle((Instruction(InstrKind.ZSH, (0,), angle=0.3, direction="R"),)))
         assert rep.ok
         g2 = sparse_grid(4, [(0, 0), (1, 0)])
-        rep = check_parallel_set(g2, [sh(InstrKind.SH_R, 0)])
+        rep = check_parallel_set(g2, Cycle((sh(InstrKind.SH_R, 0),)))
         assert rep.kind is ConflictKind.BLOCKED_PATH
 
     def test_barrier_clash(self):
         # left-moves in adjacent columns: one raises CL_1, the other lowers it
         g = grid_for(8)
         ops = [sh(InstrKind.SH_L, g.qubit_at((1, 1))), sh(InstrKind.SH_L, g.qubit_at((2, 2)))]
-        rep = check_parallel_set(g, ops)
+        rep = check_parallel_set(g, Cycle(tuple(ops)))
         assert rep.kind is ConflictKind.BARRIER_CLASH
 
     def test_verdict_invariant_under_permutation(self):
@@ -159,26 +150,21 @@ class TestParallelSet:
             sh(InstrKind.SH_R, g.qubit_at((2, 2))),
             sh(InstrKind.SH_U, g.qubit_at((3, 3))),
         ]
-        reports = [check_parallel_set(g, p) for p in itertools.permutations(base)]
+        reports = [check_parallel_set(g, Cycle(p)) for p in itertools.permutations(base)]
         assert len({(r.ok, r.kind) for r in reports}) == 1
 
     def test_sg_cycle_ok_and_clash(self):
         g = grid_for(4)
         rot = Instruction(InstrKind.SG_ROT, angle=0.5, axis="x", parity=0)
-        assert check_parallel_set(g, [rot]).ok
+        assert check_parallel_set(g, Cycle((rot,))).ok
         other = Instruction(InstrKind.SG_ROT, angle=0.7, axis="x", parity=0)
-        assert not check_parallel_set(g, [rot, other]).ok
+        assert not check_parallel_set(g, Cycle((rot, other))).ok
 
 
 G8 = grid_for(8)
 
 # (grid, cycle, (ok, kind, culprits, detail)): one hand-built cycle per case
 CONFLICT_PINS = {
-    "mixed-types": (
-        grid_for(4),
-        [Instruction(InstrKind.SG_ROT, angle=1.0, axis="x", parity=0), sh(InstrKind.SH_R, 0)],
-        (False, ConflictKind.MIXED_TYPES, (0, 1), "instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
-    ),
     "clash-semi-global": (
         grid_for(4),
         [
@@ -244,7 +230,7 @@ CONFLICT_PINS = {
 @pytest.mark.parametrize("case", list(CONFLICT_PINS))
 def test_conflict_report_pinned(case):
     grid, ops, expected = CONFLICT_PINS[case]
-    rep = check_parallel_set(grid, ops)
+    rep = check_parallel_set(grid, Cycle(tuple(ops)))
     assert (rep.ok, rep.kind, rep.culprits, rep.detail) == expected
 
 
@@ -267,7 +253,7 @@ class TestIdleConfigProperties:
     def test_single_legal_shuttle_always_ok_full_board(self, n):
         g = Grid(n, tuple(checkerboard_sites(n)))
         for op in all_legal_single_shuttles(g):
-            assert check_parallel_set(g, [op]).ok, op
+            assert check_parallel_set(g, Cycle((op,))).ok, op
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -278,7 +264,7 @@ class TestIdleConfigProperties:
         chosen = data.draw(st.permutations(sites)).copy()[:k]
         g = Grid(n, tuple(chosen))
         for op in all_legal_single_shuttles(g):
-            assert check_parallel_set(g, [op]).ok
+            assert check_parallel_set(g, Cycle((op,))).ok
 
 
 class TestApplyOp:

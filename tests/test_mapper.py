@@ -26,7 +26,7 @@ from conftest import sparse_grid
 def replay_block(grid, block):
     """Apply a block cycle by cycle, asserting conflict-freedom."""
     for cycle in block:
-        report = check_parallel_set(grid, cycle.ops)
+        report = check_parallel_set(grid, cycle)
         assert report.ok, (cycle, report)
         grid = apply_cycle(grid, cycle)
     return grid

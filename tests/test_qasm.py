@@ -59,6 +59,11 @@ def test_pi_expressions():
         ("qreg q[2]; barrier q;", "unknown gate"),
         ("qreg q[2]; rx(bogus) q[0];", "unknown symbol"),
         ("qreg q[2]; h q[0]", "not terminated"),
+        # keywords match whole, not as prefixes
+        ("qreg q[2]; measurement q[0];", "unknown gate 'measurement'"),
+        ("qreg q[2]; measure_all q;", "unknown gate 'measure_all'"),
+        ("qreg q[2]; includes q[0];", "unknown gate 'includes'"),
+        ("openqasmx 2.0; qreg q[2];", "unknown gate 'openqasmx'"),
     ],
 )
 def test_positioned_errors(src, fragment):

@@ -72,7 +72,7 @@ class TestScheduleInvariants:
         dec, s = compile_native(c)
         grid = Grid(s.grid_n, s.placement)
         for cy in s.cycles:
-            assert check_parallel_set(grid, cy.ops).ok
+            assert check_parallel_set(grid, cy).ok
             grid = apply_cycle(grid, cy)
         assert grid.is_checkerboard()
 
