@@ -25,6 +25,8 @@ class BenchSpec:
             raise ValueError("n_qubits must be positive")
         if self.n_gates < 1:
             raise ValueError("n_gates must be positive")
+        if not is_finite_real(self.n_gates):  # n_gates * twoq_pct would overflow
+            raise ValueError("n_gates must be finite as a float")
         if not is_finite_real(self.n_gates * self.twoq_pct):  # NaN, inf, or too large
             raise ValueError(f"twoq_pct times n_gates must be finite, got twoq_pct {self.twoq_pct!r}")
         if self.twoq_pct < 0:

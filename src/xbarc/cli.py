@@ -139,8 +139,13 @@ class SweepSpec:
     csv_path: str
 
     def __post_init__(self):
-        if not all(map(is_finite_real, self.twoq[:2])):  # float(p) would overflow
-            raise XbarcError(f"--twoq bounds must be finite as floats, got {self.twoq[:2]}")
+        # SeedSequence takes only non-negative entropy; float(p) and g * p
+        # overflow past float range
+        for option, (start, stop, _) in (("--qubits", self.qubits), ("--gates", self.gates), ("--twoq", self.twoq)):
+            if not all(is_finite_real(v) and v >= 0 for v in (start, stop)):
+                raise XbarcError(
+                    f"{option} bounds must be non-negative and finite as floats, got {(start, stop)}"
+                )
 
     def points(self):
         for q in range(self.qubits[0], self.qubits[1] + 1, self.qubits[2]):

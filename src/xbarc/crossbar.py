@@ -24,6 +24,10 @@ Each rule has one owner: instructions.check_placement checks a placement
 when a Schedule is made or schedule_integrated starts, Cycle keeps every
 cycle to one instruction family, apply_op checks each move, and Grid and
 check_parallel_set trust all three.
+
+A Grid is mutable and apply_op/apply_cycle advance it in place, O(1) per
+move, returning None. Whoever advances a grid owns it; code that must not
+disturb its caller's grid works on a Grid.copy() (see Grid).
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CrossbarError
 from .instructions import (
-    DELTAS, MOVE_KINDS, SG_KINDS, Cycle, Instruction, InstrKind, grid_side,
+    DELTAS, MOVE_KINDS, SG_KINDS, Cycle, Instruction, InstrKind, coord_buffer, grid_side,
 )
 
 
@@ -72,29 +76,48 @@ class SignalRequirements:
 
 
 class Grid:
-    """Immutable qubit -> site bijection on an N x N array.
+    """Mutable qubit -> site bijection on an N x N array.
 
-    Methods return new Grid values; instances are never mutated after
-    construction, so they are safe to share between the scheduler's
-    tentative expansions. Grid checks and converts nothing: its placement,
-    a tuple of (x, y) tuples, comes from a checked Schedule, from
+    `coords` holds every qubit's (x, y) as one flat uint32 buffer, x0, y0,
+    x1, y1, ..., next to a site -> qubit map; move updates both in place in
+    O(1). Whoever advances a grid owns it: schedule_integrated, replay_verify,
+    simulate_schedule and metrics.esp each build or copy their own, and the
+    routing entry points (route_two_qubit, z_route, expand_semi_global, the
+    scheduler's _expand_z_group) copy the caller's grid once per gate and
+    leave it unchanged. Grid checks and converts nothing: its placement, a
+    tuple of (x, y) tuples, comes from a checked Schedule, from
     schedule_integrated's check_placement or from the checkerboard, and
     every move from apply_op.
     """
 
-    __slots__ = ("n", "pos", "_site_map")
+    __slots__ = ("n", "coords", "_site_map")
 
     def __init__(self, n: int, pos: tuple[tuple[int, int], ...]):
         self.n = n
-        self.pos = pos
-        self._site_map = {site: q for q, site in enumerate(self.pos)}
+        self.coords = coord_buffer(pos)
+        self._site_map = {site: q for q, site in enumerate(pos)}
+
+    def copy(self) -> "Grid":
+        """An independent grid at the same occupancy (O(n_qubits))."""
+        other = Grid.__new__(Grid)
+        other.n = self.n
+        other.coords = self.coords[:]
+        other._site_map = self._site_map.copy()
+        return other
+
+    @property
+    def pos(self) -> tuple[tuple[int, int], ...]:
+        """Snapshot of every qubit's site, in qubit order."""
+        xy = self.coords
+        return tuple(zip(xy[0::2], xy[1::2]))
 
     @property
     def n_qubits(self) -> int:
-        return len(self.pos)
+        return len(self.coords) // 2
 
     def site_of(self, q: int) -> tuple[int, int]:
-        return self.pos[q]
+        i = 2 * q
+        return self.coords[i], self.coords[i + 1]
 
     def qubit_at(self, site: tuple[int, int]) -> int | None:
         return self._site_map.get(site)
@@ -106,17 +129,24 @@ class Grid:
         x, y = site
         return 0 <= x < self.n and 0 <= y < self.n
 
-    def move(self, q: int, site: tuple[int, int]) -> "Grid":
-        return Grid(self.n, self.pos[:q] + (site,) + self.pos[q + 1:])
+    def move(self, q: int, site: tuple[int, int]) -> None:
+        """Put q on `site` in place, unchecked: apply_op checked the move, or
+        replay_verify is undoing one."""
+        i = 2 * q
+        xy = self.coords
+        del self._site_map[xy[i], xy[i + 1]]
+        xy[i], xy[i + 1] = site
+        self._site_map[site] = q
 
     def is_checkerboard(self) -> bool:
-        return all((x + y) % 2 == 0 for x, y in self.pos)
+        xy = self.coords
+        return all((x + y) % 2 == 0 for x, y in zip(xy[0::2], xy[1::2]))
 
     def column_parity(self, q: int) -> int:
-        return self.pos[q][0] % 2
+        return self.coords[2 * q] % 2
 
     def parity_members(self, parity: int) -> tuple[int, ...]:
-        return tuple(q for q in range(len(self.pos)) if self.pos[q][0] % 2 == parity)
+        return tuple(q for q, x in enumerate(self.coords[0::2]) if x % 2 == parity)
 
     def __repr__(self):
         return f"Grid(n={self.n}, pos={self.pos})"
@@ -383,19 +413,21 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     return ConflictReport()
 
 
-def apply_op(grid: Grid, op: Instruction) -> Grid:
-    """Advance positions by one instruction; the one check that a move
-    stays on the grid and lands on an empty site."""
+def apply_op(grid: Grid, op: Instruction) -> None:
+    """Advance the grid in place by one instruction; the one check that a
+    move stays on the grid and lands on an empty site. A failed check
+    raises CrossbarError and leaves the grid unchanged."""
     if op.kind in MOVE_KINDS:
         q = op.qubits[0]
         _, dest = _legal_move(grid, q, op.move_delta(), op.kind.value)
-        return grid.move(q, dest)
-    if op.kind is InstrKind.SQSWAP:
+        grid.move(q, dest)
+    elif op.kind is InstrKind.SQSWAP:
         sqswap_sites(grid, *op.qubits)
-    return grid  # sqswap and semi-global rotations leave positions unchanged
+    # sqswap and semi-global rotations leave positions unchanged
 
 
-def apply_cycle(grid: Grid, cycle: Cycle) -> Grid:
+def apply_cycle(grid: Grid, cycle: Cycle) -> None:
+    """apply_op on each instruction in order; a CrossbarError partway
+    leaves the moves before it applied."""
     for op in cycle.ops:
-        grid = apply_op(grid, op)
-    return grid
+        apply_op(grid, op)

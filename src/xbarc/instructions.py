@@ -15,6 +15,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import sys
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -156,11 +158,22 @@ class Schedule:
         return len(self.cycles)
 
 
+def coord_buffer(pos) -> array:
+    """Sites (x, y) in qubit order as one flat uint32 buffer x0, y0, x1, y1, ..."""
+    return array("I", chain.from_iterable(pos))
+
+
+# coord_buffer's bytes are already the digest's little-endian uint32s
+_NATIVE_IS_DIGEST = sys.byteorder == "little" and array("I").itemsize == 4
+
+
 class TrajectoryDigest:
     """sha256 over the occupancy after every cycle of a schedule.
 
     Each snapshot is every qubit's (x, y) in qubit order, packed as
-    little-endian uint32, so any grid size encodes without loss.
+    little-endian uint32, so any grid size encodes without loss. add takes
+    a grid's coord_buffer and hashes its bytes as they are; the constructor
+    takes snapshots as tuples of sites.
     """
 
     __slots__ = ("_sha",)
@@ -168,10 +181,13 @@ class TrajectoryDigest:
     def __init__(self, snapshots=()):
         self._sha = hashlib.sha256()
         for pos in snapshots:
-            self.add(pos)
+            self.add(coord_buffer(pos))
 
-    def add(self, pos) -> None:
-        self._sha.update(struct.pack(f"<{2 * len(pos)}I", *chain.from_iterable(pos)))
+    def add(self, coords: array) -> None:
+        if _NATIVE_IS_DIGEST:
+            self._sha.update(coords)
+        else:
+            self._sha.update(struct.pack(f"<{len(coords)}I", *coords))
 
     def hexdigest(self) -> str:
         return self._sha.hexdigest()

@@ -37,11 +37,11 @@ def _v_shuttle(q: int, dy: int, src) -> Instruction:
     return Instruction(InstrKind.SH_U if dy > 0 else InstrKind.SH_D, (q,), src=tuple(src))
 
 
-def _checked(grid: Grid, cycle: Cycle) -> Grid:
+def _checked(grid: Grid, cycle: Cycle) -> None:
     report = check_parallel_set(grid, cycle)
     if not report.ok:
         raise CompileError(f"internal routing conflict: {report.kind.value}: {report.detail}")
-    return apply_cycle(grid, cycle)
+    apply_cycle(grid, cycle)
 
 
 def _pick_corner(grid: Grid, a_site, b_site):
@@ -99,9 +99,11 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
     2 cycles) or two 1-instruction cycles onto an empty site. The block
     ends with [horizontal shuttle of a into b's column, sqswap, horizontal
     shuttle back]; the checkerboard is broken only inside those cycles.
+    Routes on a copy: the caller's grid is left unchanged.
     """
     if a == b:
         raise ValueError("two-qubit gate needs distinct operands")
+    grid = grid.copy()
     cycles: list[Cycle] = []
     a_site, b_site = grid.site_of(a), grid.site_of(b)
     corner = _pick_corner(grid, a_site, b_site)
@@ -118,7 +120,7 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
             v_ops.append(_v_shuttle(partner, -sy, srcs))
         for ops in (h_ops, v_ops):
             cycle = Cycle(tuple(ops))
-            grid = _checked(grid, cycle)
+            _checked(grid, cycle)
             cycles.append(cycle)
 
     ax, ay = grid.site_of(a)
@@ -128,15 +130,15 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
 
     dx = bx - ax
     cycle_in = Cycle((_h_shuttle(a, dx, srcs),))
-    grid = _checked(grid, cycle_in)
+    _checked(grid, cycle_in)
     cycles.append(cycle_in)
 
     swap = Cycle((Instruction(InstrKind.SQSWAP, (a, b), src=srcs),))
-    grid = _checked(grid, swap)
+    _checked(grid, swap)
     cycles.append(swap)
 
     cycle_out = Cycle((_h_shuttle(a, -dx, srcs),))
-    grid = _checked(grid, cycle_out)
+    _checked(grid, cycle_out)
     cycles.append(cycle_out)
 
     return tuple(cycles)
@@ -155,12 +157,13 @@ def z_direction(grid: Grid, q: int) -> str:
 
 def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]:
     """Z rotation as a phase-carrying shuttle to a neighbouring column (see
-    z_direction) and back."""
+    z_direction) and back, checked on a copy of the caller's grid."""
     direction = z_direction(grid, q)
     out = Cycle((Instruction(InstrKind.ZSH, (q,), angle=angle, direction=direction, src=(src,)),))
     back_dir = "L" if direction == "R" else "R"
     back = Cycle((Instruction(InstrKind.ZSH_RET, (q,), direction=back_dir, src=(src,)),))
-    grid = _checked(grid, out)
+    grid = grid.copy()
+    _checked(grid, out)
     _checked(grid, back)
     return out, back
 
@@ -178,7 +181,8 @@ def expand_semi_global(
     Otherwise: pulse the parity, shuttle every target to the other parity
     (common direction, right unless blocked, else left), pulse the inverse,
     shuttle back. Raises MapperConflict when no common direction exists or
-    the shuttle cycles conflict; the scheduler then splits the group.
+    the shuttle cycles conflict; the scheduler then splits the group. The
+    cycles are checked on a copy of the caller's grid.
     """
     targets = tuple(sorted(targets))
     if not targets:
@@ -216,12 +220,12 @@ def expand_semi_global(
         Cycle((inv,)),
         Cycle(back_ops),
     )
-    g = grid
+    g = grid.copy()
     for cycle in cycles:
         report = check_parallel_set(g, cycle)
         if not report.ok:
             raise MapperConflict(
                 f"scheme shuttles conflict ({report.kind.value}): {report.detail}"
             )
-        g = apply_cycle(g, cycle)
+        apply_cycle(g, cycle)
     return cycles

@@ -121,7 +121,7 @@ def esp(schedule: Schedule, fmap: FidelityMap) -> float:
             else:  # semi-global pulse: every qubit in the parity contributes
                 for q in grid.parity_members(op.parity):
                     total *= fmap.lookup("single_qubit", grid.site_of(q))
-            grid = apply_op(grid, op)
+            apply_op(grid, op)
     return total
 
 

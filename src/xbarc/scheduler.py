@@ -54,7 +54,8 @@ def _pass1(circuit: Circuit) -> list[ProtoCycle]:
 
 
 def _expand_z_group(circuit: Circuit, grid: Grid, gates) -> tuple[Cycle, ...]:
-    """One Z cycle (phase shuttles) plus one return cycle for a gate group."""
+    """One Z cycle (phase shuttles) plus one return cycle for a gate group,
+    checked on a copy of the caller's grid."""
     outs, backs = [], []
     for i in gates:
         g = circuit.gates[i]
@@ -66,12 +67,12 @@ def _expand_z_group(circuit: Circuit, grid: Grid, gates) -> tuple[Cycle, ...]:
         )
     out_cycle = Cycle(tuple(outs))
     back_cycle = Cycle(tuple(backs))
-    g = grid
+    g = grid.copy()
     for cycle in (out_cycle, back_cycle):
         report = check_parallel_set(g, cycle)
         if not report.ok:
             raise MapperConflict(f"z shuttles conflict ({report.kind.value}): {report.detail}")
-        g = apply_cycle(g, cycle)
+        apply_cycle(g, cycle)
     return out_cycle, back_cycle
 
 
@@ -133,7 +134,8 @@ def split_cycle(circuit: Circuit, grid: Grid, proto: ProtoCycle) -> list[tuple[C
 
 def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None) -> Schedule:
     """Compile a native circuit on an idle-configuration grid; an illegal
-    placement raises CrossbarError before anything is routed."""
+    placement raises CrossbarError before anything is routed. The grid is
+    copied, not advanced."""
     if not decomposed.is_native:
         raise ValueError("schedule_integrated needs a decomposed (native-only) circuit")
     check_placement(grid.n, grid.pos)
@@ -143,6 +145,7 @@ def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None
         raise ValueError("grid and circuit disagree on qubit count")
 
     placement = grid.pos
+    grid = grid.copy()
     cycles: list[Cycle] = []
     trajectory = TrajectoryDigest()
 
@@ -152,9 +155,9 @@ def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None
         except MapperConflict:
             blocks = split_cycle(decomposed, grid, proto)
         for cycle in chain.from_iterable(blocks):
-            grid = apply_cycle(grid, cycle)
+            apply_cycle(grid, cycle)
             cycles.append(cycle)
-            trajectory.add(grid.pos)
+            trajectory.add(grid.coords)
 
     if not grid.is_checkerboard():
         raise CompileError("final occupancy is not the idle configuration")

@@ -22,7 +22,7 @@ import numpy as np
 from .circuits import Circuit
 from .crossbar import ConflictKind, ConflictReport, Grid, apply_op, check_parallel_set
 from .errors import CrossbarError
-from .instructions import InstrKind, Schedule, TrajectoryDigest
+from .instructions import MOVE_KINDS, InstrKind, Schedule, TrajectoryDigest
 from .sim import (
     SQSWAP_MATRIX,
     apply_1q,
@@ -79,7 +79,11 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
     """Re-run every cycle from the initial placement and collect deviations.
 
     Total for every Schedule (its placement was checked when it was made):
-    problems land in the report, never in an exception.
+    problems land in the report, never in an exception. A cycle whose
+    instructions cannot all be applied is a BLOCKED_PATH violation and is
+    rolled back: the moves it already made are undone in reverse order (a
+    move's origin is empty once every later move is undone), so the digest
+    and the next cycle see the occupancy from before the cycle.
     """
     violations: list[tuple[int, ConflictReport]] = []
     trajectory = TrajectoryDigest()
@@ -88,16 +92,19 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
         report = check_parallel_set(grid, cycle)
         if not report.ok:
             violations.append((idx, report))
+        moved: list[tuple[int, tuple[int, int]]] = []  # (qubit, origin) per applied move
         try:
-            next_grid = grid
             for op in cycle.ops:
-                next_grid = apply_op(next_grid, op)
+                origin = grid.site_of(op.qubits[0]) if op.kind in MOVE_KINDS else None
+                apply_op(grid, op)
+                if origin is not None:
+                    moved.append((op.qubits[0], origin))
         except CrossbarError as e:
             detail = f"cycle is not applicable: {e}"
             violations.append((idx, ConflictReport(ConflictKind.BLOCKED_PATH, detail=detail)))
-            next_grid = grid  # keep replaying from the last consistent state
-        trajectory.add(next_grid.pos)
-        grid = next_grid
+            for q, origin in reversed(moved):
+                grid.move(q, origin)
+        trajectory.add(grid.coords)
     return VerifyReport(tuple(violations), trajectory.hexdigest() == schedule.trajectory_sha256)
 
 
@@ -120,7 +127,7 @@ def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:
                     state = apply_1q(state, n, q, rot)
             elif op.kind is InstrKind.SQSWAP:
                 state = apply_2q(state, n, op.qubits[0], op.qubits[1], SQSWAP_MATRIX)
-            grid = apply_op(grid, op)
+            apply_op(grid, op)
     return state
 
 

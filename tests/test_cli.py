@@ -277,6 +277,30 @@ def test_benchgen_rejects_an_unusable_twoq(tmp_path, capsys, twoq):
     assert "twoq_pct" in capsys.readouterr().err
 
 
+def test_benchgen_rejects_a_gate_count_past_float_range(tmp_path, capsys):
+    # n_gates * twoq_pct cannot convert such an int to a float
+    out = tmp_path / "b.qasm"
+    args = ["benchgen", "--qubits", "2", "--gates", "1" + "0" * 400, "--twoq", "0", "-o", str(out)]
+    assert main(args) == 1
+    assert "n_gates must be finite as a float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "option, bound",
+    [("--gates", "1" + "0" * 400), ("--qubits", "-1:2"), ("--gates", "-3:5"), ("--twoq", "-5:0:5"), ("--twoq", "0:-5")],
+)
+def test_sweep_rejects_a_negative_or_overflowing_bound(tmp_path, capsys, option, bound):
+    # a negative bound would stop the whole sweep in SeedSequence, which names no option
+    out = tmp_path / "s.csv"
+    args = {"--qubits": "2", "--gates": "5", "--twoq": "0"}
+    args[option] = bound
+    argv = ["sweep", *(f"{k}={v}" for k, v in args.items()), "--csv", str(out)]
+    assert main(argv) == 1
+    assert f"error: {option} bounds must be non-negative and finite as floats" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_rejects_a_twoq_bound_past_float_range(tmp_path, capsys):
     out = tmp_path / "s.csv"
     args = ["sweep", "--qubits", "2", "--gates", "5", "--twoq", "1" + "0" * 400, "--csv", str(out)]

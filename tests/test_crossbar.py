@@ -270,31 +270,45 @@ class TestIdleConfigProperties:
 class TestApplyOp:
     def test_shuttle_moves_one_site(self):
         g = sparse_grid(3, [(1, 1)])
-        g2 = apply_op(g, sh(InstrKind.SH_L, 0))
-        assert g2.site_of(0) == (0, 1)
-        assert g.site_of(0) == (1, 1)  # original untouched
+        before = g.copy()
+        assert apply_op(g, sh(InstrKind.SH_L, 0)) is None
+        assert g.site_of(0) == (0, 1)  # moved in place
+        assert g.qubit_at((0, 1)) == 0 and not g.occupied((1, 1))
+        assert before.site_of(0) == (1, 1)  # the copy did not move with it
+        assert before.qubit_at((1, 1)) == 0 and not before.occupied((0, 1))
+
+    def test_copy_is_independent(self):
+        g = grid_for(8)
+        c = g.copy()
+        apply_op(c, sh(InstrKind.SH_R, 0))
+        assert g.pos == grid_for(8).pos
+        assert c.site_of(0) == (1, 0) and g.site_of(0) == (0, 0)
 
     def test_sqswap_keeps_positions(self):
         g = Grid(2, ((1, 0), (1, 1)))
-        g2 = apply_op(g, Instruction(InstrKind.SQSWAP, (0, 1)))
-        assert g2.pos == g.pos
+        apply_op(g, Instruction(InstrKind.SQSWAP, (0, 1)))
+        assert g.pos == ((1, 0), (1, 1))
 
     def test_zsh_round_trip(self):
         g = sparse_grid(3, [(1, 1)])
         out = Instruction(InstrKind.ZSH, (0,), angle=0.1, direction="L")
         back = Instruction(InstrKind.ZSH_RET, (0,), direction="R")
-        g2 = apply_op(apply_op(g, out), back)
-        assert g2.site_of(0) == (1, 1)
+        apply_op(g, out)
+        assert g.site_of(0) == (0, 1)
+        apply_op(g, back)
+        assert g.site_of(0) == (1, 1)
 
     def test_bijection_preserved(self):
         g = grid_for(8)
-        g2 = apply_op(g, sh(InstrKind.SH_R, 0))
-        assert len({g2.site_of(q) for q in range(8)}) == 8
+        apply_op(g, sh(InstrKind.SH_R, 0))
+        assert len({g.site_of(q) for q in range(8)}) == 8
+        assert all(g.qubit_at(g.site_of(q)) == q for q in range(8))
 
     def test_illegal_apply_raises(self):
         g = sparse_grid(2, [(0, 0), (1, 0)])
         with pytest.raises(CrossbarError):
             apply_op(g, sh(InstrKind.SH_R, 0))
+        assert g.pos == ((0, 0), (1, 0))
 
     def test_non_adjacent_sqswap_apply_message(self):
         g = sparse_grid(4, [(0, 0), (2, 2)])

@@ -117,7 +117,7 @@ class TestEsp:
                     n_sq += 1
                 else:
                     n_single += len(grid.parity_members(op.parity))
-                grid = apply_op(grid, op)
+                apply_op(grid, op)
         assert abs(esp(s, fmap) - 0.9999**n_shuttle * 0.9998**n_sq * 0.9999**n_single) < 1e-9
 
     def test_reorder_invariance_with_fixed_populations(self):

@@ -7,13 +7,14 @@ from xbarc import (
     GateKind,
     check_parallel_set,
     grid_for,
+    instructions,
     schedule_integrated,
     scheduler,
 )
 from xbarc.crossbar import Grid, apply_cycle
 from xbarc.errors import CompileError, CrossbarError
 from xbarc.instructions import CycleType, InstrKind, TrajectoryDigest
-from xbarc.scheduler import ProtoCycle, _expand_proto, split_cycle
+from xbarc.scheduler import ProtoCycle, _expand_proto, _expand_z_group, split_cycle
 
 from conftest import compile_native, sparse_grid
 
@@ -73,7 +74,7 @@ class TestScheduleInvariants:
         grid = Grid(s.grid_n, s.placement)
         for cy in s.cycles:
             assert check_parallel_set(grid, cy).ok
-            grid = apply_cycle(grid, cy)
+            apply_cycle(grid, cy)
         assert grid.is_checkerboard()
 
     def test_trajectory_digest_matches_replay(self):
@@ -83,10 +84,21 @@ class TestScheduleInvariants:
         dec, s = compile_native(c)
         grid = Grid(s.grid_n, s.placement)
         trajectory = TrajectoryDigest()
+        snapshots = []
         for cy in s.cycles:
-            grid = apply_cycle(grid, cy)
-            trajectory.add(grid.pos)
+            apply_cycle(grid, cy)
+            trajectory.add(grid.coords)
+            snapshots.append(grid.pos)
         assert trajectory.hexdigest() == s.trajectory_sha256
+        # the coordinate buffer hashes to the digest of the site tuples
+        assert TrajectoryDigest(snapshots).hexdigest() == s.trajectory_sha256
+
+    def test_digest_bytes_do_not_depend_on_the_host(self, monkeypatch):
+        # the packed fallback (big-endian hosts) gives the native buffer's digest
+        snapshots = [((0, 0), (2, 0), (70000, 3)), ((1, 0), (2, 0), (70000, 3))]
+        native_hex = TrajectoryDigest(snapshots).hexdigest()
+        monkeypatch.setattr(instructions, "_NATIVE_IS_DIGEST", False)
+        assert TrajectoryDigest(snapshots).hexdigest() == native_hex
 
     def test_determinism_bit_identical(self):
         from xbarc import BenchSpec, gen_random_uniform
@@ -97,6 +109,22 @@ class TestScheduleInvariants:
         _, s2 = compile_native(c)
         assert s1 == s2
         assert emit_output(s1) == emit_output(s2)
+
+    def test_caller_grid_left_unchanged(self):
+        # two-qubit routes relocate qubits, so advancing the caller's grid
+        # would leave it at the final occupancy and change a second compile
+        from xbarc import BenchSpec, decompose, gen_random_uniform, initial_placement, load_config
+
+        dec = decompose(gen_random_uniform(BenchSpec(6, 30, 50.0, 4)), load_config("{}"))
+        grid = initial_placement(dec, grid_for(6))
+        before = grid.pos
+        first = schedule_integrated(dec, grid)
+        assert grid.pos == before
+        assert schedule_integrated(dec, grid) == first
+        end = Grid(first.grid_n, first.placement)
+        for cy in first.cycles:
+            apply_cycle(end, cy)
+        assert end.pos != before  # the test would notice a missing copy
 
     def test_checkerboard_at_block_boundaries(self):
         from xbarc import BenchSpec, gen_random_uniform
@@ -109,7 +137,7 @@ class TestScheduleInvariants:
             src = tuple(sorted({i for op in cy.ops for i in op.src}))
             if prev_src is not None and src != prev_src:
                 assert grid.is_checkerboard()  # boundary between blocks
-            grid = apply_cycle(grid, cy)
+            apply_cycle(grid, cy)
             prev_src = src
         assert grid.is_checkerboard()
 
@@ -186,6 +214,28 @@ class TestSplitCycle:
                 _expand_proto(c, g, ProtoCycle("z", pair))
         blocks = split_cycle(c, g, ProtoCycle("z", (0, 1, 2)))
         assert [sources(b) for b in blocks] == [(0,), (1,), (2,)]
+
+    def test_group_expansions_leave_the_callers_grid_unchanged(self):
+        # each expansion routes on its own copy of g
+        g = sparse_grid(5, [(0, 0), (4, 0)])
+        zz = native("zz", 2, Gate(GateKind.RZ, (0,), 0.1), Gate(GateKind.RZ, (1,), 0.2))
+        block = _expand_z_group(zz, g, (0, 1))
+        assert len(block[0].ops) == 2 and g.pos == ((0, 0), (4, 0))
+        # a Z group split three ways, and an XY group split on a direction deadlock
+        cases = (
+            ([(1, 1), (2, 0), (3, 1), (3, 3)], 5, "z", GateKind.RZ, 3),
+            ([(0, 0), (2, 0), (0, 2), (1, 1)], 3, "xy", GateKind.RX, 2),
+        )
+        for sites, n, kind, gate_kind, n_blocks in cases:
+            g = sparse_grid(n, sites)
+            before = g.pos
+            c = native("grp", len(sites), *(Gate(gate_kind, (q,), 0.5) for q in range(n_blocks)))
+            blocks = split_cycle(c, g, ProtoCycle(kind, tuple(range(n_blocks))))
+            assert len(blocks) == n_blocks and g.pos == before
+            replayed = g.copy()
+            for cy in (cy for block in blocks for cy in block):
+                apply_cycle(replayed, cy)
+            assert replayed.pos == before  # Z and XY blocks restore the occupancy
 
     def test_xy_group_split_on_direction_deadlock(self):
         # edge-pinned targets cannot share a direction; greedy splits them

@@ -111,6 +111,40 @@ class TestReplay:
         assert any(r.kind is ConflictKind.QL_CONTRADICTION for _, r in report.violations)
 
 
+    def test_cycle_failing_partway_rolls_back(self):
+        # the first shuttle is legal, the second leaves the 3x3 grid: both
+        # violations are reported, the first move is undone, and the next
+        # cycle (legal only from the pre-cycle occupancy) replays clean
+        placement = ((1, 1), (2, 2))
+        broken = Cycle((Instruction(InstrKind.SH_L, (0,)), Instruction(InstrKind.SH_R, (1,))))
+        after = Cycle((Instruction(InstrKind.SH_L, (0,)),))
+        digest = TrajectoryDigest([placement, ((0, 1), (2, 2))]).hexdigest()
+        assert digest == "de26015a7a65bb1dc36c300028a3831a735fe2b6e1b5b6de5d2e68e1efa17c7a"
+        report = replay_verify(Schedule("partway", 3, placement, (broken, after), digest))
+        assert [(i, r.kind, r.culprits, r.detail) for i, r in report.violations] == [
+            (0, ConflictKind.BLOCKED_PATH, (1,), "qubit 1 shuttled off-grid from (2, 2)"),
+            (0, ConflictKind.BLOCKED_PATH, (), "cycle is not applicable: sh_r moves qubit 1 off-grid to (3, 2)"),
+        ]
+        assert report.trajectory_match
+
+    def test_rollback_undoes_moves_in_reverse_order(self):
+        # qubit 1 moves into the site qubit 0 just left, then qubit 2 fails;
+        # undoing in reverse order puts qubit 0 back on (1, 1), so the next
+        # cycle's move onto (1, 1) is refused as occupied
+        placement = ((1, 1), (0, 1), (2, 2))
+        broken = Cycle(tuple(Instruction(InstrKind.SH_R, (q,)) for q in (0, 1, 2)))
+        onto = Cycle((Instruction(InstrKind.SH_R, (1,)),))
+        digest = TrajectoryDigest([placement, placement]).hexdigest()
+        report = replay_verify(Schedule("reverse", 3, placement, (broken, onto), digest))
+        assert [(i, r.detail) for i, r in report.violations] == [
+            (0, "qubit 2 shuttled off-grid from (2, 2)"),
+            (0, "cycle is not applicable: sh_r moves qubit 2 off-grid to (3, 2)"),
+            (1, "destination (1, 1) is occupied"),
+            (1, "cycle is not applicable: sh_r destination (1, 1) occupied"),
+        ]
+        assert report.trajectory_match
+
+
 class TestEquivalence:
     def test_empty_circuit_fidelity_one(self):
         c = Circuit("e", 2, ())
