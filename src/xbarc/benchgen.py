@@ -12,6 +12,8 @@ import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, is_finite_real
 
+INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -23,6 +25,8 @@ class BenchSpec:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be positive")
+        if self.n_qubits > INT64_MAX:  # the generator draws qubit ids as int64
+            raise ValueError(f"n_qubits must be at most 2**63 - 1, got {self.n_qubits}")
         if self.n_gates < 1:
             raise ValueError("n_gates must be positive")
         if not is_finite_real(self.n_gates):  # n_gates * twoq_pct would overflow

@@ -4,6 +4,12 @@ Little-endian convention: basis index bit q holds qubit q, so the state
 vector has length 2**n and qubit q maps to tensor axis n-1-q. A state may
 carry a trailing batch axis, shape (2**n, k): every gate acts on each of
 the k columns, so several probe states go through one simulation pass.
+
+Both equivalence simulators (simulate_circuit here and
+verifier.simulate_schedule) feed a RotationFold: each qubit's single-qubit
+rotations are folded into one pending 2x2 until that qubit's next two-qubit
+gate, which applies them in the same kernel call, so the full state is
+touched once per two-qubit gate plus once per qubit at the end.
 """
 from __future__ import annotations
 
@@ -11,9 +17,10 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 
 SQRT2 = math.sqrt(2.0)
+_I2 = np.eye(2, dtype=complex)
 
 
 def rx_matrix(theta: float) -> np.ndarray:
@@ -101,11 +108,51 @@ def apply_2q(state: np.ndarray, n: int, q1: int, q2: int, u4: np.ndarray) -> np.
     return apply_unitary(state, n, (q1, q2), u4)
 
 
+# not called by the simulators; kept because perfbench/tracing.py binds this name
 def apply_gate(state: np.ndarray, n: int, g: Gate) -> np.ndarray:
     return apply_unitary(state, n, g.qubits, gate_matrix(g))
 
 
+class RotationFold:
+    """A state plus one pending 2x2 per qubit: the product of the rotations
+    the qubit received since its last two-qubit gate, not yet applied.
+
+    The final state equals applying every gate in order, up to float
+    rounding, because gates on disjoint qubits commute.
+    """
+
+    def __init__(self, state: np.ndarray, n: int):
+        self.state = state
+        self.n = n
+        self.pending: list[np.ndarray | None] = [None] * n  # None: identity
+
+    def rotate(self, q: int, u: np.ndarray) -> None:
+        p = self.pending[q]
+        self.pending[q] = u if p is None else u @ p
+
+    def interact(self, a: int, b: int, u4: np.ndarray) -> None:
+        """Apply u4 (a the high bit, as in apply_2q) after both operands'
+        pending rotations, in one kernel call."""
+        ua, ub = self.pending[a], self.pending[b]
+        if ua is not None or ub is not None:
+            u4 = u4 @ np.kron(_I2 if ua is None else ua, _I2 if ub is None else ub)
+            self.pending[a] = self.pending[b] = None
+        self.state = apply_unitary(self.state, self.n, (a, b), u4)
+
+    def result(self) -> np.ndarray:
+        """The final state: every pending rotation applied, in ascending
+        qubit order. Call once, after the last gate."""
+        for q, u in enumerate(self.pending):
+            if u is not None:
+                self.state = apply_unitary(self.state, self.n, (q,), u)
+        return self.state
+
+
 def simulate_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    fold = RotationFold(state, circuit.n_qubits)
     for g in circuit.gates:
-        state = apply_gate(state, circuit.n_qubits, g)
-    return state
+        if g.kind in TWO_QUBIT_KINDS:
+            fold.interact(g.qubits[0], g.qubits[1], gate_matrix(g))
+        else:
+            fold.rotate(g.qubits[0], gate_matrix(g))
+    return fold.result()

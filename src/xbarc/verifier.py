@@ -5,9 +5,11 @@ scheduler's own check_parallel_set/apply_op (so it cannot catch a fault in
 the conflict model itself), hashes the occupancy after every cycle with
 TrajectoryDigest and compares it with the digest the scheduler stored, so
 cycles that are each legal but no longer reproduce the compiled trajectory
-fail. Statevector equivalence simulates the compiled schedule literally
-(spectator rotations included) against the decomposed circuit at small
-qubit counts. verify() runs both; VerifyReport.ok is the verdict.
+fail. Statevector equivalence simulates the compiled schedule against the
+decomposed circuit at small qubit counts; both sides fold each qubit's
+rotations, spectator ones included, into one 2x2 until that qubit's next
+two-qubit gate (sim.RotationFold). verify() runs both checks;
+VerifyReport.ok is the verdict.
 
 Redundant document fields (qubit count, each cycle's written type) are
 checked by the loader, instructions.schedule_from_doc, and a Cycle cannot
@@ -23,10 +25,10 @@ from .circuits import Circuit
 from .crossbar import ConflictKind, ConflictReport, Grid, apply_op, check_parallel_set
 from .errors import CrossbarError
 from .instructions import MOVE_KINDS, InstrKind, Schedule, TrajectoryDigest
+from .sim import apply_1q, apply_2q  # noqa: F401  unused; perfbench/tracing.py binds these names
 from .sim import (
     SQSWAP_MATRIX,
-    apply_1q,
-    apply_2q,
+    RotationFold,
     random_product_state,
     rx_matrix,
     ry_matrix,
@@ -109,26 +111,28 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
 
 
 def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:
-    """Literal schedule semantics on the logical state.
+    """Schedule semantics on the logical state.
 
     Plain shuttles relabel positions only; zsh carries an RZ by its angle;
     semi-global pulses rotate every qubit currently in the addressed parity
-    (spectators included); sqswap applies the standard 4x4 matrix.
+    (spectators included); sqswap applies the standard 4x4 matrix. Each
+    qubit's rotations, spectator ones included, are folded into one 2x2
+    until that qubit's next sqswap, which applies them (sim.RotationFold).
     """
-    n = schedule.n_qubits
+    fold = RotationFold(state, schedule.n_qubits)
     grid = Grid(schedule.grid_n, schedule.placement)
     for cycle in schedule.cycles:
         for op in cycle.ops:
             if op.kind is InstrKind.ZSH:
-                state = apply_1q(state, n, op.qubits[0], rz_matrix(op.angle))
+                fold.rotate(op.qubits[0], rz_matrix(op.angle))
             elif op.kind in (InstrKind.SG_ROT, InstrKind.SG_ROT_INV):
                 rot = rx_matrix(op.angle) if op.axis == "x" else ry_matrix(op.angle)
                 for q in grid.parity_members(op.parity):
-                    state = apply_1q(state, n, q, rot)
+                    fold.rotate(q, rot)
             elif op.kind is InstrKind.SQSWAP:
-                state = apply_2q(state, n, op.qubits[0], op.qubits[1], SQSWAP_MATRIX)
+                fold.interact(op.qubits[0], op.qubits[1], SQSWAP_MATRIX)
             apply_op(grid, op)
-    return state
+    return fold.result()
 
 
 def statevector_equiv(

@@ -286,6 +286,16 @@ def test_benchgen_rejects_a_gate_count_past_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("qubits", [str(2**63), "1" + "0" * 20])
+def test_benchgen_rejects_a_qubit_count_past_int64(tmp_path, capsys, qubits):
+    # the generator draws qubit ids as int64; numpy's own errors name no option
+    out = tmp_path / "b.qasm"
+    args = ["benchgen", "--qubits", qubits, "--gates", "5", "--twoq", "50", "-o", str(out)]
+    assert main(args) == 1
+    assert f"n_qubits must be at most 2**63 - 1, got {qubits}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "option, bound",
     [("--gates", "1" + "0" * 400), ("--qubits", "-1:2"), ("--gates", "-3:5"), ("--twoq", "-5:0:5"), ("--twoq", "0:-5")],
@@ -352,6 +362,18 @@ def test_sweep_reports_an_infeasible_point_and_goes_on(tmp_path):
     assert "two-qubit gates need at least 2 qubits" in rows[0]["error"]
     assert rows[0]["name"].startswith("randu_q1_g10_p50_s")
     assert [r["error"] for r in rows[1:]] == ["", ""]
+
+
+@pytest.mark.parametrize("qubits", [str(2**63), "1" + "0" * 20])
+def test_sweep_reports_a_qubit_count_past_int64_and_goes_on(tmp_path, qubits):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--qubits", qubits, "--gates", "5", "--twoq", "0:50:50", "--csv", str(out)]
+    assert main(args) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["n_qubits"], r["error"]) for r in rows] == [
+        (qubits, f"n_qubits must be at most 2**63 - 1, got {qubits}")
+    ] * 2
 
 
 def test_sweep_rows_deterministic_apart_from_timing(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarc import (
     BenchSpec,
@@ -16,16 +18,86 @@ from xbarc import (
     statevector_equiv,
     verify,
 )
-from xbarc import verifier
+from xbarc import sim, verifier
+from xbarc.circuits import TWO_QUBIT_KINDS
+from xbarc.crossbar import Grid, apply_op
 from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
-from xbarc.sim import apply_1q, apply_2q, gate_matrix, zero_state
-from xbarc.verifier import SKIPPED, simulate_schedule
+from xbarc.sim import (
+    SQSWAP_MATRIX,
+    apply_1q,
+    apply_2q,
+    apply_gate,
+    gate_matrix,
+    rx_matrix,
+    ry_matrix,
+    rz_matrix,
+    simulate_circuit,
+    zero_state,
+)
+from xbarc.verifier import FIDELITY_FLOOR, SKIPPED, simulate_schedule
 
 from conftest import compile_native
 
 
 def compiled(circuit):
     return compile_native(circuit)[1]
+
+
+def literal_circuit(circuit, state):
+    """Reference: one kernel call per gate, in circuit order."""
+    for g in circuit.gates:
+        state = apply_gate(state, circuit.n_qubits, g)
+    return state
+
+
+def literal_schedule(schedule, state):
+    """Reference: one kernel call per rotated qubit per op, in schedule order;
+    a semi-global pulse rotates every qubit then in its parity."""
+    n = schedule.n_qubits
+    grid = Grid(schedule.grid_n, schedule.placement)
+    for cycle in schedule.cycles:
+        for op in cycle.ops:
+            if op.kind is InstrKind.ZSH:
+                state = apply_1q(state, n, op.qubits[0], rz_matrix(op.angle))
+            elif op.kind in (InstrKind.SG_ROT, InstrKind.SG_ROT_INV):
+                rot = rx_matrix(op.angle) if op.axis == "x" else ry_matrix(op.angle)
+                for q in grid.parity_members(op.parity):
+                    state = apply_1q(state, n, q, rot)
+            elif op.kind is InstrKind.SQSWAP:
+                state = apply_2q(state, n, op.qubits[0], op.qubits[1], SQSWAP_MATRIX)
+            apply_op(grid, op)
+    return state
+
+
+ONE_QUBIT_FIXED = (GateKind.H, GateKind.X, GateKind.Y, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG)
+
+
+@st.composite
+def gate_lists(draw, n, kinds):
+    """Up to 25 gates on n qubits, drawn from `kinds`; two-qubit kinds only
+    when n >= 2, and with probability 1/2 none at all."""
+    if n < 2 or draw(st.booleans()):
+        kinds = [k for k in kinds if k not in TWO_QUBIT_KINDS]
+    gates = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(kinds))
+        if kind in TWO_QUBIT_KINDS:
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            gates.append(Gate(kind, (a, b)))
+        elif kind in (GateKind.RX, GateKind.RY, GateKind.RZ):
+            angle = draw(st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False))
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),), angle))
+        else:
+            gates.append(Gate(kind, (draw(st.integers(0, n - 1)),)))
+    return tuple(gates)
+
+
+def random_states(n, batched, seed):
+    """A normalised (2**n,) state, or a (2**n, 4) batch of them."""
+    rng = np.random.default_rng([seed, n])
+    shape = (2**n, 4) if batched else (2**n,)
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return state / np.linalg.norm(state, axis=0)
 
 
 def random_unitary(rng, d):
@@ -69,6 +141,49 @@ class TestSimPrimitives:
             for k in range(states.shape[1]):
                 single = apply_2q(states[:, k], n, q1, q2, u4)
                 assert np.allclose(out[:, k], single, rtol=0, atol=1e-12)
+
+
+class TestRotationFold:
+    """The fold-based simulators against the literal references above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.booleans())
+    def test_circuit_matches_literal(self, data, n, batched):
+        kinds = [GateKind.RX, GateKind.RY, GateKind.RZ, *ONE_QUBIT_FIXED, *TWO_QUBIT_KINDS]
+        c = Circuit("c", n, data.draw(gate_lists(n, kinds)))
+        state = random_states(n, batched, len(c.gates))
+        out = simulate_circuit(c, state)
+        assert out.shape == state.shape
+        assert np.allclose(out, literal_circuit(c, state), rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 6), st.booleans())
+    def test_schedule_matches_literal(self, data, n, batched):
+        # a 1-qubit Z gate cannot be scheduled yet (grid side 1), so n = 1
+        # draws only XY rotations
+        kinds = [GateKind.RX, GateKind.RY] + ([GateKind.RZ, GateKind.SQSWAP] if n > 1 else [])
+        s = compiled(Circuit("c", n, data.draw(gate_lists(n, kinds))))
+        state = random_states(n, batched, len(s.cycles))
+        out = simulate_schedule(s, state)
+        assert out.shape == state.shape
+        assert np.allclose(out, literal_schedule(s, state), rtol=0, atol=1e-12)
+
+    def test_one_kernel_call_per_two_qubit_gate_and_qubit(self, monkeypatch):
+        # structural guard: without the fold, every spectator rotation of a
+        # semi-global pulse is a full-state kernel call (thousands here)
+        calls = [0]
+        original = sim.apply_unitary
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        c = gen_random_uniform(BenchSpec(12, 300, 50.0, 0))
+        s = compiled(c)
+        n_twoq = sum(g.kind in TWO_QUBIT_KINDS for g in c.gates)
+        monkeypatch.setattr(sim, "apply_unitary", counted)
+        assert statevector_equiv(c, s) >= FIDELITY_FLOOR
+        assert 0 < calls[0] <= 2 * (n_twoq + c.n_qubits)
 
 
 class TestReplay:
@@ -208,6 +323,26 @@ class TestEquivalence:
         c = gen_random_uniform(BenchSpec(4, 20, 50.0, 0))
         assert statevector_equiv(c, compiled(c)) >= 1 - 1e-9
         assert calls == {"simulate_circuit": 1, "simulate_schedule": 1}
+
+    @pytest.mark.parametrize(
+        "kind, mutate",
+        [
+            (InstrKind.ZSH, lambda op: dataclasses.replace(op, angle=op.angle + 1e-3)),
+            (InstrKind.SG_ROT, lambda op: dataclasses.replace(op, parity=1 - op.parity)),
+            (InstrKind.SG_ROT_INV, lambda op: dataclasses.replace(op, angle=op.angle + 1e-3)),
+        ],
+        ids=["zsh_angle", "sg_rot_parity", "sg_rot_inv_angle"],
+    )
+    def test_single_op_mutation_detected_at_12_qubits(self, kind, mutate):
+        s = compiled(gen_random_uniform(BenchSpec(12, 120, 50.0, 4)))
+        assert verify(s).ok
+        sites = [(i, j) for i, cy in enumerate(s.cycles) for j, op in enumerate(cy.ops) if op.kind is kind]
+        i, j = sites[len(sites) // 2]
+        ops = s.cycles[i].ops
+        cycle = Cycle(ops[:j] + (mutate(ops[j]),) + ops[j + 1:])
+        report = verify(dataclasses.replace(s, cycles=s.cycles[:i] + (cycle,) + s.cycles[i + 1:]))
+        assert report.replay_ok and not report.ok
+        assert report.equivalence_fidelity < FIDELITY_FLOOR
 
     def test_global_phase_immune(self):
         # rz-only circuit: schedule realizes it up to global phase
