@@ -22,7 +22,7 @@ from .ir import QIG, CountsByType, counts_by_type, decompose, dependency_depth, 
 from .mapper import expand_semi_global, initial_placement, route_two_qubit, z_route
 from .metrics import FidelityMap, MetricsReport, build_fidelity_map, esp, overhead_report
 from .qasm import emit_output, parse_qasm
-from .scheduler import schedule_integrated, split_cycle
+from .scheduler import schedule_integrated
 from .verifier import VerifyReport, replay_verify, statevector_equiv, verify
 
 __all__ = [
@@ -67,7 +67,6 @@ __all__ = [
     "schedule_from_doc",
     "schedule_integrated",
     "shuttle_requirements",
-    "split_cycle",
     "statevector_equiv",
     "verify",
     "z_route",

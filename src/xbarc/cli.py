@@ -146,6 +146,8 @@ class SweepSpec:
                 raise XbarcError(
                     f"{option} bounds must be non-negative and finite as floats, got {(start, stop)}"
                 )
+        if self.seeds < 1:
+            raise XbarcError(f"--seeds must be at least 1, got {self.seeds}")
 
     def points(self):
         for q in range(self.qubits[0], self.qubits[1] + 1, self.qubits[2]):

@@ -82,12 +82,11 @@ class Grid:
     x1, y1, ..., next to a site -> qubit map; move updates both in place in
     O(1). Whoever advances a grid owns it: schedule_integrated, replay_verify,
     simulate_schedule and metrics.esp each build or copy their own, and the
-    routing entry points (route_two_qubit, z_route, expand_semi_global, the
-    scheduler's _expand_z_group) copy the caller's grid once per gate and
-    leave it unchanged. Grid checks and converts nothing: its placement, a
-    tuple of (x, y) tuples, comes from a checked Schedule, from
-    schedule_integrated's check_placement or from the checkerboard, and
-    every move from apply_op.
+    routing entry points (route_two_qubit, z_route, expand_semi_global)
+    copy the caller's grid once per gate and leave it unchanged. Grid
+    checks and converts nothing: its placement, a tuple of (x, y) tuples,
+    comes from a checked Schedule, from schedule_integrated's
+    check_placement or from the checkerboard, and every move from apply_op.
     """
 
     __slots__ = ("n", "coords", "_site_map")

@@ -27,14 +27,5 @@ class CrossbarError(XbarcError):
     """Illegal placement or move (off-grid site, shared or occupied site)."""
 
 
-class MapperConflict(XbarcError):
-    """A routing block cannot be formed conflict-free as requested.
-
-    Raised by the mapper when a gate group has no common shuttle direction
-    or its generated shuttles fail the parallel-set check; the scheduler
-    reacts by splitting the group.
-    """
-
-
 class CompileError(XbarcError):
     """Internal invariant violation (a bug, not a user error)."""

@@ -6,9 +6,10 @@ two-shuttle move onto an empty checkerboard site) until it sits diagonally
 adjacent to the second operand, then a horizontal shuttle / sqswap /
 horizontal shuttle triplet performs the interaction and restores the
 checkerboard. Z rotations ride a timed shuttle to a neighbouring column and
-back. Targeted X/Y rotations use the semi-global compensation scheme:
-rotate the target's column parity, shuttle the targets out, rotate the
-parity back, shuttle the targets home.
+back. A targeted X/Y rotation uses the semi-global compensation scheme:
+rotate the target's column parity, shuttle the target out, rotate the
+parity back, shuttle the target home. Every entry point routes one gate on
+its own copy of the grid and checks its shuttles and swaps with `_checked`.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from itertools import islice
 
 from .circuits import Circuit
 from .crossbar import Grid, apply_cycle, check_parallel_set, checkerboard_sites
-from .errors import CompileError, MapperConflict
+from .errors import CompileError, CrossbarError
 from .instructions import Cycle, Instruction, InstrKind
 
 
@@ -144,23 +145,21 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
     return tuple(cycles)
 
 
-def z_direction(grid: Grid, q: int) -> str:
-    """Direction of q's Z shuttle: toward the empty horizontal neighbour,
-    the lower column index winning ties."""
+def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]:
+    """Z rotation as a phase-carrying shuttle to an empty horizontal
+    neighbour (the lower column winning ties) and back, checked on a copy
+    of the caller's grid."""
     x, y = grid.site_of(q)
     if x - 1 >= 0 and not grid.occupied((x - 1, y)):
-        return "L"
-    if x + 1 < grid.n and not grid.occupied((x + 1, y)):
-        return "R"
-    raise MapperConflict(f"both horizontal neighbours of qubit {q} at {(x, y)} are blocked")
-
-
-def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]:
-    """Z rotation as a phase-carrying shuttle to a neighbouring column (see
-    z_direction) and back, checked on a copy of the caller's grid."""
-    direction = z_direction(grid, q)
+        direction, back_dir = "L", "R"
+    elif x + 1 < grid.n and not grid.occupied((x + 1, y)):
+        direction, back_dir = "R", "L"
+    else:
+        raise CrossbarError(
+            f"qubit {q} at {(x, y)} has no empty horizontal neighbour site "
+            f"on the {grid.n}x{grid.n} grid for its Z shuttle"
+        )
     out = Cycle((Instruction(InstrKind.ZSH, (q,), angle=angle, direction=direction, src=(src,)),))
-    back_dir = "L" if direction == "R" else "R"
     back = Cycle((Instruction(InstrKind.ZSH_RET, (q,), direction=back_dir, src=(src,)),))
     grid = grid.copy()
     _checked(grid, out)
@@ -168,64 +167,30 @@ def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]
     return out, back
 
 
-def expand_semi_global(
-    grid: Grid,
-    targets,
-    axis: str,
-    angle: float,
-    sources: dict[int, int] | None = None,
-) -> tuple[Cycle, ...]:
-    """Semi-global X/Y rotation on `targets`, all in one column parity.
+def expand_semi_global(grid: Grid, q: int, axis: str, angle: float, src: int = 0) -> tuple[Cycle, ...]:
+    """Semi-global X/Y rotation on qubit q.
 
-    If the targets are exactly the parity population, one pulse suffices.
-    Otherwise: pulse the parity, shuttle every target to the other parity
-    (common direction, right unless blocked, else left), pulse the inverse,
-    shuttle back. Raises MapperConflict when no common direction exists or
-    the shuttle cycles conflict; the scheduler then splits the group. The
-    cycles are checked on a copy of the caller's grid.
+    If q is alone in its column parity, one pulse suffices. Otherwise: pulse
+    the parity, shuttle q to the other parity (right unless blocked, else
+    left), pulse the inverse, shuttle back. The cycles are checked on a copy
+    of the caller's grid.
     """
-    targets = tuple(sorted(targets))
-    if not targets:
-        raise ValueError("empty target set")
-    parities = {grid.column_parity(q) for q in targets}
-    if len(parities) > 1:
-        raise ValueError(f"targets span both column parities: {targets}")
-    parity = parities.pop()
-    sources = sources or {}
-    all_src = tuple(sorted({sources.get(q, 0) for q in targets}))
-
-    rot = Instruction(InstrKind.SG_ROT, angle=angle, axis=axis, parity=parity, src=all_src)
-    if set(targets) == set(grid.parity_members(parity)):
+    parity = grid.column_parity(q)
+    srcs = (src,)
+    rot = Instruction(InstrKind.SG_ROT, angle=angle, axis=axis, parity=parity, src=srcs)
+    if grid.parity_members(parity) == (q,):
         return (Cycle((rot,)),)
 
-    def can_move(q, dx):
-        x, y = grid.site_of(q)
-        dest = (x + dx, y)
-        return grid.in_grid(dest) and not grid.occupied(dest)
-
-    if all(can_move(q, 1) for q in targets):
-        dx = 1
-    elif all(can_move(q, -1) for q in targets):
-        dx = -1
-    else:
-        raise MapperConflict(f"no common shuttle direction for targets {targets}")
-
-    out_ops = tuple(_h_shuttle(q, dx, (sources.get(q, 0),)) for q in targets)
-    back_ops = tuple(_h_shuttle(q, -dx, (sources.get(q, 0),)) for q in targets)
-    inv = Instruction(InstrKind.SG_ROT_INV, angle=-angle, axis=axis, parity=parity, src=all_src)
-
+    x, y = grid.site_of(q)
+    dx = 1 if grid.in_grid((x + 1, y)) and not grid.occupied((x + 1, y)) else -1
+    inv = Instruction(InstrKind.SG_ROT_INV, angle=-angle, axis=axis, parity=parity, src=srcs)
     cycles = (
         Cycle((rot,)),
-        Cycle(out_ops),
+        Cycle((_h_shuttle(q, dx, srcs),)),
         Cycle((inv,)),
-        Cycle(back_ops),
+        Cycle((_h_shuttle(q, -dx, srcs),)),
     )
     g = grid.copy()
     for cycle in cycles:
-        report = check_parallel_set(g, cycle)
-        if not report.ok:
-            raise MapperConflict(
-                f"scheme shuttles conflict ({report.kind.value}): {report.detail}"
-            )
-        apply_cycle(g, cycle)
+        _checked(g, cycle)
     return cycles

@@ -135,14 +135,12 @@ def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:
     return fold.result()
 
 
-def statevector_equiv(
-    decomposed: Circuit, schedule: Schedule, cap: int = EQUIV_CAP, seed: int = 0
-) -> float | str:
+def statevector_equiv(decomposed: Circuit, schedule: Schedule, seed: int = 0) -> float | str:
     """Min fidelity |<psi_circuit|psi_schedule>|^2 over the all-zero state
     and 3 seeded random product states, simulated at once as the columns of
-    one (2**n, 4) array; the skipped marker above `cap`."""
+    one (2**n, 4) array; the skipped marker above EQUIV_CAP qubits."""
     n = decomposed.n_qubits
-    if n > cap:
+    if n > EQUIV_CAP:
         return SKIPPED
     rng = np.random.default_rng([seed, n])
     probes = np.stack([zero_state(n)] + [random_product_state(n, rng) for _ in range(3)], axis=1)

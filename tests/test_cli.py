@@ -239,6 +239,30 @@ def test_grid_wider_than_a_byte(tmp_path):
     assert main(["verify", "-i", str(out)]) == 0
 
 
+@pytest.mark.parametrize("source", ["qreg q[1]; t q[0];", "bv1"])
+def test_one_qubit_z_gate_is_a_user_error(tmp_path, capsys, source):
+    # a 1x1 grid has no column for a Z shuttle; that is the input's limit, not a bug
+    src = tmp_path / "one.qasm"
+    if source == "bv1":
+        assert main(["benchgen", "--bv", "1", "-o", str(src)]) == 0
+    else:
+        src.write_text(source + "\n")
+    capsys.readouterr()
+    assert main(["compile", "-i", str(src), "-o", str(tmp_path / "one.json")]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "error: qubit 0 at (0, 0) has no empty horizontal neighbour site on the 1x1 grid" in err
+
+
+def test_one_qubit_x_gate_compiles(tmp_path):
+    # the lone qubit is its parity's only member: one pulse, no shuttle
+    src = tmp_path / "one.qasm"
+    src.write_text("qreg q[1]; x q[0];\n")
+    out = tmp_path / "one.json"
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    assert main(["verify", "-i", str(out)]) == 0
+
+
 def test_usage_error_exit_code(tmp_path):
     assert main(["compile", "-i", "/nonexistent.qasm", "-o", str(tmp_path / "x.json")]) == 1
     assert main(["benchgen", "-o", str(tmp_path / "x.qasm")]) == 1
@@ -362,6 +386,26 @@ def test_sweep_reports_an_infeasible_point_and_goes_on(tmp_path):
     assert "two-qubit gates need at least 2 qubits" in rows[0]["error"]
     assert rows[0]["name"].startswith("randu_q1_g10_p50_s")
     assert [r["error"] for r in rows[1:]] == ["", ""]
+
+
+def test_sweep_reports_a_one_qubit_z_gate_and_goes_on(tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--qubits", "1:2", "--gates", "10", "--twoq", "0", "--csv", str(out)]
+    assert main(args) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["n_qubits"] for r in rows] == ["1", "2"]
+    assert "has no empty horizontal neighbour site on the 1x1 grid" in rows[0]["error"]
+    assert rows[1]["error"] == ""
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_seed(tmp_path, capsys, seeds):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--qubits", "2", "--gates", "5", "--twoq", "0", f"--seeds={seeds}", "--csv", str(out)]
+    assert main(args) == 1
+    assert f"error: --seeds must be at least 1, got {seeds}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("qubits", [str(2**63), "1" + "0" * 20])

@@ -17,7 +17,7 @@ from xbarc import (
     z_route,
 )
 from xbarc.crossbar import Grid, apply_cycle, checkerboard_sites
-from xbarc.errors import MapperConflict
+from xbarc.errors import CrossbarError
 from xbarc.instructions import CycleType, InstrKind
 
 from conftest import sparse_grid
@@ -176,6 +176,12 @@ class TestZRoute:
         assert len(instructions(block)) == 2  # gate shuttle + 1 overhead
         assert len(block) == 2
 
+    def test_no_horizontal_neighbour_is_a_user_error(self):
+        # a lone qubit on a 1x1 grid has nowhere to shuttle
+        no_site = r"^qubit 0 at \(0, 0\) has no empty horizontal neighbour site on the 1x1 grid"
+        with pytest.raises(CrossbarError, match=no_site):
+            z_route(Grid(1, ((0, 0),)), 0, 0.5)
+
     def test_z_cycle_types(self):
         g = sparse_grid(4, [(1, 1)])
         block = z_route(g, 0, 0.5)
@@ -185,7 +191,7 @@ class TestZRoute:
 class TestSemiGlobal:
     def test_full_parity_single_pulse(self):
         g = sparse_grid(2, [(0, 0), (1, 1)])
-        block = expand_semi_global(g, [0], "x", 0.4)
+        block = expand_semi_global(g, 0, "x", 0.4)
         assert len(instructions(block)) == 1
         assert instructions(block)[0].kind is InstrKind.SG_ROT
 
@@ -193,7 +199,7 @@ class TestSemiGlobal:
         # rotating one qubit of a populated parity costs the 4-step scheme
         g = grid_for(8)
         target = g.qubit_at((0, 2))
-        block = expand_semi_global(g, [target], "y", 1.1)
+        block = expand_semi_global(g, target, "y", 1.1)
         kinds = [op.kind for op in instructions(block)]
         assert kinds == [InstrKind.SG_ROT, InstrKind.SH_R, InstrKind.SG_ROT_INV, InstrKind.SH_L]
         assert len(block) == 4
@@ -204,43 +210,18 @@ class TestSemiGlobal:
 
     def test_inverse_angle_negated(self):
         g = grid_for(8)
-        block = expand_semi_global(g, [0], "x", 0.9)
+        block = expand_semi_global(g, 0, "x", 0.9)
         rot = instructions(block)[0]
         inv = instructions(block)[2]
         assert inv.angle == -rot.angle
 
-    def test_multi_target_shares_pulses(self):
-        # two same-column targets shuttle right together without conflicts
-        g = grid_for(8)
-        targets = [g.qubit_at((0, 0)), g.qubit_at((0, 2))]
-        block = expand_semi_global(g, targets, "x", 0.3)
-        kinds = [op.kind for op in instructions(block)]
-        assert kinds.count(InstrKind.SG_ROT) == 1
-        assert kinds.count(InstrKind.SG_ROT_INV) == 1
-        assert len(block) == 4
-        assert len(block[1].ops) == 2  # both targets shuttle together
-        end = replay_block(g, block)
-        assert end.pos == g.pos
-
     def test_direction_right_unless_blocked(self):
         g = sparse_grid(3, [(0, 0), (2, 0), (1, 1)])
-        block = expand_semi_global(g, [0], "x", 0.2)
+        block = expand_semi_global(g, 0, "x", 0.2)
         assert instructions(block)[1].kind is InstrKind.SH_R
         # target on the right edge must go left
-        block = expand_semi_global(g, [1], "x", 0.2)
+        block = expand_semi_global(g, 1, "x", 0.2)
         assert instructions(block)[1].kind is InstrKind.SH_L
-
-    def test_mixed_parities_rejected(self):
-        g = grid_for(8)
-        with pytest.raises(ValueError):
-            expand_semi_global(g, [0, 2], "x", 0.1)
-
-    def test_no_common_direction_raises(self):
-        # same parity, one pinned to each edge of an odd grid, and a third
-        # parity member so compensation is actually needed
-        g = sparse_grid(3, [(0, 0), (2, 0), (0, 2), (1, 1)])
-        with pytest.raises(MapperConflict):
-            expand_semi_global(g, [0, 1], "x", 0.1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -258,7 +239,7 @@ def test_random_blocks_conflict_free_and_restoring(data):
         block = z_route(g, q, 0.3)
     elif kind == "xy":
         q = data.draw(st.integers(0, k - 1))
-        block = expand_semi_global(g, [q], "x", 0.3)
+        block = expand_semi_global(g, q, "x", 0.3)
     else:
         a = data.draw(st.integers(0, k - 1))
         b = data.draw(st.integers(0, k - 1).filter(lambda x: x != a))

@@ -1,4 +1,4 @@
-"""Integrated-strategy scheduling: micro-overheads, splitting, determinism."""
+"""Integrated-strategy scheduling: micro-overheads, ordering, determinism."""
 import pytest
 
 from xbarc import (
@@ -12,20 +12,14 @@ from xbarc import (
     scheduler,
 )
 from xbarc.crossbar import Grid, apply_cycle
-from xbarc.errors import CompileError, CrossbarError
+from xbarc.errors import CrossbarError
 from xbarc.instructions import CycleType, InstrKind, TrajectoryDigest
-from xbarc.scheduler import ProtoCycle, _expand_proto, _expand_z_group, split_cycle
 
-from conftest import compile_native, sparse_grid
+from conftest import compile_native
 
 
 def native(name, n, *gates):
     return Circuit(name, n, tuple(gates))
-
-
-def sources(block):
-    """Source gates of a routed block's instructions."""
-    return tuple(sorted({i for cycle in block for op in cycle.ops for i in op.src}))
 
 
 class TestMicroCircuits:
@@ -157,97 +151,13 @@ class TestScheduleInvariants:
         def route(*args):
             raise AssertionError("routed before the placement was checked")
 
-        monkeypatch.setattr(scheduler, "_expand_proto", route)
+        monkeypatch.setattr(scheduler, "_route_gate", route)
         with pytest.raises(CrossbarError, match=r"^qubits 0 and 1 share site \(1, 1\)$"):
             schedule_integrated(c, grid)
 
     def test_empty_circuit_empty_schedule(self):
         s = schedule_integrated(native("e", 2), grid_for(2))
         assert s.depth == 0 and s.trajectory_sha256 == TrajectoryDigest().hexdigest()
-
-
-class TestSplitCycle:
-    def test_conflict_free_cycle_unchanged(self):
-        # two Z gates far apart share their cycle pair in one round
-        g = sparse_grid(5, [(0, 0), (4, 0)])
-        c = native("zz", 2, Gate(GateKind.RZ, (0,), 0.1), Gate(GateKind.RZ, (1,), 0.2))
-        blocks = split_cycle(c, g, ProtoCycle("z", (0, 1)))
-        assert len(blocks) == 1
-        assert len(blocks[0][0].ops) == 2
-
-    def test_adjacent_column_z_pair_splits_in_two(self):
-        # Fig-like geometry: Z on the qubits at (1,1) and (2,2); both prefer
-        # a left shuttle, so one's raised CL_1 is the other's lowered CL_1
-        g = grid_for(8)
-        q3, q6 = g.qubit_at((1, 1)), g.qubit_at((2, 2))
-        c = native("zz", 8, Gate(GateKind.RZ, (q3,), 0.1), Gate(GateKind.RZ, (q6,), 0.2))
-        proto = ProtoCycle("z", (0, 1))
-        with pytest.raises(Exception):
-            _expand_proto(c, g, proto)  # the merged cycle really conflicts
-        blocks = split_cycle(c, g, proto)
-        assert len(blocks) == 2
-        assert [sources(b) for b in blocks] == [(0,), (1,)]
-
-    def test_ql_coupled_z_pair_splits(self):
-        # same-direction shuttles coupled through a spectator: movers at
-        # (2,2) and (4,2) go left, the spectator at (4,4) pins QL_0 > QL_-1
-        g = sparse_grid(5, [(2, 2), (4, 2), (4, 4)])
-        c = native("zz", 3, Gate(GateKind.RZ, (0,), 0.1), Gate(GateKind.RZ, (1,), 0.2))
-        proto = ProtoCycle("z", (0, 1))
-        blocks = split_cycle(c, g, proto)
-        assert len(blocks) == 2
-
-    def test_three_mutually_conflicting_z_gates(self):
-        # A(1,1), B(2,0), C(3,1) all shuttle left: A~B and B~C clash on
-        # barriers, A~C cycle through the spectator at (3,3); brute-force
-        # every pair to confirm singletons are forced
-        g = sparse_grid(5, [(1, 1), (2, 0), (3, 1), (3, 3)])
-        c = native(
-            "zzz",
-            4,
-            Gate(GateKind.RZ, (0,), 0.1),
-            Gate(GateKind.RZ, (1,), 0.2),
-            Gate(GateKind.RZ, (2,), 0.3),
-        )
-        for pair in [(0, 1), (0, 2), (1, 2)]:
-            with pytest.raises(Exception):
-                _expand_proto(c, g, ProtoCycle("z", pair))
-        blocks = split_cycle(c, g, ProtoCycle("z", (0, 1, 2)))
-        assert [sources(b) for b in blocks] == [(0,), (1,), (2,)]
-
-    def test_group_expansions_leave_the_callers_grid_unchanged(self):
-        # each expansion routes on its own copy of g
-        g = sparse_grid(5, [(0, 0), (4, 0)])
-        zz = native("zz", 2, Gate(GateKind.RZ, (0,), 0.1), Gate(GateKind.RZ, (1,), 0.2))
-        block = _expand_z_group(zz, g, (0, 1))
-        assert len(block[0].ops) == 2 and g.pos == ((0, 0), (4, 0))
-        # a Z group split three ways, and an XY group split on a direction deadlock
-        cases = (
-            ([(1, 1), (2, 0), (3, 1), (3, 3)], 5, "z", GateKind.RZ, 3),
-            ([(0, 0), (2, 0), (0, 2), (1, 1)], 3, "xy", GateKind.RX, 2),
-        )
-        for sites, n, kind, gate_kind, n_blocks in cases:
-            g = sparse_grid(n, sites)
-            before = g.pos
-            c = native("grp", len(sites), *(Gate(gate_kind, (q,), 0.5) for q in range(n_blocks)))
-            blocks = split_cycle(c, g, ProtoCycle(kind, tuple(range(n_blocks))))
-            assert len(blocks) == n_blocks and g.pos == before
-            replayed = g.copy()
-            for cy in (cy for block in blocks for cy in block):
-                apply_cycle(replayed, cy)
-            assert replayed.pos == before  # Z and XY blocks restore the occupancy
-
-    def test_xy_group_split_on_direction_deadlock(self):
-        # edge-pinned targets cannot share a direction; greedy splits them
-        g = sparse_grid(3, [(0, 0), (2, 0), (0, 2), (1, 1)])
-        c = native(
-            "xx",
-            4,
-            Gate(GateKind.RX, (0,), 0.5),
-            Gate(GateKind.RX, (1,), 0.5),
-        )
-        blocks = split_cycle(c, g, ProtoCycle("xy", (0, 1)))
-        assert len(blocks) == 2
 
 
 class TestOrdering:

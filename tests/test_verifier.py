@@ -289,7 +289,7 @@ class TestEquivalence:
     def test_cap_skips_large_circuits(self):
         c = Circuit("big", 13, ())
         s = compiled(c)
-        assert statevector_equiv(c, s, cap=12) == SKIPPED
+        assert statevector_equiv(c, s) == SKIPPED
 
     def test_spectators_simulated_literally(self):
         # dropping the inverse pulse must corrupt the spectator state
