@@ -18,7 +18,17 @@ voltage, and (5), for horizontal moves, every other qubit in the two
 affected columns biased above its empty site across the lowered barrier so
 it stays put. Only ordering relations between QL voltages matter, so (4)
 and (5) become a digraph of strict inequalities; a parallel instruction set
-is satisfiable exactly when the merged digraph is acyclic.
+is satisfiable exactly when the merged digraph is acyclic. Every such pair
+joins adjacent diagonals (a unit move changes x - y by one, and a stay-put
+qubit sits one column from its empty site), so the digraph lies on the path
+... QL_-1 - QL_0 - QL_1 ... and has a cycle exactly when some pair occurs in
+both directions.
+
+Grid keeps one occupancy bitmask per column (bit y) and per row (bit x), so
+check_parallel_set reads a line's occupancy in one integer operation: the
+stay-put qubits of a column are cols[x] & ~cols[across], an occupied pair
+across a lowered row barrier is rows[k] & rows[k + 1], and the QL pairs of a
+whole cycle fold into two masks, one per direction along the path.
 
 Each rule has one owner: instructions.check_placement checks a placement
 when a Schedule is made or schedule_integrated starts, Cycle keeps every
@@ -79,9 +89,12 @@ class Grid:
     """Mutable qubit -> site bijection on an N x N array.
 
     `coords` holds every qubit's (x, y) as one flat uint32 buffer, x0, y0,
-    x1, y1, ..., next to a site -> qubit map; move updates both in place in
-    O(1). Whoever advances a grid owns it: schedule_integrated, replay_verify,
-    simulate_schedule and metrics.esp each build or copy their own, and the
+    x1, y1, ..., next to a site -> qubit map and two occupancy bitmask lists:
+    cols[x] has bit y set and rows[y] has bit x set when (x, y) holds a
+    qubit. move updates all four in place in O(1), so replay_verify's
+    rollback, which moves qubits back, restores them too. Whoever advances
+    a grid owns it: schedule_integrated, replay_verify, simulate_schedule
+    and metrics.esp each build or copy their own, and the
     routing entry points (route_two_qubit, z_route, expand_semi_global)
     copy the caller's grid once per gate and leave it unchanged. Grid
     checks and converts nothing: its placement, a tuple of (x, y) tuples,
@@ -89,12 +102,17 @@ class Grid:
     check_placement or from the checkerboard, and every move from apply_op.
     """
 
-    __slots__ = ("n", "coords", "_site_map")
+    __slots__ = ("n", "coords", "cols", "rows", "_site_map")
 
     def __init__(self, n: int, pos: tuple[tuple[int, int], ...]):
         self.n = n
         self.coords = coord_buffer(pos)
         self._site_map = {site: q for q, site in enumerate(pos)}
+        self.cols = [0] * n
+        self.rows = [0] * n
+        for x, y in pos:
+            self.cols[x] |= 1 << y
+            self.rows[y] |= 1 << x
 
     def copy(self) -> "Grid":
         """An independent grid at the same occupancy (O(n_qubits))."""
@@ -102,6 +120,8 @@ class Grid:
         other.n = self.n
         other.coords = self.coords[:]
         other._site_map = self._site_map.copy()
+        other.cols = self.cols[:]
+        other.rows = self.rows[:]
         return other
 
     @property
@@ -133,9 +153,15 @@ class Grid:
         replay_verify is undoing one."""
         i = 2 * q
         xy = self.coords
-        del self._site_map[xy[i], xy[i + 1]]
+        x, y = xy[i], xy[i + 1]
+        del self._site_map[x, y]
+        self.cols[x] ^= 1 << y
+        self.rows[y] ^= 1 << x
+        x, y = site
         xy[i], xy[i + 1] = site
         self._site_map[site] = q
+        self.cols[x] |= 1 << y
+        self.rows[y] |= 1 << x
 
     def is_checkerboard(self) -> bool:
         xy = self.coords
@@ -211,27 +237,33 @@ def sqswap_sites(grid: Grid, a: int, b: int) -> tuple[tuple[int, int], tuple[int
     return sa, sb
 
 
-def _barrier_signals(grid: Grid, a, b, ql_gt=frozenset()) -> SignalRequirements:
-    """Lower the barrier between adjacent sites a and b and raise every
-    other barrier bordering either site."""
-    lowered = barrier_between(a, b)
-    raised = (site_barriers(a, grid.n) | site_barriers(b, grid.n)) - {lowered}
-    return SignalRequirements(lowered, frozenset(raised), frozenset(ql_gt))
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _shuttle_signals(grid: Grid, origin, dest, movers: frozenset[int]) -> SignalRequirements:
-    """Signal requirements for a one-site move from origin to dest; stay-put
-    constraints are emitted only for qubits outside `movers`."""
-    ql_gt = {(ql_index(dest), ql_index(origin))}
+def _stay_put(grid: Grid, x: int, across: int, movers: dict[int, int]) -> int:
+    """Row bits of the qubits in column x that must stay put while the
+    barrier to column `across` is lowered: occupied, empty across, and not
+    one of `movers` (column -> row bits of the moving qubits' origins).
+    The one home of the stay-put rule: check_parallel_set shifts the mask
+    into its QL masks, _ql_pairs lists it as pairs."""
+    return grid.cols[x] & ~grid.cols[across] & ~movers.get(x, 0)
+
+
+def _ql_pairs(grid: Grid, origin, dest, movers: dict[int, int]) -> set[tuple[int, int]]:
+    """QL inequalities of a one-site move: the destination above the origin
+    and, for a horizontal move, every stay-put qubit of the two affected
+    columns above its empty site across the lowered barrier."""
+    pairs = {(ql_index(dest), ql_index(origin))}
     if origin[1] == dest[1]:
-        # horizontal move: bias every other qubit in the two affected
-        # columns above its empty neighbour across the lowered barrier
-        for x, across_x in ((origin[0], dest[0]), (dest[0], origin[0])):
-            for y in range(grid.n):
-                other = grid.qubit_at((x, y))
-                if other is not None and other not in movers and not grid.occupied((across_x, y)):
-                    ql_gt.add((ql_index((x, y)), ql_index((across_x, y))))
-    return _barrier_signals(grid, origin, dest, ql_gt)
+        for x, across in ((origin[0], dest[0]), (dest[0], origin[0])):
+            for y in _bits(_stay_put(grid, x, across, movers)):
+                pairs.add((x - y, across - y))
+    return pairs
 
 
 def _legal_move(grid: Grid, q: int, delta, name: str):
@@ -246,16 +278,21 @@ def _legal_move(grid: Grid, q: int, delta, name: str):
 
 
 def shuttle_requirements(grid: Grid, q: int, direction: str) -> SignalRequirements:
-    """Requirements for a lone shuttle of q one site L/R/U/D; an illegal
-    move raises apply_op's CrossbarError."""
+    """Requirements for a lone shuttle of q one site L/R/U/D: lower the
+    barrier between origin and destination, raise every other barrier
+    bordering either site, and the move's QL inequalities. An illegal move
+    raises apply_op's CrossbarError."""
     origin, dest = _legal_move(grid, q, DELTAS[direction], f"shuttle {direction}")
-    return _shuttle_signals(grid, origin, dest, frozenset({q}))
+    lowered = barrier_between(origin, dest)
+    raised = (site_barriers(origin, grid.n) | site_barriers(dest, grid.n)) - {lowered}
+    ql_gt = _ql_pairs(grid, origin, dest, {origin[0]: 1 << origin[1]})
+    return SignalRequirements(lowered, frozenset(raised), frozenset(ql_gt))
 
 
-def _sqswap_signals(grid: Grid, a: int, b: int) -> SignalRequirements:
-    # the two QL lines must sit at equal potential; equality adds no
-    # ordering constraint to the inequality digraph
-    return _barrier_signals(grid, *sqswap_sites(grid, a, b))
+def _borders(line: Line, site) -> bool:
+    """Does the interior barrier `line` border `site`?"""
+    c = site[0] if line.family == "CL" else site[1]
+    return line.index <= c <= line.index + 1
 
 
 def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
@@ -300,11 +337,21 @@ def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
 def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     """Can this cycle's instructions run in parallel on this grid?
 
-    The cycle holds one instruction family (Cycle's rule), so it is
-    semi-global iff its first instruction is. Intended movers contribute
-    mover constraints; only non-movers contribute stay-put constraints.
-    Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
+    The cycle holds one instruction family (Cycle's rule): semi-global
+    pulses, moves (shuttles, zsh, zsh_ret) or sqswaps. Intended movers
+    contribute mover constraints; only non-movers contribute stay-put
+    constraints. Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
     UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
+
+    A call costs O(instructions + stay-put qubits) integer operations and
+    builds no per-instruction line sets. Barriers are compared from the
+    instructions' sites, occupied pairs across a lowered barrier are read
+    from the grid's row and column masks, and the QL pairs are folded into
+    two masks in which bit n-1-k stands for the QL_k - QL_k+1 edge: `up`
+    when QL_k+1 must sit above QL_k, `down` when below. Every pair joins
+    adjacent diagonals, so the merged digraph is a subgraph of a path and
+    has a cycle exactly when up & down != 0. Only then are the pairs listed
+    and _find_ql_cycle run, to name the cycle and the instructions in it.
     """
     ops = cycle.ops
     if ops[0].kind in SG_KINDS:
@@ -316,100 +363,114 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
                 detail="conflicting semi-global drives on the shared column lines",
             )
         return ConflictReport()
+    moves = ops[0].kind in MOVE_KINDS  # otherwise every instruction is a sqswap
 
-    movers = frozenset(op.qubits[0] for op in ops if op.kind in MOVE_KINDS)
-
-    # per-instruction signal requirements
-    reqs: list[SignalRequirements] = []
-    dests: dict[int, tuple[int, int]] = {}
+    # each instruction's two sites: a move's origin and destination, or the
+    # sites of a sqswap's two qubits
+    sites: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for i, op in enumerate(ops):
-        if op.kind in MOVE_KINDS:
-            q = op.qubits[0]
-            origin, dest = move_sites(grid, q, op.move_delta())
+        if moves:
+            origin, dest = move_sites(grid, op.qubits[0], op.move_delta())
             if not grid.in_grid(dest):
                 return ConflictReport(
                     kind=ConflictKind.BLOCKED_PATH,
                     culprits=(i,),
-                    detail=f"qubit {q} shuttled off-grid from {origin}",
+                    detail=f"qubit {op.qubits[0]} shuttled off-grid from {origin}",
                 )
-            dests[i] = dest
-            reqs.append(_shuttle_signals(grid, origin, dest, movers))
-        else:  # sqswap, the one kind left in a non-semi-global cycle
+            sites.append((origin, dest))
+        else:
             try:
-                reqs.append(_sqswap_signals(grid, op.qubits[0], op.qubits[1]))
+                sites.append(sqswap_sites(grid, op.qubits[0], op.qubits[1]))
             except CrossbarError as e:
                 return ConflictReport(ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e))
 
     # blocked paths: duplicate movers, shared destinations, occupied destinations
-    # (dests lists the movers in instruction order)
-    seen_mover: dict[int, int] = {}
-    for i in dests:
-        q = ops[i].qubits[0]
-        if seen_mover.setdefault(q, i) != i:
-            return ConflictReport(
-                kind=ConflictKind.BLOCKED_PATH,
-                culprits=(seen_mover[q], i),
-                detail=f"qubit {q} moved by two instructions",
-            )
-    seen_dest: dict[tuple[int, int], int] = {}
-    for i, dest in dests.items():
-        if seen_dest.setdefault(dest, i) != i:
-            return ConflictReport(
-                kind=ConflictKind.BLOCKED_PATH,
-                culprits=(seen_dest[dest], i),
-                detail=f"two instructions target {dest}",
-            )
-        if grid.occupied(dest):
-            return ConflictReport(
-                kind=ConflictKind.BLOCKED_PATH,
-                culprits=(i,),
-                detail=f"destination {dest} is occupied",
-            )
+    if moves:
+        seen_mover: dict[int, int] = {}
+        for i, op in enumerate(ops):
+            q = op.qubits[0]
+            if seen_mover.setdefault(q, i) != i:
+                return ConflictReport(
+                    kind=ConflictKind.BLOCKED_PATH,
+                    culprits=(seen_mover[q], i),
+                    detail=f"qubit {q} moved by two instructions",
+                )
+        seen_dest: dict[tuple[int, int], int] = {}
+        for i, (_, dest) in enumerate(sites):
+            if seen_dest.setdefault(dest, i) != i:
+                return ConflictReport(
+                    kind=ConflictKind.BLOCKED_PATH,
+                    culprits=(seen_dest[dest], i),
+                    detail=f"two instructions target {dest}",
+                )
+            if grid.occupied(dest):
+                return ConflictReport(
+                    kind=ConflictKind.BLOCKED_PATH,
+                    culprits=(i,),
+                    detail=f"destination {dest} is occupied",
+                )
 
-    # barrier clashes between lowered and raised sets
-    for i, ri in enumerate(reqs):
-        for j, rj in enumerate(reqs):
-            if i != j and ri.lowered in rj.raised:
+    # barrier clashes: instruction j raises every barrier bordering its two
+    # sites except the one it lowers
+    lowered = [barrier_between(a, b) for a, b in sites]
+    for i, line in enumerate(lowered):
+        for j, (a, b) in enumerate(sites):
+            if line != lowered[j] and (_borders(line, a) or _borders(line, b)):
                 return ConflictReport(
                     kind=ConflictKind.BARRIER_CLASH,
                     culprits=(i, j),
-                    detail=f"[{ri.lowered}] lowered by one instruction, raised by another",
+                    detail=f"[{line}] lowered by one instruction, raised by another",
                 )
 
     # unwanted interactions: the barrier an instruction lowers runs the
     # whole line, so an occupied pair across it elsewhere couples those
     # qubits regardless of QL relations
-    occupied = grid.occupied
-    for i, (op, req) in enumerate(zip(ops, reqs)):
-        line = req.lowered
-        x, y = grid.site_of(op.qubits[0])
+    for i, (((x, y), _), line) in enumerate(zip(sites, lowered)):
         k = line.index
         if line.family == "RL":  # vertical shuttle or sqswap: other columns
-            hits = (m for m in range(grid.n) if m != x and occupied((m, k)) and occupied((m, k + 1)))
-            where = "column"
+            hits, where = grid.rows[k] & grid.rows[k + 1] & ~(1 << x), "column"
         else:  # horizontal shuttle: other rows
-            hits = (m for m in range(grid.n) if m != y and occupied((k, m)) and occupied((k + 1, m)))
-            where = "row"
-        hit = next(hits, None)
-        if hit is not None:
+            hits, where = grid.cols[k] & grid.cols[k + 1] & ~(1 << y), "row"
+        if hits:
             return ConflictReport(
                 kind=ConflictKind.UNWANTED_INTERACTION,
                 culprits=(i,),
-                detail=f"{line} lowered while {where} {hit} holds an occupied pair",
+                detail=f"{line} lowered while {where} {next(_bits(hits))} holds an occupied pair",
             )
+
+    if not moves:  # a sqswap holds its two QL lines equal: no inequality
+        return ConflictReport()
+
+    movers: dict[int, int] = {}
+    for (x, y), _ in sites:
+        movers[x] = movers.get(x, 0) | 1 << y
+    n = grid.n
+    up = down = 0
+    for (x0, y0), (x1, y1) in sites:
+        dest_ql, origin_ql = x1 - y1, x0 - y0
+        if dest_ql > origin_ql:
+            up |= 1 << (n - 1 - origin_ql)
+        else:
+            down |= 1 << (n - 1 - dest_ql)
+        if y0 == y1:
+            # row bit y of either column stands for the QL_(left-y) edge,
+            # bit n-1-left+y of the QL masks
+            left = min(x0, x1)
+            down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
+            up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
+    if not up & down:
+        return ConflictReport()
 
     # merged inequality set: instruction by instruction, each one's pairs
     # sorted, first occurrence kept, so the reported cycle is deterministic
-    cycle = _find_ql_cycle(dict.fromkeys(p for r in reqs for p in sorted(r.ql_gt)))
-    if cycle is not None:
-        edges = set(zip(cycle, cycle[1:]))
-        return ConflictReport(
-            kind=ConflictKind.QL_CONTRADICTION,
-            culprits=tuple(i for i, r in enumerate(reqs) if r.ql_gt & edges),
-            detail="QL inequality cycle " + " > ".join(f"QL_{v}" for v in cycle),
-        )
-
-    return ConflictReport()
+    ql_gt = [_ql_pairs(grid, origin, dest, movers) for origin, dest in sites]
+    ql_cycle = _find_ql_cycle(dict.fromkeys(p for pairs in ql_gt for p in sorted(pairs)))
+    edges = set(zip(ql_cycle, ql_cycle[1:]))
+    return ConflictReport(
+        kind=ConflictKind.QL_CONTRADICTION,
+        culprits=tuple(i for i, pairs in enumerate(ql_gt) if pairs & edges),
+        detail="QL inequality cycle " + " > ".join(f"QL_{v}" for v in ql_cycle),
+    )
 
 
 def apply_op(grid: Grid, op: Instruction) -> None:

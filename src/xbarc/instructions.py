@@ -244,9 +244,17 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _string(value, what: str) -> str:
+    """`value`, if it is a string; an XbarcError naming `what` otherwise."""
+    if not isinstance(value, str):
+        raise XbarcError(f"{what} must be a string, document gives {value!r}")
+    return value
+
+
 def _circuit_from_doc(d) -> Circuit:
     """circuit_from_dict after the checks its constructors leave out."""
     _typed(d, dict, "circuit")
+    _string(d.get("name", ""), "circuit name")
     n = d["n_qubits"]
     if not (is_int(n) and n >= 1):
         raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {n!r}")
@@ -268,6 +276,10 @@ def _check_instruction(op: Instruction, n: int) -> None:
     for q in op.qubits:
         if not (is_int(q) and 0 <= q < n):
             raise XbarcError(f"{op.kind.value} names qubit {q!r}, outside range({n})")
+    if not all(is_int(i) and i >= 0 for i in op.src):
+        raise XbarcError(
+            f"{op.kind.value} src must list non-negative integers, document gives {list(op.src)!r}"
+        )
     if op.kind in (InstrKind.ZSH, InstrKind.ZSH_RET) and op.direction not in ("L", "R"):
         raise XbarcError(f"{op.kind.value} needs direction L or R, document gives {op.direction!r}")
     if op.kind in ANGLE_KINDS and not is_finite_real(op.angle):
@@ -329,11 +341,11 @@ def schedule_from_doc(doc: dict) -> Schedule:
             for i, c in enumerate(_typed(doc["cycles"], list, "cycles"))
         )
         schedule = Schedule(
-            name=doc.get("name", ""),
+            name=_string(doc.get("name", ""), "name"),
             grid_n=grid_n,
             placement=tuple(tuple(p) for p in placement),
             cycles=cycles,
-            trajectory_sha256=doc["trajectory_sha256"],
+            trajectory_sha256=_string(doc["trajectory_sha256"], "trajectory_sha256"),
             circuit=_circuit_from_doc(doc["circuit"]) if "circuit" in doc else None,
         )
     except KeyError as e:

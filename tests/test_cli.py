@@ -186,6 +186,11 @@ def _old_format(doc):
         (_set_first(["cycles", 1, "type"], "twoq"), "cycle 1 is written as type 'twoq' but holds shuttle"),
         (_append_op(1, {"kind": "sg_rot", "angle": 0.1, "axis": "x", "parity": 0}),
          "cycle 1: instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
+        (lambda doc: doc.update(name=5), "name must be a string, document gives 5"),
+        (_set_first(["circuit", "name"], ["bell"]), "circuit name must be a string, document gives ['bell']"),
+        (lambda doc: doc.update(trajectory_sha256=5), "trajectory_sha256 must be a string, document gives 5"),
+        (_set_op("sqswap", "src", [1.5]), "sqswap src must list non-negative integers, document gives [1.5]"),
+        (_set_op("sqswap", "src", [-1]), "sqswap src must list non-negative integers, document gives [-1]"),
     ],
     ids=[
         "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -194,7 +199,8 @@ def _old_format(doc):
         "cycles-number", "circuit-gates-number", "cycle-not-object", "op-not-object",
         "circuit-gate-q-number", "circuit-qubits-string", "circuit-angle-string", "zsh-angle-401-digits",
         "zsh-angle-nan", "zsh-angle-inf", "grid-huge", "grid-too-large", "placement-off-grid",
-        "placement-shared-site", "cycle-type-mismatch", "cycle-mixed",
+        "placement-shared-site", "cycle-type-mismatch", "cycle-mixed", "name-number",
+        "circuit-name-list", "digest-number", "src-float", "src-negative",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])

@@ -5,19 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarc import ConflictKind, check_parallel_set, grid_for, shuttle_requirements
+from xbarc import (
+    BenchSpec,
+    ConflictKind,
+    check_parallel_set,
+    gen_random_uniform,
+    grid_for,
+    replay_verify,
+    shuttle_requirements,
+    verifier,
+)
 from xbarc.crossbar import (
+    ConflictReport,
     Grid,
     Line,
+    SignalRequirements,
+    _find_ql_cycle,
     apply_op,
+    barrier_between,
     checkerboard_sites,
+    move_sites,
     ql_index,
     site_barriers,
+    sqswap_sites,
 )
 from xbarc.errors import CrossbarError
-from xbarc.instructions import Cycle, Instruction, InstrKind
+from xbarc.instructions import (
+    MOVE_KINDS,
+    SG_KINDS,
+    Cycle,
+    Instruction,
+    InstrKind,
+    Schedule,
+    TrajectoryDigest,
+)
 
-from conftest import sparse_grid
+from conftest import compile_native, sparse_grid
 
 
 def sh(kind, q):
@@ -370,3 +393,251 @@ def test_site_barriers_at_edges():
         Line("RL", 0),
         Line("RL", 1),
     }
+
+
+# --- reference: check_parallel_set as it stood before the occupancy masks,
+# copied literally (one SignalRequirements with Line sets per instruction,
+# 2N qubit_at/occupied stay-put scan, DFS over the merged QL pairs)
+
+
+def _reference_barrier_signals(grid, a, b, ql_gt=frozenset()):
+    lowered = barrier_between(a, b)
+    raised = (site_barriers(a, grid.n) | site_barriers(b, grid.n)) - {lowered}
+    return SignalRequirements(lowered, frozenset(raised), frozenset(ql_gt))
+
+
+def _reference_shuttle_signals(grid, origin, dest, movers):
+    ql_gt = {(ql_index(dest), ql_index(origin))}
+    if origin[1] == dest[1]:
+        for x, across_x in ((origin[0], dest[0]), (dest[0], origin[0])):
+            for y in range(grid.n):
+                other = grid.qubit_at((x, y))
+                if other is not None and other not in movers and not grid.occupied((across_x, y)):
+                    ql_gt.add((ql_index((x, y)), ql_index((across_x, y))))
+    return _reference_barrier_signals(grid, origin, dest, ql_gt)
+
+
+def _reference_sqswap_signals(grid, a, b):
+    return _reference_barrier_signals(grid, *sqswap_sites(grid, a, b))
+
+
+def reference_check_parallel_set(grid, cycle):
+    ops = cycle.ops
+    if ops[0].kind in SG_KINDS:
+        distinct = {(op.kind, op.axis, op.angle, op.parity) for op in ops}
+        if len(distinct) > 1:
+            return ConflictReport(
+                kind=ConflictKind.BARRIER_CLASH,
+                culprits=tuple(range(len(ops))),
+                detail="conflicting semi-global drives on the shared column lines",
+            )
+        return ConflictReport()
+
+    movers = frozenset(op.qubits[0] for op in ops if op.kind in MOVE_KINDS)
+
+    reqs = []
+    dests = {}
+    for i, op in enumerate(ops):
+        if op.kind in MOVE_KINDS:
+            q = op.qubits[0]
+            origin, dest = move_sites(grid, q, op.move_delta())
+            if not grid.in_grid(dest):
+                return ConflictReport(
+                    kind=ConflictKind.BLOCKED_PATH,
+                    culprits=(i,),
+                    detail=f"qubit {q} shuttled off-grid from {origin}",
+                )
+            dests[i] = dest
+            reqs.append(_reference_shuttle_signals(grid, origin, dest, movers))
+        else:
+            try:
+                reqs.append(_reference_sqswap_signals(grid, op.qubits[0], op.qubits[1]))
+            except CrossbarError as e:
+                return ConflictReport(ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e))
+
+    seen_mover = {}
+    for i in dests:
+        q = ops[i].qubits[0]
+        if seen_mover.setdefault(q, i) != i:
+            return ConflictReport(
+                kind=ConflictKind.BLOCKED_PATH,
+                culprits=(seen_mover[q], i),
+                detail=f"qubit {q} moved by two instructions",
+            )
+    seen_dest = {}
+    for i, dest in dests.items():
+        if seen_dest.setdefault(dest, i) != i:
+            return ConflictReport(
+                kind=ConflictKind.BLOCKED_PATH,
+                culprits=(seen_dest[dest], i),
+                detail=f"two instructions target {dest}",
+            )
+        if grid.occupied(dest):
+            return ConflictReport(
+                kind=ConflictKind.BLOCKED_PATH,
+                culprits=(i,),
+                detail=f"destination {dest} is occupied",
+            )
+
+    for i, ri in enumerate(reqs):
+        for j, rj in enumerate(reqs):
+            if i != j and ri.lowered in rj.raised:
+                return ConflictReport(
+                    kind=ConflictKind.BARRIER_CLASH,
+                    culprits=(i, j),
+                    detail=f"[{ri.lowered}] lowered by one instruction, raised by another",
+                )
+
+    occupied = grid.occupied
+    for i, (op, req) in enumerate(zip(ops, reqs)):
+        line = req.lowered
+        x, y = grid.site_of(op.qubits[0])
+        k = line.index
+        if line.family == "RL":
+            hits = (m for m in range(grid.n) if m != x and occupied((m, k)) and occupied((m, k + 1)))
+            where = "column"
+        else:
+            hits = (m for m in range(grid.n) if m != y and occupied((k, m)) and occupied((k + 1, m)))
+            where = "row"
+        hit = next(hits, None)
+        if hit is not None:
+            return ConflictReport(
+                kind=ConflictKind.UNWANTED_INTERACTION,
+                culprits=(i,),
+                detail=f"{line} lowered while {where} {hit} holds an occupied pair",
+            )
+
+    cycle = _find_ql_cycle(dict.fromkeys(p for r in reqs for p in sorted(r.ql_gt)))
+    if cycle is not None:
+        edges = set(zip(cycle, cycle[1:]))
+        return ConflictReport(
+            kind=ConflictKind.QL_CONTRADICTION,
+            culprits=tuple(i for i, r in enumerate(reqs) if r.ql_gt & edges),
+            detail="QL inequality cycle " + " > ".join(f"QL_{v}" for v in cycle),
+        )
+
+    return ConflictReport()
+
+
+def report_tuple(report):
+    return report.ok, report.kind, report.culprits, report.detail
+
+
+SHUTTLE_FAMILY = (InstrKind.SH_L, InstrKind.SH_R, InstrKind.SH_U, InstrKind.SH_D, InstrKind.ZSH_RET)
+
+
+@st.composite
+def grids_and_cycles(draw):
+    """A random occupancy of a side-1..7 grid, drawn from every site or from
+    the checkerboard sites only, and a one-family cycle of 1-5 moves
+    (shuttles and zsh_ret, or zsh) or sqswaps. A sqswap's second qubit is
+    the first one's upper or lower neighbour when it has one, so that legal
+    sqswaps are common."""
+    n = draw(st.integers(1, 7))
+    pool = [(x, y) for y in range(n) for x in range(n)]
+    if draw(st.booleans()):
+        pool = list(checkerboard_sites(n))
+    sites = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+    grid = Grid(n, tuple(sites))
+    qubit = st.integers(0, len(sites) - 1)
+    family = draw(st.sampled_from(("shuttle", "z", "twoq")))
+    ops = []
+    for _ in range(draw(st.integers(1, 5))):
+        q = draw(qubit)
+        if family == "shuttle":
+            kind = draw(st.sampled_from(SHUTTLE_FAMILY))
+            direction = draw(st.sampled_from("LR")) if kind is InstrKind.ZSH_RET else None
+            ops.append(Instruction(kind, (q,), direction=direction))
+        elif family == "z":
+            ops.append(Instruction(InstrKind.ZSH, (q,), angle=0.5, direction=draw(st.sampled_from("LR"))))
+        else:
+            x, y = grid.site_of(q)
+            near = [grid.qubit_at((x, y + d)) for d in (1, -1) if grid.occupied((x, y + d))]
+            other = draw(st.sampled_from(near)) if near and draw(st.booleans()) else draw(qubit)
+            ops.append(Instruction(InstrKind.SQSWAP, (q, other)))
+    return grid, Cycle(tuple(ops))
+
+
+class TestAgainstReference:
+    """The mask-based check returns the reference's report on every input."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(grids_and_cycles())
+    def test_random_cycles(self, grid_cycle):
+        grid, cycle = grid_cycle
+        before = grid.pos
+        assert report_tuple(check_parallel_set(grid, cycle)) == report_tuple(
+            reference_check_parallel_set(grid, cycle)
+        )
+        assert grid.pos == before
+
+    @pytest.mark.parametrize("n_qubits, n_gates", [(2, 60), (12, 300), (200, 150)])
+    def test_every_cycle_of_compiled_circuits(self, n_qubits, n_gates):
+        _, s = compile_native(gen_random_uniform(BenchSpec(n_qubits, n_gates, 50.0, 0)))
+        grid = Grid(s.grid_n, s.placement)
+        for cycle in s.cycles:
+            report = check_parallel_set(grid, cycle)
+            assert report.ok
+            assert report_tuple(report) == report_tuple(reference_check_parallel_set(grid, cycle))
+            for op in cycle.ops:
+                apply_op(grid, op)
+
+
+def rebuilt_masks(grid):
+    """Column and row occupancy masks computed from scratch from grid.pos."""
+    cols, rows = [0] * grid.n, [0] * grid.n
+    for x, y in grid.pos:
+        cols[x] |= 1 << y
+        rows[y] |= 1 << x
+    return cols, rows
+
+
+def assert_masks_match(grid):
+    assert (grid.cols, grid.rows) == rebuilt_masks(grid)
+
+
+class TestOccupancyMasks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_masks_follow_legal_moves(self, data):
+        n = data.draw(st.integers(2, 7))
+        sites = list(checkerboard_sites(n))
+        k = data.draw(st.integers(1, len(sites)))
+        grid = Grid(n, tuple(data.draw(st.permutations(sites))[:k]))
+        assert_masks_match(grid)
+        for _ in range(data.draw(st.integers(0, 30))):
+            op = sh(data.draw(st.sampled_from(SHUTTLE_FAMILY[:4])), data.draw(st.integers(0, k - 1)))
+            try:
+                apply_op(grid, op)
+            except CrossbarError:
+                pass  # an illegal move leaves the grid unchanged
+            assert_masks_match(grid)
+
+    def test_copy_keeps_its_own_masks(self):
+        grid = grid_for(8)
+        copy = grid.copy()
+        apply_op(copy, sh(InstrKind.SH_R, 0))
+        assert_masks_match(copy)
+        assert_masks_match(grid)
+        assert (grid.cols, grid.rows) == rebuilt_masks(grid_for(8))
+        assert copy.cols != grid.cols and copy.rows != grid.rows
+
+    def test_rollback_restores_masks(self, monkeypatch):
+        # qubits 0 and 1 move, qubit 2 leaves the grid: replay undoes both
+        # moves, and the checks of the next two cycles see masks that match
+        # the positions
+        placement = ((1, 1), (0, 1), (2, 2))
+        raised = ((1, 2), (0, 1), (2, 2))
+        broken = Cycle(tuple(sh(InstrKind.SH_R, q) for q in (0, 1, 2)))
+        up, down = Cycle((sh(InstrKind.SH_U, 0),)), Cycle((sh(InstrKind.SH_D, 0),))
+        seen = []
+
+        def checked(grid, cycle):
+            seen.append((grid.pos, (grid.cols, grid.rows) == rebuilt_masks(grid)))
+            return check_parallel_set(grid, cycle)
+
+        monkeypatch.setattr(verifier, "check_parallel_set", checked)
+        digest = TrajectoryDigest([placement, raised, placement]).hexdigest()
+        report = replay_verify(Schedule("partway", 3, placement, (broken, up, down), digest))
+        assert seen == [(placement, True), (placement, True), (raised, True)]
+        assert [i for i, _ in report.violations] == [0, 0] and report.trajectory_match
