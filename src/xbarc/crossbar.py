@@ -36,8 +36,9 @@ cycle to one instruction family, apply_op checks each move, and Grid and
 check_parallel_set trust all three.
 
 A Grid is mutable and apply_op/apply_cycle advance it in place, O(1) per
-move, returning None. Whoever advances a grid owns it; code that must not
-disturb its caller's grid works on a Grid.copy() (see Grid).
+move, returning None. apply_cycle is the one place a cycle is applied: it
+undoes a cycle that fails partway and adds the occupancy after every cycle
+to the grid's own TrajectoryDigest, `grid.trajectory`.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CrossbarError
 from .instructions import (
-    DELTAS, MOVE_KINDS, SG_KINDS, Cycle, Instruction, InstrKind, coord_buffer, grid_side,
+    DELTAS, MOVE_KINDS, SG_KINDS, Cycle, Instruction, InstrKind, TrajectoryDigest, coord_buffer, grid_side,
 )
 
 
@@ -91,18 +92,19 @@ class Grid:
     `coords` holds every qubit's (x, y) as one flat uint32 buffer, x0, y0,
     x1, y1, ..., next to a site -> qubit map and two occupancy bitmask lists:
     cols[x] has bit y set and rows[y] has bit x set when (x, y) holds a
-    qubit. move updates all four in place in O(1), so replay_verify's
-    rollback, which moves qubits back, restores them too. Whoever advances
-    a grid owns it: schedule_integrated, replay_verify, simulate_schedule
-    and metrics.esp each build or copy their own, and the
-    routing entry points (route_two_qubit, z_route, expand_semi_global)
-    copy the caller's grid once per gate and leave it unchanged. Grid
-    checks and converts nothing: its placement, a tuple of (x, y) tuples,
-    comes from a checked Schedule, from schedule_integrated's
-    check_placement or from the checkerboard, and every move from apply_op.
+    qubit. move updates all four in place in O(1), so apply_cycle's undo,
+    which moves qubits back, restores them too. `trajectory` starts empty
+    and apply_cycle adds the occupancy after every cycle to it. Whoever
+    advances a grid owns it: schedule_integrated, replay_verify,
+    simulate_schedule and metrics.esp each build their own from a
+    placement, and the routing entry points (route_two_qubit, z_route,
+    expand_semi_global) advance the grid they are given. Grid checks and
+    converts nothing: its placement, a tuple of (x, y) tuples, comes from a
+    checked Schedule, from schedule_integrated's check_placement or from the
+    checkerboard, and every move from apply_op.
     """
 
-    __slots__ = ("n", "coords", "cols", "rows", "_site_map")
+    __slots__ = ("n", "coords", "cols", "rows", "_site_map", "trajectory")
 
     def __init__(self, n: int, pos: tuple[tuple[int, int], ...]):
         self.n = n
@@ -113,16 +115,7 @@ class Grid:
         for x, y in pos:
             self.cols[x] |= 1 << y
             self.rows[y] |= 1 << x
-
-    def copy(self) -> "Grid":
-        """An independent grid at the same occupancy (O(n_qubits))."""
-        other = Grid.__new__(Grid)
-        other.n = self.n
-        other.coords = self.coords[:]
-        other._site_map = self._site_map.copy()
-        other.cols = self.cols[:]
-        other.rows = self.rows[:]
-        return other
+        self.trajectory = TrajectoryDigest()
 
     @property
     def pos(self) -> tuple[tuple[int, int], ...]:
@@ -150,7 +143,7 @@ class Grid:
 
     def move(self, q: int, site: tuple[int, int]) -> None:
         """Put q on `site` in place, unchecked: apply_op checked the move, or
-        replay_verify is undoing one."""
+        apply_cycle is undoing one."""
         i = 2 * q
         xy = self.coords
         x, y = xy[i], xy[i + 1]
@@ -487,7 +480,21 @@ def apply_op(grid: Grid, op: Instruction) -> None:
 
 
 def apply_cycle(grid: Grid, cycle: Cycle) -> None:
-    """apply_op on each instruction in order; a CrossbarError partway
-    leaves the moves before it applied."""
-    for op in cycle.ops:
-        apply_op(grid, op)
+    """apply_op on each instruction in order, then add the occupancy to
+    grid.trajectory. A CrossbarError partway undoes the moves before it in
+    reverse order (a move's origin is empty once every later move is
+    undone) and is re-raised, so the digest records the occupancy from
+    before the cycle."""
+    ops = cycle.ops
+    try:
+        for i, op in enumerate(ops):
+            apply_op(grid, op)
+    except CrossbarError:
+        for op in reversed(ops[:i]):
+            if op.kind in MOVE_KINDS:
+                q = op.qubits[0]
+                (x, y), (dx, dy) = grid.site_of(q), op.move_delta()
+                grid.move(q, (x - dx, y - dy))
+        raise
+    finally:
+        grid.trajectory.add(grid.coords)

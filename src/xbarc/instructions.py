@@ -259,7 +259,10 @@ def _circuit_from_doc(d) -> Circuit:
     if not (is_int(n) and n >= 1):
         raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {n!r}")
     for i, g in enumerate(_typed(d["gates"], list, "circuit gates")):
-        q = _typed(_typed(g, dict, f"circuit gate {i}")["q"], list, f"circuit gate {i} q")
+        kind = _typed(g, dict, f"circuit gate {i}")["kind"]
+        if kind not in ("rx", "ry", "rz", "sqswap"):  # NATIVE_KINDS; a set would fail on a list
+            raise XbarcError(f"circuit gate {i} kind must be rx, ry, rz or sqswap, document gives {kind!r}")
+        q = _typed(g["q"], list, f"circuit gate {i} q")
         if not all(map(is_int, q)):
             raise XbarcError(f"circuit gate {i} q must list integers, document gives {q!r}")
         if "angle" in g and not is_finite_real(g["angle"]):

@@ -9,7 +9,8 @@ checkerboard. Z rotations ride a timed shuttle to a neighbouring column and
 back. A targeted X/Y rotation uses the semi-global compensation scheme:
 rotate the target's column parity, shuttle the target out, rotate the
 parity back, shuttle the target home. Every entry point routes one gate on
-its own copy of the grid and checks its shuttles and swaps with `_checked`.
+the grid it is given and advances it: `_checked` checks each cycle and
+applies it with apply_cycle, which also records it in grid.trajectory.
 """
 from __future__ import annotations
 
@@ -100,11 +101,10 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
     2 cycles) or two 1-instruction cycles onto an empty site. The block
     ends with [horizontal shuttle of a into b's column, sqswap, horizontal
     shuttle back]; the checkerboard is broken only inside those cycles.
-    Routes on a copy: the caller's grid is left unchanged.
+    Each cycle is checked and applied to `grid` as it is emitted.
     """
     if a == b:
         raise ValueError("two-qubit gate needs distinct operands")
-    grid = grid.copy()
     cycles: list[Cycle] = []
     a_site, b_site = grid.site_of(a), grid.site_of(b)
     corner = _pick_corner(grid, a_site, b_site)
@@ -147,8 +147,8 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
 
 def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]:
     """Z rotation as a phase-carrying shuttle to an empty horizontal
-    neighbour (the lower column winning ties) and back, checked on a copy
-    of the caller's grid."""
+    neighbour (the lower column winning ties) and back, checked and applied
+    to `grid`."""
     x, y = grid.site_of(q)
     if x - 1 >= 0 and not grid.occupied((x - 1, y)):
         direction, back_dir = "L", "R"
@@ -161,7 +161,6 @@ def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]
         )
     out = Cycle((Instruction(InstrKind.ZSH, (q,), angle=angle, direction=direction, src=(src,)),))
     back = Cycle((Instruction(InstrKind.ZSH_RET, (q,), direction=back_dir, src=(src,)),))
-    grid = grid.copy()
     _checked(grid, out)
     _checked(grid, back)
     return out, back
@@ -172,25 +171,24 @@ def expand_semi_global(grid: Grid, q: int, axis: str, angle: float, src: int = 0
 
     If q is alone in its column parity, one pulse suffices. Otherwise: pulse
     the parity, shuttle q to the other parity (right unless blocked, else
-    left), pulse the inverse, shuttle back. The cycles are checked on a copy
-    of the caller's grid.
+    left), pulse the inverse, shuttle back. The cycles, the lone pulse
+    included, are checked and applied to `grid`.
     """
     parity = grid.column_parity(q)
     srcs = (src,)
     rot = Instruction(InstrKind.SG_ROT, angle=angle, axis=axis, parity=parity, src=srcs)
     if grid.parity_members(parity) == (q,):
-        return (Cycle((rot,)),)
-
-    x, y = grid.site_of(q)
-    dx = 1 if grid.in_grid((x + 1, y)) and not grid.occupied((x + 1, y)) else -1
-    inv = Instruction(InstrKind.SG_ROT_INV, angle=-angle, axis=axis, parity=parity, src=srcs)
-    cycles = (
-        Cycle((rot,)),
-        Cycle((_h_shuttle(q, dx, srcs),)),
-        Cycle((inv,)),
-        Cycle((_h_shuttle(q, -dx, srcs),)),
-    )
-    g = grid.copy()
+        cycles = (Cycle((rot,)),)
+    else:
+        x, y = grid.site_of(q)
+        dx = 1 if grid.in_grid((x + 1, y)) and not grid.occupied((x + 1, y)) else -1
+        inv = Instruction(InstrKind.SG_ROT_INV, angle=-angle, axis=axis, parity=parity, src=srcs)
+        cycles = (
+            Cycle((rot,)),
+            Cycle((_h_shuttle(q, dx, srcs),)),
+            Cycle((inv,)),
+            Cycle((_h_shuttle(q, -dx, srcs),)),
+        )
     for cycle in cycles:
-        _checked(g, cycle)
+        _checked(grid, cycle)
     return cycles

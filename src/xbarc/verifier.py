@@ -1,9 +1,9 @@
 """Schedule verification: replay and statevector equivalence, one verdict.
 
 Replay re-runs every cycle from the initial placement through the
-scheduler's own check_parallel_set/apply_op (so it cannot catch a fault in
-the conflict model itself), hashes the occupancy after every cycle with
-TrajectoryDigest and compares it with the digest the scheduler stored, so
+scheduler's own check_parallel_set/apply_cycle (so it cannot catch a fault
+in the conflict model itself) and compares the grid's trajectory digest,
+the occupancy after every cycle, with the digest the scheduler stored, so
 cycles that are each legal but no longer reproduce the compiled trajectory
 fail. Statevector equivalence simulates the compiled schedule against the
 decomposed circuit at small qubit counts; both sides fold each qubit's
@@ -22,9 +22,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import Circuit
-from .crossbar import ConflictKind, ConflictReport, Grid, apply_op, check_parallel_set
+from .crossbar import ConflictKind, ConflictReport, Grid, apply_cycle, apply_op, check_parallel_set
 from .errors import CrossbarError
-from .instructions import MOVE_KINDS, InstrKind, Schedule, TrajectoryDigest
+from .instructions import InstrKind, Schedule
 from .sim import apply_1q, apply_2q  # noqa: F401  unused; perfbench/tracing.py binds these names
 from .sim import (
     SQSWAP_MATRIX,
@@ -82,32 +82,22 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
 
     Total for every Schedule (its placement was checked when it was made):
     problems land in the report, never in an exception. A cycle whose
-    instructions cannot all be applied is a BLOCKED_PATH violation and is
-    rolled back: the moves it already made are undone in reverse order (a
-    move's origin is empty once every later move is undone), so the digest
-    and the next cycle see the occupancy from before the cycle.
+    instructions cannot all be applied is a BLOCKED_PATH violation;
+    apply_cycle undoes it, so the digest and the next cycle see the
+    occupancy from before the cycle.
     """
     violations: list[tuple[int, ConflictReport]] = []
-    trajectory = TrajectoryDigest()
     grid = Grid(schedule.grid_n, schedule.placement)
     for idx, cycle in enumerate(schedule.cycles):
         report = check_parallel_set(grid, cycle)
         if not report.ok:
             violations.append((idx, report))
-        moved: list[tuple[int, tuple[int, int]]] = []  # (qubit, origin) per applied move
         try:
-            for op in cycle.ops:
-                origin = grid.site_of(op.qubits[0]) if op.kind in MOVE_KINDS else None
-                apply_op(grid, op)
-                if origin is not None:
-                    moved.append((op.qubits[0], origin))
+            apply_cycle(grid, cycle)
         except CrossbarError as e:
             detail = f"cycle is not applicable: {e}"
             violations.append((idx, ConflictReport(ConflictKind.BLOCKED_PATH, detail=detail)))
-            for q, origin in reversed(moved):
-                grid.move(q, origin)
-        trajectory.add(grid.coords)
-    return VerifyReport(tuple(violations), trajectory.hexdigest() == schedule.trajectory_sha256)
+    return VerifyReport(tuple(violations), grid.trajectory.hexdigest() == schedule.trajectory_sha256)
 
 
 def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:

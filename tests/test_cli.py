@@ -2,11 +2,13 @@
 import csv
 import json
 import os
+from contextlib import nullcontext
 
 import pytest
 
 from xbarc.cli import main, parse_range
 from xbarc.metrics import CSV_COLUMNS
+from xbarc.qasm import MeasurementDropped
 
 
 @pytest.fixture()
@@ -191,6 +193,14 @@ def _old_format(doc):
         (lambda doc: doc.update(trajectory_sha256=5), "trajectory_sha256 must be a string, document gives 5"),
         (_set_op("sqswap", "src", [1.5]), "sqswap src must list non-negative integers, document gives [1.5]"),
         (_set_op("sqswap", "src", [-1]), "sqswap src must list non-negative integers, document gives [-1]"),
+        (_set_first(["circuit", "gates", 0], {"kind": "measure", "q": [0]}),
+         "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'measure'"),
+        (_set_first(["circuit", "gates", 0], {"kind": "h", "q": [0]}),
+         "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'h'"),
+        (_set_first(["circuit", "gates", 1], {"kind": "cx", "q": [0, 1]}),
+         "circuit gate 1 kind must be rx, ry, rz or sqswap, document gives 'cx'"),
+        (_set_first(["circuit", "gates", 0, "kind"], ["rx"]),
+         "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives ['rx']"),
     ],
     ids=[
         "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -201,6 +211,7 @@ def _old_format(doc):
         "zsh-angle-nan", "zsh-angle-inf", "grid-huge", "grid-too-large", "placement-off-grid",
         "placement-shared-site", "cycle-type-mismatch", "cycle-mixed", "name-number",
         "circuit-name-list", "digest-number", "src-float", "src-negative",
+        "circuit-gate-measure", "circuit-gate-h", "circuit-gate-cx", "circuit-gate-kind-list",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])
@@ -228,7 +239,8 @@ def test_empty_circuit_compiles_to_empty_schedule(tmp_path, source):
     src = tmp_path / "empty.qasm"
     src.write_text(source + "\n")
     out = tmp_path / "empty.json"
-    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    with pytest.warns(MeasurementDropped) if "measure" in source else nullcontext():
+        assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["cycles"] == []
     assert doc["metrics"]["gate_overhead_pct"] == 0.0 == doc["metrics"]["depth_overhead_pct"]

@@ -21,6 +21,7 @@ from xbarc.crossbar import (
     Line,
     SignalRequirements,
     _find_ql_cycle,
+    apply_cycle,
     apply_op,
     barrier_between,
     checkerboard_sites,
@@ -293,19 +294,9 @@ class TestIdleConfigProperties:
 class TestApplyOp:
     def test_shuttle_moves_one_site(self):
         g = sparse_grid(3, [(1, 1)])
-        before = g.copy()
         assert apply_op(g, sh(InstrKind.SH_L, 0)) is None
         assert g.site_of(0) == (0, 1)  # moved in place
         assert g.qubit_at((0, 1)) == 0 and not g.occupied((1, 1))
-        assert before.site_of(0) == (1, 1)  # the copy did not move with it
-        assert before.qubit_at((1, 1)) == 0 and not before.occupied((0, 1))
-
-    def test_copy_is_independent(self):
-        g = grid_for(8)
-        c = g.copy()
-        apply_op(c, sh(InstrKind.SH_R, 0))
-        assert g.pos == grid_for(8).pos
-        assert c.site_of(0) == (1, 0) and g.site_of(0) == (0, 0)
 
     def test_sqswap_keeps_positions(self):
         g = Grid(2, ((1, 0), (1, 1)))
@@ -613,15 +604,6 @@ class TestOccupancyMasks:
                 pass  # an illegal move leaves the grid unchanged
             assert_masks_match(grid)
 
-    def test_copy_keeps_its_own_masks(self):
-        grid = grid_for(8)
-        copy = grid.copy()
-        apply_op(copy, sh(InstrKind.SH_R, 0))
-        assert_masks_match(copy)
-        assert_masks_match(grid)
-        assert (grid.cols, grid.rows) == rebuilt_masks(grid_for(8))
-        assert copy.cols != grid.cols and copy.rows != grid.rows
-
     def test_rollback_restores_masks(self, monkeypatch):
         # qubits 0 and 1 move, qubit 2 leaves the grid: replay undoes both
         # moves, and the checks of the next two cycles see masks that match
@@ -641,3 +623,46 @@ class TestOccupancyMasks:
         report = replay_verify(Schedule("partway", 3, placement, (broken, up, down), digest))
         assert seen == [(placement, True), (placement, True), (raised, True)]
         assert [i for i, _ in report.violations] == [0, 0] and report.trajectory_match
+
+
+def grid_state(grid):
+    return grid.pos, dict(grid._site_map), grid.cols[:], grid.rows[:]
+
+
+class TestApplyCycle:
+    # qubit 0 moves up to (1, 2) and qubit 1 down to (2, 1); then qubit 2
+    # either leaves the grid or steps onto qubit 0's new site
+    PLACEMENT = ((1, 1), (2, 2), (0, 2))
+    LEGAL = (sh(InstrKind.SH_U, 0), sh(InstrKind.SH_D, 1))
+
+    @pytest.mark.parametrize("last", [sh(InstrKind.SH_L, 2), sh(InstrKind.SH_R, 2)], ids=["off-grid", "occupied"])
+    def test_failing_move_undoes_the_cycle(self, last):
+        grid = Grid(3, self.PLACEMENT)
+        before = grid_state(grid)
+        with pytest.raises(CrossbarError):
+            apply_cycle(grid, Cycle(self.LEGAL + (last,)))
+        assert grid_state(grid) == before
+        assert grid.trajectory.hexdigest() == TrajectoryDigest([self.PLACEMENT]).hexdigest()
+
+    def test_legal_cycle_records_the_occupancy_after_it(self):
+        grid = Grid(3, self.PLACEMENT)
+        apply_cycle(grid, Cycle(self.LEGAL))
+        after = ((1, 2), (2, 1), (0, 2))
+        assert grid.pos == after
+        assert_masks_match(grid)
+        assert grid.trajectory.hexdigest() == TrajectoryDigest([after]).hexdigest()
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_cycles())
+    def test_any_cycle_applies_whole_or_not_at_all(self, grid_and_cycle):
+        grid, cycle = grid_and_cycle
+        before = grid_state(grid)
+        try:
+            apply_cycle(grid, cycle)
+        except CrossbarError:
+            assert grid_state(grid) == before
+            recorded = before[0]
+        else:
+            assert_masks_match(grid)
+            recorded = grid.pos
+        assert grid.trajectory.hexdigest() == TrajectoryDigest([recorded]).hexdigest()

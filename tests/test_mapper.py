@@ -23,10 +23,14 @@ from xbarc.instructions import CycleType, InstrKind
 from conftest import sparse_grid
 
 
+def start_of(grid):
+    """A fresh grid at `grid`'s occupancy, built before routing advances it."""
+    return Grid(grid.n, grid.pos)
+
+
 def replay_block(grid, block):
-    """Apply a block cycle by cycle to a copy of `grid`, asserting
-    conflict-freedom; return the copy, so `grid` keeps the start."""
-    grid = grid.copy()
+    """Apply a block cycle by cycle to `grid` in place, asserting
+    conflict-freedom; return `grid`."""
     for cycle in block:
         report = check_parallel_set(grid, cycle)
         assert report.ok, (cycle, report)
@@ -79,7 +83,8 @@ class TestRouteTwoQubit:
         g = grid_for(8)
         a, b = g.qubit_at((0, 0)), g.qubit_at((2, 2))
         partner = g.qubit_at((1, 1))
-        end = replay_block(g, route_two_qubit(g, a, b))
+        start = start_of(g)
+        end = replay_block(start, route_two_qubit(g, a, b))
         assert end.site_of(partner) == (0, 0)
         assert end.site_of(a) == (1, 1)
         assert end.is_checkerboard()
@@ -87,17 +92,18 @@ class TestRouteTwoQubit:
     def test_empty_step_uses_two_shuttles(self):
         # route across an empty checkerboard site: no exchange partner
         g = sparse_grid(4, [(0, 0), (2, 2)])
+        start = start_of(g)
         block = route_two_qubit(g, 0, 1)
         assert len(instructions(block)) == 5  # 2 step shuttles + 2 + sqswap
         assert len(block) == 5
-        end = replay_block(g, block)
+        end = replay_block(start, block)
         assert end.is_checkerboard()
 
     def test_checkerboard_broken_only_inside(self):
         g = grid_for(8)
         a, b = g.qubit_at((0, 0)), g.qubit_at((2, 2))
+        cur = start_of(g)
         block = route_two_qubit(g, a, b)
-        cur = g.copy()
         boards = []
         for cycle in block:
             apply_cycle(cur, cycle)
@@ -129,18 +135,19 @@ class TestRouteGeometry:
         g = Grid(n, tuple(placed[:k]))
         a = data.draw(st.integers(0, k - 1))
         b = data.draw(st.integers(0, k - 1).filter(lambda x: x != a))
-        block = route_two_qubit(g, a, b)
         sa, sb = g.site_of(a), g.site_of(b)
+        start = start_of(g)
+        block = route_two_qubit(g, a, b)
         steps = (len(block) - 3) // 2
         assert len(block) == 3 + 2 * steps
         assert steps == chebyshev(sa, sb) - 1
         # the Manhattan reading holds exactly on equal-axis displacements
         if abs(sa[0] - sb[0]) == abs(sa[1] - sb[1]):
             assert steps == (manhattan(sa, sb) - 2) // 2
-        end = replay_block(g, block)
+        end = replay_block(start, block)
         assert end.is_checkerboard()
         # net effect on non-participants: only swapped-through qubits move
-        assert end.site_of(b) == g.site_of(b)
+        assert end.site_of(b) == sb
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -150,19 +157,20 @@ class TestRouteGeometry:
         nq = g.n_qubits
         a = data.draw(st.integers(0, nq - 1))
         b = data.draw(st.integers(0, nq - 1).filter(lambda x: x != a))
-        end = replay_block(g, route_two_qubit(g, a, b))
+        end = replay_block(start_of(g), route_two_qubit(g, a, b))
         assert end.is_checkerboard()
 
 
 class TestZRoute:
     def test_tie_prefers_lower_column(self):
         g = sparse_grid(4, [(1, 1)])
+        start = start_of(g)
         block = z_route(g, 0, 0.7)
         out, back = instructions(block)
         assert out.kind is InstrKind.ZSH and out.direction == "L"
         assert out.angle == 0.7
         assert back.kind is InstrKind.ZSH_RET and back.direction == "R"
-        end = replay_block(g, block)
+        end = replay_block(start, block)
         assert end.site_of(0) == (1, 1)
 
     def test_edge_goes_right(self):
@@ -199,14 +207,15 @@ class TestSemiGlobal:
         # rotating one qubit of a populated parity costs the 4-step scheme
         g = grid_for(8)
         target = g.qubit_at((0, 2))
+        start = start_of(g)
         block = expand_semi_global(g, target, "y", 1.1)
         kinds = [op.kind for op in instructions(block)]
         assert kinds == [InstrKind.SG_ROT, InstrKind.SH_R, InstrKind.SG_ROT_INV, InstrKind.SH_L]
         assert len(block) == 4
         assert block[0].type is CycleType.XY_ROT
         assert block[2].type is CycleType.XY_ROT_INV
-        end = replay_block(g, block)
-        assert end.pos == g.pos
+        end = replay_block(start, block)
+        assert end.pos == grid_for(8).pos
 
     def test_inverse_angle_negated(self):
         g = grid_for(8)
@@ -233,6 +242,7 @@ def test_random_blocks_conflict_free_and_restoring(data):
     k = data.draw(st.integers(2, len(sites)))
     g = Grid(n, tuple(data.draw(st.permutations(sites))[:k]))
     before = g.pos
+    start = start_of(g)
     kind = data.draw(st.sampled_from(["z", "xy", "twoq"]))
     if kind == "z":
         q = data.draw(st.integers(0, k - 1))
@@ -244,8 +254,12 @@ def test_random_blocks_conflict_free_and_restoring(data):
         a = data.draw(st.integers(0, k - 1))
         b = data.draw(st.integers(0, k - 1).filter(lambda x: x != a))
         block = route_two_qubit(g, a, b)
-    assert g.pos == before  # the routing entry points leave the caller's grid alone
-    end = replay_block(g, block)
+    # the routing entry points advance the caller's grid by exactly the
+    # returned block: no cycle applied but not returned, or returned but not
+    # applied
+    end = replay_block(start, block)
+    assert g.pos == end.pos
+    assert g.trajectory.hexdigest() == end.trajectory.hexdigest()
     assert end.is_checkerboard()
     if kind in ("z", "xy"):
         assert end.pos == before  # net position change is zero
