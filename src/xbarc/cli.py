@@ -22,7 +22,7 @@ from .circuits import Circuit, is_finite_real
 from .config import ArchConfig, check_seed, load_config
 from .crossbar import grid_for
 from .errors import CompileError, XbarcError
-from .instructions import schedule_from_doc
+from .instructions import schedule_from_doc, schedule_to_doc
 from .ir import counts_by_type, decompose, interaction_graph
 from .mapper import initial_placement
 from .metrics import CSV_COLUMNS, build_fidelity_map, csv_row, overhead_report
@@ -54,6 +54,8 @@ def _compile_circuit(circuit: Circuit, config: ArchConfig):
 
 
 def cmd_compile(args) -> int:
+    """Write the schedule document as compact JSON (`python -m json.tool`
+    indents it); the QASM text is built only for --emit-qasm."""
     config = _load_arch(args.config)
     circuit = parse_qasm(Path(args.input).read_text(), name=Path(args.input).stem)
     schedule, metrics = _compile_circuit(circuit, config)
@@ -62,10 +64,13 @@ def cmd_compile(args) -> int:
     if failed:
         print("verification FAILED:", json.dumps(report.to_json_dict()), file=sys.stderr)
 
-    qasm_text, doc = emit_output(schedule)
-    doc["metrics"] = metrics.to_json_dict()
-    Path(args.output).write_text(json.dumps(doc, indent=1))
     if args.emit_qasm:
+        qasm_text, doc = emit_output(schedule)
+    else:
+        qasm_text, doc = None, schedule_to_doc(schedule)
+    doc["metrics"] = metrics.to_json_dict()
+    Path(args.output).write_text(json.dumps(doc, separators=(",", ":")))
+    if qasm_text is not None:
         Path(args.emit_qasm).write_text(qasm_text)
     print(
         f"{schedule.name}: {metrics.n_decomposed} -> {metrics.n_final} instructions "

@@ -194,17 +194,22 @@ class TrajectoryDigest:
 
 
 def instruction_to_dict(op: Instruction) -> dict:
-    """Document form of an instruction; unset fields are left out."""
-    d = {
-        "kind": op.kind.value,
-        "q": list(op.qubits) or None,
-        "angle": op.angle,
-        "axis": op.axis,
-        "parity": op.parity,
-        "dir": op.direction,
-        "src": list(op.src) or None,
-    }
-    return {key: value for key, value in d.items() if value is not None}
+    """Document form of an instruction; unset fields are left out, in the
+    key order kind, q, angle, axis, parity, dir, src."""
+    d = {"kind": op.kind.value}
+    if op.qubits:
+        d["q"] = list(op.qubits)
+    if op.angle is not None:
+        d["angle"] = op.angle
+    if op.axis is not None:
+        d["axis"] = op.axis
+    if op.parity is not None:
+        d["parity"] = op.parity
+    if op.direction is not None:
+        d["dir"] = op.direction
+    if op.src:
+        d["src"] = list(op.src)
+    return d
 
 
 def instruction_from_dict(d: dict) -> Instruction:

@@ -25,12 +25,10 @@ _CLAMP_LO = 1e-12
 
 @dataclass(frozen=True)
 class FidelityMap:
+    """One (N, N) fidelity table per class; esp reads each as nested lists."""
+
     grid_n: int
     values: dict[str, np.ndarray]  # class -> (N, N) array indexed [y, x]
-
-    def lookup(self, cls: str, site) -> float:
-        x, y = site
-        return float(self.values[cls][y, x])
 
 
 def build_fidelity_map(grid: Grid, config: ArchConfig) -> FidelityMap:
@@ -61,8 +59,10 @@ class MetricsReport:
     counts: CountsByType
 
     def to_json_dict(self) -> dict:
-        """The fields in declaration order; counts gain their n_total."""
+        """The fields in declaration order; counts gain their n_total, and
+        compile_time_ms is rounded to the sweep CSV's 3 decimals."""
         d = asdict(self)
+        d["compile_time_ms"] = round(self.compile_time_ms, 3)
         d["counts"]["n_total"] = self.counts.n_total
         return d
 
@@ -105,22 +105,25 @@ def csv_row(report: MetricsReport) -> list:
 
 
 def esp(schedule: Schedule, fmap: FidelityMap) -> float:
-    """Product over cycles and instructions of the applicable fidelity."""
+    """Product over cycles and instructions of the applicable fidelity,
+    read from fmap's tables converted to nested lists indexed [y][x]."""
     if fmap.grid_n != schedule.grid_n:
         raise CompileError("fidelity map does not cover this schedule's grid")
+    single, shuttle, sqswap = (fmap.values[c].tolist() for c in FIDELITY_CLASSES)
     grid = Grid(schedule.grid_n, schedule.placement)
     total = 1.0
     for cycle in schedule.cycles:
         for op in cycle.ops:
             if op.kind in MOVE_KINDS:
-                _, dest = move_sites(grid, op.qubits[0], op.move_delta())
-                total *= fmap.lookup("shuttle", dest)
+                _, (x, y) = move_sites(grid, op.qubits[0], op.move_delta())
+                total *= shuttle[y][x]
             elif op.kind is InstrKind.SQSWAP:
-                lower = min(sqswap_sites(grid, *op.qubits), key=lambda s: s[1])
-                total *= fmap.lookup("sqswap", lower)
+                x, y = min(sqswap_sites(grid, *op.qubits), key=lambda s: s[1])
+                total *= sqswap[y][x]
             else:  # semi-global pulse: every qubit in the parity contributes
                 for q in grid.parity_members(op.parity):
-                    total *= fmap.lookup("single_qubit", grid.site_of(q))
+                    x, y = grid.site_of(q)
+                    total *= single[y][x]
             apply_op(grid, op)
     return total
 

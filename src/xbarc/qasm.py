@@ -191,7 +191,8 @@ def _instruction_line(op: Instruction) -> str:
 
 
 def emit_output(schedule: Schedule) -> tuple[str, dict]:
-    """Cycle-annotated QASM dialect text plus the authoritative JSON doc."""
+    """Cycle-annotated QASM dialect text plus the authoritative JSON doc;
+    `xbarc compile` calls it only for --emit-qasm, else schedule_to_doc."""
     lines = [
         "OPENQASM 2.0;",
         f"// compiled schedule for a {schedule.grid_n}x{schedule.grid_n} crossbar",

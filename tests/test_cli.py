@@ -6,9 +6,11 @@ from contextlib import nullcontext
 
 import pytest
 
-from xbarc.cli import main, parse_range
+from xbarc import BenchSpec, gen_random_uniform, load_config
+from xbarc.cli import _compile_circuit, main, parse_range
+from xbarc.instructions import schedule_to_doc
 from xbarc.metrics import CSV_COLUMNS
-from xbarc.qasm import MeasurementDropped
+from xbarc.qasm import MeasurementDropped, circuit_to_qasm, emit_output, parse_qasm
 
 
 @pytest.fixture()
@@ -39,6 +41,28 @@ def test_compile_verify_stats_flow(tmp_path, bell_qasm, capsys):
     assert "two-qubit percentage" in printed
     assert "of total" in printed and "of single-qubit count" in printed
     assert (tmp_path / "qig.dot").read_text().startswith("graph qig {")
+
+
+def test_document_is_compact_and_independent_of_emit_qasm(tmp_path, monkeypatch):
+    monkeypatch.delenv("SPINQ_SEED", raising=False)
+    src = tmp_path / "r5.qasm"
+    src.write_text(circuit_to_qasm(gen_random_uniform(BenchSpec(5, 30, 50.0, 4))))
+    plain, with_qasm, qasm_out = tmp_path / "plain.json", tmp_path / "with.json", tmp_path / "out.qasm"
+    assert main(["compile", "-i", str(src), "-o", str(plain)]) == 0
+    assert main(["compile", "-i", str(src), "-o", str(with_qasm), "--emit-qasm", str(qasm_out)]) == 0
+
+    texts = [plain.read_text(), with_qasm.read_text()]
+    assert not any("\n" in text for text in texts)
+    docs = [json.loads(text) for text in texts]
+    for doc in docs:
+        assert doc["metrics"].pop("compile_time_ms") >= 0
+    assert docs[0] == docs[1]
+
+    schedule, metrics = _compile_circuit(parse_qasm(src.read_text(), name="r5"), load_config("{}"))
+    expected = schedule_to_doc(schedule) | {"metrics": metrics.to_json_dict()}
+    del expected["metrics"]["compile_time_ms"]
+    assert docs[0] == expected
+    assert qasm_out.read_text() == emit_output(schedule)[0]
 
 
 @pytest.fixture()

@@ -1,8 +1,10 @@
 """Fidelity map, ESP and overhead accounting."""
 import dataclasses
+import json
 import math
 
 import numpy as np
+import pytest
 
 from xbarc import (
     BenchSpec,
@@ -17,7 +19,8 @@ from xbarc import (
     overhead_report,
 )
 from xbarc.config import ArchConfig
-from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
+from xbarc.crossbar import Grid, apply_op
+from xbarc.instructions import MOVE_KINDS, Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 
 from conftest import compile_native
 
@@ -139,6 +142,38 @@ class TestEsp:
         assert abs(esp(s, fmap) - esp(swapped, fmap)) < 1e-15
 
 
+def reference_esp(s, fmap):
+    """esp() written out with one numpy scalar read per factor, in the
+    same walk and factor order."""
+    grid = Grid(s.grid_n, s.placement)
+    total = 1.0
+    for cycle in s.cycles:
+        for op in cycle.ops:
+            if op.kind in MOVE_KINDS:
+                (x, y), (dx, dy) = grid.site_of(op.qubits[0]), op.move_delta()
+                total *= float(fmap.values["shuttle"][y + dy, x + dx])
+            elif op.kind is InstrKind.SQSWAP:
+                x, y = min((grid.site_of(q) for q in op.qubits), key=lambda site: site[1])
+                total *= float(fmap.values["sqswap"][y, x])
+            else:
+                for q in grid.parity_members(op.parity):
+                    x, y = grid.site_of(q)
+                    total *= float(fmap.values["single_qubit"][y, x])
+            apply_op(grid, op)
+    return total
+
+
+@pytest.mark.parametrize(("n_qubits", "n_gates"), [(5, 40), (12, 120), (40, 80)])
+def test_esp_equals_reference_walk(n_qubits, n_gates):
+    stds = {"single_qubit": 0.001, "shuttle": 0.002, "sqswap": 0.003}
+    cfg = load_config(json.dumps({"seed": 21, "fidelities": {c: {"std": v} for c, v in stds.items()}}))
+    for seed in range(2):
+        dec, s = compile_native(gen_random_uniform(BenchSpec(n_qubits, n_gates, 50.0, seed)), cfg)
+        fmap = build_fidelity_map(grid_for(n_qubits), cfg)
+        assert len({float(v) for v in fmap.values["shuttle"].flat}) > 1
+        assert esp(s, fmap) == reference_esp(s, fmap)
+
+
 class TestOverheadReport:
     def test_single_z_hundred_percent(self):
         c = Circuit("z", 2, (Gate(GateKind.RZ, (0,), 0.5),))
@@ -202,3 +237,7 @@ class TestOverheadReport:
         ]
         assert list(d["counts"].items()) == [("n_xy", 1), ("n_z", 0), ("n_twoq", 0), ("n_total", 1)]
         assert (d["name"], d["n_qubits"], d["compile_time_ms"]) == ("x", 3, 1.5)
+        # the document keeps the sweep CSV's resolution; the report stays exact
+        rep = dataclasses.replace(rep, compile_time_ms=1.23456789)
+        assert rep.to_json_dict()["compile_time_ms"] == 1.235
+        assert rep.compile_time_ms == 1.23456789

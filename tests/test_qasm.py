@@ -6,7 +6,15 @@ import pytest
 
 from xbarc import GateKind, emit_output, parse_qasm, schedule_from_doc
 from xbarc.errors import QasmError
-from xbarc.instructions import Cycle, Instruction, InstrKind, Schedule, TrajectoryDigest
+from xbarc.instructions import (
+    Cycle,
+    Instruction,
+    InstrKind,
+    Schedule,
+    TrajectoryDigest,
+    instruction_from_dict,
+    instruction_to_dict,
+)
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm
 
 from conftest import compile_native
@@ -124,6 +132,37 @@ class TestEmit:
         dec, s = compile_native(parse_qasm("qreg q[2]; cx q[0],q[1];", name="d"))
         _, doc = emit_output(s)
         assert len(doc["cycles"]) == s.depth
+
+
+# one instruction of every kind, with parity 0, angle 0.0 and empty src among
+# them, and the document keys each must write, in order
+INSTRUCTION_CASES = [
+    (Instruction(InstrKind.SH_L, (0,)), ["kind", "q"]),
+    (Instruction(InstrKind.SH_R, (1,), src=(3,)), ["kind", "q", "src"]),
+    (Instruction(InstrKind.SH_U, (2,), src=(0, 5)), ["kind", "q", "src"]),
+    (Instruction(InstrKind.SH_D, (0,), src=(7,)), ["kind", "q", "src"]),
+    (Instruction(InstrKind.ZSH, (0,), angle=0.0, direction="L", src=(2,)), ["kind", "q", "angle", "dir", "src"]),
+    (Instruction(InstrKind.ZSH_RET, (4,), direction="R"), ["kind", "q", "dir"]),
+    (
+        Instruction(InstrKind.SG_ROT, angle=0.0, axis="x", parity=0, src=(0, 1)),
+        ["kind", "angle", "axis", "parity", "src"],
+    ),
+    (Instruction(InstrKind.SG_ROT_INV, angle=-1.25, axis="y", parity=1), ["kind", "angle", "axis", "parity"]),
+    (Instruction(InstrKind.SQSWAP, (3, 1), src=(9,)), ["kind", "q", "src"]),
+]
+
+
+def test_instruction_cases_cover_every_kind():
+    assert {op.kind for op, _ in INSTRUCTION_CASES} == set(InstrKind)
+
+
+@pytest.mark.parametrize(("op", "keys"), INSTRUCTION_CASES, ids=[op.kind.value for op, _ in INSTRUCTION_CASES])
+def test_instruction_dict_round_trip(op, keys):
+    d = instruction_to_dict(op)
+    assert list(d) == keys
+    again = json.loads(json.dumps(d))
+    assert list(again) == keys
+    assert instruction_from_dict(again) == op
 
 
 def test_circuit_to_qasm_round_trip():
