@@ -54,8 +54,9 @@ def _compile_circuit(circuit: Circuit, config: ArchConfig):
 
 
 def cmd_compile(args) -> int:
-    """Write the schedule document as compact JSON (`python -m json.tool`
-    indents it); the QASM text is built only for --emit-qasm."""
+    """Write the schedule document (schedule_to_doc plus the metrics) as
+    compact JSON (`python -m json.tool` indents it), and the QASM text for
+    --emit-qasm."""
     config = _load_arch(args.config)
     circuit = parse_qasm(Path(args.input).read_text(), name=Path(args.input).stem)
     schedule, metrics = _compile_circuit(circuit, config)
@@ -64,14 +65,10 @@ def cmd_compile(args) -> int:
     if failed:
         print("verification FAILED:", json.dumps(report.to_json_dict()), file=sys.stderr)
 
-    if args.emit_qasm:
-        qasm_text, doc = emit_output(schedule)
-    else:
-        qasm_text, doc = None, schedule_to_doc(schedule)
-    doc["metrics"] = metrics.to_json_dict()
+    doc = schedule_to_doc(schedule) | {"metrics": metrics.to_json_dict()}
     Path(args.output).write_text(json.dumps(doc, separators=(",", ":")))
-    if qasm_text is not None:
-        Path(args.emit_qasm).write_text(qasm_text)
+    if args.emit_qasm:
+        Path(args.emit_qasm).write_text(emit_output(schedule))
     print(
         f"{schedule.name}: {metrics.n_decomposed} -> {metrics.n_final} instructions "
         f"({metrics.gate_overhead_pct:.1f}% gate overhead), depth {metrics.d_dependency} -> "

@@ -49,7 +49,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CrossbarError
 from .instructions import (
-    DELTAS, MOVE_KINDS, SG_KINDS, Cycle, Instruction, InstrKind, TrajectoryDigest, coord_buffer, grid_side,
+    DELTAS, MOVE_KINDS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest, coord_buffer, grid_side,
 )
 
 
@@ -347,7 +347,7 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     and _find_ql_cycle run, to name the cycle and the instructions in it.
     """
     ops = cycle.ops
-    if ops[0].kind in SG_KINDS:
+    if cycle.type in (CycleType.XY_ROT, CycleType.XY_ROT_INV):  # semi-global pulses
         distinct = {(op.kind, op.axis, op.angle, op.parity) for op in ops}
         if len(distinct) > 1:
             return ConflictReport(

@@ -5,10 +5,13 @@ from an initial placement. Positions after each cycle follow from those
 two; the schedule keeps only their sha256 (TrajectoryDigest), which replay
 recomputes to catch a document whose cycles no longer reproduce the
 compiled trajectory. A cycle's type follows from its instructions and the
-qubit count from the placement, so neither is stored. The JSON document
-produced by schedule_to_doc is the authoritative compiled artifact and
-still writes both; schedule_from_doc round-trips it exactly and is the one
-place that checks every such redundant field against the derived value.
+qubit count from the placement, so neither is stored.
+
+The JSON document written by schedule_to_doc, the authoritative compiled
+artifact, holds what a Schedule holds, each cycle as a list of instruction
+objects. Writer and loader read the fields of each instruction kind from
+FIELDS; schedule_from_doc round-trips the document exactly and rejects a
+field that a kind does not carry.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from typing import Callable, NamedTuple
 
 from .circuits import Circuit, circuit_from_dict, circuit_to_dict, is_finite_real, is_int
 from .errors import CrossbarError, XbarcError
@@ -73,25 +77,60 @@ _SHUTTLE_DIRECTION = {
 MOVE_KINDS = frozenset(
     {InstrKind.SH_L, InstrKind.SH_R, InstrKind.SH_U, InstrKind.SH_D, InstrKind.ZSH, InstrKind.ZSH_RET}
 )
-SG_KINDS = frozenset({InstrKind.SG_ROT, InstrKind.SG_ROT_INV})
-ANGLE_KINDS = SG_KINDS | {InstrKind.ZSH}
+
+
+class Field(NamedTuple):
+    """A document field of an instruction and the values the loader accepts."""
+
+    key: str
+    attr: str  # the Instruction attribute it holds
+    accepts: Callable[[object], bool]
+    want: str  # the accepted values, for error messages
+
+
+def _qubits(arity: int) -> Field:
+    def listed(v) -> bool:
+        return isinstance(v, list) and len(v) == arity and all(is_int(q) and q >= 0 for q in v)
+
+    return Field("q", "qubits", listed, f"q as a list of {arity} qubit{'s' * (arity > 1)}")
+
+
+_Q1 = _qubits(1)
+_ANGLE = Field("angle", "angle", is_finite_real, "a numeric angle, finite as a float")
+_DIR = Field("dir", "direction", lambda v: v in ("L", "R"), "direction L or R")
+_SG = (
+    _ANGLE,
+    Field("axis", "axis", lambda v: v in ("x", "y"), "axis x or y"),
+    Field("parity", "parity", lambda v: is_int(v) and v in (0, 1), "parity 0 or 1"),
+)
+
+# The fields each instruction kind carries besides "kind", in document key
+# order; any kind may also carry "src", the indices of its source gates in
+# the embedded circuit, written last. zsh carries the Z phase as its angle.
+FIELDS: dict[InstrKind, tuple[Field, ...]] = {
+    **dict.fromkeys(_SHUTTLE_DIRECTION, (_Q1,)),
+    InstrKind.ZSH: (_Q1, _ANGLE, _DIR),
+    InstrKind.ZSH_RET: (_Q1, _DIR),
+    InstrKind.SG_ROT: _SG,
+    InstrKind.SG_ROT_INV: _SG,
+    InstrKind.SQSWAP: (_qubits(2),),
+}
+_KEYS = {kind: {"kind", "src"} | {f.key for f in row} for kind, row in FIELDS.items()}
 
 
 @dataclass(frozen=True)
 class Instruction:
     kind: InstrKind
+    # which of the fields below a kind carries: FIELDS
     qubits: tuple[int, ...] = ()
-    angle: float | None = None  # zsh: carried Z phase; sg kinds: rotation angle
-    axis: str | None = None  # sg kinds: "x" | "y"
-    parity: int | None = None  # sg kinds: addressed column parity
-    direction: str | None = None  # zsh / zsh_ret: "L" | "R"
+    angle: float | None = None
+    axis: str | None = None
+    parity: int | None = None  # addressed column parity
+    direction: str | None = None
     src: tuple[int, ...] = ()  # indices of source gates in the decomposed circuit
 
     def move_delta(self) -> tuple[int, int] | None:
-        if self.kind in (InstrKind.ZSH, InstrKind.ZSH_RET):
-            return DELTAS[self.direction]
-        direction = _SHUTTLE_DIRECTION.get(self.kind)
-        return None if direction is None else DELTAS[direction]
+        return DELTAS.get(_SHUTTLE_DIRECTION.get(self.kind, self.direction))
 
 
 @dataclass(frozen=True)
@@ -194,46 +233,42 @@ class TrajectoryDigest:
 
 
 def instruction_to_dict(op: Instruction) -> dict:
-    """Document form of an instruction; unset fields are left out, in the
-    key order kind, q, angle, axis, parity, dir, src."""
+    """Document form of an instruction: kind, the fields FIELDS lists for
+    it, and src unless it is empty."""
     d = {"kind": op.kind.value}
-    if op.qubits:
-        d["q"] = list(op.qubits)
-    if op.angle is not None:
-        d["angle"] = op.angle
-    if op.axis is not None:
-        d["axis"] = op.axis
-    if op.parity is not None:
-        d["parity"] = op.parity
-    if op.direction is not None:
-        d["dir"] = op.direction
+    for f in FIELDS[op.kind]:
+        value = getattr(op, f.attr)
+        d[f.key] = list(value) if type(value) is tuple else value
     if op.src:
         d["src"] = list(op.src)
     return d
 
 
 def instruction_from_dict(d: dict) -> Instruction:
-    return Instruction(
-        kind=InstrKind(d["kind"]),
-        qubits=tuple(_typed(d.get("q", []), list, f"{d['kind']} q")),
-        angle=d.get("angle"),
-        axis=d.get("axis"),
-        parity=d.get("parity"),
-        direction=d.get("dir"),
-        src=tuple(_typed(d.get("src", []), list, f"{d['kind']} src")),
-    )
+    """Inverse of instruction_to_dict. A key the kind does not carry, or a
+    value its field does not accept, raises XbarcError naming both."""
+    kind = InstrKind(d["kind"])
+    for key in d:
+        if key not in _KEYS[kind]:
+            raise XbarcError(f"{kind.value} carries no field {key!r}; its fields are {sorted(_KEYS[kind])}")
+    values = {}
+    for f in FIELDS[kind]:
+        value = d.get(f.key)
+        if not f.accepts(value):
+            raise XbarcError(f"{kind.value} needs {f.want}, document gives {value!r}")
+        values[f.attr] = tuple(value) if type(value) is list else value
+    src = _typed(d.get("src", []), list, f"{kind.value} src")
+    if not all(is_int(i) and i >= 0 for i in src):
+        raise XbarcError(f"{kind.value} src must list non-negative integers, document gives {src!r}")
+    return Instruction(kind, src=tuple(src), **values)
 
 
 def schedule_to_doc(s: Schedule) -> dict:
     doc = {
         "name": s.name,
-        "n": s.n_qubits,
         "grid": s.grid_n,
         "placement": [list(p) for p in s.placement],
-        "cycles": [
-            {"type": c.type.value, "ops": [instruction_to_dict(op) for op in c.ops]}
-            for c in s.cycles
-        ],
+        "cycles": [[instruction_to_dict(op) for op in c.ops] for c in s.cycles],
         "trajectory_sha256": s.trajectory_sha256,
     }
     if s.circuit is not None:
@@ -277,77 +312,34 @@ def _circuit_from_doc(d) -> Circuit:
     return circuit_from_dict(d)
 
 
-def _check_instruction(op: Instruction, n: int) -> None:
-    arity = 2 if op.kind is InstrKind.SQSWAP else 0 if op.kind in SG_KINDS else 1
-    if len(op.qubits) != arity:
-        raise XbarcError(f"{op.kind.value} needs {arity} qubit(s), document gives {op.qubits}")
-    for q in op.qubits:
-        if not (is_int(q) and 0 <= q < n):
-            raise XbarcError(f"{op.kind.value} names qubit {q!r}, outside range({n})")
-    if not all(is_int(i) and i >= 0 for i in op.src):
-        raise XbarcError(
-            f"{op.kind.value} src must list non-negative integers, document gives {list(op.src)!r}"
-        )
-    if op.kind in (InstrKind.ZSH, InstrKind.ZSH_RET) and op.direction not in ("L", "R"):
-        raise XbarcError(f"{op.kind.value} needs direction L or R, document gives {op.direction!r}")
-    if op.kind in ANGLE_KINDS and not is_finite_real(op.angle):
-        raise XbarcError(
-            f"{op.kind.value} needs a numeric angle, finite as a float, document gives {op.angle!r}"
-        )
-    if op.kind in SG_KINDS:
-        if op.axis not in ("x", "y"):
-            raise XbarcError(f"{op.kind.value} needs axis x or y, document gives {op.axis!r}")
-        if not (is_int(op.parity) and op.parity in (0, 1)):
-            raise XbarcError(f"{op.kind.value} needs parity 0 or 1, document gives {op.parity!r}")
-
-
-def _cycle_from_doc(i: int, c: dict) -> Cycle:
-    """Cycle i of a document, after checking its written type against the
-    family its instructions hold."""
-    ops = tuple(
-        instruction_from_dict(_typed(op, dict, f"cycle {i} op"))
-        for op in _typed(c["ops"], list, f"cycle {i} ops")
-    )
+def _cycle_from_doc(i: int, ops) -> Cycle:
+    ops = _typed(ops, list, f"cycle {i}")
     try:
-        cycle = Cycle(ops)
-    except ValueError as e:
+        return Cycle(tuple(instruction_from_dict(_typed(op, dict, f"cycle {i} op")) for op in ops))
+    except ValueError as e:  # an unknown kind, or mixed instruction families
         raise XbarcError(f"cycle {i}: {e}") from None
-    if c["type"] != cycle.type.value:
-        raise XbarcError(
-            f"cycle {i} is written as type {c['type']!r} but holds {cycle.type.value} instructions"
-        )
-    return cycle
 
 
 def schedule_from_doc(doc: dict) -> Schedule:
-    """Inverse of schedule_to_doc. A malformed document, or one whose written
-    n or cycle type disagrees with its placement or instructions, raises
-    XbarcError."""
+    """Inverse of schedule_to_doc. A malformed document raises XbarcError
+    naming the field."""
     if not isinstance(doc, dict):
         raise XbarcError("schedule document must be a JSON object")
-    if "trajectory_sha256" not in doc and "positions" in doc:
-        raise XbarcError(
-            "document stores a position history instead of trajectory_sha256; "
-            "it predates this format, recompile it"
-        )
+    if "n" in doc:  # both earlier formats wrote n and typed cycles
+        raise XbarcError("document writes n and typed cycles; it predates this format, recompile it")
     try:
-        n, grid_n, placement = doc["n"], doc["grid"], doc["placement"]
-        for key, value in (("n", n), ("grid", grid_n)):
-            if not (is_int(value) and value >= 1):
-                raise XbarcError(f"{key} must be a positive integer, document gives {value!r}")
-        if grid_n != grid_side(n):
-            raise XbarcError(f"grid must be {grid_side(n)} for {n} qubits, document gives {grid_n}")
-        if not isinstance(placement, list) or len(placement) != n:
-            raise XbarcError(f"placement must list one site for each of the {n} qubits")
+        grid_n, placement = doc["grid"], _typed(doc["placement"], list, "placement")
+        if not placement:
+            raise XbarcError("placement must list at least one qubit's site")
         for q, site in enumerate(placement):
             if not (isinstance(site, list) and len(site) == 2 and all(map(is_int, site))):
                 raise XbarcError(
                     f"placement of qubit {q} must be an [x, y] integer pair, document gives {site!r}"
                 )
-        cycles = tuple(
-            _cycle_from_doc(i, _typed(c, dict, f"cycle {i}"))
-            for i, c in enumerate(_typed(doc["cycles"], list, "cycles"))
-        )
+        n = len(placement)
+        if not (is_int(grid_n) and grid_n == grid_side(n)):
+            raise XbarcError(f"grid must be {grid_side(n)} for {n} qubits, document gives {grid_n!r}")
+        cycles = tuple(_cycle_from_doc(i, c) for i, c in enumerate(_typed(doc["cycles"], list, "cycles")))
         schedule = Schedule(
             name=_string(doc.get("name", ""), "name"),
             grid_n=grid_n,
@@ -358,9 +350,17 @@ def schedule_from_doc(doc: dict) -> Schedule:
         )
     except KeyError as e:
         raise XbarcError(f"schedule document lacks key {e.args[0]!r}") from None
-    if schedule.circuit is not None and schedule.circuit.n_qubits != n:
-        raise XbarcError(f"embedded circuit has {schedule.circuit.n_qubits} qubits, schedule has {n}")
+    circuit = schedule.circuit
+    if circuit is not None and circuit.n_qubits != n:
+        raise XbarcError(f"embedded circuit has {circuit.n_qubits} qubits, schedule has {n}")
     for c in cycles:
         for op in c.ops:
-            _check_instruction(op, n)
+            for q in op.qubits:
+                if q >= n:
+                    raise XbarcError(f"{op.kind.value} names qubit {q}, outside range({n})")
+            if circuit is not None and op.src and max(op.src) >= len(circuit.gates):
+                raise XbarcError(
+                    f"{op.kind.value} src names gate {max(op.src)}, "
+                    f"outside the embedded circuit's range({len(circuit.gates)})"
+                )
     return schedule

@@ -8,8 +8,9 @@ unmodified corpus files compile. Keywords match as whole words. Gate
 enforces operand counts; the parser positions its error. Anything else is
 rejected with a positioned error.
 
-Output: the compiled schedule as a cycle-annotated QASM dialect plus the
-authoritative JSON document (see instructions.schedule_to_doc).
+Output: the compiled schedule as a cycle-annotated QASM dialect, for
+reading; the authoritative artifact is the JSON document that
+instructions.schedule_to_doc writes.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import warnings
 
 from .circuits import ROTATION_KINDS, Circuit, Gate, GateKind
 from .errors import QasmError
-from .instructions import Instruction, InstrKind, Schedule, schedule_to_doc
+from .instructions import Instruction, InstrKind, Schedule
 
 class MeasurementDropped(UserWarning):
     pass
@@ -157,17 +158,13 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
     return Circuit(name, n_qubits, tuple(gates))
 
 
-def _fmt_angle(angle: float) -> str:
-    return repr(angle)
-
-
 def circuit_to_qasm(circuit: Circuit) -> str:
     """Emit a front-end circuit in the supported input subset."""
     lines = ["OPENQASM 2.0;", f"qreg q[{circuit.n_qubits}];"]
     for g in circuit.gates:
         operands = ",".join(f"q[{q}]" for q in g.qubits)
         if g.angle is not None:
-            lines.append(f"{g.kind.value}({_fmt_angle(g.angle)}) {operands};")
+            lines.append(f"{g.kind.value}({g.angle!r}) {operands};")
         else:
             lines.append(f"{g.kind.value} {operands};")
     return "\n".join(lines) + "\n"
@@ -178,21 +175,20 @@ def _instruction_line(op: Instruction) -> str:
     if k in (InstrKind.SH_L, InstrKind.SH_R, InstrKind.SH_U, InstrKind.SH_D):
         return f"{k.value} q[{op.qubits[0]}];"
     if k is InstrKind.ZSH:
-        return f"zsh({_fmt_angle(op.angle)}) q[{op.qubits[0]}];"
+        return f"zsh({op.angle!r}) q[{op.qubits[0]}];"
     if k is InstrKind.ZSH_RET:
         return f"zsh_ret q[{op.qubits[0]}];"
     if k in (InstrKind.SG_ROT, InstrKind.SG_ROT_INV):
         suffix = "_inv" if k is InstrKind.SG_ROT_INV else ""
         parity = "even" if op.parity == 0 else "odd"
-        return f"sg_r{op.axis}{suffix}({_fmt_angle(op.angle)}) {parity};"
+        return f"sg_r{op.axis}{suffix}({op.angle!r}) {parity};"
     if k is InstrKind.SQSWAP:
         return f"sqswap q[{op.qubits[0]}],q[{op.qubits[1]}];"
     raise ValueError(f"cannot emit {k}")
 
 
-def emit_output(schedule: Schedule) -> tuple[str, dict]:
-    """Cycle-annotated QASM dialect text plus the authoritative JSON doc;
-    `xbarc compile` calls it only for --emit-qasm, else schedule_to_doc."""
+def emit_output(schedule: Schedule) -> str:
+    """Cycle-annotated QASM dialect text of a schedule (`compile --emit-qasm`)."""
     lines = [
         "OPENQASM 2.0;",
         f"// compiled schedule for a {schedule.grid_n}x{schedule.grid_n} crossbar",
@@ -202,4 +198,4 @@ def emit_output(schedule: Schedule) -> tuple[str, dict]:
         lines.append(f"// cycle {idx} [{cycle.type.value}]")
         for op in cycle.ops:
             lines.append(_instruction_line(op))
-    return "\n".join(lines) + "\n", schedule_to_doc(schedule)
+    return "\n".join(lines) + "\n"

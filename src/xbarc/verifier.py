@@ -11,9 +11,9 @@ rotations, spectator ones included, into one 2x2 until that qubit's next
 two-qubit gate (sim.RotationFold). verify() runs both checks;
 VerifyReport.ok is the verdict.
 
-Redundant document fields (qubit count, each cycle's written type) are
-checked by the loader, instructions.schedule_from_doc, and a Cycle cannot
-mix instruction families, so replay sees only what the schedule implies.
+The loader, instructions.schedule_from_doc, rejects a document field that
+an instruction kind does not carry, and a Cycle cannot mix instruction
+families, so replay sees only what the schedule holds.
 """
 from __future__ import annotations
 

@@ -8,7 +8,8 @@ import pytest
 
 from xbarc import BenchSpec, gen_random_uniform, load_config
 from xbarc.cli import _compile_circuit, main, parse_range
-from xbarc.instructions import schedule_to_doc
+from xbarc.crossbar import Grid, apply_cycle
+from xbarc.instructions import schedule_from_doc, schedule_to_doc
 from xbarc.metrics import CSV_COLUMNS
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm, emit_output, parse_qasm
 
@@ -62,7 +63,7 @@ def test_document_is_compact_and_independent_of_emit_qasm(tmp_path, monkeypatch)
     expected = schedule_to_doc(schedule) | {"metrics": metrics.to_json_dict()}
     del expected["metrics"]["compile_time_ms"]
     assert docs[0] == expected
-    assert qasm_out.read_text() == emit_output(schedule)[0]
+    assert qasm_out.read_text() == emit_output(schedule)
 
 
 @pytest.fixture()
@@ -89,7 +90,7 @@ def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
     out = tmp_path / "zz.json"
     assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
-    (zsh,), (ret,) = doc["cycles"][0]["ops"], doc["cycles"][1]["ops"]
+    (zsh,), (ret,) = doc["cycles"][0], doc["cycles"][1]
     assert (zsh["kind"], zsh["dir"], ret["dir"]) == ("zsh", "L", "R")
     zsh["dir"], ret["dir"] = "R", "L"
     out.write_text(json.dumps(doc))
@@ -102,7 +103,7 @@ def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
 
 def test_verify_fails_on_wrong_angle(bell_doc, capsys):
     path, doc = bell_doc
-    zsh = next(op for c in doc["cycles"] for op in c["ops"] if op["kind"] == "zsh")
+    zsh = next(op for c in doc["cycles"] for op in c if op["kind"] == "zsh")
     zsh["angle"] += 1.0
     path.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -115,7 +116,7 @@ def test_verify_fails_on_wrong_angle(bell_doc, capsys):
 def test_verify_reports_illegal_move_without_equivalence(bell_doc, capsys):
     path, doc = bell_doc
     cycle, op = next(
-        (i, op) for i, c in enumerate(doc["cycles"]) for op in c["ops"] if op["kind"] == "sh_r"
+        (i, op) for i, c in enumerate(doc["cycles"]) for op in c if op["kind"] == "sh_r"
     )
     op["kind"] = "sh_l"
     path.write_text(json.dumps(doc))
@@ -138,7 +139,7 @@ def _set_op(kind, key, value):
     """Set `key` of the first instruction of `kind`."""
 
     def edit(doc):
-        op = next(op for c in doc["cycles"] for op in c["ops"] if op["kind"] == kind)
+        op = next(op for c in doc["cycles"] for op in c if op["kind"] == kind)
         op[key] = value
 
     return edit
@@ -167,14 +168,32 @@ def _set_first(path, value):
 
 def _append_op(cycle, op):
     def edit(doc):
-        doc["cycles"][cycle]["ops"].append(op)
+        doc["cycles"][cycle].append(op)
 
     return edit
 
 
-def _old_format(doc):
-    del doc["trajectory_sha256"]
-    doc["positions"] = [doc["placement"]] * len(doc["cycles"])
+def _old_format(positions):
+    """Rewrite the document as an earlier format wrote it: with n and each
+    cycle as {"type", "ops"}, and in the positions era the occupancy after
+    every cycle in place of trajectory_sha256."""
+
+    def edit(doc):
+        schedule = schedule_from_doc(doc)
+        old = {"name": doc["name"], "n": schedule.n_qubits, "grid": doc["grid"], "placement": doc["placement"]}
+        old["cycles"] = [{"type": c.type.value, "ops": ops} for c, ops in zip(schedule.cycles, doc["cycles"])]
+        if positions:
+            grid, old["positions"] = Grid(schedule.grid_n, schedule.placement), []
+            for cycle in schedule.cycles:
+                apply_cycle(grid, cycle)
+                old["positions"].append([list(grid.site_of(q)) for q in range(schedule.n_qubits)])
+        else:
+            old["trajectory_sha256"] = doc["trajectory_sha256"]
+        old |= {"circuit": doc["circuit"], "metrics": doc["metrics"]}
+        doc.clear()
+        doc.update(old)
+
+    return edit
 
 
 @pytest.mark.parametrize(
@@ -184,21 +203,21 @@ def _old_format(doc):
         (_drop("placement"), "lacks key 'placement'"),
         (_drop("trajectory_sha256"), "lacks key 'trajectory_sha256'"),
         (_set_op("sqswap", "q", [0, 7]), "qubit 7, outside range(2)"),
-        (_old_format, "recompile"),
-        (lambda doc: doc.update(grid="3"), "grid must be a positive integer"),
+        (_old_format(positions=True), "document writes n and typed cycles; it predates this format, recompile it"),
+        (lambda doc: doc.update(grid="3"), "grid must be 2 for 2 qubits, document gives '3'"),
         (_set_op("sg_rot", "angle", None), "sg_rot needs a numeric angle"),
         (_set_op("zsh", "angle", None), "zsh needs a numeric angle"),
         (_set_op("sg_rot", "axis", "z"), "needs axis x or y"),
         (_set_op("sg_rot", "parity", 2), "needs parity 0 or 1"),
         (lambda doc: doc.update(placement=[[0], [1, 1]]), "placement of qubit 0"),
         (lambda doc: doc["circuit"].update(n_qubits=3), "embedded circuit has 3 qubits"),
-        (_set_op("sqswap", "q", 5), "sqswap q must be a list"),
+        (_set_op("sqswap", "q", 5), "sqswap needs q as a list of 2 qubits, document gives 5"),
         (_set_op("sqswap", "src", 5), "sqswap src must be a list"),
-        (_set_first(["cycles", 0, "ops"], 5), "cycle 0 ops must be a list"),
+        (_set_first(["cycles", 0], 5), "cycle 0 must be a list, document gives 5"),
         (_set_first(["cycles"], 5), "cycles must be a list"),
         (_set_first(["circuit", "gates"], 5), "circuit gates must be a list"),
-        (_set_first(["cycles", 0], 5), "cycle 0 must be an object"),
-        (_set_first(["cycles", 0, "ops", 0], 5), "cycle 0 op must be an object"),
+        (_set_first(["cycles", 0], {"type": "z", "ops": []}), "cycle 0 must be a list, document gives {'type'"),
+        (_set_first(["cycles", 0, 0], 5), "cycle 0 op must be an object"),
         (_set_circuit_gate("q", 0), "circuit gate 0 q must be a list"),
         (_set_first(["circuit", "n_qubits"], "2"), "circuit n_qubits must be a positive integer"),
         (_set_circuit_gate("angle", "0.5"), "circuit gate 0 angle must be a finite number"),
@@ -209,7 +228,6 @@ def _old_format(doc):
         (lambda doc: doc.update(grid=9), "grid must be 2 for 2 qubits"),
         (lambda doc: doc.update(placement=[[5, 5], [1, 1]]), "qubit 0 at (5, 5) outside 2x2 grid"),
         (lambda doc: doc.update(placement=[[1, 1], [1, 1]]), "qubits 0 and 1 share site (1, 1)"),
-        (_set_first(["cycles", 1, "type"], "twoq"), "cycle 1 is written as type 'twoq' but holds shuttle"),
         (_append_op(1, {"kind": "sg_rot", "angle": 0.1, "axis": "x", "parity": 0}),
          "cycle 1: instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
         (lambda doc: doc.update(name=5), "name must be a string, document gives 5"),
@@ -225,17 +243,25 @@ def _old_format(doc):
          "circuit gate 1 kind must be rx, ry, rz or sqswap, document gives 'cx'"),
         (_set_first(["circuit", "gates", 0, "kind"], ["rx"]),
          "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives ['rx']"),
+        (_old_format(positions=False), "document writes n and typed cycles; it predates this format, recompile it"),
+        (_set_op("sqswap", "src", [100000000000]),
+         "sqswap src names gate 100000000000, outside the embedded circuit's range(8)"),
+        (_set_op("sh_r", "dir", "L"), "sh_r carries no field 'dir'; its fields are ['kind', 'q', 'src']"),
+        (_set_op("sqswap", "angle", 0.5), "sqswap carries no field 'angle'; its fields are ['kind', 'q', 'src']"),
+        (lambda doc: [_set_op("zsh", key, value)(doc) for key, value in (("axis", "x"), ("parity", 0))],
+         "zsh carries no field 'axis'; its fields are ['angle', 'dir', 'kind', 'q', 'src']"),
     ],
     ids=[
         "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
         "grid-string", "sg-angle-null", "zsh-angle-null", "axis-z", "parity-2",
         "placement-not-pair", "circuit-qubits-mismatch", "q-number", "src-number", "ops-number",
-        "cycles-number", "circuit-gates-number", "cycle-not-object", "op-not-object",
+        "cycles-number", "circuit-gates-number", "cycle-object", "op-not-object",
         "circuit-gate-q-number", "circuit-qubits-string", "circuit-angle-string", "zsh-angle-401-digits",
         "zsh-angle-nan", "zsh-angle-inf", "grid-huge", "grid-too-large", "placement-off-grid",
-        "placement-shared-site", "cycle-type-mismatch", "cycle-mixed", "name-number",
+        "placement-shared-site", "cycle-mixed", "name-number",
         "circuit-name-list", "digest-number", "src-float", "src-negative",
         "circuit-gate-measure", "circuit-gate-h", "circuit-gate-cx", "circuit-gate-kind-list",
+        "typed-cycles", "src-out-of-range", "sh-dir", "sqswap-angle", "zsh-axis-parity",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])

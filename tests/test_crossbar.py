@@ -33,8 +33,8 @@ from xbarc.crossbar import (
 from xbarc.errors import CrossbarError
 from xbarc.instructions import (
     MOVE_KINDS,
-    SG_KINDS,
     Cycle,
+    CycleType,
     Instruction,
     InstrKind,
     Schedule,
@@ -414,7 +414,7 @@ def _reference_sqswap_signals(grid, a, b):
 
 def reference_check_parallel_set(grid, cycle):
     ops = cycle.ops
-    if ops[0].kind in SG_KINDS:
+    if cycle.type in (CycleType.XY_ROT, CycleType.XY_ROT_INV):
         distinct = {(op.kind, op.axis, op.angle, op.parity) for op in ops}
         if len(distinct) > 1:
             return ConflictReport(

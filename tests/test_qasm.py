@@ -3,10 +3,14 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xbarc import GateKind, emit_output, parse_qasm, schedule_from_doc
+from xbarc.circuits import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate
 from xbarc.errors import QasmError
 from xbarc.instructions import (
+    FIELDS,
     Cycle,
     Instruction,
     InstrKind,
@@ -14,6 +18,7 @@ from xbarc.instructions import (
     TrajectoryDigest,
     instruction_from_dict,
     instruction_to_dict,
+    schedule_to_doc,
 )
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm
 
@@ -108,30 +113,28 @@ def test_comments_ignored():
 class TestEmit:
     def test_empty_schedule(self):
         s = Schedule("empty", 2, ((0, 0), (1, 1)), (), TrajectoryDigest().hexdigest())
-        text, doc = emit_output(s)
+        text = emit_output(s)
         assert "qreg q[2];" in text
         assert "// cycle" not in text
-        assert doc["cycles"] == []
+        assert schedule_to_doc(s)["cycles"] == []
 
     def test_single_twoq_cycle_format(self):
         cyc = Cycle((Instruction(InstrKind.SQSWAP, (0, 1)),))
         digest = TrajectoryDigest([((1, 0), (1, 1))]).hexdigest()
         s = Schedule("one", 2, ((1, 0), (1, 1)), (cyc,), digest)
-        text, _ = emit_output(s)
+        text = emit_output(s)
         assert "// cycle 0 [twoq]" in text
         assert "sqswap q[0],q[1];" in text
 
     def test_doc_round_trip_for_compiled_cnot(self):
         dec, s = compile_native(parse_qasm("qreg q[2]; cx q[0],q[1];", name="rt"))
-        _, doc = emit_output(s)
-        again = schedule_from_doc(json.loads(json.dumps(doc)))
+        again = schedule_from_doc(json.loads(json.dumps(schedule_to_doc(s))))
         assert again == s
         assert again.cycles == s.cycles
 
     def test_cycle_count_matches_depth(self):
         dec, s = compile_native(parse_qasm("qreg q[2]; cx q[0],q[1];", name="d"))
-        _, doc = emit_output(s)
-        assert len(doc["cycles"]) == s.depth
+        assert len(schedule_to_doc(s)["cycles"]) == s.depth
 
 
 # one instruction of every kind, with parity 0, angle 0.0 and empty src among
@@ -161,6 +164,34 @@ def test_instruction_dict_round_trip(op, keys):
     d = instruction_to_dict(op)
     assert list(d) == keys
     assert instruction_from_dict(json.loads(json.dumps(d))) == op
+
+
+FRONT_END_KINDS = sorted(set(GateKind) - {GateKind.MEASURE}, key=lambda k: k.value)
+
+
+@st.composite
+def compiled_schedules(draw):
+    """The schedule of a random circuit of 2-20 qubits and at most 40 gates."""
+    n = draw(st.integers(2, 20))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = draw(st.sampled_from(FRONT_END_KINDS))
+        arity = 2 if kind in TWO_QUBIT_KINDS else 1
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=arity, max_size=arity, unique=True))
+        angle = draw(st.floats(-10.0, 10.0)) if kind in ROTATION_KINDS else None
+        gates.append(Gate(kind, tuple(qubits), angle))
+    return compile_native(Circuit("random", n, tuple(gates)))[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(compiled_schedules())
+def test_document_holds_what_a_schedule_holds(s):
+    doc = schedule_to_doc(s)
+    assert set(doc) == {"name", "grid", "placement", "cycles", "trajectory_sha256", "circuit"}
+    for cycle in doc["cycles"]:
+        for op in cycle:
+            assert set(op) - {"src"} == {"kind"} | {f.key for f in FIELDS[InstrKind(op["kind"])]}
+    assert schedule_from_doc(json.loads(json.dumps(doc, separators=(",", ":")))) == s
 
 
 def test_circuit_to_qasm_round_trip():
