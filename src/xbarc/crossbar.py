@@ -49,7 +49,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import CrossbarError
 from .instructions import (
-    DELTAS, MOVE_KINDS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest, coord_buffer, grid_side,
+    DELTAS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest, coord_buffer, grid_side,
 )
 
 
@@ -77,6 +77,9 @@ class ConflictReport:
     @property
     def ok(self) -> bool:
         return self.kind is None
+
+
+LEGAL = ConflictReport()  # what check_parallel_set returns for every legal cycle
 
 
 @dataclass(frozen=True)
@@ -348,15 +351,16 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     """
     ops = cycle.ops
     if cycle.type in (CycleType.XY_ROT, CycleType.XY_ROT_INV):  # semi-global pulses
-        distinct = {(op.kind, op.axis, op.angle, op.parity) for op in ops}
+        # one family is one kind (sg_rot or sg_rot_inv), so the kind is not compared
+        distinct = {(op.axis, op.angle, op.parity) for op in ops}
         if len(distinct) > 1:
             return ConflictReport(
                 kind=ConflictKind.BARRIER_CLASH,
                 culprits=tuple(range(len(ops))),
                 detail="conflicting semi-global drives on the shared column lines",
             )
-        return ConflictReport()
-    moves = ops[0].kind in MOVE_KINDS  # otherwise every instruction is a sqswap
+        return LEGAL
+    moves = ops[0].kind.moves  # otherwise every instruction is a sqswap
 
     # each instruction's two sites: a move's origin and destination, or the
     # sites of a sqswap's two qubits
@@ -432,7 +436,7 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
             )
 
     if not moves:  # a sqswap holds its two QL lines equal: no inequality
-        return ConflictReport()
+        return LEGAL
 
     movers: dict[int, int] = {}
     for (x, y), _ in sites:
@@ -452,7 +456,7 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
             down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
             up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
     if not up & down:
-        return ConflictReport()
+        return LEGAL
 
     # merged inequality set: instruction by instruction, each one's pairs
     # sorted, first occurrence kept, so the reported cycle is deterministic
@@ -470,7 +474,7 @@ def apply_op(grid: Grid, op: Instruction) -> None:
     """Advance the grid in place by one instruction; the one check that a
     move stays on the grid and lands on an empty site. A failed check
     raises CrossbarError and leaves the grid unchanged."""
-    if op.kind in MOVE_KINDS:
+    if op.kind.moves:
         q = op.qubits[0]
         _, dest = _legal_move(grid, q, op.move_delta(), op.kind.value)
         grid.move(q, dest)
@@ -491,7 +495,7 @@ def apply_cycle(grid: Grid, cycle: Cycle) -> None:
             apply_op(grid, op)
     except CrossbarError:
         for op in reversed(ops[:i]):
-            if op.kind in MOVE_KINDS:
+            if op.kind.moves:
                 q = op.qubits[0]
                 (x, y), (dx, dy) = grid.site_of(q), op.move_delta()
                 grid.move(q, (x - dx, y - dy))

@@ -29,18 +29,6 @@ from .circuits import Circuit, circuit_from_dict, circuit_to_dict, is_finite_rea
 from .errors import CrossbarError, XbarcError
 
 
-class InstrKind(Enum):
-    SH_L = "sh_l"
-    SH_R = "sh_r"
-    SH_U = "sh_u"
-    SH_D = "sh_d"
-    ZSH = "zsh"
-    ZSH_RET = "zsh_ret"
-    SG_ROT = "sg_rot"
-    SG_ROT_INV = "sg_rot_inv"
-    SQSWAP = "sqswap"
-
-
 class CycleType(Enum):
     XY_ROT = "xy_rot"
     XY_ROT_INV = "xy_rot_inv"
@@ -49,34 +37,45 @@ class CycleType(Enum):
     TWOQ = "twoq"
 
 
-# Which cycle type each instruction kind belongs to ("each cycle is
-# dedicated to one instruction type"). zsh carries the phase and gets its
-# own Z cycle; the return move is an ordinary shuttle.
-CYCLE_FAMILY = {
-    InstrKind.SH_L: CycleType.SHUTTLE,
-    InstrKind.SH_R: CycleType.SHUTTLE,
-    InstrKind.SH_U: CycleType.SHUTTLE,
-    InstrKind.SH_D: CycleType.SHUTTLE,
-    InstrKind.ZSH_RET: CycleType.SHUTTLE,
-    InstrKind.ZSH: CycleType.Z,
-    InstrKind.SG_ROT: CycleType.XY_ROT,
-    InstrKind.SG_ROT_INV: CycleType.XY_ROT_INV,
-    InstrKind.SQSWAP: CycleType.TWOQ,
-}
-
 # Unit move per direction. Plain shuttles name their direction in the kind,
 # zsh/zsh_ret in their direction field.
 DELTAS = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
-_SHUTTLE_DIRECTION = {
-    InstrKind.SH_L: "L",
-    InstrKind.SH_R: "R",
-    InstrKind.SH_U: "U",
-    InstrKind.SH_D: "D",
-}
 
-MOVE_KINDS = frozenset(
-    {InstrKind.SH_L, InstrKind.SH_R, InstrKind.SH_U, InstrKind.SH_D, InstrKind.ZSH, InstrKind.ZSH_RET}
-)
+
+class InstrKind(Enum):
+    """An instruction kind and three facts about it, set once per member and
+    stored nowhere else:
+
+    - `family`: the CycleType of the cycles it runs in ("each cycle is
+      dedicated to one instruction type"). zsh carries the phase and gets
+      its own Z cycle; the return move is an ordinary shuttle.
+    - `moves`: it moves its one qubit one site (shuttles, zsh, zsh_ret).
+    - `delta`: the unit move a plain shuttle names in its kind; None for
+      zsh/zsh_ret, whose direction field names it, and for non-moves.
+
+    The per-instruction walks read these attributes: an Enum member used as
+    a set or dict key hashes in Python on every lookup.
+    """
+
+    def __new__(cls, value: str, family: CycleType, moves: bool = False, delta=None):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.family, member.moves, member.delta = family, moves, delta
+        return member
+
+    SH_L = "sh_l", CycleType.SHUTTLE, True, DELTAS["L"]
+    SH_R = "sh_r", CycleType.SHUTTLE, True, DELTAS["R"]
+    SH_U = "sh_u", CycleType.SHUTTLE, True, DELTAS["U"]
+    SH_D = "sh_d", CycleType.SHUTTLE, True, DELTAS["D"]
+    ZSH = "zsh", CycleType.Z, True
+    ZSH_RET = "zsh_ret", CycleType.SHUTTLE, True
+    SG_ROT = "sg_rot", CycleType.XY_ROT
+    SG_ROT_INV = "sg_rot_inv", CycleType.XY_ROT_INV
+    SQSWAP = "sqswap", CycleType.TWOQ
+
+
+CYCLE_FAMILY = {kind: kind.family for kind in InstrKind}
+MOVE_KINDS = frozenset(kind for kind in InstrKind if kind.moves)
 
 
 class Field(NamedTuple):
@@ -88,9 +87,14 @@ class Field(NamedTuple):
     want: str  # the accepted values, for error messages
 
 
+def _is_index(v) -> bool:
+    """A non-negative integer (is_int, inlined): a qubit or a source gate index."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
 def _qubits(arity: int) -> Field:
     def listed(v) -> bool:
-        return isinstance(v, list) and len(v) == arity and all(is_int(q) and q >= 0 for q in v)
+        return isinstance(v, list) and len(v) == arity and all(map(_is_index, v))
 
     return Field("q", "qubits", listed, f"q as a list of {arity} qubit{'s' * (arity > 1)}")
 
@@ -108,14 +112,15 @@ _SG = (
 # order; any kind may also carry "src", the indices of its source gates in
 # the embedded circuit, written last. zsh carries the Z phase as its angle.
 FIELDS: dict[InstrKind, tuple[Field, ...]] = {
-    **dict.fromkeys(_SHUTTLE_DIRECTION, (_Q1,)),
+    **{kind: (_Q1,) for kind in InstrKind if kind.delta},
     InstrKind.ZSH: (_Q1, _ANGLE, _DIR),
     InstrKind.ZSH_RET: (_Q1, _DIR),
     InstrKind.SG_ROT: _SG,
     InstrKind.SG_ROT_INV: _SG,
     InstrKind.SQSWAP: (_qubits(2),),
 }
-_KEYS = {kind: {"kind", "src"} | {f.key for f in row} for kind, row in FIELDS.items()}
+# the loader's lookup by document string: kind, its FIELDS row, its keys
+_ROWS = {kind.value: (kind, row, {"kind", "src"} | {f.key for f in row}) for kind, row in FIELDS.items()}
 
 
 @dataclass(frozen=True)
@@ -130,7 +135,7 @@ class Instruction:
     src: tuple[int, ...] = ()  # indices of source gates in the decomposed circuit
 
     def move_delta(self) -> tuple[int, int] | None:
-        return DELTAS.get(_SHUTTLE_DIRECTION.get(self.kind, self.direction))
+        return self.kind.delta or DELTAS.get(self.direction)
 
 
 @dataclass(frozen=True)
@@ -140,15 +145,15 @@ class Cycle:
     def __post_init__(self):
         if not self.ops:
             raise ValueError("cycle must hold at least one instruction")
-        families = {CYCLE_FAMILY[op.kind] for op in self.ops}
-        if len(families) > 1:
-            held = sorted(f.value for f in families)
+        family = self.ops[0].kind.family
+        if any(op.kind.family is not family for op in self.ops):
+            held = sorted({op.kind.family.value for op in self.ops})
             raise ValueError(f"instruction families {held} cannot share a cycle")
 
     @property
     def type(self) -> CycleType:
-        """The one family (CYCLE_FAMILY) of the cycle's instructions."""
-        return CYCLE_FAMILY[self.ops[0].kind]
+        """The one family (InstrKind.family) of the cycle's instructions."""
+        return self.ops[0].kind.family
 
 
 def grid_side(n_qubits: int) -> int:
@@ -247,20 +252,26 @@ def instruction_to_dict(op: Instruction) -> dict:
 def instruction_from_dict(d: dict) -> Instruction:
     """Inverse of instruction_to_dict. A key the kind does not carry, or a
     value its field does not accept, raises XbarcError naming both."""
-    kind = InstrKind(d["kind"])
-    for key in d:
-        if key not in _KEYS[kind]:
-            raise XbarcError(f"{kind.value} carries no field {key!r}; its fields are {sorted(_KEYS[kind])}")
+    name = d["kind"]
+    row = _ROWS.get(name) if type(name) is str else None
+    # InstrKind raises ValueError "... is not a valid InstrKind" for any other value
+    kind, fields, keys = row or _ROWS[InstrKind(name).value]
+    if not keys.issuperset(d):
+        key = next(key for key in d if key not in keys)
+        raise XbarcError(f"{kind.value} carries no field {key!r}; its fields are {sorted(keys)}")
     values = {}
-    for f in FIELDS[kind]:
+    for f in fields:
         value = d.get(f.key)
         if not f.accepts(value):
             raise XbarcError(f"{kind.value} needs {f.want}, document gives {value!r}")
         values[f.attr] = tuple(value) if type(value) is list else value
-    src = _typed(d.get("src", []), list, f"{kind.value} src")
-    if not all(is_int(i) and i >= 0 for i in src):
-        raise XbarcError(f"{kind.value} src must list non-negative integers, document gives {src!r}")
-    return Instruction(kind, src=tuple(src), **values)
+    if "src" in d:
+        src = d["src"]
+        if not (isinstance(src, list) and all(map(_is_index, src))):
+            _typed(src, list, f"{kind.value} src")
+            raise XbarcError(f"{kind.value} src must list non-negative integers, document gives {src!r}")
+        values["src"] = tuple(src)
+    return Instruction(kind, **values)
 
 
 def schedule_to_doc(s: Schedule) -> dict:

@@ -17,7 +17,7 @@ from .circuits import Circuit
 from .config import ArchConfig, FIDELITY_CLASSES
 from .crossbar import Grid, apply_op, move_sites, sqswap_sites
 from .errors import CompileError
-from .instructions import InstrKind, MOVE_KINDS, Schedule
+from .instructions import InstrKind, Schedule
 from .ir import CountsByType, counts_by_type, dependency_depth
 
 _CLAMP_LO = 1e-12
@@ -114,7 +114,7 @@ def esp(schedule: Schedule, fmap: FidelityMap) -> float:
     total = 1.0
     for cycle in schedule.cycles:
         for op in cycle.ops:
-            if op.kind in MOVE_KINDS:
+            if op.kind.moves:
                 _, (x, y) = move_sites(grid, op.qubits[0], op.move_delta())
                 total *= shuttle[y][x]
             elif op.kind is InstrKind.SQSWAP:

@@ -10,6 +10,13 @@ verifier.simulate_schedule) feed a RotationFold: each qubit's single-qubit
 rotations are folded into one pending 2x2 until that qubit's next two-qubit
 gate, which applies them in the same kernel call, so the full state is
 touched once per two-qubit gate plus once per qubit at the end.
+
+RotationFold.apply is the one gate kernel. It works in place: the fold
+copies the caller's state once into its own buffer and keeps two scratch
+buffers of the same size, so a gate allocates no state-sized array (a
+12-qubit, 4-probe state is 256 KB). apply_unitary and its apply_1q,
+apply_2q and apply_gate wrappers run the same kernel on a fresh copy; the
+tests use them as the gate-by-gate reference.
 """
 from __future__ import annotations
 
@@ -90,13 +97,11 @@ def random_product_state(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def apply_unitary(state: np.ndarray, n: int, qubits, u: np.ndarray) -> np.ndarray:
     """Apply the 2**k x 2**k matrix u to k qubits, qubits[0] the high bit of
-    its basis; `state` has shape (2**n,) or (2**n, batch)."""
-    k = len(qubits)
-    axes = [n - 1 - q for q in qubits]
-    t = state.reshape([2] * n + [-1])
-    t = np.tensordot(u.reshape([2] * (2 * k)), t, axes=[list(range(k, 2 * k)), axes])
-    t = np.moveaxis(t, list(range(k)), axes)
-    return np.ascontiguousarray(t).reshape(state.shape)
+    its basis; `state` has shape (2**n,) or (2**n, batch). A new array:
+    RotationFold.apply on a copy of `state`."""
+    fold = RotationFold(state, n)
+    fold.apply(qubits, u)
+    return fold.state
 
 
 def apply_1q(state: np.ndarray, n: int, q: int, u: np.ndarray) -> np.ndarray:
@@ -119,12 +124,46 @@ class RotationFold:
 
     The final state equals applying every gate in order, up to float
     rounding, because gates on disjoint qubits commute.
+
+    The fold owns its state: the constructor copies the caller's array into
+    a C-contiguous complex buffer, `state`, which every gate updates in
+    place, so the caller's array is never written and `state` stays the same
+    object. Two scratch buffers of the same size hold a gate's operands and
+    product; no gate allocates a state-sized array.
     """
 
     def __init__(self, state: np.ndarray, n: int):
-        self.state = state
+        self.state = np.array(state, dtype=complex, order="C")
         self.n = n
         self.pending: list[np.ndarray | None] = [None] * n  # None: identity
+        self._batch = self.state.size >> n  # columns per basis index
+        self._operands = np.empty(self.state.size, dtype=complex)
+        self._product = np.empty(self.state.size, dtype=complex)
+
+    def apply(self, qubits, u: np.ndarray) -> None:
+        """The gate kernel: apply the 2**k x 2**k matrix u to the k = 1 or 2
+        `qubits` in place, qubits[0] the high bit of its basis.
+
+        The state is viewed with each target qubit's bit as its own axis
+        (qubit q is the bit of stride 2**q * batch), the target axes moved
+        to the front; np.copyto gathers that view into the operand buffer as
+        a (2**k, rest) matrix, np.matmul multiplies it into the product
+        buffer, and np.copyto scatters the product back through the view.
+        """
+        if len(qubits) == 1:
+            (q,) = qubits
+            view = self.state.reshape(-1, 2, self._batch << q).transpose(1, 0, 2)
+        else:
+            a, b = qubits
+            lo, hi = min(a, b), max(a, b)
+            view = self.state.reshape(-1, 2, 1 << (hi - lo - 1), 2, self._batch << lo)
+            view = view.transpose((1, 3, 0, 2, 4) if a == hi else (3, 1, 0, 2, 4))
+        rows = len(u)
+        operands = self._operands.reshape(view.shape)
+        np.copyto(operands, view)
+        product = self._product.reshape(rows, -1)
+        np.matmul(u, operands.reshape(rows, -1), out=product)
+        np.copyto(view, product.reshape(view.shape))
 
     def rotate(self, q: int, u: np.ndarray) -> None:
         p = self.pending[q]
@@ -132,19 +171,24 @@ class RotationFold:
 
     def interact(self, a: int, b: int, u4: np.ndarray) -> None:
         """Apply u4 (a the high bit, as in apply_2q) after both operands'
-        pending rotations, in one kernel call."""
+        pending rotations, in one kernel call. The Kronecker product of the
+        two pending 2x2s is a broadcast product: entry [2i+k, 2j+l] is
+        ua[i, j] * ub[k, l]."""
         ua, ub = self.pending[a], self.pending[b]
         if ua is not None or ub is not None:
-            u4 = u4 @ np.kron(_I2 if ua is None else ua, _I2 if ub is None else ub)
+            ua = _I2 if ua is None else ua
+            ub = _I2 if ub is None else ub
+            u4 = u4 @ (ua[:, None, :, None] * ub[None, :, None, :]).reshape(4, 4)
             self.pending[a] = self.pending[b] = None
-        self.state = apply_unitary(self.state, self.n, (a, b), u4)
+        self.apply((a, b), u4)
 
     def result(self) -> np.ndarray:
         """The final state: every pending rotation applied, in ascending
-        qubit order. Call once, after the last gate."""
+        qubit order, and cleared, so a second call returns the same state."""
         for q, u in enumerate(self.pending):
             if u is not None:
-                self.state = apply_unitary(self.state, self.n, (q,), u)
+                self.apply((q,), u)
+                self.pending[q] = None
         return self.state
 
 

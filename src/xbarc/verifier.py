@@ -8,8 +8,14 @@ cycles that are each legal but no longer reproduce the compiled trajectory
 fail. Statevector equivalence simulates the compiled schedule against the
 decomposed circuit at small qubit counts; both sides fold each qubit's
 rotations, spectator ones included, into one 2x2 until that qubit's next
-two-qubit gate (sim.RotationFold). verify() runs both checks;
-VerifyReport.ok is the verdict.
+two-qubit gate (sim.RotationFold), which applies every gate in place on its
+own copy of the probe states, so the probes are never written and a second
+check of the same schedule gives the same fidelity. verify() runs both
+checks; VerifyReport.ok is the verdict.
+
+Replay reads each instruction kind's facts (whether it moves, its cycle
+family) from InstrKind's attributes, and every legal cycle's report is the
+one shared crossbar.LEGAL.
 
 The loader, instructions.schedule_from_doc, rejects a document field that
 an instruction kind does not carry, and a Cycle cannot mix instruction

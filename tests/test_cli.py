@@ -250,6 +250,11 @@ def _old_format(positions):
         (_set_op("sqswap", "angle", 0.5), "sqswap carries no field 'angle'; its fields are ['kind', 'q', 'src']"),
         (lambda doc: [_set_op("zsh", key, value)(doc) for key, value in (("axis", "x"), ("parity", 0))],
          "zsh carries no field 'axis'; its fields are ['angle', 'dir', 'kind', 'q', 'src']"),
+        (_set_first(["cycles", 1, 0, "kind"], 3), "cycle 1: 3 is not a valid InstrKind"),
+        (_set_first(["cycles", 1, 0, "kind"], ["sh_l"]), "cycle 1: ['sh_l'] is not a valid InstrKind"),
+        (_set_first(["cycles", 1, 0, "kind"], None), "cycle 1: None is not a valid InstrKind"),
+        (_set_first(["cycles", 1, 0, "kind"], "SH_L"), "cycle 1: 'SH_L' is not a valid InstrKind"),
+        (lambda doc: doc["cycles"][1][0].pop("kind"), "lacks key 'kind'"),
     ],
     ids=[
         "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -262,6 +267,7 @@ def _old_format(positions):
         "circuit-name-list", "digest-number", "src-float", "src-negative",
         "circuit-gate-measure", "circuit-gate-h", "circuit-gate-cx", "circuit-gate-kind-list",
         "typed-cycles", "src-out-of-range", "sh-dir", "sqswap-angle", "zsh-axis-parity",
+        "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])

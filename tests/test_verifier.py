@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xbarc import (
@@ -24,9 +24,11 @@ from xbarc.crossbar import Grid, apply_op
 from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 from xbarc.sim import (
     SQSWAP_MATRIX,
+    RotationFold,
     apply_1q,
     apply_2q,
     apply_gate,
+    apply_unitary,
     gate_matrix,
     rx_matrix,
     ry_matrix,
@@ -104,7 +106,55 @@ def random_unitary(rng, d):
     return np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
 
 
+def kron_chain(n, factors):
+    """Plain np.kron reference: the 2**n x 2**n operator with factors[q] on
+    qubit q and the identity elsewhere, qubit n-1 the leftmost factor."""
+    full = np.eye(1, dtype=complex)
+    for q in range(n - 1, -1, -1):
+        full = np.kron(full, factors.get(q, np.eye(2)))
+    return full
+
+
+def full_operator(n, qubits, u):
+    """u on `qubits` (qubits[0] the high bit of its basis) as a 2**n x 2**n
+    matrix: a 4x4 is the sum of u[2r+s, 2t+w] |r><t| (x) |s><w|."""
+    if len(qubits) == 1:
+        return kron_chain(n, {qubits[0]: u})
+    a, b = qubits
+    unit = np.eye(2)
+    return sum(
+        u[2 * r + s, 2 * t + w] * kron_chain(n, {a: np.outer(unit[r], unit[t]), b: np.outer(unit[s], unit[w])})
+        for r in range(2) for s in range(2) for t in range(2) for w in range(2)
+    )
+
+
+@st.composite
+def gate_targets(draw):
+    """(n, qubits): one qubit, or two distinct ones in either order, on n <= 8."""
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, 2)))
+    return n, tuple(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+
+
 class TestSimPrimitives:
+    @settings(max_examples=150, deadline=None)
+    @given(gate_targets(), st.booleans(), st.integers(0, 2**32 - 1))
+    @example((1, (0,)), False, 0)
+    @example((8, (7,)), True, 1)
+    @example((8, (0, 7)), True, 2)
+    @example((8, (7, 0)), False, 3)
+    @example((5, (2, 3)), True, 4)
+    @example((5, (3, 2)), False, 5)
+    def test_kernel_matches_kron(self, target, batched, seed):
+        # the one gate kernel (RotationFold.apply, behind apply_unitary)
+        # against the full operator built from np.kron
+        n, qubits = target
+        rng = np.random.default_rng(seed)
+        u = random_unitary(rng, 2 ** len(qubits))
+        state = random_states(n, batched, seed)
+        expect = full_operator(n, qubits, u) @ state
+        assert np.allclose(apply_unitary(state, n, qubits, u), expect, rtol=0, atol=1e-12)
+
     def test_apply_1q_matches_kron(self):
         rng = np.random.default_rng(0)
         # one state, then a (2**n, 3) batch: the kron reference acts on each column
@@ -172,7 +222,7 @@ class TestRotationFold:
         # structural guard: without the fold, every spectator rotation of a
         # semi-global pulse is a full-state kernel call (thousands here)
         calls = [0]
-        original = sim.apply_unitary
+        original = sim.RotationFold.apply
 
         def counted(*args):
             calls[0] += 1
@@ -181,9 +231,42 @@ class TestRotationFold:
         c = gen_random_uniform(BenchSpec(12, 300, 50.0, 0))
         s = compiled(c)
         n_twoq = sum(g.kind in TWO_QUBIT_KINDS for g in c.gates)
-        monkeypatch.setattr(sim, "apply_unitary", counted)
+        monkeypatch.setattr(sim.RotationFold, "apply", counted)
         assert statevector_equiv(c, s) >= FIDELITY_FLOOR
         assert 0 < calls[0] <= 2 * (n_twoq + c.n_qubits)
+
+
+    def test_fold_works_on_its_own_copy_in_place(self):
+        n = 5
+        state = random_states(n, True, 7)
+        before = state.copy()
+        fold = RotationFold(state, n)
+        buffer = fold.state
+        assert buffer is not state
+        gates = [("rotate", 0, rx_matrix(0.3)), ("interact", 0, 4), ("rotate", 4, ry_matrix(1.1)),
+                 ("rotate", 2, rz_matrix(0.2)), ("interact", 2, 1), ("interact", 4, 3)]
+        for gate in gates:
+            if gate[0] == "rotate":
+                fold.rotate(gate[1], gate[2])
+            else:
+                fold.interact(gate[1], gate[2], SQSWAP_MATRIX)
+            assert fold.state is buffer
+        assert fold.result() is buffer
+        assert np.array_equal(state, before)
+
+    def test_result_applies_each_pending_rotation_once(self):
+        fold = RotationFold(zero_state(2), 2)
+        fold.rotate(0, rx_matrix(0.7))
+        first = fold.result().copy()
+        assert abs(first[0]) == pytest.approx(math.cos(0.35), abs=1e-12)  # 0.939
+        assert np.array_equal(fold.result(), first)
+
+    def test_equiv_twice_gives_the_same_float(self):
+        c = gen_random_uniform(BenchSpec(8, 120, 50.0, 3))
+        s = compiled(c)
+        first = statevector_equiv(c, s)
+        assert isinstance(first, float) and first >= FIDELITY_FLOOR
+        assert statevector_equiv(c, s) == first
 
 
 class TestReplay:
