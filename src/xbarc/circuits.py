@@ -26,7 +26,6 @@ class GateKind(Enum):
     TDG = "tdg"
     CNOT = "cx"
     CZ = "cz"
-    MEASURE = "measure"
 
 
 NATIVE_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.SQSWAP})
@@ -56,9 +55,7 @@ class Gate:
 
     def __post_init__(self):
         n_ops = 2 if self.kind in TWO_QUBIT_KINDS else 1
-        if self.kind is GateKind.MEASURE:
-            n_ops = len(self.qubits)
-        elif len(self.qubits) != n_ops:
+        if len(self.qubits) != n_ops:
             raise ValueError(f"{self.kind.value} takes {n_ops} operand(s), got {self.qubits}")
         if n_ops == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.kind.value} operands must be distinct: {self.qubits}")

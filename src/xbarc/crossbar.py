@@ -30,10 +30,13 @@ stay-put qubits of a column are cols[x] & ~cols[across], an occupied pair
 across a lowered row barrier is rows[k] & rows[k + 1], and the QL pairs of a
 whole cycle fold into two masks, one per direction along the path.
 
-Each rule has one owner: instructions.check_placement checks a placement
-when a Schedule is made or schedule_integrated starts, Cycle keeps every
-cycle to one instruction family, apply_op checks each move, and Grid and
-check_parallel_set trust all three.
+instructions.check_placement checks a placement when a Schedule is made
+or schedule_integrated starts, Cycle keeps every cycle to one instruction
+family, and apply_op checks each move it applies; Grid trusts all three.
+check_parallel_set trusts the first two but judges a cycle before any of
+it is applied, so it checks the moves itself: an off-grid or occupied
+destination is a BLOCKED_PATH conflict, as are two moves of one qubit or
+two moves onto one site.
 
 A Grid is mutable and apply_op/apply_cycle advance it in place, O(1) per
 move, returning None. apply_cycle is the one place a cycle is applied: it

@@ -23,9 +23,10 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .circuits import Circuit, circuit_from_dict, circuit_to_dict, is_finite_real, is_int
+from .circuits import NATIVE_KINDS, Circuit, circuit_from_dict, circuit_to_dict, is_finite_real, is_int
 from .errors import CrossbarError, XbarcError
 
 
@@ -74,7 +75,6 @@ class InstrKind(Enum):
     SQSWAP = "sqswap", CycleType.TWOQ
 
 
-CYCLE_FAMILY = {kind: kind.family for kind in InstrKind}
 MOVE_KINDS = frozenset(kind for kind in InstrKind if kind.moves)
 
 
@@ -237,11 +237,25 @@ class TrajectoryDigest:
         return self._sha.hexdigest()
 
 
+# the attributes each kind must leave at their defaults: those of the other
+# kinds' fields
+_ATTRS = {f.attr for row in FIELDS.values() for f in row}
+_UNSET = {kind: sorted(_ATTRS - {f.attr for f in row}) for kind, row in FIELDS.items()}
+# the writer's lookup: kind -> its FIELDS row, a getter of its _UNSET
+# attributes, and their defaults, which the dataclass keeps as class attributes
+_WRITE = {kind: (FIELDS[kind], attrgetter(*unset), attrgetter(*unset)(Instruction)) for kind, unset in _UNSET.items()}
+
+
 def instruction_to_dict(op: Instruction) -> dict:
     """Document form of an instruction: kind, the fields FIELDS lists for
-    it, and src unless it is empty."""
+    it, and src unless it is empty. An attribute set that the kind does not
+    carry, which the document could not hold, raises ValueError naming both."""
+    row, get_unset, defaults = _WRITE[op.kind]
+    if get_unset(op) != defaults:
+        attr = next(a for a in _UNSET[op.kind] if getattr(op, a) != getattr(Instruction, a))
+        raise ValueError(f"{op.kind.value} carries no field {attr!r}, instruction gives {getattr(op, attr)!r}")
     d = {"kind": op.kind.value}
-    for f in FIELDS[op.kind]:
+    for f in row:
         value = getattr(op, f.attr)
         d[f.key] = list(value) if type(value) is tuple else value
     if op.src:
@@ -302,6 +316,10 @@ def _string(value, what: str) -> str:
     return value
 
 
+# a tuple: a set lookup would fail on an unhashable kind such as a list
+_NATIVE_NAMES = tuple(sorted(kind.value for kind in NATIVE_KINDS))
+
+
 def _circuit_from_doc(d) -> Circuit:
     """circuit_from_dict after the checks its constructors leave out."""
     _typed(d, dict, "circuit")
@@ -311,7 +329,7 @@ def _circuit_from_doc(d) -> Circuit:
         raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {n!r}")
     for i, g in enumerate(_typed(d["gates"], list, "circuit gates")):
         kind = _typed(g, dict, f"circuit gate {i}")["kind"]
-        if kind not in ("rx", "ry", "rz", "sqswap"):  # NATIVE_KINDS; a set would fail on a list
+        if kind not in _NATIVE_NAMES:
             raise XbarcError(f"circuit gate {i} kind must be rx, ry, rz or sqswap, document gives {kind!r}")
         q = _typed(g["q"], list, f"circuit gate {i} q")
         if not all(map(is_int, q)):

@@ -130,19 +130,14 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
         raise CompileError(f"routing left {a} at {(ax, ay)}, not diagonal to {b} at {(bx, by)}")
 
     dx = bx - ax
-    cycle_in = Cycle((_h_shuttle(a, dx, srcs),))
-    _checked(grid, cycle_in)
-    cycles.append(cycle_in)
-
-    swap = Cycle((Instruction(InstrKind.SQSWAP, (a, b), src=srcs),))
-    _checked(grid, swap)
-    cycles.append(swap)
-
-    cycle_out = Cycle((_h_shuttle(a, -dx, srcs),))
-    _checked(grid, cycle_out)
-    cycles.append(cycle_out)
-
-    return tuple(cycles)
+    triplet = (
+        Cycle((_h_shuttle(a, dx, srcs),)),
+        Cycle((Instruction(InstrKind.SQSWAP, (a, b), src=srcs),)),
+        Cycle((_h_shuttle(a, -dx, srcs),)),
+    )
+    for cycle in triplet:
+        _checked(grid, cycle)
+    return (*cycles, *triplet)
 
 
 def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]:

@@ -8,6 +8,11 @@ unmodified corpus files compile. Keywords match as whole words. Gate
 enforces operand counts; the parser positions its error. Anything else is
 rejected with a positioned error.
 
+A rotation's angle is an expression over float literals, integer literals
+and `pi`, with binary + - * / **, unary + and -, and parentheses to any
+depth. Its value is computed from Python's parse tree of the text with
+float arithmetic; no input text is compiled or passed to eval.
+
 Output: the compiled schedule as a cycle-annotated QASM dialect, for
 reading; the authoritative artifact is the JSON document that
 instructions.schedule_to_doc writes.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import ast
 import math
+import operator
 import re
 import warnings
 
@@ -24,59 +30,74 @@ from .errors import QasmError
 from .instructions import Instruction, InstrKind, Schedule
 
 class MeasurementDropped(UserWarning):
-    pass
+    """A measure statement was dropped: readout is outside this toolchain."""
 
 
 def _statements(text: str):
-    """Yield (line, statement) with comments stripped, split on ';'."""
-    buf = []
-    start_line = None
+    """Yield (line, statement) with comments stripped, split on ';'. A
+    statement may span lines, which join without a separator; its line is
+    that of its first non-blank character."""
+    pending, start = "", None  # an unterminated statement and its line
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("//", 1)[0]
-        for ch in line:
-            if ch == ";":
-                stmt = "".join(buf).strip()
-                if stmt:
-                    yield (start_line or lineno), stmt
-                buf = []
-                start_line = None
-            else:
-                if ch.strip() and start_line is None:
-                    start_line = lineno
-                buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        raise QasmError(f"statement not terminated by ';': {tail!r}", start_line)
+        *ended, rest = line.split("//", 1)[0].split(";")
+        for piece in ended:
+            stmt = (pending + piece).strip()
+            if stmt:
+                yield start or lineno, stmt
+            pending, start = "", None
+        pending += rest
+        if start is None and rest.strip():
+            start = lineno
+    if pending.strip():
+        raise QasmError(f"statement not terminated by ';': {pending.strip()!r}", start)
 
 
-_ALLOWED_EXPR_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Constant, ast.Name,
-                       ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.USub, ast.UAdd,
-                       ast.Pow)
+# the angle grammar's operators, applied to floats
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow, ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
 def _eval_angle(expr: str, line: int) -> float:
+    """The value of a gate parameter, computed from its parse tree.
+
+    The tree is walked in post-order on an explicit stack, so an expression
+    of any depth the parser accepts is evaluated: an operator node is
+    replaced by its operator and then its operands, the leftmost on top, and
+    the operator takes its operands' values when it comes off the stack.
+    Faults are therefore met left to right.
+    """
     try:
         tree = ast.parse(expr, mode="eval")
     except (SyntaxError, RecursionError, MemoryError):  # the last two: nesting too deep
         raise QasmError(f"bad angle expression {expr!r}", line) from None
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_EXPR_NODES):
-            raise QasmError(f"unsupported construct in angle {expr!r}", line)
-        if isinstance(node, ast.Name) and node.id != "pi":
-            raise QasmError(f"unknown symbol {node.id!r} in angle {expr!r}", line)
-        if isinstance(node, ast.Constant):
-            if not isinstance(node.value, (int, float)):
-                raise QasmError(f"bad constant in angle {expr!r}", line)
-            # float arithmetic throughout, so `**` on integer literals overflows
-            # instead of computing an exponent tower exactly
-            try:
-                node.value = float(node.value)
-            except OverflowError:
-                raise QasmError(f"constant out of range in angle {expr!r}", line) from None
+    todo, values = [tree.body], []
     try:
-        angle = eval(compile(tree, "<angle>", "eval"), {"__builtins__": {}}, {"pi": math.pi})
-    except (ArithmeticError, RecursionError) as e:
+        while todo:
+            node = todo.pop()
+            if isinstance(node, (ast.unaryop, ast.operator)):  # its operands' values are on top
+                n = 1 if isinstance(node, ast.unaryop) else 2
+                values[-n:] = [_OPERATORS[type(node)](*values[-n:])]
+            elif isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+                todo += (node.op, node.right, node.left)
+            elif isinstance(node, ast.UnaryOp) and type(node.op) in _OPERATORS:
+                todo += (node.op, node.operand)
+            elif isinstance(node, ast.Name):
+                if node.id != "pi":
+                    raise QasmError(f"unknown symbol {node.id!r} in angle {expr!r}", line)
+                values.append(math.pi)
+            elif isinstance(node, ast.Constant):
+                if type(node.value) not in (int, float):  # bools, strings, complex literals
+                    raise QasmError(f"bad constant in angle {expr!r}", line)
+                # float arithmetic throughout, so `**` on integer literals overflows
+                # instead of computing an exponent tower exactly
+                values.append(float(node.value))
+            else:
+                raise QasmError(f"unsupported construct in angle {expr!r}", line)
+    except ArithmeticError as e:
+        if isinstance(node, ast.Constant):  # an integer literal beyond the float range
+            raise QasmError(f"constant out of range in angle {expr!r}", line) from None
         raise QasmError(f"cannot evaluate angle {expr!r}: {e}", line) from None
+    (angle,) = values
     if not (isinstance(angle, float) and math.isfinite(angle)):
         raise QasmError(f"angle {expr!r} is not a finite real number", line)
     return angle
@@ -84,7 +105,10 @@ def _eval_angle(expr: str, line: int) -> float:
 
 _QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(r"^creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_CALL_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*(\(([^()]*(?:\([^()]*\)[^()]*)*)\))?\s*(.*)$")
+# name, then the parameters up to the statement's last ')', then the operands;
+# the name cannot shrink to let the parameter group match, so matching is
+# linear in the statement's length, and ast.parse judges the parentheses
+_CALL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_])(?:\s*\((.*)\))?(.*)")
 _OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 
 
@@ -98,8 +122,10 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
     n_qubits = 0
     gates: list[Gate] = []
     for line, stmt in _statements(text):
-        call = _CALL_RE.match(stmt)
-        keyword = call.group(1) if call else ""  # matched whole, never as a prefix
+        call = _CALL_RE.fullmatch(stmt)
+        if not call:  # no leading name
+            raise QasmError(f"cannot parse statement {stmt!r}", line)
+        keyword, param, operand_text = call.groups()  # the name matched whole, never as a prefix
         if keyword.upper() == "OPENQASM":
             version = stmt.split(None, 1)[1] if len(stmt.split()) > 1 else ""
             if not version.startswith("2"):
@@ -126,17 +152,14 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
                 stacklevel=2,
             )
             continue
-        if not call:
-            raise QasmError(f"cannot parse statement {stmt!r}", line)
-        gate_name, _, param, operand_text = call.groups()
         try:
-            kind = GateKind(gate_name)
+            kind = GateKind(keyword)
         except ValueError:
-            raise QasmError(f"unknown gate {gate_name!r}", line) from None
+            raise QasmError(f"unknown gate {keyword!r}", line) from None
         if reg_name is None:
             raise QasmError("gate call before qreg declaration", line)
         if (param is not None) != (kind in ROTATION_KINDS):
-            raise QasmError(f"{gate_name} parameter mismatch", line)
+            raise QasmError(f"{keyword} parameter mismatch", line)
         angle = _eval_angle(param, line) if param is not None else None
         operands = []
         for op_text in [t.strip() for t in operand_text.split(",") if t.strip()]:
@@ -172,19 +195,15 @@ def circuit_to_qasm(circuit: Circuit) -> str:
 
 def _instruction_line(op: Instruction) -> str:
     k = op.kind
-    if k in (InstrKind.SH_L, InstrKind.SH_R, InstrKind.SH_U, InstrKind.SH_D):
-        return f"{k.value} q[{op.qubits[0]}];"
     if k is InstrKind.ZSH:
         return f"zsh({op.angle!r}) q[{op.qubits[0]}];"
-    if k is InstrKind.ZSH_RET:
-        return f"zsh_ret q[{op.qubits[0]}];"
     if k in (InstrKind.SG_ROT, InstrKind.SG_ROT_INV):
         suffix = "_inv" if k is InstrKind.SG_ROT_INV else ""
         parity = "even" if op.parity == 0 else "odd"
         return f"sg_r{op.axis}{suffix}({op.angle!r}) {parity};"
     if k is InstrKind.SQSWAP:
         return f"sqswap q[{op.qubits[0]}],q[{op.qubits[1]}];"
-    raise ValueError(f"cannot emit {k}")
+    return f"{k.value} q[{op.qubits[0]}];"  # the plain shuttles and zsh_ret
 
 
 def emit_output(schedule: Schedule) -> str:

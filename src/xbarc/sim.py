@@ -73,9 +73,7 @@ _ROTATIONS = {GateKind.RX: rx_matrix, GateKind.RY: ry_matrix, GateKind.RZ: rz_ma
 def gate_matrix(g: Gate) -> np.ndarray:
     if g.kind in _ROTATIONS:
         return _ROTATIONS[g.kind](g.angle)
-    if g.kind in _FIXED:
-        return _FIXED[g.kind]
-    raise ValueError(f"no matrix for {g.kind.value}")
+    return _FIXED[g.kind]
 
 
 def zero_state(n: int) -> np.ndarray:

@@ -7,11 +7,13 @@ from contextlib import nullcontext
 import pytest
 
 from xbarc import BenchSpec, gen_random_uniform, load_config
+from xbarc import cli
 from xbarc.cli import _compile_circuit, main, parse_range
 from xbarc.crossbar import Grid, apply_cycle
 from xbarc.instructions import schedule_from_doc, schedule_to_doc
 from xbarc.metrics import CSV_COLUMNS
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm, emit_output, parse_qasm
+from xbarc.verifier import VerifyReport
 
 
 @pytest.fixture()
@@ -126,6 +128,16 @@ def test_verify_reports_illegal_move_without_equivalence(bell_doc, capsys):
     assert report["replay_ok"] is False and report["ok"] is False
     assert cycle in [v["cycle"] for v in report["violations"]]
     assert report["equivalence_fidelity"] is None
+
+
+def test_failed_verification_at_compile_still_writes_the_document(tmp_path, bell_qasm, capsys, monkeypatch):
+    failing = VerifyReport(trajectory_match=False)
+    monkeypatch.setattr(cli, "verify", lambda schedule: failing)
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["compile", "-i", str(bell_qasm), "-o", str(out)]) == 2
+    assert "verification FAILED: " + json.dumps(failing.to_json_dict()) in capsys.readouterr().err
+    assert json.loads(out.read_text())["name"] == "bell"
 
 
 def _drop(key):
@@ -255,6 +267,8 @@ def _old_format(positions):
         (_set_first(["cycles", 1, 0, "kind"], None), "cycle 1: None is not a valid InstrKind"),
         (_set_first(["cycles", 1, 0, "kind"], "SH_L"), "cycle 1: 'SH_L' is not a valid InstrKind"),
         (lambda doc: doc["cycles"][1][0].pop("kind"), "lacks key 'kind'"),
+        (_set_circuit_gate("q", [5]), "operand 5 out of range for 2 qubits"),
+        (_set_circuit_gate("q", [-1]), "operand -1 out of range for 2 qubits"),
     ],
     ids=[
         "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -268,6 +282,7 @@ def _old_format(positions):
         "circuit-gate-measure", "circuit-gate-h", "circuit-gate-cx", "circuit-gate-kind-list",
         "typed-cycles", "src-out-of-range", "sh-dir", "sqswap-angle", "zsh-axis-parity",
         "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
+        "circuit-gate-q-5", "circuit-gate-q-negative",
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "stats"])

@@ -65,6 +65,12 @@ def test_decomposition_rule_validation():
         load_config('{"decompositions": {"x": [{"kind": "rx", "operand_roles": [0]}]}}')
 
 
+def test_measure_has_no_rule():
+    # measure statements are dropped by the parser, so no rule could fire
+    with pytest.raises(ConfigError, match="decompositions: unknown gate kind 'measure'"):
+        load_config('{"decompositions": {"measure": [{"kind": "rx", "angle": 1, "operand_roles": [0]}]}}')
+
+
 def test_seed_must_be_int():
     with pytest.raises(ConfigError):
         load_config('{"seed": "abc"}')

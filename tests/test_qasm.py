@@ -1,6 +1,8 @@
 """QASM parsing, emission and schedule-document round trips."""
+import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -166,7 +168,33 @@ def test_instruction_dict_round_trip(op, keys):
     assert instruction_from_dict(json.loads(json.dumps(d))) == op
 
 
-FRONT_END_KINDS = sorted(set(GateKind) - {GateKind.MEASURE}, key=lambda k: k.value)
+# one value per Instruction attribute that some kind carries, falsy ones included
+_ATTR_VALUES = {"qubits": (3,), "angle": 0.0, "axis": "x", "parity": 0, "direction": "L"}
+
+
+@pytest.mark.parametrize(
+    ("op", "attr"),
+    [(op, attr) for op, _ in INSTRUCTION_CASES for attr in _ATTR_VALUES
+     if attr not in {f.attr for f in FIELDS[op.kind]}],
+    ids=lambda v: v.kind.value if isinstance(v, Instruction) else v,
+)
+def test_writer_rejects_an_attribute_the_kind_does_not_carry(op, attr):
+    op = dataclasses.replace(op, **{attr: _ATTR_VALUES[attr]})
+    message = f"{op.kind.value} carries no field {attr!r}, instruction gives {_ATTR_VALUES[attr]!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        instruction_to_dict(op)
+
+
+def test_hand_built_schedule_with_a_stray_field_is_not_written():
+    # the document has no place for a shuttle's direction: it used to drop
+    # it, so the schedule did not round-trip
+    op = Instruction(InstrKind.SH_R, (0,), direction="L")
+    s = Schedule("stray", 2, ((0, 0), (1, 1)), (Cycle((op,)),), TrajectoryDigest([((1, 0), (1, 1))]).hexdigest())
+    with pytest.raises(ValueError, match="sh_r carries no field 'direction'"):
+        schedule_to_doc(s)
+
+
+FRONT_END_KINDS = sorted(GateKind, key=lambda k: k.value)
 
 
 @st.composite

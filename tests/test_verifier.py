@@ -19,7 +19,7 @@ from xbarc import (
     verify,
 )
 from xbarc import sim, verifier
-from xbarc.circuits import TWO_QUBIT_KINDS
+from xbarc.circuits import ROTATION_KINDS, TWO_QUBIT_KINDS
 from xbarc.crossbar import Grid, apply_op
 from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 from xbarc.sim import (
@@ -154,6 +154,13 @@ class TestSimPrimitives:
         state = random_states(n, batched, seed)
         expect = full_operator(n, qubits, u) @ state
         assert np.allclose(apply_unitary(state, n, qubits, u), expect, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(GateKind), ids=lambda k: k.value)
+    def test_every_gate_kind_has_a_unitary_matrix(self, kind):
+        arity = 2 if kind in TWO_QUBIT_KINDS else 1
+        u = sim.gate_matrix(Gate(kind, tuple(range(arity)), 0.3 if kind in ROTATION_KINDS else None))
+        assert u.shape == (2**arity, 2**arity)
+        assert np.allclose(u.conj().T @ u, np.eye(2**arity), rtol=0, atol=1e-12)
 
     def test_apply_1q_matches_kron(self):
         rng = np.random.default_rng(0)
