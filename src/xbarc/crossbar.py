@@ -47,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from graphlib import CycleError, TopologicalSorter
 from itertools import islice
 from typing import Iterable, NamedTuple
 
@@ -295,41 +296,18 @@ def _borders(line: Line, site) -> bool:
 
 
 def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
-    """Return one cycle (as node list) in the a->b digraph, or None."""
-    adj: dict[int, list[int]] = {}
+    """Return one cycle (as node list, first node repeated last) in the
+    a->b digraph, or None. Adding a before each b keeps graphlib's search
+    in first-occurrence order of nodes and of each node's successors, so
+    the cycle named is the first a depth-first search meets."""
+    sorter = TopologicalSorter()
     for a, b in pairs:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, [])
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in adj}
-    parent: dict[int, int] = {}
-    for root in adj:
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(adj[root]))]
-        color[root] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-                if color[nxt] == GRAY:
-                    cycle = [nxt, node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        cycle.append(cur)
-                    cycle.reverse()
-                    return cycle
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
-        # exhausted component
+        sorter.add(a)
+        sorter.add(b, a)
+    try:
+        sorter.prepare()
+    except CycleError as e:
+        return e.args[1]
     return None
 
 

@@ -51,45 +51,26 @@ def _pick_corner(grid: Grid, a_site, b_site):
 
     Step count from s to t over diagonal moves is max(|dx|, |dy|); ties
     prefer the corner nearest a in x, then lower column, then lower row.
+    On N >= 2 every site has a diagonal neighbour inside the grid.
     """
-    ax, ay = a_site
-    bx, by = b_site
-    best = None
-    for cx in (-1, 1):
-        for cy in (-1, 1):
-            t = (bx + cx, by + cy)
-            if not grid.in_grid(t):
-                continue
-            k = max(abs(ax - t[0]), abs(ay - t[1]))
-            key = (k, abs(ax - t[0]), t[0], t[1])
-            if best is None or key < best[0]:
-                best = (key, t)
-    if best is None:  # pragma: no cover - impossible for N >= 2
-        raise CompileError(f"no diagonal neighbour of {b_site} inside the grid")
-    return best[1]
+    (ax, ay), (bx, by) = a_site, b_site
+    return min((max(abs(ax - tx), abs(ay - ty)), abs(ax - tx), tx, ty)
+               for tx in (bx - 1, bx + 1) for ty in (by - 1, by + 1) if grid.in_grid((tx, ty)))[2:]
 
 
-def _diagonal_path(grid: Grid, start, target):
-    """Diagonal unit steps from start to target (both checkerboard sites)."""
-    steps = []
-    px, py = start
-    tx, ty = target
-    while (px, py) != (tx, ty):
-        if px < tx:
-            sx = 1
-        elif px > tx:
-            sx = -1
-        else:  # wiggle x, preferring the lower column
-            sx = -1 if px - 1 >= 0 else 1
-        if py < ty:
-            sy = 1
-        elif py > ty:
-            sy = -1
-        else:
-            sy = -1 if py - 1 >= 0 else 1
-        px, py = px + sx, py + sy
-        steps.append((sx, sy))
-    return steps
+def _axis_steps(p: int, t: int, k: int) -> list[int]:
+    """k unit steps from p to t on one axis: straight toward t, then
+    away-and-back pairs, away toward the lower coordinate unless t is 0."""
+    toward, away = (1 if t > p else -1), (1 if t == 0 else -1)
+    return [toward] * abs(t - p) + [away, -away] * ((k - abs(t - p)) // 2)
+
+
+def _diagonal_path(start, target):
+    """Diagonal unit steps from start to target (both checkerboard sites):
+    k = Chebyshev(start, target) steps, both axes moving on each."""
+    (px, py), (tx, ty) = start, target
+    k = max(abs(tx - px), abs(ty - py))
+    return list(zip(_axis_steps(px, tx, k), _axis_steps(py, ty, k)))
 
 
 def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ...]:
@@ -110,7 +91,7 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
     corner = _pick_corner(grid, a_site, b_site)
     srcs = (src,)
 
-    for sx, sy in _diagonal_path(grid, a_site, corner):
+    for sx, sy in _diagonal_path(a_site, corner):
         px, py = grid.site_of(a)
         step_target = (px + sx, py + sy)
         partner = grid.qubit_at(step_target)

@@ -8,6 +8,12 @@ unmodified corpus files compile. Keywords match as whole words. Gate
 enforces operand counts; the parser positions its error. Anything else is
 rejected with a positioned error.
 
+The header is optional. When present it is the first statement, once, and
+reads `OPENQASM 2.0`; any other version, trailing text or a header after
+the first statement is an error. Statements end at ';' and may span lines:
+a line break inside a statement counts as whitespace, so it separates
+tokens and cannot join two pieces of a name or a number.
+
 A rotation's angle is an expression over float literals, integer literals
 and `pi`, with binary + - * / **, unary + and -, and parentheses to any
 depth. Its value is computed from Python's parse tree of the text with
@@ -35,8 +41,8 @@ class MeasurementDropped(UserWarning):
 
 def _statements(text: str):
     """Yield (line, statement) with comments stripped, split on ';'. A
-    statement may span lines, which join without a separator; its line is
-    that of its first non-blank character."""
+    statement may span lines, each line break becoming one space; its line
+    is that of its first non-blank character."""
     pending, start = "", None  # an unterminated statement and its line
     for lineno, line in enumerate(text.splitlines(), start=1):
         *ended, rest = line.split("//", 1)[0].split(";")
@@ -45,7 +51,7 @@ def _statements(text: str):
             if stmt:
                 yield start or lineno, stmt
             pending, start = "", None
-        pending += rest
+        pending += rest + " "
         if start is None and rest.strip():
             start = lineno
     if pending.strip():
@@ -115,21 +121,24 @@ _OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
 def parse_qasm(text: str, name: str = "") -> Circuit:
     """Parse the supported OPENQASM 2.0 subset into a Circuit.
 
-    Raises QasmError with a line number on syntax errors, unknown gates,
-    out-of-range operands or multiple qregs.
+    Raises QasmError with a line number on syntax errors, a bad or
+    misplaced header, unknown gates, out-of-range operands or multiple
+    qregs.
     """
     reg_name = None
     n_qubits = 0
     gates: list[Gate] = []
-    for line, stmt in _statements(text):
+    for i, (line, stmt) in enumerate(_statements(text)):
         call = _CALL_RE.fullmatch(stmt)
         if not call:  # no leading name
             raise QasmError(f"cannot parse statement {stmt!r}", line)
         keyword, param, operand_text = call.groups()  # the name matched whole, never as a prefix
         if keyword.upper() == "OPENQASM":
-            version = stmt.split(None, 1)[1] if len(stmt.split()) > 1 else ""
-            if not version.startswith("2"):
-                raise QasmError(f"unsupported QASM version {version!r}", line)
+            if i:
+                raise QasmError("OPENQASM header must be the first statement", line)
+            version = stmt[len(keyword):].strip()
+            if version != "2.0":
+                raise QasmError(f"unsupported QASM version {version!r}: only 'OPENQASM 2.0' is accepted", line)
             continue
         if keyword == "include":
             warnings.warn(f"line {line}: include statement ignored", UserWarning, stacklevel=2)

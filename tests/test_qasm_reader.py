@@ -1,8 +1,9 @@
 """The QASM reader against the eval-based reader it replaced.
 
 _reference_statements and _reference_eval_angle are the earlier
-implementations, copied unchanged: a character loop that splits statements,
-and an angle evaluator that checks the parse tree and then compiles and
+implementations: a character loop that splits statements, given the reader's
+rule that a line break inside a statement is one space, and an angle
+evaluator, copied unchanged, that checks the parse tree and then compiles and
 evals it. The reader must give the same (line, statement) pairs and, for
 every expression without a bool constant, the same float bit for bit or a
 QasmError on the same line. Bool constants, which the earlier evaluator read
@@ -40,6 +41,7 @@ def _reference_statements(text: str):
                 if ch.strip() and start_line is None:
                     start_line = lineno
                 buf.append(ch)
+        buf.append(" ")  # a line break inside a statement is whitespace
     tail = "".join(buf).strip()
     if tail:
         raise QasmError(f"statement not terminated by ';': {tail!r}", start_line)
@@ -193,3 +195,34 @@ def test_long_statements_fail_in_linear_time(stmt):
         parse_qasm(text)
     assert time.perf_counter() - start < 1.0
     assert exc.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "text, n_qubits, kinds",
+    [("qreg q[2];\nh\nq[0];\n", 2, ["h"]), ("qreg\nq[2];\n", 2, []),
+     ("OPENQASM\n2.0;\nqreg q[1];\nrz(pi\n/2)\nq[0];\n", 1, ["rz"])],
+    ids=["gate-name-then-operand", "qreg-keyword-then-register", "header-and-angle"],
+)
+def test_line_break_inside_a_statement_is_whitespace(text, n_qubits, kinds):
+    circuit = parse_qasm(text)
+    assert circuit.n_qubits == n_qubits
+    assert [g.kind.value for g in circuit.gates] == kinds
+
+
+@pytest.mark.parametrize(
+    "text, line, fragment",
+    [("qreg q[1];\nrz(1\n2) q[0];\n", 2, "bad angle expression '1 2'"),
+     ("OPENQASM 20;\nqreg q[1];\n", 1, "unsupported QASM version '20'"),
+     ("OPENQASM 2.0 junk(;\nqreg q[1];\n", 1, "unsupported QASM version '2.0 junk('"),
+     ("OPENQASM 2.0;\nqreg q[1];\nOPENQASM 2.1;\n", 3, "OPENQASM header must be the first statement"),
+     ("OPENQASM 2.0;\nOPENQASM 2.0;\nqreg q[1];\n", 2, "OPENQASM header must be the first statement"),
+     ("OPENQASM;\nqreg q[1];\n", 1, "unsupported QASM version ''")],
+    ids=["number-split-across-lines", "version-20", "trailing-text", "second-header-after-qreg",
+         "repeated-header", "no-version"],
+)
+def test_split_number_and_bad_header_exit_1_naming_the_line(tmp_path, capsys, text, line, fragment):
+    src = tmp_path / "in.qasm"
+    src.write_text(text)
+    capsys.readouterr()
+    assert main(["compile", "-i", str(src), "-o", str(tmp_path / "out.json")]) == 1
+    assert f"error: line {line}: {fragment}" in capsys.readouterr().err

@@ -462,3 +462,34 @@ class TestVerify:
         report = verify(broken)
         assert report.replay_ok and math.isnan(report.equivalence_fidelity)
         assert not report.ok
+
+
+class TestTrajectoryDigestFacts:
+    """Two mutants of compiled randu schedules (300 gates, 50 % two-qubit,
+    seed 0) that decide whether the trajectory digest earns its place: one
+    that only the digest kills, and one that no check should kill."""
+
+    @staticmethod
+    def _mutated(s, i, replacement):
+        """s with cycle i replaced by the cycles in `replacement`."""
+        return dataclasses.replace(s, cycles=s.cycles[:i] + replacement + s.cycles[i + 1:])
+
+    def test_dropped_inverse_pulse_above_the_cap_is_caught_only_by_the_digest(self):
+        s = compiled(gen_random_uniform(BenchSpec(16, 300, 50.0, 0)))
+        assert s.n_qubits > verifier.EQUIV_CAP and verify(s).ok
+        inverse = [i for i, cy in enumerate(s.cycles) if cy.type is CycleType.XY_ROT_INV]
+        report = verify(self._mutated(s, inverse[len(inverse) // 2], ()))
+        assert not report.ok
+        assert report.violations == () and not report.trajectory_match
+        assert report.equivalence_fidelity == SKIPPED
+
+    def test_reversed_sqswap_operands_are_an_equivalent_mutant(self):
+        # sqrt(SWAP) is symmetric in its operands, so the mutant computes the same unitary
+        s = compiled(gen_random_uniform(BenchSpec(12, 300, 50.0, 0)))
+        sites = [(i, j) for i, cy in enumerate(s.cycles) for j, op in enumerate(cy.ops) if op.kind is InstrKind.SQSWAP]
+        i, j = sites[len(sites) // 2]
+        ops = s.cycles[i].ops
+        reversed_op = dataclasses.replace(ops[j], qubits=ops[j].qubits[::-1])
+        report = verify(self._mutated(s, i, (Cycle(ops[:j] + (reversed_op,) + ops[j + 1:]),)))
+        assert report.ok and report.violations == () and report.trajectory_match
+        assert report.equivalence_fidelity >= FIDELITY_FLOOR
