@@ -30,6 +30,10 @@ stay-put qubits of a column are cols[x] & ~cols[across], an occupied pair
 across a lowered row barrier is rows[k] & rows[k + 1], and the QL pairs of a
 whole cycle fold into two masks, one per direction along the path.
 
+Every move (a shuttle sh_l/sh_r/sh_u/sh_d or a phase shuttle zsh_l/zsh_r)
+steps its one qubit by its kind's unit delta; a semi-global pulse (sg_rot)
+and a sqswap leave positions as they are.
+
 instructions.check_placement checks a placement when a Schedule is made
 or schedule_integrated starts, Cycle keeps every cycle to one instruction
 family, and apply_op checks each move it applies; Grid trusts all three.
@@ -266,15 +270,18 @@ def _ql_pairs(grid: Grid, origin, dest, movers: dict[int, int]) -> set[tuple[int
     return pairs
 
 
-def _legal_move(grid: Grid, q: int, delta, name: str):
-    """move_sites of a legal move; CrossbarError, naming the move `name`,
-    when the destination is off the grid or occupied."""
+def _legal_move(grid: Grid, q: int, delta, name):
+    """move_sites of a legal move; CrossbarError when the destination is off
+    the grid or occupied, naming the move `name`: a string, or an InstrKind
+    by its value, which is read only then (Enum.value is a Python-level
+    property)."""
     origin, dest = move_sites(grid, q, delta)
+    if grid.in_grid(dest) and not grid.occupied(dest):
+        return origin, dest
+    name = getattr(name, "value", name)
     if not grid.in_grid(dest):
         raise CrossbarError(f"{name} moves qubit {q} off-grid to {dest}")
-    if grid.occupied(dest):
-        raise CrossbarError(f"{name} destination {dest} occupied")
-    return origin, dest
+    raise CrossbarError(f"{name} destination {dest} occupied")
 
 
 def shuttle_requirements(grid: Grid, q: int, direction: str) -> SignalRequirements:
@@ -315,7 +322,8 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     """Can this cycle's instructions run in parallel on this grid?
 
     The cycle holds one instruction family (Cycle's rule): semi-global
-    pulses, moves (shuttles, zsh, zsh_ret) or sqswaps. Intended movers
+    pulses, moves (the shuttles of one cycle family, or the phase shuttles
+    of the other) or sqswaps. Intended movers
     contribute mover constraints; only non-movers contribute stay-put
     constraints. Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
     UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
@@ -331,8 +339,8 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     and _find_ql_cycle run, to name the cycle and the instructions in it.
     """
     ops = cycle.ops
-    if cycle.type in (CycleType.XY_ROT, CycleType.XY_ROT_INV):  # semi-global pulses
-        # one family is one kind (sg_rot or sg_rot_inv), so the kind is not compared
+    if cycle.type is CycleType.XY_ROT:  # semi-global pulses
+        # the family is the one kind sg_rot, so the kind is not compared
         distinct = {(op.axis, op.angle, op.parity) for op in ops}
         if len(distinct) > 1:
             return ConflictReport(
@@ -348,7 +356,7 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     sites: list[tuple[tuple[int, int], tuple[int, int]]] = []
     for i, op in enumerate(ops):
         if moves:
-            origin, dest = move_sites(grid, op.qubits[0], op.move_delta())
+            origin, dest = move_sites(grid, op.qubits[0], op.kind.delta)
             if not grid.in_grid(dest):
                 return ConflictReport(
                     kind=ConflictKind.BLOCKED_PATH,
@@ -455,11 +463,12 @@ def apply_op(grid: Grid, op: Instruction) -> None:
     """Advance the grid in place by one instruction; the one check that a
     move stays on the grid and lands on an empty site. A failed check
     raises CrossbarError and leaves the grid unchanged."""
-    if op.kind.moves:
+    kind = op.kind
+    if kind.moves:
         q = op.qubits[0]
-        _, dest = _legal_move(grid, q, op.move_delta(), op.kind.value)
+        _, dest = _legal_move(grid, q, kind.delta, kind)
         grid.move(q, dest)
-    elif op.kind is InstrKind.SQSWAP:
+    elif kind is InstrKind.SQSWAP:
         sqswap_sites(grid, *op.qubits)
     # sqswap and semi-global rotations leave positions unchanged
 
@@ -478,7 +487,7 @@ def apply_cycle(grid: Grid, cycle: Cycle) -> None:
         for op in reversed(ops[:i]):
             if op.kind.moves:
                 q = op.qubits[0]
-                (x, y), (dx, dy) = grid.site_of(q), op.move_delta()
+                (x, y), (dx, dy) = grid.site_of(q), op.kind.delta
                 grid.move(q, (x - dx, y - dy))
         raise
     finally:

@@ -1,5 +1,13 @@
 """Compiled-program representation: instructions, cycles, schedules.
 
+The compiler emits the four operations of the shared-control crossbar as
+eight instruction kinds: a one-site shuttle (sh_l, sh_r, sh_u, sh_d), a
+timed phase shuttle carrying a Z rotation (zsh_l, zsh_r), a semi-global
+pulse on one column parity (sg_rot) and a vertical sqswap. A moving kind
+names its direction, and its unit step is the kind's `delta`; a Z
+rotation's return move is a plain shuttle, and the compensating pulse of
+an X/Y rotation is an sg_rot of the negated angle.
+
 A Schedule is a sequence of single-type cycles of parallel instructions
 from an initial placement. Positions after each cycle follow from those
 two; the schedule keeps only their sha256 (TrajectoryDigest), which replay
@@ -11,7 +19,9 @@ The JSON document written by schedule_to_doc, the authoritative compiled
 artifact, holds what a Schedule holds, each cycle as a list of instruction
 objects. Writer and loader read the fields of each instruction kind from
 FIELDS; schedule_from_doc round-trips the document exactly and rejects a
-field that a kind does not carry.
+field that a kind does not carry. It refuses a document of an earlier
+format, one that wrote n and typed cycles or holds an instruction kind
+since retired, with "recompile it".
 """
 from __future__ import annotations
 
@@ -32,14 +42,12 @@ from .errors import CrossbarError, XbarcError
 
 class CycleType(Enum):
     XY_ROT = "xy_rot"
-    XY_ROT_INV = "xy_rot_inv"
     Z = "z"
     SHUTTLE = "shuttle"
     TWOQ = "twoq"
 
 
-# Unit move per direction. Plain shuttles name their direction in the kind,
-# zsh/zsh_ret in their direction field.
+# unit step of a move in each direction, as (dx, dy)
 DELTAS = {"L": (-1, 0), "R": (1, 0), "U": (0, 1), "D": (0, -1)}
 
 
@@ -48,34 +56,30 @@ class InstrKind(Enum):
     stored nowhere else:
 
     - `family`: the CycleType of the cycles it runs in ("each cycle is
-      dedicated to one instruction type"). zsh carries the phase and gets
-      its own Z cycle; the return move is an ordinary shuttle.
-    - `moves`: it moves its one qubit one site (shuttles, zsh, zsh_ret).
-    - `delta`: the unit move a plain shuttle names in its kind; None for
-      zsh/zsh_ret, whose direction field names it, and for non-moves.
+      dedicated to one instruction type"). zsh_l/zsh_r carry the phase and
+      get their own Z cycle; the return move is a plain shuttle.
+    - `delta`: the unit step (dx, dy) of a kind that moves its one qubit one
+      site; None for pulses and sqswaps.
+    - `moves`: whether it has a delta.
 
     The per-instruction walks read these attributes: an Enum member used as
     a set or dict key hashes in Python on every lookup.
     """
 
-    def __new__(cls, value: str, family: CycleType, moves: bool = False, delta=None):
+    def __new__(cls, value: str, family: CycleType, delta=None):
         member = object.__new__(cls)
         member._value_ = value
-        member.family, member.moves, member.delta = family, moves, delta
+        member.family, member.delta, member.moves = family, delta, delta is not None
         return member
 
-    SH_L = "sh_l", CycleType.SHUTTLE, True, DELTAS["L"]
-    SH_R = "sh_r", CycleType.SHUTTLE, True, DELTAS["R"]
-    SH_U = "sh_u", CycleType.SHUTTLE, True, DELTAS["U"]
-    SH_D = "sh_d", CycleType.SHUTTLE, True, DELTAS["D"]
-    ZSH = "zsh", CycleType.Z, True
-    ZSH_RET = "zsh_ret", CycleType.SHUTTLE, True
+    SH_L = "sh_l", CycleType.SHUTTLE, DELTAS["L"]
+    SH_R = "sh_r", CycleType.SHUTTLE, DELTAS["R"]
+    SH_U = "sh_u", CycleType.SHUTTLE, DELTAS["U"]
+    SH_D = "sh_d", CycleType.SHUTTLE, DELTAS["D"]
+    ZSH_L = "zsh_l", CycleType.Z, DELTAS["L"]
+    ZSH_R = "zsh_r", CycleType.Z, DELTAS["R"]
     SG_ROT = "sg_rot", CycleType.XY_ROT
-    SG_ROT_INV = "sg_rot_inv", CycleType.XY_ROT_INV
     SQSWAP = "sqswap", CycleType.TWOQ
-
-
-MOVE_KINDS = frozenset(kind for kind in InstrKind if kind.moves)
 
 
 class Field(NamedTuple):
@@ -101,26 +105,26 @@ def _qubits(arity: int) -> Field:
 
 _Q1 = _qubits(1)
 _ANGLE = Field("angle", "angle", is_finite_real, "a numeric angle, finite as a float")
-_DIR = Field("dir", "direction", lambda v: v in ("L", "R"), "direction L or R")
-_SG = (
-    _ANGLE,
-    Field("axis", "axis", lambda v: v in ("x", "y"), "axis x or y"),
-    Field("parity", "parity", lambda v: is_int(v) and v in (0, 1), "parity 0 or 1"),
-)
 
 # The fields each instruction kind carries besides "kind", in document key
 # order; any kind may also carry "src", the indices of its source gates in
-# the embedded circuit, written last. zsh carries the Z phase as its angle.
+# the embedded circuit, written last. zsh_l/zsh_r carry the Z phase as their
+# angle.
 FIELDS: dict[InstrKind, tuple[Field, ...]] = {
-    **{kind: (_Q1,) for kind in InstrKind if kind.delta},
-    InstrKind.ZSH: (_Q1, _ANGLE, _DIR),
-    InstrKind.ZSH_RET: (_Q1, _DIR),
-    InstrKind.SG_ROT: _SG,
-    InstrKind.SG_ROT_INV: _SG,
+    **{kind: (_Q1,) for kind in InstrKind if kind.family is CycleType.SHUTTLE},
+    **{kind: (_Q1, _ANGLE) for kind in InstrKind if kind.family is CycleType.Z},
+    InstrKind.SG_ROT: (
+        _ANGLE,
+        Field("axis", "axis", lambda v: v in ("x", "y"), "axis x or y"),
+        Field("parity", "parity", lambda v: is_int(v) and v in (0, 1), "parity 0 or 1"),
+    ),
     InstrKind.SQSWAP: (_qubits(2),),
 }
 # the loader's lookup by document string: kind, its FIELDS row, its keys
 _ROWS = {kind.value: (kind, row, {"kind", "src"} | {f.key for f in row}) for kind, row in FIELDS.items()}
+# the kinds of the earlier format that kept a Z move's direction in a "dir"
+# field and had a separate inverse pulse
+_RETIRED = ("zsh", "zsh_ret", "sg_rot_inv")
 
 
 @dataclass(frozen=True)
@@ -131,11 +135,7 @@ class Instruction:
     angle: float | None = None
     axis: str | None = None
     parity: int | None = None  # addressed column parity
-    direction: str | None = None
     src: tuple[int, ...] = ()  # indices of source gates in the decomposed circuit
-
-    def move_delta(self) -> tuple[int, int] | None:
-        return self.kind.delta or DELTAS.get(self.direction)
 
 
 @dataclass(frozen=True)
@@ -265,9 +265,12 @@ def instruction_to_dict(op: Instruction) -> dict:
 
 def instruction_from_dict(d: dict) -> Instruction:
     """Inverse of instruction_to_dict. A key the kind does not carry, or a
-    value its field does not accept, raises XbarcError naming both."""
+    value its field does not accept, raises XbarcError naming both; a
+    retired kind raises XbarcError asking for a recompile."""
     name = d["kind"]
     row = _ROWS.get(name) if type(name) is str else None
+    if row is None and name in _RETIRED:
+        raise XbarcError(f"document holds the retired kind {name!r}; it predates this format, recompile it")
     # InstrKind raises ValueError "... is not a valid InstrKind" for any other value
     kind, fields, keys = row or _ROWS[InstrKind(name).value]
     if not keys.issuperset(d):

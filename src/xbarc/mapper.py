@@ -5,12 +5,15 @@ Two-qubit gates route the first operand through a chain of diagonal steps
 two-shuttle move onto an empty checkerboard site) until it sits diagonally
 adjacent to the second operand, then a horizontal shuttle / sqswap /
 horizontal shuttle triplet performs the interaction and restores the
-checkerboard. Z rotations ride a timed shuttle to a neighbouring column and
-back. A targeted X/Y rotation uses the semi-global compensation scheme:
-rotate the target's column parity, shuttle the target out, rotate the
-parity back, shuttle the target home. Every entry point routes one gate on
-the grid it is given and advances it: `_checked` checks each cycle and
-applies it with apply_cycle, which also records it in grid.trajectory.
+checkerboard. A Z rotation rides a phase shuttle (zsh_l or zsh_r, carrying
+the angle) to a neighbouring column and returns by a plain shuttle the
+other way. A targeted X/Y rotation uses the semi-global compensation
+scheme: an sg_rot pulse on the target's column parity, a shuttle of the
+target out, an sg_rot of the negated angle on the same parity, a shuttle
+of the target home. Each move is emitted as the kind whose delta is its
+unit step. Every entry point routes one gate on the grid it is given and
+advances it: `_checked` checks each cycle and applies it with apply_cycle,
+which also records it in grid.trajectory.
 """
 from __future__ import annotations
 
@@ -19,7 +22,11 @@ from itertools import islice
 from .circuits import Circuit
 from .crossbar import Grid, apply_cycle, check_parallel_set, checkerboard_sites
 from .errors import CompileError, CrossbarError
-from .instructions import Cycle, Instruction, InstrKind
+from .instructions import Cycle, CycleType, Instruction, InstrKind
+
+# unit step (dx, dy) -> the plain shuttle, and dx -> the phase shuttle
+_SHUTTLE = {kind.delta: kind for kind in InstrKind if kind.family is CycleType.SHUTTLE}
+_ZSH = {kind.delta[0]: kind for kind in InstrKind if kind.family is CycleType.Z}
 
 
 def initial_placement(circuit: Circuit, grid: Grid) -> Grid:
@@ -31,12 +38,8 @@ def initial_placement(circuit: Circuit, grid: Grid) -> Grid:
     return Grid(grid.n, sites)
 
 
-def _h_shuttle(q: int, dx: int, src) -> Instruction:
-    return Instruction(InstrKind.SH_R if dx > 0 else InstrKind.SH_L, (q,), src=tuple(src))
-
-
-def _v_shuttle(q: int, dy: int, src) -> Instruction:
-    return Instruction(InstrKind.SH_U if dy > 0 else InstrKind.SH_D, (q,), src=tuple(src))
+def _shuttle(q: int, dx: int, dy: int, src: tuple[int, ...]) -> Instruction:
+    return Instruction(_SHUTTLE[dx, dy], (q,), src=src)
 
 
 def _checked(grid: Grid, cycle: Cycle) -> None:
@@ -95,11 +98,11 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
         px, py = grid.site_of(a)
         step_target = (px + sx, py + sy)
         partner = grid.qubit_at(step_target)
-        h_ops = [_h_shuttle(a, sx, srcs)]
-        v_ops = [_v_shuttle(a, sy, srcs)]
+        h_ops = [_shuttle(a, sx, 0, srcs)]
+        v_ops = [_shuttle(a, 0, sy, srcs)]
         if partner is not None:
-            h_ops.append(_h_shuttle(partner, -sx, srcs))
-            v_ops.append(_v_shuttle(partner, -sy, srcs))
+            h_ops.append(_shuttle(partner, -sx, 0, srcs))
+            v_ops.append(_shuttle(partner, 0, -sy, srcs))
         for ops in (h_ops, v_ops):
             cycle = Cycle(tuple(ops))
             _checked(grid, cycle)
@@ -112,9 +115,9 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
 
     dx = bx - ax
     triplet = (
-        Cycle((_h_shuttle(a, dx, srcs),)),
+        Cycle((_shuttle(a, dx, 0, srcs),)),
         Cycle((Instruction(InstrKind.SQSWAP, (a, b), src=srcs),)),
-        Cycle((_h_shuttle(a, -dx, srcs),)),
+        Cycle((_shuttle(a, -dx, 0, srcs),)),
     )
     for cycle in triplet:
         _checked(grid, cycle)
@@ -122,21 +125,18 @@ def route_two_qubit(grid: Grid, a: int, b: int, src: int = 0) -> tuple[Cycle, ..
 
 
 def z_route(grid: Grid, q: int, angle: float, src: int = 0) -> tuple[Cycle, ...]:
-    """Z rotation as a phase-carrying shuttle to an empty horizontal
-    neighbour (the lower column winning ties) and back, checked and applied
-    to `grid`."""
+    """Z rotation as a phase shuttle (zsh_l or zsh_r) to an empty horizontal
+    neighbour (the lower column winning ties) and a plain shuttle back,
+    checked and applied to `grid`."""
     x, y = grid.site_of(q)
-    if x - 1 >= 0 and not grid.occupied((x - 1, y)):
-        direction, back_dir = "L", "R"
-    elif x + 1 < grid.n and not grid.occupied((x + 1, y)):
-        direction, back_dir = "R", "L"
-    else:
+    dx = next((dx for dx in (-1, 1) if grid.in_grid((x + dx, y)) and not grid.occupied((x + dx, y))), None)
+    if dx is None:
         raise CrossbarError(
             f"qubit {q} at {(x, y)} has no empty horizontal neighbour site "
             f"on the {grid.n}x{grid.n} grid for its Z shuttle"
         )
-    out = Cycle((Instruction(InstrKind.ZSH, (q,), angle=angle, direction=direction, src=(src,)),))
-    back = Cycle((Instruction(InstrKind.ZSH_RET, (q,), direction=back_dir, src=(src,)),))
+    out = Cycle((Instruction(_ZSH[dx], (q,), angle=angle, src=(src,)),))
+    back = Cycle((_shuttle(q, -dx, 0, (src,)),))
     _checked(grid, out)
     _checked(grid, back)
     return out, back
@@ -147,8 +147,8 @@ def expand_semi_global(grid: Grid, q: int, axis: str, angle: float, src: int = 0
 
     If q is alone in its column parity, one pulse suffices. Otherwise: pulse
     the parity, shuttle q to the other parity (right unless blocked, else
-    left), pulse the inverse, shuttle back. The cycles, the lone pulse
-    included, are checked and applied to `grid`.
+    left), pulse the parity by the negated angle, shuttle back. The cycles,
+    the lone pulse included, are checked and applied to `grid`.
     """
     parity = grid.column_parity(q)
     srcs = (src,)
@@ -158,12 +158,12 @@ def expand_semi_global(grid: Grid, q: int, axis: str, angle: float, src: int = 0
     else:
         x, y = grid.site_of(q)
         dx = 1 if grid.in_grid((x + 1, y)) and not grid.occupied((x + 1, y)) else -1
-        inv = Instruction(InstrKind.SG_ROT_INV, angle=-angle, axis=axis, parity=parity, src=srcs)
+        inv = Instruction(InstrKind.SG_ROT, angle=-angle, axis=axis, parity=parity, src=srcs)
         cycles = (
             Cycle((rot,)),
-            Cycle((_h_shuttle(q, dx, srcs),)),
+            Cycle((_shuttle(q, dx, 0, srcs),)),
             Cycle((inv,)),
-            Cycle((_h_shuttle(q, -dx, srcs),)),
+            Cycle((_shuttle(q, -dx, 0, srcs),)),
         )
     for cycle in cycles:
         _checked(grid, cycle)

@@ -1,11 +1,12 @@
 """Gate/depth overhead and estimated success probability.
 
 ESP multiplies one fidelity factor per executed instruction, drawn from a
-per-type per-site map: shuttles (zsh and its return included) read the
-shuttle fidelity at the destination site, sqswap reads its class at the
-lower of its two sites, and a semi-global pulse charges one single-qubit
-factor for every qubit currently in the addressed parity, spectators
-included.
+per-type per-site map: every move, plain or phase shuttle, reads the
+shuttle fidelity at its destination, the origin stepped by its kind's
+delta; sqswap reads its class at the lower of its two sites; and a
+semi-global pulse (sg_rot, the compensating pulse of negated angle
+included) charges one single-qubit factor for every qubit currently in the
+addressed parity, spectators included.
 """
 from __future__ import annotations
 
@@ -115,7 +116,7 @@ def esp(schedule: Schedule, fmap: FidelityMap) -> float:
     for cycle in schedule.cycles:
         for op in cycle.ops:
             if op.kind.moves:
-                _, (x, y) = move_sites(grid, op.qubits[0], op.move_delta())
+                _, (x, y) = move_sites(grid, op.qubits[0], op.kind.delta)
                 total *= shuttle[y][x]
             elif op.kind is InstrKind.SQSWAP:
                 x, y = min(sqswap_sites(grid, *op.qubits), key=lambda s: s[1])

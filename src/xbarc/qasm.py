@@ -4,15 +4,21 @@ Input: OPENQASM 2.0 statements only — header, one qreg, gate calls named
 by a GateKind value (h|x|y|z|s|sdg|t|tdg|rx|ry|rz|cx|cz|sqswap), and
 measure (parsed, warned about and dropped; readout is outside this
 toolchain). `include` and `creg` statements are tolerated as no-ops so
-unmodified corpus files compile. Keywords match as whole words. Gate
-enforces operand counts; the parser positions its error. Anything else is
-rejected with a positioned error.
+unmodified corpus files compile. Keywords (OPENQASM, include, qreg, creg,
+measure) match as whole words and are case-sensitive, as in OpenQASM 2.0,
+so `openqasm` or `Qreg` is an unknown gate. A qreg or creg statement that
+is not `name[size]` is a bad declaration. Gate enforces operand counts; the
+parser positions its error. Anything else is rejected with a positioned
+error.
 
 The header is optional. When present it is the first statement, once, and
 reads `OPENQASM 2.0`; any other version, trailing text or a header after
-the first statement is an error. Statements end at ';' and may span lines:
-a line break inside a statement counts as whitespace, so it separates
-tokens and cannot join two pieces of a name or a number.
+the first statement is an error. Only a line feed ends a line (a carriage
+return before it belongs to the break), so error line numbers are those
+of an editor; other characters that str.splitlines breaks at, such as a
+form feed, do not end a line. Statements end at ';' and may span lines: a
+line break inside a statement counts as whitespace, so it separates tokens
+and cannot join two pieces of a name or a number.
 
 A rotation's angle is an expression over float literals, integer literals
 and `pi`, with binary + - * / **, unary + and -, and parentheses to any
@@ -21,7 +27,11 @@ float arithmetic; no input text is compiled or passed to eval.
 
 Output: the compiled schedule as a cycle-annotated QASM dialect, for
 reading; the authoritative artifact is the JSON document that
-instructions.schedule_to_doc writes.
+instructions.schedule_to_doc writes. Each instruction prints under its
+kind, so every move names its direction: `sh_l q[i];` and the other plain
+shuttles, `zsh_l(θ) q[i];` or `zsh_r(θ) q[i];` for a Z rotation's phase
+shuttle, `sg_rx(θ) even;` or `sg_ry(θ) odd;` for a pulse (the compensating
+one with the negated angle) and `sqswap q[i],q[j];`.
 """
 from __future__ import annotations
 
@@ -33,19 +43,20 @@ import warnings
 
 from .circuits import ROTATION_KINDS, Circuit, Gate, GateKind
 from .errors import QasmError
-from .instructions import Instruction, InstrKind, Schedule
+from .instructions import CycleType, Instruction, InstrKind, Schedule
 
 class MeasurementDropped(UserWarning):
     """A measure statement was dropped: readout is outside this toolchain."""
 
 
 def _statements(text: str):
-    """Yield (line, statement) with comments stripped, split on ';'. A
-    statement may span lines, each line break becoming one space; its line
-    is that of its first non-blank character."""
+    """Yield (line, statement) with comments stripped, split on ';'. Only a
+    line feed ends a line, a carriage return before it being part of the
+    break. A statement may span lines, each line break becoming one space;
+    its line is that of its first non-blank character."""
     pending, start = "", None  # an unterminated statement and its line
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        *ended, rest = line.split("//", 1)[0].split(";")
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        *ended, rest = line.removesuffix("\r").split("//", 1)[0].split(";")
         for piece in ended:
             stmt = (pending + piece).strip()
             if stmt:
@@ -109,8 +120,8 @@ def _eval_angle(expr: str, line: int) -> float:
     return angle
 
 
-_QREG_RE = re.compile(r"^qreg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
-_CREG_RE = re.compile(r"^creg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+# a qreg or creg declaration, once its keyword is known
+_REG_RE = re.compile(r"[qc]reg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]")
 # name, then the parameters up to the statement's last ')', then the operands;
 # the name cannot shrink to let the parameter group match, so matching is
 # linear in the statement's length, and ast.parse judges the parentheses
@@ -133,7 +144,7 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
         if not call:  # no leading name
             raise QasmError(f"cannot parse statement {stmt!r}", line)
         keyword, param, operand_text = call.groups()  # the name matched whole, never as a prefix
-        if keyword.upper() == "OPENQASM":
+        if keyword == "OPENQASM":
             if i:
                 raise QasmError("OPENQASM header must be the first statement", line)
             version = stmt[len(keyword):].strip()
@@ -143,16 +154,18 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
         if keyword == "include":
             warnings.warn(f"line {line}: include statement ignored", UserWarning, stacklevel=2)
             continue
-        m = _QREG_RE.match(stmt)
-        if m:
+        if keyword in ("qreg", "creg"):
+            m = _REG_RE.fullmatch(stmt)
+            if not m:
+                raise QasmError(f"bad {keyword} declaration {stmt!r}: expected '{keyword} name[size]'", line)
+            if keyword == "creg":
+                continue
             if reg_name is not None:
                 raise QasmError("multiple qreg declarations", line)
             reg_name = m.group(1)
             n_qubits = int(m.group(2))
             if n_qubits < 1:
                 raise QasmError("qreg must hold at least one qubit", line)
-            continue
-        if _CREG_RE.match(stmt):
             continue
         if keyword == "measure":
             warnings.warn(
@@ -204,15 +217,14 @@ def circuit_to_qasm(circuit: Circuit) -> str:
 
 def _instruction_line(op: Instruction) -> str:
     k = op.kind
-    if k is InstrKind.ZSH:
-        return f"zsh({op.angle!r}) q[{op.qubits[0]}];"
-    if k in (InstrKind.SG_ROT, InstrKind.SG_ROT_INV):
-        suffix = "_inv" if k is InstrKind.SG_ROT_INV else ""
+    if k.family is CycleType.Z:
+        return f"{k.value}({op.angle!r}) q[{op.qubits[0]}];"
+    if k is InstrKind.SG_ROT:
         parity = "even" if op.parity == 0 else "odd"
-        return f"sg_r{op.axis}{suffix}({op.angle!r}) {parity};"
+        return f"sg_r{op.axis}({op.angle!r}) {parity};"
     if k is InstrKind.SQSWAP:
         return f"sqswap q[{op.qubits[0]}],q[{op.qubits[1]}];"
-    return f"{k.value} q[{op.qubits[0]}];"  # the plain shuttles and zsh_ret
+    return f"{k.value} q[{op.qubits[0]}];"  # the plain shuttles
 
 
 def emit_output(schedule: Schedule) -> str:

@@ -13,9 +13,12 @@ own copy of the probe states, so the probes are never written and a second
 check of the same schedule gives the same fidelity. verify() runs both
 checks; VerifyReport.ok is the verdict.
 
-Replay reads each instruction kind's facts (whether it moves, its cycle
+Replay reads each instruction kind's facts (its unit step, its cycle
 family) from InstrKind's attributes, and every legal cycle's report is the
-one shared crossbar.LEGAL.
+one shared crossbar.LEGAL. The simulator gives a phase shuttle (zsh_l or
+zsh_r, family Z) an RZ by its angle and every sg_rot pulse, the
+compensating one of negated angle included, an RX or RY on the addressed
+parity.
 
 The loader, instructions.schedule_from_doc, rejects a document field that
 an instruction kind does not carry, and a Cycle cannot mix instruction
@@ -30,7 +33,7 @@ import numpy as np
 from .circuits import Circuit
 from .crossbar import ConflictKind, ConflictReport, Grid, apply_cycle, apply_op, check_parallel_set
 from .errors import CrossbarError
-from .instructions import InstrKind, Schedule
+from .instructions import CycleType, InstrKind, Schedule
 from .sim import apply_1q, apply_2q  # noqa: F401  unused; perfbench/tracing.py binds these names
 from .sim import (
     SQSWAP_MATRIX,
@@ -109,7 +112,8 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
 def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:
     """Schedule semantics on the logical state.
 
-    Plain shuttles relabel positions only; zsh carries an RZ by its angle;
+    Plain shuttles relabel positions only; a phase shuttle (zsh_l, zsh_r)
+    carries an RZ by its angle;
     semi-global pulses rotate every qubit currently in the addressed parity
     (spectators included); sqswap applies the standard 4x4 matrix. Each
     qubit's rotations, spectator ones included, are folded into one 2x2
@@ -119,9 +123,9 @@ def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:
     grid = Grid(schedule.grid_n, schedule.placement)
     for cycle in schedule.cycles:
         for op in cycle.ops:
-            if op.kind is InstrKind.ZSH:
+            if op.kind.family is CycleType.Z:
                 fold.rotate(op.qubits[0], rz_matrix(op.angle))
-            elif op.kind in (InstrKind.SG_ROT, InstrKind.SG_ROT_INV):
+            elif op.kind is InstrKind.SG_ROT:
                 rot = rx_matrix(op.angle) if op.axis == "x" else ry_matrix(op.angle)
                 for q in grid.parity_members(op.parity):
                     fold.rotate(q, rot)

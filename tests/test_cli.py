@@ -85,7 +85,7 @@ def test_verify_detects_corruption(tmp_path, bell_doc):
 
 
 def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
-    # mirroring one zsh/zsh_ret pair keeps every cycle legal and leaves the
+    # mirroring one phase shuttle and its return keeps every cycle legal and leaves the
     # final occupancy and the fidelity unchanged; only the trajectory differs
     src = tmp_path / "zz.qasm"
     src.write_text("qreg q[3]; rz(0.7) q[2]; rz(0.3) q[0];\n")
@@ -93,8 +93,8 @@ def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
     assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     (zsh,), (ret,) = doc["cycles"][0], doc["cycles"][1]
-    assert (zsh["kind"], zsh["dir"], ret["dir"]) == ("zsh", "L", "R")
-    zsh["dir"], ret["dir"] = "R", "L"
+    assert (zsh["kind"], ret["kind"]) == ("zsh_l", "sh_r")
+    zsh["kind"], ret["kind"] = "zsh_r", "sh_l"
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "-i", str(out)]) == 2
@@ -105,7 +105,7 @@ def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
 
 def test_verify_fails_on_wrong_angle(bell_doc, capsys):
     path, doc = bell_doc
-    zsh = next(op for c in doc["cycles"] for op in c if op["kind"] == "zsh")
+    zsh = next(op for c in doc["cycles"] for op in c if op["kind"].startswith("zsh"))
     zsh["angle"] += 1.0
     path.write_text(json.dumps(doc))
     capsys.readouterr()
@@ -208,6 +208,22 @@ def _old_format(positions):
     return edit
 
 
+def _retired_kinds(doc):
+    """Rewrite the cycles as the format before one kind per move wrote them:
+    a phase shuttle as zsh with its direction in "dir", its return as
+    zsh_ret with a "dir", and an X/Y gate's second pulse as sg_rot_inv."""
+    z_srcs, pulsed = set(), set()
+    for op in (op for c in doc["cycles"] for op in c):
+        kind, src = op["kind"], tuple(op.get("src", ()))
+        if kind in ("zsh_l", "zsh_r") or (kind in ("sh_l", "sh_r") and src in z_srcs):
+            op["kind"], op["dir"] = "zsh" if kind[0] == "z" else "zsh_ret", kind[-1].upper()
+            z_srcs ^= {src}
+        elif kind == "sg_rot":
+            op["kind"] = "sg_rot_inv" if src in pulsed else kind
+            pulsed.add(src)
+    assert [op["kind"] for op in doc["cycles"][0] + doc["cycles"][1]] == ["zsh", "zsh_ret"]
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -218,7 +234,7 @@ def _old_format(positions):
         (_old_format(positions=True), "document writes n and typed cycles; it predates this format, recompile it"),
         (lambda doc: doc.update(grid="3"), "grid must be 2 for 2 qubits, document gives '3'"),
         (_set_op("sg_rot", "angle", None), "sg_rot needs a numeric angle"),
-        (_set_op("zsh", "angle", None), "zsh needs a numeric angle"),
+        (_set_op("zsh_r", "angle", None), "zsh_r needs a numeric angle"),
         (_set_op("sg_rot", "axis", "z"), "needs axis x or y"),
         (_set_op("sg_rot", "parity", 2), "needs parity 0 or 1"),
         (lambda doc: doc.update(placement=[[0], [1, 1]]), "placement of qubit 0"),
@@ -233,9 +249,9 @@ def _old_format(positions):
         (_set_circuit_gate("q", 0), "circuit gate 0 q must be a list"),
         (_set_first(["circuit", "n_qubits"], "2"), "circuit n_qubits must be a positive integer"),
         (_set_circuit_gate("angle", "0.5"), "circuit gate 0 angle must be a finite number"),
-        (_set_op("zsh", "angle", 10**400), "zsh needs a numeric angle, finite as a float"),
-        (_set_op("zsh", "angle", float("nan")), "zsh needs a numeric angle, finite as a float"),
-        (_set_op("zsh", "angle", float("inf")), "zsh needs a numeric angle, finite as a float"),
+        (_set_op("zsh_r", "angle", 10**400), "zsh_r needs a numeric angle, finite as a float"),
+        (_set_op("zsh_r", "angle", float("nan")), "zsh_r needs a numeric angle, finite as a float"),
+        (_set_op("zsh_r", "angle", float("inf")), "zsh_r needs a numeric angle, finite as a float"),
         (lambda doc: doc.update(grid=10**19), "grid must be 2 for 2 qubits"),
         (lambda doc: doc.update(grid=9), "grid must be 2 for 2 qubits"),
         (lambda doc: doc.update(placement=[[5, 5], [1, 1]]), "qubit 0 at (5, 5) outside 2x2 grid"),
@@ -260,8 +276,13 @@ def _old_format(positions):
          "sqswap src names gate 100000000000, outside the embedded circuit's range(8)"),
         (_set_op("sh_r", "dir", "L"), "sh_r carries no field 'dir'; its fields are ['kind', 'q', 'src']"),
         (_set_op("sqswap", "angle", 0.5), "sqswap carries no field 'angle'; its fields are ['kind', 'q', 'src']"),
-        (lambda doc: [_set_op("zsh", key, value)(doc) for key, value in (("axis", "x"), ("parity", 0))],
-         "zsh carries no field 'axis'; its fields are ['angle', 'dir', 'kind', 'q', 'src']"),
+        (lambda doc: [_set_op("zsh_l", key, value)(doc) for key, value in (("axis", "x"), ("parity", 0))],
+         "zsh_l carries no field 'axis'; its fields are ['angle', 'kind', 'q', 'src']"),
+        (_set_op("zsh_l", "dir", "L"), "zsh_l carries no field 'dir'; its fields are ['angle', 'kind', 'q', 'src']"),
+        (_retired_kinds, "document holds the retired kind 'zsh'; it predates this format, recompile it"),
+        (_set_op("sh_l", "kind", "zsh_ret"), "document holds the retired kind 'zsh_ret'; it predates this format"),
+        (_set_op("sg_rot", "kind", "sg_rot_inv"),
+         "document holds the retired kind 'sg_rot_inv'; it predates this format, recompile it"),
         (_set_first(["cycles", 1, 0, "kind"], 3), "cycle 1: 3 is not a valid InstrKind"),
         (_set_first(["cycles", 1, 0, "kind"], ["sh_l"]), "cycle 1: ['sh_l'] is not a valid InstrKind"),
         (_set_first(["cycles", 1, 0, "kind"], None), "cycle 1: None is not a valid InstrKind"),
@@ -280,7 +301,8 @@ def _old_format(positions):
         "placement-shared-site", "cycle-mixed", "name-number",
         "circuit-name-list", "digest-number", "src-float", "src-negative",
         "circuit-gate-measure", "circuit-gate-h", "circuit-gate-cx", "circuit-gate-kind-list",
-        "typed-cycles", "src-out-of-range", "sh-dir", "sqswap-angle", "zsh-axis-parity",
+        "typed-cycles", "src-out-of-range", "sh-dir", "sqswap-angle", "zsh-axis-parity", "zsh-dir",
+        "retired-kinds", "retired-zsh-ret", "retired-sg-rot-inv",
         "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
         "circuit-gate-q-5", "circuit-gate-q-negative",
     ],
@@ -352,9 +374,17 @@ def test_one_qubit_x_gate_compiles(tmp_path):
     assert main(["verify", "-i", str(out)]) == 0
 
 
-def test_usage_error_exit_code(tmp_path):
+def test_usage_error_exit_code(tmp_path, capsys):
     assert main(["compile", "-i", "/nonexistent.qasm", "-o", str(tmp_path / "x.json")]) == 1
     assert main(["benchgen", "-o", str(tmp_path / "x.qasm")]) == 1
+    assert main(["compile", "-o", str(tmp_path / "x.json")]) == 1  # no -i
+    assert "the following arguments are required: -i/--input" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: xbarc")
 
 
 def test_benchgen_random(tmp_path):

@@ -95,10 +95,17 @@ def test_determinism():
         ('{"fidelities": {"shuttle": {"std": Infinity}}}', None, "fidelities.shuttle.std"),
         ('{"seed": -1}', None, "seed must be a nonnegative integer"),
         ("{}", "-1", "SPINQ_SEED must be a nonnegative integer"),
+        ("[]", None, "config root must be a JSON object"),
+        ('{"fidelities": []}', None, "fidelities must be an object"),
+        ('{"fidelities": {"shuttle": 5}}', None, "fidelities.shuttle must be an object"),
+        ('{"fidelities": {"shuttle": {"mean": "x"}}}', None, "fidelities.shuttle.mean must be a number, got 'x'"),
+        ('{"decompositions": {"h": []}}', None, "decompositions.h must be a nonempty list"),
+        ('{"decompositions": {"h": [5]}}', None, "decompositions.h: bad step 5"),
     ],
     ids=[
         "decompositions-list", "angle-string", "roles-past-arity", "angle-nan", "angle-bool",
-        "std-nan", "std-inf", "seed-negative", "env-seed-negative",
+        "std-nan", "std-inf", "seed-negative", "env-seed-negative", "root-list", "fidelities-list",
+        "fidelity-class-number", "mean-string", "rule-empty", "rule-step-number",
     ],
 )
 def test_bad_config_names_the_field(tmp_path, monkeypatch, text, env_seed, field):

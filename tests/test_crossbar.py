@@ -32,7 +32,6 @@ from xbarc.crossbar import (
 )
 from xbarc.errors import CrossbarError
 from xbarc.instructions import (
-    MOVE_KINDS,
     Cycle,
     CycleType,
     Instruction,
@@ -154,7 +153,7 @@ class TestParallelSet:
         g = sparse_grid(4, [(0, 0), (1, 1), (2, 2)])
         rep = check_parallel_set(g, Cycle((sh(InstrKind.SH_U, 2),)))  # (2,2) -> (2,3) fine
         assert rep.ok
-        rep = check_parallel_set(g, Cycle((Instruction(InstrKind.ZSH, (0,), angle=0.3, direction="R"),)))
+        rep = check_parallel_set(g, Cycle((Instruction(InstrKind.ZSH_R, (0,), angle=0.3),)))
         assert rep.ok
         g2 = sparse_grid(4, [(0, 0), (1, 0)])
         rep = check_parallel_set(g2, Cycle((sh(InstrKind.SH_R, 0),)))
@@ -305,12 +304,31 @@ class TestApplyOp:
 
     def test_zsh_round_trip(self):
         g = sparse_grid(3, [(1, 1)])
-        out = Instruction(InstrKind.ZSH, (0,), angle=0.1, direction="L")
-        back = Instruction(InstrKind.ZSH_RET, (0,), direction="R")
+        out = Instruction(InstrKind.ZSH_L, (0,), angle=0.1)
+        back = Instruction(InstrKind.SH_R, (0,))
         apply_op(g, out)
         assert g.site_of(0) == (0, 1)
         apply_op(g, back)
         assert g.site_of(0) == (1, 1)
+
+    def test_every_moving_kind_steps_by_its_delta(self):
+        # the kind is the one place a move's direction lives
+        assert {kind.value: kind.delta for kind in InstrKind if kind.moves} == {
+            "sh_l": (-1, 0), "sh_r": (1, 0), "sh_u": (0, 1), "sh_d": (0, -1), "zsh_l": (-1, 0), "zsh_r": (1, 0),
+        }
+        assert all(kind.delta is not None for kind in InstrKind if kind.moves)
+        assert [kind for kind in InstrKind if not kind.moves] == [InstrKind.SG_ROT, InstrKind.SQSWAP]
+        assert all(kind.delta is None for kind in InstrKind if not kind.moves)
+        for kind in (k for k in InstrKind if k.moves):
+            g = sparse_grid(3, [(1, 1)])
+            apply_op(g, Instruction(kind, (0,), angle=0.1 if kind.family is CycleType.Z else None))
+            assert g.site_of(0) == (1 + kind.delta[0], 1 + kind.delta[1])
+
+    def test_retired_kinds_and_fields_are_gone(self):
+        assert {kind.value for kind in InstrKind}.isdisjoint({"zsh", "zsh_ret", "sg_rot_inv"})
+        assert [t.value for t in CycleType] == ["xy_rot", "z", "shuttle", "twoq"]
+        assert not hasattr(Instruction(InstrKind.SH_L, (0,)), "direction")
+        assert not hasattr(Instruction, "move_delta")
 
     def test_bijection_preserved(self):
         g = grid_for(8)
@@ -414,7 +432,7 @@ def _reference_sqswap_signals(grid, a, b):
 
 def reference_check_parallel_set(grid, cycle):
     ops = cycle.ops
-    if cycle.type in (CycleType.XY_ROT, CycleType.XY_ROT_INV):
+    if cycle.type is CycleType.XY_ROT:
         distinct = {(op.kind, op.axis, op.angle, op.parity) for op in ops}
         if len(distinct) > 1:
             return ConflictReport(
@@ -424,14 +442,14 @@ def reference_check_parallel_set(grid, cycle):
             )
         return ConflictReport()
 
-    movers = frozenset(op.qubits[0] for op in ops if op.kind in MOVE_KINDS)
+    movers = frozenset(op.qubits[0] for op in ops if op.kind.moves)
 
     reqs = []
     dests = {}
     for i, op in enumerate(ops):
-        if op.kind in MOVE_KINDS:
+        if op.kind.moves:
             q = op.qubits[0]
-            origin, dest = move_sites(grid, q, op.move_delta())
+            origin, dest = move_sites(grid, q, op.kind.delta)
             if not grid.in_grid(dest):
                 return ConflictReport(
                     kind=ConflictKind.BLOCKED_PATH,
@@ -514,14 +532,15 @@ def report_tuple(report):
     return report.ok, report.kind, report.culprits, report.detail
 
 
-SHUTTLE_FAMILY = (InstrKind.SH_L, InstrKind.SH_R, InstrKind.SH_U, InstrKind.SH_D, InstrKind.ZSH_RET)
+SHUTTLE_FAMILY = tuple(kind for kind in InstrKind if kind.family is CycleType.SHUTTLE)
+Z_FAMILY = tuple(kind for kind in InstrKind if kind.family is CycleType.Z)
 
 
 @st.composite
 def grids_and_cycles(draw):
     """A random occupancy of a side-1..7 grid, drawn from every site or from
     the checkerboard sites only, and a one-family cycle of 1-5 moves
-    (shuttles and zsh_ret, or zsh) or sqswaps. A sqswap's second qubit is
+    (plain shuttles, or phase shuttles) or sqswaps. A sqswap's second qubit is
     the first one's upper or lower neighbour when it has one, so that legal
     sqswaps are common."""
     n = draw(st.integers(1, 7))
@@ -536,11 +555,9 @@ def grids_and_cycles(draw):
     for _ in range(draw(st.integers(1, 5))):
         q = draw(qubit)
         if family == "shuttle":
-            kind = draw(st.sampled_from(SHUTTLE_FAMILY))
-            direction = draw(st.sampled_from("LR")) if kind is InstrKind.ZSH_RET else None
-            ops.append(Instruction(kind, (q,), direction=direction))
+            ops.append(Instruction(draw(st.sampled_from(SHUTTLE_FAMILY)), (q,)))
         elif family == "z":
-            ops.append(Instruction(InstrKind.ZSH, (q,), angle=0.5, direction=draw(st.sampled_from("LR"))))
+            ops.append(Instruction(draw(st.sampled_from(Z_FAMILY)), (q,), angle=0.5))
         else:
             x, y = grid.site_of(q)
             near = [grid.qubit_at((x, y + d)) for d in (1, -1) if grid.occupied((x, y + d))]

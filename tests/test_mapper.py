@@ -167,16 +167,16 @@ class TestZRoute:
         start = start_of(g)
         block = z_route(g, 0, 0.7)
         out, back = instructions(block)
-        assert out.kind is InstrKind.ZSH and out.direction == "L"
+        assert out.kind is InstrKind.ZSH_L
         assert out.angle == 0.7
-        assert back.kind is InstrKind.ZSH_RET and back.direction == "R"
+        assert back.kind is InstrKind.SH_R
         end = replay_block(start, block)
         assert end.site_of(0) == (1, 1)
 
     def test_edge_goes_right(self):
         g = sparse_grid(2, [(0, 0)])
         block = z_route(g, 0, 0.1)
-        assert instructions(block)[0].direction == "R"
+        assert [op.kind for op in instructions(block)] == [InstrKind.ZSH_R, InstrKind.SH_L]
 
     def test_overhead_one_instruction_one_cycle(self):
         g = sparse_grid(4, [(1, 1)])
@@ -210,10 +210,10 @@ class TestSemiGlobal:
         start = start_of(g)
         block = expand_semi_global(g, target, "y", 1.1)
         kinds = [op.kind for op in instructions(block)]
-        assert kinds == [InstrKind.SG_ROT, InstrKind.SH_R, InstrKind.SG_ROT_INV, InstrKind.SH_L]
+        assert kinds == [InstrKind.SG_ROT, InstrKind.SH_R, InstrKind.SG_ROT, InstrKind.SH_L]
         assert len(block) == 4
         assert block[0].type is CycleType.XY_ROT
-        assert block[2].type is CycleType.XY_ROT_INV
+        assert block[2].type is CycleType.XY_ROT
         end = replay_block(start, block)
         assert end.pos == grid_for(8).pos
 

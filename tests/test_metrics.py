@@ -20,7 +20,7 @@ from xbarc import (
 )
 from xbarc.config import ArchConfig
 from xbarc.crossbar import Grid, apply_op
-from xbarc.instructions import MOVE_KINDS, Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
+from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
 
 from conftest import compile_native
 
@@ -90,7 +90,7 @@ class TestEsp:
         dec, s = diagonal_twoq_schedule()
         fmap = build_fidelity_map(grid_for(3), zero_std_config())
         base = esp(s, fmap)
-        extra = Cycle((Instruction(InstrKind.ZSH, (0,), angle=0.1, direction="R"),))
+        extra = Cycle((Instruction(InstrKind.ZSH_R, (0,), angle=0.1),))
         grown = dataclasses.replace(s, cycles=s.cycles + (extra,))
         assert esp(grown, fmap) <= base
 
@@ -99,7 +99,7 @@ class TestEsp:
         c = Circuit("x", 3, (Gate(GateKind.RX, (0,), 0.7),))
         dec, s = compile_native(c)
         fmap = build_fidelity_map(grid_for(3), zero_std_config())
-        # sg_rot: 2 members, shuttle, sg_rot_inv: 1 remaining member, shuttle
+        # sg_rot: 2 members, shuttle, inverse (-angle) sg_rot: 1 remaining member, shuttle
         expect = 0.9999**2 * 0.9999 * 0.9999**1 * 0.9999
         assert abs(esp(s, fmap) - expect) < 1e-12
 
@@ -109,12 +109,11 @@ class TestEsp:
         fmap = build_fidelity_map(grid_for(5), zero_std_config())
         n_shuttle = n_sq = n_single = 0
         from xbarc.crossbar import Grid, apply_op
-        from xbarc.instructions import MOVE_KINDS
 
         grid = Grid(s.grid_n, s.placement)
         for cy in s.cycles:
             for op in cy.ops:
-                if op.kind in MOVE_KINDS:
+                if op.kind.moves:
                     n_shuttle += 1
                 elif op.kind is InstrKind.SQSWAP:
                     n_sq += 1
@@ -149,8 +148,8 @@ def reference_esp(s, fmap):
     total = 1.0
     for cycle in s.cycles:
         for op in cycle.ops:
-            if op.kind in MOVE_KINDS:
-                (x, y), (dx, dy) = grid.site_of(op.qubits[0]), op.move_delta()
+            if op.kind.moves:
+                (x, y), (dx, dy) = grid.site_of(op.qubits[0]), op.kind.delta
                 total *= float(fmap.values["shuttle"][y + dy, x + dx])
             elif op.kind is InstrKind.SQSWAP:
                 x, y = min((grid.site_of(q) for q in op.qubits), key=lambda site: site[1])

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xbarc import GateKind, emit_output, parse_qasm, schedule_from_doc
+from xbarc import BenchSpec, GateKind, emit_output, gen_random_uniform, parse_qasm, schedule_from_doc
 from xbarc.circuits import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate
 from xbarc.errors import QasmError
 from xbarc.instructions import (
     FIELDS,
     Cycle,
+    CycleType,
     Instruction,
     InstrKind,
     Schedule,
@@ -128,6 +129,19 @@ class TestEmit:
         assert "// cycle 0 [twoq]" in text
         assert "sqswap q[0],q[1];" in text
 
+    def test_every_move_line_names_its_direction(self):
+        _, s = compile_native(gen_random_uniform(BenchSpec(6, 60, 50.0, 3)))
+        lines = [line for line in emit_output(s).splitlines()[3:] if not line.startswith("//")]
+        ops = [op for c in s.cycles for op in c.ops]
+        assert len(lines) == len(ops)
+        moves = [(line, op) for line, op in zip(lines, ops) if op.kind.moves]
+        assert {op.kind for _, op in moves} == {kind for kind in InstrKind if kind.moves}
+        for line, op in moves:
+            # the kind names the direction: sh_l/sh_r/sh_u/sh_d, zsh_l/zsh_r
+            assert re.fullmatch(r"z?sh_[lrud](\(.*\))? q\[\d+\];", line) and line.startswith(op.kind.value)
+        z = next(op for _, op in moves if op.kind.family is CycleType.Z)
+        assert f"{z.kind.value}({z.angle!r}) q[{z.qubits[0]}];" in lines
+
     def test_doc_round_trip_for_compiled_cnot(self):
         dec, s = compile_native(parse_qasm("qreg q[2]; cx q[0],q[1];", name="rt"))
         again = schedule_from_doc(json.loads(json.dumps(schedule_to_doc(s))))
@@ -140,45 +154,53 @@ class TestEmit:
 
 
 # one instruction of every kind, with parity 0, angle 0.0 and empty src among
-# them, and the document keys each must write, in order
-INSTRUCTION_CASES = [
-    (Instruction(InstrKind.SH_L, (0,)), ["kind", "q"]),
-    (Instruction(InstrKind.SH_R, (1,), src=(3,)), ["kind", "q", "src"]),
-    (Instruction(InstrKind.SH_U, (2,), src=(0, 5)), ["kind", "q", "src"]),
-    (Instruction(InstrKind.SH_D, (0,), src=(7,)), ["kind", "q", "src"]),
-    (Instruction(InstrKind.ZSH, (0,), angle=0.0, direction="L", src=(2,)), ["kind", "q", "angle", "dir", "src"]),
-    (Instruction(InstrKind.ZSH_RET, (4,), direction="R"), ["kind", "q", "dir"]),
-    (
+# them, and the document keys each must write, in order, by the role each
+# plays: a Z rotation's phase shuttle (zsh), its return (zsh_ret, a plain
+# shuttle) and the compensating pulse of an X/Y rotation (sg_rot_inv, an
+# sg_rot of negated angle) are roles, not kinds
+INSTRUCTION_CASES = {
+    "sh_l": (Instruction(InstrKind.SH_L, (0,)), ["kind", "q"]),
+    "sh_r": (Instruction(InstrKind.SH_R, (1,), src=(3,)), ["kind", "q", "src"]),
+    "sh_u": (Instruction(InstrKind.SH_U, (2,), src=(0, 5)), ["kind", "q", "src"]),
+    "sh_d": (Instruction(InstrKind.SH_D, (0,), src=(7,)), ["kind", "q", "src"]),
+    "zsh": (Instruction(InstrKind.ZSH_L, (0,), angle=0.0, src=(2,)), ["kind", "q", "angle", "src"]),
+    "zsh_r": (Instruction(InstrKind.ZSH_R, (1,), angle=-0.5), ["kind", "q", "angle"]),
+    "zsh_ret": (Instruction(InstrKind.SH_R, (4,)), ["kind", "q"]),
+    "sg_rot": (
         Instruction(InstrKind.SG_ROT, angle=0.0, axis="x", parity=0, src=(0, 1)),
         ["kind", "angle", "axis", "parity", "src"],
     ),
-    (Instruction(InstrKind.SG_ROT_INV, angle=-1.25, axis="y", parity=1), ["kind", "angle", "axis", "parity"]),
-    (Instruction(InstrKind.SQSWAP, (3, 1), src=(9,)), ["kind", "q", "src"]),
-]
+    "sg_rot_inv": (Instruction(InstrKind.SG_ROT, angle=-1.25, axis="y", parity=1), ["kind", "angle", "axis", "parity"]),
+    "sqswap": (Instruction(InstrKind.SQSWAP, (3, 1), src=(9,)), ["kind", "q", "src"]),
+}
 
 
 def test_instruction_cases_cover_every_kind():
-    assert {op.kind for op, _ in INSTRUCTION_CASES} == set(InstrKind)
+    assert {op.kind for op, _ in INSTRUCTION_CASES.values()} == set(InstrKind)
 
 
-@pytest.mark.parametrize(("op", "keys"), INSTRUCTION_CASES, ids=[op.kind.value for op, _ in INSTRUCTION_CASES])
+@pytest.mark.parametrize(("op", "keys"), INSTRUCTION_CASES.values(), ids=INSTRUCTION_CASES)
 def test_instruction_dict_round_trip(op, keys):
     d = instruction_to_dict(op)
     assert list(d) == keys
     assert instruction_from_dict(json.loads(json.dumps(d))) == op
 
 
-# one value per Instruction attribute that some kind carries, falsy ones included
+# one value per Instruction attribute that some kind carries, falsy ones
+# included, and the retired direction attribute, which no kind carries
 _ATTR_VALUES = {"qubits": (3,), "angle": 0.0, "axis": "x", "parity": 0, "direction": "L"}
 
 
 @pytest.mark.parametrize(
     ("op", "attr"),
-    [(op, attr) for op, _ in INSTRUCTION_CASES for attr in _ATTR_VALUES
+    [pytest.param(op, attr, id=f"{role}-{attr}") for role, (op, _) in INSTRUCTION_CASES.items() for attr in _ATTR_VALUES
      if attr not in {f.attr for f in FIELDS[op.kind]}],
-    ids=lambda v: v.kind.value if isinstance(v, Instruction) else v,
 )
 def test_writer_rejects_an_attribute_the_kind_does_not_carry(op, attr):
+    if attr == "direction":  # a move's direction is its kind: no instruction can be given one
+        with pytest.raises(TypeError, match="direction"):
+            dataclasses.replace(op, direction=_ATTR_VALUES[attr])
+        return
     op = dataclasses.replace(op, **{attr: _ATTR_VALUES[attr]})
     message = f"{op.kind.value} carries no field {attr!r}, instruction gives {_ATTR_VALUES[attr]!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -186,11 +208,11 @@ def test_writer_rejects_an_attribute_the_kind_does_not_carry(op, attr):
 
 
 def test_hand_built_schedule_with_a_stray_field_is_not_written():
-    # the document has no place for a shuttle's direction: it used to drop
-    # it, so the schedule did not round-trip
-    op = Instruction(InstrKind.SH_R, (0,), direction="L")
+    # the document has no place for a shuttle's angle: dropping it would
+    # leave a schedule that does not round-trip
+    op = Instruction(InstrKind.SH_R, (0,), angle=0.5)
     s = Schedule("stray", 2, ((0, 0), (1, 1)), (Cycle((op,)),), TrajectoryDigest([((1, 0), (1, 1))]).hexdigest())
-    with pytest.raises(ValueError, match="sh_r carries no field 'direction'"):
+    with pytest.raises(ValueError, match="sh_r carries no field 'angle'"):
         schedule_to_doc(s)
 
 

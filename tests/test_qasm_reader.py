@@ -2,11 +2,12 @@
 
 _reference_statements and _reference_eval_angle are the earlier
 implementations: a character loop that splits statements, given the reader's
-rule that a line break inside a statement is one space, and an angle
-evaluator, copied unchanged, that checks the parse tree and then compiles and
-evals it. The reader must give the same (line, statement) pairs and, for
-every expression without a bool constant, the same float bit for bit or a
-QasmError on the same line. Bool constants, which the earlier evaluator read
+rules that only a line feed ends a line, a carriage return before it being
+part of the break, and that a line break inside a statement is one space,
+and an angle evaluator, copied unchanged, that checks the parse tree and
+then compiles and evals it. The reader must give the same (line, statement)
+pairs and, for every expression without a bool constant, the same float bit
+for bit or a QasmError on the same line. Bool constants, which the earlier evaluator read
 as 1 and 0, are now a "bad constant".
 """
 import ast
@@ -28,8 +29,8 @@ def _reference_statements(text: str):
     """Yield (line, statement) with comments stripped, split on ';'."""
     buf = []
     start_line = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("//", 1)[0]
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r").split("//", 1)[0]
         for ch in line:
             if ch == ";":
                 stmt = "".join(buf).strip()
@@ -99,7 +100,7 @@ def _statement_outcome(reader, text):
     return pairs, None
 
 
-_TEXT_PIECES = [";", "//", "\n", "\r\n", " ", "\t", "a", "q[0]", "rx(pi/2)", "h", ",", "\x0c"]
+_TEXT_PIECES = [";", "//", "\n", "\r\n", "\r", " ", "\t", "a", "q[0]", "rx(pi/2)", "h", ",", "\x0c", "\x1c", "\u2028"]
 
 
 @settings(max_examples=500, deadline=None)
@@ -200,8 +201,9 @@ def test_long_statements_fail_in_linear_time(stmt):
 @pytest.mark.parametrize(
     "text, n_qubits, kinds",
     [("qreg q[2];\nh\nq[0];\n", 2, ["h"]), ("qreg\nq[2];\n", 2, []),
-     ("OPENQASM\n2.0;\nqreg q[1];\nrz(pi\n/2)\nq[0];\n", 1, ["rz"])],
-    ids=["gate-name-then-operand", "qreg-keyword-then-register", "header-and-angle"],
+     ("OPENQASM\n2.0;\nqreg q[1];\nrz(pi\n/2)\nq[0];\n", 1, ["rz"]),
+     ("OPENQASM\r\n2.0;\r\nqreg q[1];\r\nrz(pi\r\n/2)\r\nq[0];\r\n", 1, ["rz"])],
+    ids=["gate-name-then-operand", "qreg-keyword-then-register", "header-and-angle", "crlf"],
 )
 def test_line_break_inside_a_statement_is_whitespace(text, n_qubits, kinds):
     circuit = parse_qasm(text)
@@ -216,9 +218,19 @@ def test_line_break_inside_a_statement_is_whitespace(text, n_qubits, kinds):
      ("OPENQASM 2.0 junk(;\nqreg q[1];\n", 1, "unsupported QASM version '2.0 junk('"),
      ("OPENQASM 2.0;\nqreg q[1];\nOPENQASM 2.1;\n", 3, "OPENQASM header must be the first statement"),
      ("OPENQASM 2.0;\nOPENQASM 2.0;\nqreg q[1];\n", 2, "OPENQASM header must be the first statement"),
-     ("OPENQASM;\nqreg q[1];\n", 1, "unsupported QASM version ''")],
+     ("OPENQASM;\nqreg q[1];\n", 1, "unsupported QASM version ''"),
+     # keywords are case-sensitive
+     ("openqasm 2.0;\nqreg q[1];\n", 1, "unknown gate 'openqasm'"),
+     ("qreg q[2;\n", 1, "bad qreg declaration 'qreg q[2': expected 'qreg name[size]'"),
+     ("qreg q[2];\ncreg c[;\n", 2, "bad creg declaration 'creg c[': expected 'creg name[size]'"),
+     ("qreg q[0];\n", 1, "qreg must hold at least one qubit"),
+     ("", 1, "no qreg declaration found"),
+     ("qreg q[1];\n1q;\n", 2, "cannot parse statement '1q'"),
+     # only '\n' ends a line
+     ("qreg q[1];\x0ch q[0];\x1cfoo q[0];\u2028h q[0];\n", 1, "unknown gate 'foo'")],
     ids=["number-split-across-lines", "version-20", "trailing-text", "second-header-after-qreg",
-         "repeated-header", "no-version"],
+         "repeated-header", "no-version", "lower-case-header", "bad-qreg", "bad-creg", "empty-qreg",
+         "empty-file", "no-leading-name", "form-feed-and-separators"],
 )
 def test_split_number_and_bad_header_exit_1_naming_the_line(tmp_path, capsys, text, line, fragment):
     src = tmp_path / "in.qasm"

@@ -28,8 +28,8 @@ class TestMicroCircuits:
         _, s = compile_native(c)
         assert [cy.type for cy in s.cycles] == [CycleType.Z, CycleType.SHUTTLE]
         assert [op.kind for cy in s.cycles for op in cy.ops] == [
-            InstrKind.ZSH,
-            InstrKind.ZSH_RET,
+            InstrKind.ZSH_R,
+            InstrKind.SH_L,
         ]
 
     def test_single_x_four_cycles_with_company(self):
@@ -39,10 +39,11 @@ class TestMicroCircuits:
         assert [cy.type for cy in s.cycles] == [
             CycleType.XY_ROT,
             CycleType.SHUTTLE,
-            CycleType.XY_ROT_INV,
+            CycleType.XY_ROT,
             CycleType.SHUTTLE,
         ]
         assert s.n_instructions == 4
+        assert s.cycles[2].ops[0].angle == -0.5  # the inverse pulse
 
     def test_single_diagonal_sqswap_three_cycles(self):
         c = native("sq", 3, Gate(GateKind.SQSWAP, (0, 2)))  # (0,0) and (1,1)
@@ -172,5 +173,5 @@ class TestOrdering:
             Gate(GateKind.RZ, (1,), 0.3),
         )
         _, s = compile_native(c)
-        zsh_order = [op.src[0] for cy in s.cycles for op in cy.ops if op.kind is InstrKind.ZSH]
+        zsh_order = [op.src[0] for cy in s.cycles for op in cy.ops if op.kind.family is CycleType.Z]
         assert zsh_order == [0, 2, 1]

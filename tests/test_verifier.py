@@ -45,6 +45,20 @@ def compiled(circuit):
     return compile_native(circuit)[1]
 
 
+def pulse_cycles(schedule, inverse=False):
+    """Indices of the sg_rot cycles that hold an X/Y gate's first pulse or,
+    with `inverse`, its compensating pulse of negated angle: the second
+    pulse with the same source gate."""
+    seen, out = set(), []
+    for i, cy in enumerate(schedule.cycles):
+        op = cy.ops[0]
+        if op.kind is InstrKind.SG_ROT:
+            if (op.src in seen) == inverse:
+                out.append(i)
+            seen.add(op.src)
+    return out
+
+
 def literal_circuit(circuit, state):
     """Reference: one kernel call per gate, in circuit order."""
     for g in circuit.gates:
@@ -59,9 +73,9 @@ def literal_schedule(schedule, state):
     grid = Grid(schedule.grid_n, schedule.placement)
     for cycle in schedule.cycles:
         for op in cycle.ops:
-            if op.kind is InstrKind.ZSH:
+            if op.kind.family is CycleType.Z:
                 state = apply_1q(state, n, op.qubits[0], rz_matrix(op.angle))
-            elif op.kind in (InstrKind.SG_ROT, InstrKind.SG_ROT_INV):
+            elif op.kind is InstrKind.SG_ROT:
                 rot = rx_matrix(op.angle) if op.axis == "x" else ry_matrix(op.angle)
                 for q in grid.parity_members(op.parity):
                     state = apply_1q(state, n, q, rot)
@@ -368,10 +382,9 @@ class TestEquivalence:
         c = Circuit("x", 3, (Gate(GateKind.RX, (0,), 1.3),))
         s = compiled(c)
         cycles = list(s.cycles)
-        for i, cy in enumerate(cycles):
-            if cy.type is CycleType.XY_ROT_INV:
-                op = cy.ops[0]
-                cycles[i] = Cycle((dataclasses.replace(op, angle=op.angle + 0.5),))
+        for i in pulse_cycles(s, inverse=True):
+            op = cycles[i].ops[0]
+            cycles[i] = Cycle((dataclasses.replace(op, angle=op.angle + 0.5),))
         tampered = dataclasses.replace(s, cycles=tuple(cycles))
         fid = statevector_equiv(s.circuit, tampered)
         assert fid < 1 - 1e-3
@@ -385,7 +398,9 @@ class TestEquivalence:
         # dropping the inverse pulse must corrupt the spectator state
         c = Circuit("x", 3, (Gate(GateKind.RX, (0,), 1.3),))
         s = compiled(c)
-        kept = tuple(cy for cy in s.cycles if cy.type is not CycleType.XY_ROT_INV)
+        inverse = pulse_cycles(s, inverse=True)
+        assert len(inverse) == 1
+        kept = tuple(cy for i, cy in enumerate(s.cycles) if i not in inverse)
         broken = dataclasses.replace(s, cycles=kept)
         state = zero_state(3)
         out = simulate_schedule(broken, state)
@@ -415,18 +430,20 @@ class TestEquivalence:
         assert calls == {"simulate_circuit": 1, "simulate_schedule": 1}
 
     @pytest.mark.parametrize(
-        "kind, mutate",
+        "sites_of, mutate",
         [
-            (InstrKind.ZSH, lambda op: dataclasses.replace(op, angle=op.angle + 1e-3)),
-            (InstrKind.SG_ROT, lambda op: dataclasses.replace(op, parity=1 - op.parity)),
-            (InstrKind.SG_ROT_INV, lambda op: dataclasses.replace(op, angle=op.angle + 1e-3)),
+            (lambda s: [(i, 0) for i, cy in enumerate(s.cycles) if cy.type is CycleType.Z],
+             lambda op: dataclasses.replace(op, angle=op.angle + 1e-3)),
+            (lambda s: [(i, 0) for i in pulse_cycles(s)], lambda op: dataclasses.replace(op, parity=1 - op.parity)),
+            (lambda s: [(i, 0) for i in pulse_cycles(s, inverse=True)],
+             lambda op: dataclasses.replace(op, angle=op.angle + 1e-3)),
         ],
-        ids=["zsh_angle", "sg_rot_parity", "sg_rot_inv_angle"],
+        ids=["zsh_angle", "sg_rot_parity", "sg_rot_inv_angle"],  # the last one mutates the inverse (-angle) pulse
     )
-    def test_single_op_mutation_detected_at_12_qubits(self, kind, mutate):
+    def test_single_op_mutation_detected_at_12_qubits(self, sites_of, mutate):
         s = compiled(gen_random_uniform(BenchSpec(12, 120, 50.0, 4)))
         assert verify(s).ok
-        sites = [(i, j) for i, cy in enumerate(s.cycles) for j, op in enumerate(cy.ops) if op.kind is kind]
+        sites = sites_of(s)
         i, j = sites[len(sites) // 2]
         ops = s.cycles[i].ops
         cycle = Cycle(ops[:j] + (mutate(ops[j]),) + ops[j + 1:])
@@ -456,7 +473,7 @@ class TestVerify:
         # a non-finite zsh angle makes every overlap NaN; it must not be
         # clamped to a passing 1.0
         s = compiled(Circuit("z", 2, (Gate(GateKind.RZ, (0,), 0.5),)))
-        i = next(i for i, cy in enumerate(s.cycles) if cy.ops[0].kind is InstrKind.ZSH)
+        i = next(i for i, cy in enumerate(s.cycles) if cy.type is CycleType.Z)
         nan_cycle = Cycle((dataclasses.replace(s.cycles[i].ops[0], angle=math.nan),))
         broken = dataclasses.replace(s, cycles=s.cycles[:i] + (nan_cycle,) + s.cycles[i + 1:])
         report = verify(broken)
@@ -477,7 +494,7 @@ class TestTrajectoryDigestFacts:
     def test_dropped_inverse_pulse_above_the_cap_is_caught_only_by_the_digest(self):
         s = compiled(gen_random_uniform(BenchSpec(16, 300, 50.0, 0)))
         assert s.n_qubits > verifier.EQUIV_CAP and verify(s).ok
-        inverse = [i for i, cy in enumerate(s.cycles) if cy.type is CycleType.XY_ROT_INV]
+        inverse = pulse_cycles(s, inverse=True)
         report = verify(self._mutated(s, inverse[len(inverse) // 2], ()))
         assert not report.ok
         assert report.violations == () and not report.trajectory_match
