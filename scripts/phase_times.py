@@ -1,0 +1,106 @@
+"""Time each phase of compile and verify on random-uniform circuits.
+
+    python scripts/phase_times.py [--seed S] QUBITSxGATES [QUBITSxGATES ...]
+
+For each size, e.g. `12x1000`, it generates one circuit with 50 % two-qubit
+gates (gen_random_uniform at the seed) and times the library calls that
+`xbarc compile` and `xbarc verify` make, in ms, each the best of 3 runs after
+one warm-up run:
+
+- parse: parse_qasm of the circuit's QASM text;
+- decompose: decompose to the native gate set;
+- schedule: initial_placement plus schedule_integrated;
+- metrics: overhead_report, ESP included;
+- replay: replay_verify;
+- equiv: statevector_equiv ("skipped" above its qubit cap);
+- write: schedule_to_doc plus compact json.dumps;
+- load: json.loads plus schedule_from_doc.
+
+It prints one row per size with the emitted instruction count and two µs per
+instruction figures: schedule alone, then schedule, replay, equiv, metrics and
+write together. These are the columns of ROADMAP.md's Baseline table.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from xbarc import BenchSpec, build_fidelity_map, gen_random_uniform, grid_for, load_config  # noqa: E402
+from xbarc.instructions import schedule_from_doc, schedule_to_doc  # noqa: E402
+from xbarc.ir import decompose  # noqa: E402
+from xbarc.mapper import initial_placement  # noqa: E402
+from xbarc.metrics import overhead_report  # noqa: E402
+from xbarc.qasm import circuit_to_qasm, parse_qasm  # noqa: E402
+from xbarc.scheduler import schedule_integrated  # noqa: E402
+from xbarc.verifier import EQUIV_CAP, replay_verify, statevector_equiv  # noqa: E402
+
+PHASES = ("parse", "decompose", "schedule", "metrics", "replay", "equiv", "write", "load")
+REPEATS = 3
+
+
+def best_ms(fn) -> float:
+    """Best of REPEATS timed calls of fn after one untimed call, in ms."""
+    fn()
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return 1000.0 * min(times)
+
+
+def phase_times(n_qubits: int, n_gates: int, seed: int = 0) -> tuple[dict[str, float | None], int]:
+    """ms per phase (None for a skipped equiv) and the emitted instruction count."""
+    config = load_config("{}")
+    text = circuit_to_qasm(gen_random_uniform(BenchSpec(n_qubits, n_gates, 50.0, seed)))
+    circuit = parse_qasm(text)
+    dec = decompose(circuit, config)
+    grid = grid_for(dec.n_qubits)
+    schedule = schedule_integrated(dec, initial_placement(dec, grid))
+    fmap = build_fidelity_map(grid, config)
+    doc_text = json.dumps(schedule_to_doc(schedule), separators=(",", ":"))
+    ms = {
+        "parse": best_ms(lambda: parse_qasm(text)),
+        "decompose": best_ms(lambda: decompose(circuit, config)),
+        "schedule": best_ms(lambda: schedule_integrated(dec, initial_placement(dec, grid))),
+        "metrics": best_ms(lambda: overhead_report(dec, schedule, fmap)),
+        "replay": best_ms(lambda: replay_verify(schedule)),
+        "equiv": best_ms(lambda: statevector_equiv(dec, schedule)) if dec.n_qubits <= EQUIV_CAP else None,
+        "write": best_ms(lambda: json.dumps(schedule_to_doc(schedule), separators=(",", ":"))),
+        "load": best_ms(lambda: schedule_from_doc(json.loads(doc_text))),
+    }
+    return ms, schedule.n_instructions
+
+
+def _size(text: str) -> tuple[int, int]:
+    try:
+        qubits, gates = (int(v) for v in text.lower().split("x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected QUBITSxGATES, e.g. 12x1000, got {text!r}") from None
+    return qubits, gates
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("sizes", nargs="+", type=_size, metavar="QUBITSxGATES")
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    print("| workload | " + " | ".join(PHASES) + " | instrs | µs/instr |")
+    print("|---" * (len(PHASES) + 3) + "|")
+    for n_qubits, n_gates in args.sizes:
+        ms, n_instr = phase_times(n_qubits, n_gates, args.seed)
+        cells = ["skipped" if ms[p] is None else f"{ms[p]:.1f}" for p in PHASES]
+        end_to_end = sum(ms[p] or 0.0 for p in ("schedule", "replay", "equiv", "metrics", "write"))
+        per_instr = 1000.0 / max(n_instr, 1)
+        print(f"| {n_qubits} q, {n_gates} g | " + " | ".join(cells)
+              + f" | {n_instr} | {ms['schedule'] * per_instr:.1f} / {end_to_end * per_instr:.1f} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

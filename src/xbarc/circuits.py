@@ -12,10 +12,24 @@ from enum import Enum
 
 
 class GateKind(Enum):
-    RX = "rx"
-    RY = "ry"
-    RZ = "rz"
-    SQSWAP = "sqswap"
+    """A gate kind and three facts about it, set once per member: its
+    operand count `arity`, whether it takes an angle (`rotation`) and
+    whether the crossbar runs it (`native`). Gate and the per-gate walks
+    read these attributes: an Enum member used as a set or dict key hashes
+    in Python on every lookup. Where they compare with a member, they use a
+    name bound once, since a member read off its class (GateKind.RX) goes
+    through EnumType.__getattr__, a Python-level hook."""
+
+    def __new__(cls, value: str, arity: int = 1, rotation: bool = False, native: bool = False):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.arity, member.rotation, member.native = arity, rotation, native
+        return member
+
+    RX = "rx", 1, True, True
+    RY = "ry", 1, True, True
+    RZ = "rz", 1, True, True
+    SQSWAP = "sqswap", 2, False, True
     H = "h"
     X = "x"
     Y = "y"
@@ -24,13 +38,13 @@ class GateKind(Enum):
     SDG = "sdg"
     T = "t"
     TDG = "tdg"
-    CNOT = "cx"
-    CZ = "cz"
+    CNOT = "cx", 2
+    CZ = "cz", 2
 
 
-NATIVE_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.SQSWAP})
-ROTATION_KINDS = frozenset({GateKind.RX, GateKind.RY, GateKind.RZ})
-TWO_QUBIT_KINDS = frozenset({GateKind.SQSWAP, GateKind.CNOT, GateKind.CZ})
+NATIVE_KINDS = frozenset(kind for kind in GateKind if kind.native)
+ROTATION_KINDS = frozenset(kind for kind in GateKind if kind.rotation)
+TWO_QUBIT_KINDS = frozenset(kind for kind in GateKind if kind.arity == 2)
 
 
 def is_int(value) -> bool:
@@ -54,12 +68,12 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self):
-        n_ops = 2 if self.kind in TWO_QUBIT_KINDS else 1
+        n_ops = self.kind.arity
         if len(self.qubits) != n_ops:
             raise ValueError(f"{self.kind.value} takes {n_ops} operand(s), got {self.qubits}")
         if n_ops == 2 and self.qubits[0] == self.qubits[1]:
             raise ValueError(f"{self.kind.value} operands must be distinct: {self.qubits}")
-        if (self.angle is not None) != (self.kind in ROTATION_KINDS):
+        if (self.angle is not None) != self.kind.rotation:
             raise ValueError(f"angle must be present iff rotation kind, got {self.kind.value}")
 
 
@@ -79,7 +93,7 @@ class Circuit:
 
     @property
     def is_native(self) -> bool:
-        return all(g.kind in NATIVE_KINDS for g in self.gates)
+        return all(g.kind.native for g in self.gates)
 
     def __len__(self) -> int:
         return len(self.gates)

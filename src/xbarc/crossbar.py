@@ -61,6 +61,10 @@ from .instructions import (
 )
 
 
+# bound once for the per-cycle and per-instruction functions (see InstrKind)
+_XY_ROT, _SQSWAP = CycleType.XY_ROT, InstrKind.SQSWAP
+
+
 class Line(NamedTuple):
     family: str  # "CL" | "RL"
     index: int
@@ -156,16 +160,15 @@ class Grid:
         """Put q on `site` in place, unchecked: apply_op checked the move, or
         apply_cycle is undoing one."""
         i = 2 * q
-        xy = self.coords
+        xy, cols, rows = self.coords, self.cols, self.rows
         x, y = xy[i], xy[i + 1]
         del self._site_map[x, y]
-        self.cols[x] ^= 1 << y
-        self.rows[y] ^= 1 << x
-        x, y = site
-        xy[i], xy[i + 1] = site
+        cols[x] ^= 1 << y
+        rows[y] ^= 1 << x
+        xy[i], xy[i + 1] = x, y = site
         self._site_map[site] = q
-        self.cols[x] |= 1 << y
-        self.rows[y] |= 1 << x
+        cols[x] |= 1 << y
+        rows[y] |= 1 << x
 
     def is_checkerboard(self) -> bool:
         xy = self.coords
@@ -270,18 +273,19 @@ def _ql_pairs(grid: Grid, origin, dest, movers: dict[int, int]) -> set[tuple[int
     return pairs
 
 
-def _legal_move(grid: Grid, q: int, delta, name):
-    """move_sites of a legal move; CrossbarError when the destination is off
-    the grid or occupied, naming the move `name`: a string, or an InstrKind
-    by its value, which is read only then (Enum.value is a Python-level
-    property)."""
-    origin, dest = move_sites(grid, q, delta)
-    if grid.in_grid(dest) and not grid.occupied(dest):
-        return origin, dest
-    name = getattr(name, "value", name)
-    if not grid.in_grid(dest):
-        raise CrossbarError(f"{name} moves qubit {q} off-grid to {dest}")
-    raise CrossbarError(f"{name} destination {dest} occupied")
+def _destination(grid: Grid, q: int, delta, name) -> tuple[int, int]:
+    """Destination of a legal one-site move of q by `delta`, read from
+    grid.coords and grid.cols; CrossbarError when it is off the grid or
+    occupied, naming the move `name`: a string, or an InstrKind by its
+    value, which is read only then (Enum.value is a Python-level property)."""
+    i = 2 * q
+    dx, dy = delta
+    x, y = grid.coords[i] + dx, grid.coords[i + 1] + dy
+    if 0 <= x < grid.n and 0 <= y < grid.n:
+        if not grid.cols[x] >> y & 1:
+            return x, y
+        raise CrossbarError(f"{getattr(name, 'value', name)} destination {(x, y)} occupied")
+    raise CrossbarError(f"{getattr(name, 'value', name)} moves qubit {q} off-grid to {(x, y)}")
 
 
 def shuttle_requirements(grid: Grid, q: int, direction: str) -> SignalRequirements:
@@ -289,17 +293,11 @@ def shuttle_requirements(grid: Grid, q: int, direction: str) -> SignalRequiremen
     barrier between origin and destination, raise every other barrier
     bordering either site, and the move's QL inequalities. An illegal move
     raises apply_op's CrossbarError."""
-    origin, dest = _legal_move(grid, q, DELTAS[direction], f"shuttle {direction}")
+    origin, dest = grid.site_of(q), _destination(grid, q, DELTAS[direction], f"shuttle {direction}")
     lowered = barrier_between(origin, dest)
     raised = (site_barriers(origin, grid.n) | site_barriers(dest, grid.n)) - {lowered}
     ql_gt = _ql_pairs(grid, origin, dest, {origin[0]: 1 << origin[1]})
     return SignalRequirements(lowered, frozenset(raised), frozenset(ql_gt))
-
-
-def _borders(line: Line, site) -> bool:
-    """Does the interior barrier `line` border `site`?"""
-    c = site[0] if line.family == "CL" else site[1]
-    return line.index <= c <= line.index + 1
 
 
 def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
@@ -318,59 +316,11 @@ def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
     return None
 
 
-def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
-    """Can this cycle's instructions run in parallel on this grid?
-
-    The cycle holds one instruction family (Cycle's rule): semi-global
-    pulses, moves (the shuttles of one cycle family, or the phase shuttles
-    of the other) or sqswaps. Intended movers
-    contribute mover constraints; only non-movers contribute stay-put
-    constraints. Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
-    UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
-
-    A call costs O(instructions + stay-put qubits) integer operations and
-    builds no per-instruction line sets. Barriers are compared from the
-    instructions' sites, occupied pairs across a lowered barrier are read
-    from the grid's row and column masks, and the QL pairs are folded into
-    two masks in which bit n-1-k stands for the QL_k - QL_k+1 edge: `up`
-    when QL_k+1 must sit above QL_k, `down` when below. Every pair joins
-    adjacent diagonals, so the merged digraph is a subgraph of a path and
-    has a cycle exactly when up & down != 0. Only then are the pairs listed
-    and _find_ql_cycle run, to name the cycle and the instructions in it.
-    """
-    ops = cycle.ops
-    if cycle.type is CycleType.XY_ROT:  # semi-global pulses
-        # the family is the one kind sg_rot, so the kind is not compared
-        distinct = {(op.axis, op.angle, op.parity) for op in ops}
-        if len(distinct) > 1:
-            return ConflictReport(
-                kind=ConflictKind.BARRIER_CLASH,
-                culprits=tuple(range(len(ops))),
-                detail="conflicting semi-global drives on the shared column lines",
-            )
-        return LEGAL
-    moves = ops[0].kind.moves  # otherwise every instruction is a sqswap
-
-    # each instruction's two sites: a move's origin and destination, or the
-    # sites of a sqswap's two qubits
-    sites: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for i, op in enumerate(ops):
-        if moves:
-            origin, dest = move_sites(grid, op.qubits[0], op.kind.delta)
-            if not grid.in_grid(dest):
-                return ConflictReport(
-                    kind=ConflictKind.BLOCKED_PATH,
-                    culprits=(i,),
-                    detail=f"qubit {op.qubits[0]} shuttled off-grid from {origin}",
-                )
-            sites.append((origin, dest))
-        else:
-            try:
-                sites.append(sqswap_sites(grid, op.qubits[0], op.qubits[1]))
-            except CrossbarError as e:
-                return ConflictReport(ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e))
-
-    # blocked paths: duplicate movers, shared destinations, occupied destinations
+def _shared_or_clashing(grid: Grid, ops, sites, moves: bool) -> ConflictReport | None:
+    """The checks that compare a cycle's instructions with each other, for a
+    cycle of two or more: a qubit moved twice, two moves onto one site (in
+    index order, with each destination's occupancy), and a barrier one
+    instruction lowers that borders another's sites, which raises it."""
     if moves:
         seen_mover: dict[int, int] = {}
         for i, op in enumerate(ops):
@@ -395,33 +345,111 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
                     culprits=(i,),
                     detail=f"destination {dest} is occupied",
                 )
-
-    # barrier clashes: instruction j raises every barrier bordering its two
-    # sites except the one it lowers
-    lowered = [barrier_between(a, b) for a, b in sites]
+    # each lowered barrier as (column barrier?, index): CL_k or RL_k
+    lowered = [(y0 == y1, min(x0, x1) if y0 == y1 else min(y0, y1)) for (x0, y0), (x1, y1) in sites]
     for i, line in enumerate(lowered):
-        for j, (a, b) in enumerate(sites):
-            if line != lowered[j] and (_borders(line, a) or _borders(line, b)):
+        cl, k = line
+        for j, ((ax, ay), (bx, by)) in enumerate(sites):
+            # the coordinate across the barrier of each of j's sites
+            a, b = (ax, bx) if cl else (ay, by)
+            if line != lowered[j] and (k <= a <= k + 1 or k <= b <= k + 1):
                 return ConflictReport(
                     kind=ConflictKind.BARRIER_CLASH,
                     culprits=(i, j),
-                    detail=f"[{line}] lowered by one instruction, raised by another",
+                    detail=f"[{Line('CL' if cl else 'RL', k)}] lowered by one instruction, raised by another",
                 )
+    return None
+
+
+def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
+    """Can this cycle's instructions run in parallel on this grid?
+
+    The cycle holds one instruction family (Cycle's rule): semi-global
+    pulses, moves (the shuttles of one cycle family, or the phase shuttles
+    of the other) or sqswaps. Intended movers
+    contribute mover constraints; only non-movers contribute stay-put
+    constraints. Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
+    UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
+
+    A call costs O(instructions + stay-put qubits) integer operations for a
+    lone instruction, the common cycle, plus the O(instructions^2) pairwise
+    checks of _shared_or_clashing for two or more. A move's sites are read
+    from grid.coords; its destination's occupancy and the occupied pairs
+    across a lowered barrier are read from the grid's column and row masks.
+    The QL pairs are folded into two masks in which bit n-1-k stands for the
+    QL_k - QL_k+1 edge: `up` when QL_k+1 must sit above QL_k, `down` when
+    below. Every pair joins adjacent diagonals, so the merged digraph is a
+    subgraph of a path and has a cycle exactly when up & down != 0. Line
+    objects and QL pair sets are built only for a report: only then are the
+    pairs listed and _find_ql_cycle run, to name the cycle and the
+    instructions in it.
+    """
+    ops = cycle.ops
+    kind = ops[0].kind
+    if kind.family is _XY_ROT:  # semi-global pulses
+        # the family is the one kind sg_rot, so the kind is not compared
+        distinct = {(op.axis, op.angle, op.parity) for op in ops}
+        if len(distinct) > 1:
+            return ConflictReport(
+                kind=ConflictKind.BARRIER_CLASH,
+                culprits=tuple(range(len(ops))),
+                detail="conflicting semi-global drives on the shared column lines",
+            )
+        return LEGAL
+    moves = kind.moves  # otherwise every instruction is a sqswap
+    n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
+
+    # each instruction's two sites: a move's origin and destination, or the
+    # sites of a sqswap's two qubits
+    sites: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    for i, op in enumerate(ops):
+        if moves:
+            q = op.qubits[0]
+            x, y = xy[2 * q], xy[2 * q + 1]
+            dx, dy = op.kind.delta
+            if not (0 <= x + dx < n and 0 <= y + dy < n):
+                return ConflictReport(
+                    kind=ConflictKind.BLOCKED_PATH,
+                    culprits=(i,),
+                    detail=f"qubit {q} shuttled off-grid from {(x, y)}",
+                )
+            sites.append(((x, y), (x + dx, y + dy)))
+        else:
+            try:
+                sites.append(sqswap_sites(grid, op.qubits[0], op.qubits[1]))
+            except CrossbarError as e:
+                return ConflictReport(ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e))
+
+    # blocked paths and barrier clashes: instruction j raises every barrier
+    # bordering its two sites except the one it lowers
+    if len(ops) > 1:
+        report = _shared_or_clashing(grid, ops, sites, moves)
+        if report is not None:
+            return report
+    elif moves:
+        x, y = sites[0][1]
+        if cols[x] >> y & 1:
+            return ConflictReport(
+                kind=ConflictKind.BLOCKED_PATH,
+                culprits=(0,),
+                detail=f"destination {(x, y)} is occupied",
+            )
 
     # unwanted interactions: the barrier an instruction lowers runs the
     # whole line, so an occupied pair across it elsewhere couples those
     # qubits regardless of QL relations
-    for i, (((x, y), _), line) in enumerate(zip(sites, lowered)):
-        k = line.index
-        if line.family == "RL":  # vertical shuttle or sqswap: other columns
-            hits, where = grid.rows[k] & grid.rows[k + 1] & ~(1 << x), "column"
-        else:  # horizontal shuttle: other rows
-            hits, where = grid.cols[k] & grid.cols[k + 1] & ~(1 << y), "row"
+    for i, ((x0, y0), (x1, y1)) in enumerate(sites):
+        if y0 == y1:  # horizontal shuttle, CL_k lowered: other rows
+            k, family, where = min(x0, x1), "CL", "row"
+            hits = cols[k] & cols[k + 1] & ~(1 << y0)
+        else:  # vertical shuttle or sqswap, RL_k lowered: other columns
+            k, family, where = min(y0, y1), "RL", "column"
+            hits = rows[k] & rows[k + 1] & ~(1 << x0)
         if hits:
             return ConflictReport(
                 kind=ConflictKind.UNWANTED_INTERACTION,
                 culprits=(i,),
-                detail=f"{line} lowered while {where} {next(_bits(hits))} holds an occupied pair",
+                detail=f"{family}_{k} lowered while {where} {next(_bits(hits))} holds an occupied pair",
             )
 
     if not moves:  # a sqswap holds its two QL lines equal: no inequality
@@ -430,7 +458,6 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     movers: dict[int, int] = {}
     for (x, y), _ in sites:
         movers[x] = movers.get(x, 0) | 1 << y
-    n = grid.n
     up = down = 0
     for (x0, y0), (x1, y1) in sites:
         dest_ql, origin_ql = x1 - y1, x0 - y0
@@ -461,18 +488,16 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
 
 def apply_op(grid: Grid, op: Instruction) -> None:
     """Advance the grid in place by one instruction; the one check that a
-    move stays on the grid and lands on an empty site. A failed check
+    move stays on the grid and lands on an empty site (_destination, which
+    reads grid.coords and grid.cols), then one Grid.move. A failed check
     raises CrossbarError and leaves the grid unchanged."""
     kind = op.kind
     if kind.moves:
         q = op.qubits[0]
-        _, dest = _legal_move(grid, q, kind.delta, kind)
-        grid.move(q, dest)
-    elif kind is InstrKind.SQSWAP:
+        grid.move(q, _destination(grid, q, kind.delta, kind))
+    elif kind is _SQSWAP:
         sqswap_sites(grid, *op.qubits)
     # sqswap and semi-global rotations leave positions unchanged
-
-
 def apply_cycle(grid: Grid, cycle: Cycle) -> None:
     """apply_op on each instruction in order, then add the occupancy to
     grid.trajectory. A CrossbarError partway undoes the moves before it in

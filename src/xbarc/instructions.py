@@ -22,6 +22,13 @@ FIELDS; schedule_from_doc round-trips the document exactly and rejects a
 field that a kind does not carry. It refuses a document of an earlier
 format, one that wrote n and typed cycles or holds an instruction kind
 since retired, with "recompile it".
+
+The loader makes one pass over the document. It checks the placement and
+grid, builds the embedded circuit gate by gate, then checks and builds each
+instruction once: the form the writer gives each kind is checked inline,
+fields, qubit range and src range together, and built positionally; any
+other form goes through instruction_from_dict, which names its fault. Of
+several faults in one document, the first the pass meets is named.
 """
 from __future__ import annotations
 
@@ -36,7 +43,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .circuits import NATIVE_KINDS, Circuit, circuit_from_dict, circuit_to_dict, is_finite_real, is_int
+from .circuits import NATIVE_KINDS, Circuit, Gate, circuit_to_dict, is_finite_real, is_int
 from .errors import CrossbarError, XbarcError
 
 
@@ -63,7 +70,10 @@ class InstrKind(Enum):
     - `moves`: whether it has a delta.
 
     The per-instruction walks read these attributes: an Enum member used as
-    a set or dict key hashes in Python on every lookup.
+    a set or dict key hashes in Python on every lookup. Where they compare
+    with a member, they use a name bound once at module or function level,
+    since a member read off its class (InstrKind.SG_ROT) goes through
+    EnumType.__getattr__, a Python-level hook.
     """
 
     def __new__(cls, value: str, family: CycleType, delta=None):
@@ -127,7 +137,16 @@ _ROWS = {kind.value: (kind, row, {"kind", "src"} | {f.key for f in row}) for kin
 _RETIRED = ("zsh", "zsh_ret", "sg_rot_inv")
 
 
-@dataclass(frozen=True)
+# Instruction and Cycle are frozen slotted dataclasses with a hand-written
+# __init__ that sets each field through a prebound object.__setattr__: the
+# generated frozen __init__ looks that method up once per field, and the
+# slots keep each instance to one object with no __dict__. Assignment still
+# raises FrozenInstanceError, and equality, hashing, repr and
+# dataclasses.replace are the generated ones.
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class Instruction:
     kind: InstrKind
     # which of the fields below a kind carries: FIELDS
@@ -137,18 +156,28 @@ class Instruction:
     parity: int | None = None  # addressed column parity
     src: tuple[int, ...] = ()  # indices of source gates in the decomposed circuit
 
+    def __init__(self, kind, qubits=(), angle=None, axis=None, parity=None, src=()):
+        _set(self, "kind", kind)
+        _set(self, "qubits", qubits)
+        _set(self, "angle", angle)
+        _set(self, "axis", axis)
+        _set(self, "parity", parity)
+        _set(self, "src", src)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class Cycle:
     ops: tuple[Instruction, ...]
 
-    def __post_init__(self):
-        if not self.ops:
+    def __init__(self, ops):
+        if not ops:
             raise ValueError("cycle must hold at least one instruction")
-        family = self.ops[0].kind.family
-        if any(op.kind.family is not family for op in self.ops):
-            held = sorted({op.kind.family.value for op in self.ops})
-            raise ValueError(f"instruction families {held} cannot share a cycle")
+        family = ops[0].kind.family
+        for op in ops:
+            if op.kind.family is not family:
+                held = sorted({op.kind.family.value for op in ops})
+                raise ValueError(f"instruction families {held} cannot share a cycle")
+        _set(self, "ops", ops)
 
     @property
     def type(self) -> CycleType:
@@ -241,9 +270,10 @@ class TrajectoryDigest:
 # kinds' fields
 _ATTRS = {f.attr for row in FIELDS.values() for f in row}
 _UNSET = {kind: sorted(_ATTRS - {f.attr for f in row}) for kind, row in FIELDS.items()}
+_BLANK = Instruction(None)  # every attribute but kind at its default
 # the writer's lookup: kind -> its FIELDS row, a getter of its _UNSET
-# attributes, and their defaults, which the dataclass keeps as class attributes
-_WRITE = {kind: (FIELDS[kind], attrgetter(*unset), attrgetter(*unset)(Instruction)) for kind, unset in _UNSET.items()}
+# attributes, and their defaults
+_WRITE = {kind: (FIELDS[kind], attrgetter(*unset), attrgetter(*unset)(_BLANK)) for kind, unset in _UNSET.items()}
 
 
 def instruction_to_dict(op: Instruction) -> dict:
@@ -252,7 +282,7 @@ def instruction_to_dict(op: Instruction) -> dict:
     carry, which the document could not hold, raises ValueError naming both."""
     row, get_unset, defaults = _WRITE[op.kind]
     if get_unset(op) != defaults:
-        attr = next(a for a in _UNSET[op.kind] if getattr(op, a) != getattr(Instruction, a))
+        attr = next(a for a in _UNSET[op.kind] if getattr(op, a) != getattr(_BLANK, a))
         raise ValueError(f"{op.kind.value} carries no field {attr!r}, instruction gives {getattr(op, attr)!r}")
     d = {"kind": op.kind.value}
     for f in row:
@@ -285,7 +315,7 @@ def instruction_from_dict(d: dict) -> Instruction:
     if "src" in d:
         src = d["src"]
         if not (isinstance(src, list) and all(map(_is_index, src))):
-            _typed(src, list, f"{kind.value} src")
+            _typed(src, list, "{} src", kind.value)
             raise XbarcError(f"{kind.value} src must list non-negative integers, document gives {src!r}")
         values["src"] = tuple(src)
     return Instruction(kind, **values)
@@ -304,11 +334,12 @@ def schedule_to_doc(s: Schedule) -> dict:
     return doc
 
 
-def _typed(value, kind: type, what: str):
-    """`value`, if it is a `kind` (list or dict); an XbarcError naming `what` otherwise."""
+def _typed(value, kind: type, what: str, *args):
+    """`value`, if it is a `kind` (list or dict); an XbarcError naming
+    `what`, formatted with `args` only then, otherwise."""
     if not isinstance(value, kind):
         noun = "a list" if kind is list else "an object"
-        raise XbarcError(f"{what} must be {noun}, document gives {value!r}")
+        raise XbarcError(f"{what.format(*args)} must be {noun}, document gives {value!r}")
     return value
 
 
@@ -319,35 +350,100 @@ def _string(value, what: str) -> str:
     return value
 
 
-# a tuple: a set lookup would fail on an unhashable kind such as a list
-_NATIVE_NAMES = tuple(sorted(kind.value for kind in NATIVE_KINDS))
+# the native kinds by name, looked up by string only: a dict lookup would
+# fail on an unhashable kind such as a list
+_NATIVE_BY_NAME = {kind.value: kind for kind in NATIVE_KINDS}
 
 
 def _circuit_from_doc(d) -> Circuit:
-    """circuit_from_dict after the checks its constructors leave out."""
+    """circuit_from_dict, with the checks its constructors leave out made
+    on each gate before it is built."""
     _typed(d, dict, "circuit")
-    _string(d.get("name", ""), "circuit name")
+    name = _string(d.get("name", ""), "circuit name")
     n = d["n_qubits"]
     if not (is_int(n) and n >= 1):
         raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {n!r}")
+    gates = []
     for i, g in enumerate(_typed(d["gates"], list, "circuit gates")):
-        kind = _typed(g, dict, f"circuit gate {i}")["kind"]
-        if kind not in _NATIVE_NAMES:
-            raise XbarcError(f"circuit gate {i} kind must be rx, ry, rz or sqswap, document gives {kind!r}")
-        q = _typed(g["q"], list, f"circuit gate {i} q")
+        kind_name = _typed(g, dict, "circuit gate {}", i)["kind"]
+        kind = _NATIVE_BY_NAME.get(kind_name) if type(kind_name) is str else None
+        if kind is None:
+            raise XbarcError(f"circuit gate {i} kind must be rx, ry, rz or sqswap, document gives {kind_name!r}")
+        q = _typed(g["q"], list, "circuit gate {} q", i)
         if not all(map(is_int, q)):
             raise XbarcError(f"circuit gate {i} q must list integers, document gives {q!r}")
-        if "angle" in g and not is_finite_real(g["angle"]):
-            raise XbarcError(
-                f"circuit gate {i} angle must be a finite number, document gives {g['angle']!r}"
-            )
-    return circuit_from_dict(d)
+        angle = g.get("angle")
+        if "angle" in g and not is_finite_real(angle):
+            raise XbarcError(f"circuit gate {i} angle must be a finite number, document gives {angle!r}")
+        gates.append(Gate(kind, tuple(q), angle))
+    return Circuit(name, n, tuple(gates))
 
 
-def _cycle_from_doc(i: int, ops) -> Cycle:
-    ops = _typed(ops, list, f"cycle {i}")
+# the families _cycle_from_doc tells apart, bound once (see InstrKind)
+_XY_ROT, _SHUTTLE, _TWOQ = CycleType.XY_ROT, CycleType.SHUTTLE, CycleType.TWOQ
+
+
+def _in_range(op: Instruction, n: int, n_gates) -> Instruction:
+    """`op`, if its qubits lie below n and its src below n_gates."""
+    for q in op.qubits:
+        if q >= n:
+            raise XbarcError(f"{op.kind.value} names qubit {q}, outside range({n})")
+    if op.src and max(op.src) >= n_gates:
+        raise XbarcError(
+            f"{op.kind.value} src names gate {max(op.src)}, outside the embedded circuit's range({n_gates})"
+        )
+    return op
+
+
+def _cycle_from_doc(i: int, ops, n: int, n_gates) -> Cycle:
+    """Cycle i of a document on n qubits whose embedded circuit holds n_gates
+    gates (math.inf without one). Each instruction is checked once, its field
+    checks and its qubit and src ranges together, and built positionally.
+    The form the writer gives each kind, a float angle and at most one src,
+    is checked inline; any other instruction goes through
+    instruction_from_dict and _in_range, which accept it or raise the error
+    that names its fault."""
+    built = []
     try:
-        return Cycle(tuple(instruction_from_dict(_typed(op, dict, f"cycle {i} op")) for op in ops))
+        for d in _typed(ops, list, "cycle {}", i):
+            name = d.get("kind") if type(d) is dict else None
+            row = _ROWS.get(name) if type(name) is str else None
+            op = None
+            if row is not None and row[2].issuperset(d):
+                kind = row[0]
+                family = kind.family
+                src = ()
+                if "src" in d:  # one source gate, in range, or the slow path
+                    src = d["src"]
+                    g = src[0] if type(src) is list and len(src) == 1 else None
+                    src = (g,) if type(g) is int and 0 <= g < n_gates else None
+                if src is None:
+                    pass
+                elif family is _XY_ROT:
+                    a, axis, parity = d.get("angle"), d.get("axis"), d.get("parity")
+                    # a - a == 0.0: the float is finite
+                    if (type(a) is float and a - a == 0.0 and (axis == "x" or axis == "y")
+                            and type(parity) is int and 0 <= parity <= 1):
+                        op = Instruction(kind, (), a, axis, parity, src)
+                else:  # a move or a sqswap: its qubits in range
+                    q = d.get("q")
+                    q0 = q[0] if type(q) is list and q else None
+                    if type(q0) is not int or not 0 <= q0 < n:
+                        pass
+                    elif family is _TWOQ:
+                        q1 = q[1] if len(q) == 2 else None
+                        if type(q1) is int and 0 <= q1 < n:
+                            op = Instruction(kind, (q0, q1), None, None, None, src)
+                    elif len(q) != 1:
+                        pass
+                    elif family is _SHUTTLE:
+                        op = Instruction(kind, (q0,), None, None, None, src)
+                    elif type(a := d.get("angle")) is float and a - a == 0.0:  # a phase shuttle
+                        op = Instruction(kind, (q0,), a, None, None, src)
+            if op is None:
+                op = _in_range(instruction_from_dict(_typed(d, dict, "cycle {} op", i)), n, n_gates)
+            built.append(op)
+        return Cycle(tuple(built))
     except ValueError as e:  # an unknown kind, or mixed instruction families
         raise XbarcError(f"cycle {i}: {e}") from None
 
@@ -371,28 +467,18 @@ def schedule_from_doc(doc: dict) -> Schedule:
         n = len(placement)
         if not (is_int(grid_n) and grid_n == grid_side(n)):
             raise XbarcError(f"grid must be {grid_side(n)} for {n} qubits, document gives {grid_n!r}")
-        cycles = tuple(_cycle_from_doc(i, c) for i, c in enumerate(_typed(doc["cycles"], list, "cycles")))
-        schedule = Schedule(
+        circuit = _circuit_from_doc(doc["circuit"]) if "circuit" in doc else None
+        if circuit is not None and circuit.n_qubits != n:
+            raise XbarcError(f"embedded circuit has {circuit.n_qubits} qubits, schedule has {n}")
+        n_gates = math.inf if circuit is None else len(circuit.gates)
+        cycles = _typed(doc["cycles"], list, "cycles")
+        return Schedule(
             name=_string(doc.get("name", ""), "name"),
             grid_n=grid_n,
             placement=tuple(tuple(p) for p in placement),
-            cycles=cycles,
+            cycles=tuple(_cycle_from_doc(i, c, n, n_gates) for i, c in enumerate(cycles)),
             trajectory_sha256=_string(doc["trajectory_sha256"], "trajectory_sha256"),
-            circuit=_circuit_from_doc(doc["circuit"]) if "circuit" in doc else None,
+            circuit=circuit,
         )
     except KeyError as e:
         raise XbarcError(f"schedule document lacks key {e.args[0]!r}") from None
-    circuit = schedule.circuit
-    if circuit is not None and circuit.n_qubits != n:
-        raise XbarcError(f"embedded circuit has {circuit.n_qubits} qubits, schedule has {n}")
-    for c in cycles:
-        for op in c.ops:
-            for q in op.qubits:
-                if q >= n:
-                    raise XbarcError(f"{op.kind.value} names qubit {q}, outside range({n})")
-            if circuit is not None and op.src and max(op.src) >= len(circuit.gates):
-                raise XbarcError(
-                    f"{op.kind.value} src names gate {max(op.src)}, "
-                    f"outside the embedded circuit's range({len(circuit.gates)})"
-                )
-    return schedule

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .circuits import Circuit, Gate, GateKind, NATIVE_KINDS
+from .circuits import Circuit, Gate, GateKind
 from .config import ArchConfig
 from .errors import DecompositionError
 
@@ -50,7 +50,7 @@ def decompose(circuit: Circuit, config: ArchConfig) -> Circuit:
     """
     out: list[Gate] = []
     for g in circuit.gates:
-        if g.kind in NATIVE_KINDS:
+        if g.kind.native:
             out.append(g)
             continue
         rule = config.decompositions.get(g.kind)

@@ -113,12 +113,13 @@ def esp(schedule: Schedule, fmap: FidelityMap) -> float:
     single, shuttle, sqswap = (fmap.values[c].tolist() for c in FIDELITY_CLASSES)
     grid = Grid(schedule.grid_n, schedule.placement)
     total = 1.0
+    sqswap_kind = InstrKind.SQSWAP  # bound once (see InstrKind)
     for cycle in schedule.cycles:
         for op in cycle.ops:
             if op.kind.moves:
                 _, (x, y) = move_sites(grid, op.qubits[0], op.kind.delta)
                 total *= shuttle[y][x]
-            elif op.kind is InstrKind.SQSWAP:
+            elif op.kind is sqswap_kind:
                 x, y = min(sqswap_sites(grid, *op.qubits), key=lambda s: s[1])
                 total *= sqswap[y][x]
             else:  # semi-global pulse: every qubit in the parity contributes

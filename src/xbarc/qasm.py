@@ -120,13 +120,14 @@ def _eval_angle(expr: str, line: int) -> float:
     return angle
 
 
-# a qreg or creg declaration, once its keyword is known
-_REG_RE = re.compile(r"[qc]reg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]")
+# a qreg or creg declaration, once its keyword is known; sizes and indices
+# here and in _OPERAND_RE are ASCII digits ("\d" takes any Unicode digit)
+_REG_RE = re.compile(r"[qc]reg\s+([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]")
 # name, then the parameters up to the statement's last ')', then the operands;
 # the name cannot shrink to let the parameter group match, so matching is
 # linear in the statement's length, and ast.parse judges the parentheses
 _CALL_RE = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)(?![A-Za-z0-9_])(?:\s*\((.*)\))?(.*)")
-_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*(\d+)\s*\]$")
+_OPERAND_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*)\s*\[\s*([0-9]+)\s*\]$")
 
 
 def parse_qasm(text: str, name: str = "") -> Circuit:

@@ -27,12 +27,16 @@ from .mapper import expand_semi_global, route_two_qubit, z_route
 split_cycle = None  # unused; perfbench/tracing.py binds this name
 
 
+# bound once for _route_gate (see GateKind)
+_RX, _RY, _RZ = GateKind.RX, GateKind.RY, GateKind.RZ
+
+
 def _route_gate(grid: Grid, gate: Gate, i: int) -> tuple[Cycle, ...]:
     """Gate i of the circuit as one routed block, applied to `grid`."""
-    if gate.kind is GateKind.RZ:
+    if gate.kind is _RZ:
         return z_route(grid, gate.qubits[0], gate.angle, src=i)
-    if gate.kind in (GateKind.RX, GateKind.RY):
-        axis = "x" if gate.kind is GateKind.RX else "y"
+    if gate.kind is _RX or gate.kind is _RY:
+        axis = "x" if gate.kind is _RX else "y"
         return expand_semi_global(grid, gate.qubits[0], axis, gate.angle, src=i)
     a, b = gate.qubits
     return route_two_qubit(grid, a, b, src=i)

@@ -9,7 +9,14 @@ Both equivalence simulators (simulate_circuit here and
 verifier.simulate_schedule) feed a RotationFold: each qubit's single-qubit
 rotations are folded into one pending 2x2 until that qubit's next two-qubit
 gate, which applies them in the same kernel call, so the full state is
-touched once per two-qubit gate plus once per qubit at the end.
+touched once per two-qubit gate plus once per qubit at the end. A pending
+2x2 is a pair of rows of Python numbers, ((a, b), (c, d)), and a
+rotation folds into it in plain complex arithmetic: a numpy call per 2x2
+product would cost more than the product. The simulators build the rx, ry
+and rz factors the same way from math.cos and math.sin (rx_2x2, ry_2x2,
+rz_2x2) and tell the native gate kinds apart by identity, so no GateKind is
+hashed per gate. The fold converts a pending 2x2 to an array only when the
+kernel applies it.
 
 RotationFold.apply is the one gate kernel. It works in place: the fold
 copies the caller's state once into its own buffer and keeps two scratch
@@ -24,24 +31,41 @@ import math
 
 import numpy as np
 
-from .circuits import TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from .circuits import Circuit, Gate, GateKind
 
 SQRT2 = math.sqrt(2.0)
 _I2 = np.eye(2, dtype=complex)
 
 
-def rx_matrix(theta: float) -> np.ndarray:
+# The rotations as nested pairs of Python numbers, which RotationFold.rotate
+# folds without numpy, and the same values as arrays
+
+
+def rx_2x2(theta: float):
     c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    return (c, -1j * s), (-1j * s, c)
+
+
+def ry_2x2(theta: float):
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return (c, -s), (s, c)
+
+
+def rz_2x2(theta: float):
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return (complex(c, -s), 0j), (0j, complex(c, s))
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    return np.array(rx_2x2(theta), dtype=complex)
 
 
 def ry_matrix(theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.array(ry_2x2(theta), dtype=complex)
 
 
 def rz_matrix(theta: float) -> np.ndarray:
-    return np.array([[np.exp(-1j * theta / 2), 0], [0, np.exp(1j * theta / 2)]], dtype=complex)
+    return np.array(rz_2x2(theta), dtype=complex)
 
 
 SQSWAP_MATRIX = np.array(
@@ -68,6 +92,8 @@ _FIXED = {
     GateKind.CZ: np.diag([1, 1, 1, -1]).astype(complex),
 }
 _ROTATIONS = {GateKind.RX: rx_matrix, GateKind.RY: ry_matrix, GateKind.RZ: rz_matrix}
+# simulate_circuit's kinds, bound once (see GateKind)
+_RX, _RY, _RZ, _SQSWAP = GateKind.RX, GateKind.RY, GateKind.RZ, GateKind.SQSWAP
 
 
 def gate_matrix(g: Gate) -> np.ndarray:
@@ -133,7 +159,8 @@ class RotationFold:
     def __init__(self, state: np.ndarray, n: int):
         self.state = np.array(state, dtype=complex, order="C")
         self.n = n
-        self.pending: list[np.ndarray | None] = [None] * n  # None: identity
+        # per qubit, ((a, b), (c, d)) of Python numbers, or None: identity
+        self.pending: list[tuple | None] = [None] * n
         self._batch = self.state.size >> n  # columns per basis index
         self._operands = np.empty(self.state.size, dtype=complex)
         self._product = np.empty(self.state.size, dtype=complex)
@@ -163,9 +190,16 @@ class RotationFold:
         np.matmul(u, operands.reshape(rows, -1), out=product)
         np.copyto(view, product.reshape(view.shape))
 
-    def rotate(self, q: int, u: np.ndarray) -> None:
+    def rotate(self, q: int, u) -> None:
+        """Fold the 2x2 u, nested pairs or an array, into q's pending
+        rotation: u @ pending, in Python complex arithmetic."""
+        (a, b), (c, d) = u
         p = self.pending[q]
-        self.pending[q] = u if p is None else u @ p
+        if p is None:
+            self.pending[q] = (a, b), (c, d)
+        else:
+            (e, f), (g, h) = p
+            self.pending[q] = (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
 
     def interact(self, a: int, b: int, u4: np.ndarray) -> None:
         """Apply u4 (a the high bit, as in apply_2q) after both operands'
@@ -174,8 +208,8 @@ class RotationFold:
         ua[i, j] * ub[k, l]."""
         ua, ub = self.pending[a], self.pending[b]
         if ua is not None or ub is not None:
-            ua = _I2 if ua is None else ua
-            ub = _I2 if ub is None else ub
+            ua = _I2 if ua is None else np.array(ua, dtype=complex)
+            ub = _I2 if ub is None else np.array(ub, dtype=complex)
             u4 = u4 @ (ua[:, None, :, None] * ub[None, :, None, :]).reshape(4, 4)
             self.pending[a] = self.pending[b] = None
         self.apply((a, b), u4)
@@ -185,16 +219,27 @@ class RotationFold:
         qubit order, and cleared, so a second call returns the same state."""
         for q, u in enumerate(self.pending):
             if u is not None:
-                self.apply((q,), u)
+                self.apply((q,), np.array(u, dtype=complex))
                 self.pending[q] = None
         return self.state
 
 
 def simulate_circuit(circuit: Circuit, state: np.ndarray) -> np.ndarray:
+    """The circuit's gates in order on `state`, through a RotationFold. The
+    native kinds are told apart by identity, so no GateKind is hashed."""
     fold = RotationFold(state, circuit.n_qubits)
     for g in circuit.gates:
-        if g.kind in TWO_QUBIT_KINDS:
-            fold.interact(g.qubits[0], g.qubits[1], gate_matrix(g))
+        kind, qubits = g.kind, g.qubits
+        if kind is _RZ:
+            fold.rotate(qubits[0], rz_2x2(g.angle))
+        elif kind is _RX:
+            fold.rotate(qubits[0], rx_2x2(g.angle))
+        elif kind is _RY:
+            fold.rotate(qubits[0], ry_2x2(g.angle))
+        elif kind is _SQSWAP:
+            fold.interact(qubits[0], qubits[1], SQSWAP_MATRIX)
+        elif kind.arity == 2:
+            fold.interact(qubits[0], qubits[1], gate_matrix(g))
         else:
-            fold.rotate(g.qubits[0], gate_matrix(g))
+            fold.rotate(qubits[0], gate_matrix(g))
     return fold.result()

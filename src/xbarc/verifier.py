@@ -39,9 +39,9 @@ from .sim import (
     SQSWAP_MATRIX,
     RotationFold,
     random_product_state,
-    rx_matrix,
-    ry_matrix,
-    rz_matrix,
+    rx_2x2,
+    ry_2x2,
+    rz_2x2,
     simulate_circuit,
     zero_state,
 )
@@ -121,15 +121,18 @@ def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:
     """
     fold = RotationFold(state, schedule.n_qubits)
     grid = Grid(schedule.grid_n, schedule.placement)
+    # bound once (see InstrKind)
+    z, sg_rot, sqswap = CycleType.Z, InstrKind.SG_ROT, InstrKind.SQSWAP
     for cycle in schedule.cycles:
         for op in cycle.ops:
-            if op.kind.family is CycleType.Z:
-                fold.rotate(op.qubits[0], rz_matrix(op.angle))
-            elif op.kind is InstrKind.SG_ROT:
-                rot = rx_matrix(op.angle) if op.axis == "x" else ry_matrix(op.angle)
+            kind = op.kind
+            if kind.family is z:
+                fold.rotate(op.qubits[0], rz_2x2(op.angle))
+            elif kind is sg_rot:
+                rot = rx_2x2(op.angle) if op.axis == "x" else ry_2x2(op.angle)
                 for q in grid.parity_members(op.parity):
                     fold.rotate(q, rot)
-            elif op.kind is InstrKind.SQSWAP:
+            elif kind is sqswap:
                 fold.interact(op.qubits[0], op.qubits[1], SQSWAP_MATRIX)
             apply_op(grid, op)
     return fold.result()

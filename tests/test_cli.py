@@ -224,89 +224,91 @@ def _retired_kinds(doc):
     assert [op["kind"] for op in doc["cycles"][0] + doc["cycles"][1]] == ["zsh", "zsh_ret"]
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (_drop("cycles"), "lacks key 'cycles'"),
-        (_drop("placement"), "lacks key 'placement'"),
-        (_drop("trajectory_sha256"), "lacks key 'trajectory_sha256'"),
-        (_set_op("sqswap", "q", [0, 7]), "qubit 7, outside range(2)"),
-        (_old_format(positions=True), "document writes n and typed cycles; it predates this format, recompile it"),
-        (lambda doc: doc.update(grid="3"), "grid must be 2 for 2 qubits, document gives '3'"),
-        (_set_op("sg_rot", "angle", None), "sg_rot needs a numeric angle"),
-        (_set_op("zsh_r", "angle", None), "zsh_r needs a numeric angle"),
-        (_set_op("sg_rot", "axis", "z"), "needs axis x or y"),
-        (_set_op("sg_rot", "parity", 2), "needs parity 0 or 1"),
-        (lambda doc: doc.update(placement=[[0], [1, 1]]), "placement of qubit 0"),
-        (lambda doc: doc["circuit"].update(n_qubits=3), "embedded circuit has 3 qubits"),
-        (_set_op("sqswap", "q", 5), "sqswap needs q as a list of 2 qubits, document gives 5"),
-        (_set_op("sqswap", "src", 5), "sqswap src must be a list"),
-        (_set_first(["cycles", 0], 5), "cycle 0 must be a list, document gives 5"),
-        (_set_first(["cycles"], 5), "cycles must be a list"),
-        (_set_first(["circuit", "gates"], 5), "circuit gates must be a list"),
-        (_set_first(["cycles", 0], {"type": "z", "ops": []}), "cycle 0 must be a list, document gives {'type'"),
-        (_set_first(["cycles", 0, 0], 5), "cycle 0 op must be an object"),
-        (_set_circuit_gate("q", 0), "circuit gate 0 q must be a list"),
-        (_set_first(["circuit", "n_qubits"], "2"), "circuit n_qubits must be a positive integer"),
-        (_set_circuit_gate("angle", "0.5"), "circuit gate 0 angle must be a finite number"),
-        (_set_op("zsh_r", "angle", 10**400), "zsh_r needs a numeric angle, finite as a float"),
-        (_set_op("zsh_r", "angle", float("nan")), "zsh_r needs a numeric angle, finite as a float"),
-        (_set_op("zsh_r", "angle", float("inf")), "zsh_r needs a numeric angle, finite as a float"),
-        (lambda doc: doc.update(grid=10**19), "grid must be 2 for 2 qubits"),
-        (lambda doc: doc.update(grid=9), "grid must be 2 for 2 qubits"),
-        (lambda doc: doc.update(placement=[[5, 5], [1, 1]]), "qubit 0 at (5, 5) outside 2x2 grid"),
-        (lambda doc: doc.update(placement=[[1, 1], [1, 1]]), "qubits 0 and 1 share site (1, 1)"),
-        (_append_op(1, {"kind": "sg_rot", "angle": 0.1, "axis": "x", "parity": 0}),
-         "cycle 1: instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
-        (lambda doc: doc.update(name=5), "name must be a string, document gives 5"),
-        (_set_first(["circuit", "name"], ["bell"]), "circuit name must be a string, document gives ['bell']"),
-        (lambda doc: doc.update(trajectory_sha256=5), "trajectory_sha256 must be a string, document gives 5"),
-        (_set_op("sqswap", "src", [1.5]), "sqswap src must list non-negative integers, document gives [1.5]"),
-        (_set_op("sqswap", "src", [-1]), "sqswap src must list non-negative integers, document gives [-1]"),
-        (_set_first(["circuit", "gates", 0], {"kind": "measure", "q": [0]}),
-         "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'measure'"),
-        (_set_first(["circuit", "gates", 0], {"kind": "h", "q": [0]}),
-         "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'h'"),
-        (_set_first(["circuit", "gates", 1], {"kind": "cx", "q": [0, 1]}),
-         "circuit gate 1 kind must be rx, ry, rz or sqswap, document gives 'cx'"),
-        (_set_first(["circuit", "gates", 0, "kind"], ["rx"]),
-         "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives ['rx']"),
-        (_old_format(positions=False), "document writes n and typed cycles; it predates this format, recompile it"),
-        (_set_op("sqswap", "src", [100000000000]),
-         "sqswap src names gate 100000000000, outside the embedded circuit's range(8)"),
-        (_set_op("sh_r", "dir", "L"), "sh_r carries no field 'dir'; its fields are ['kind', 'q', 'src']"),
-        (_set_op("sqswap", "angle", 0.5), "sqswap carries no field 'angle'; its fields are ['kind', 'q', 'src']"),
-        (lambda doc: [_set_op("zsh_l", key, value)(doc) for key, value in (("axis", "x"), ("parity", 0))],
-         "zsh_l carries no field 'axis'; its fields are ['angle', 'kind', 'q', 'src']"),
-        (_set_op("zsh_l", "dir", "L"), "zsh_l carries no field 'dir'; its fields are ['angle', 'kind', 'q', 'src']"),
-        (_retired_kinds, "document holds the retired kind 'zsh'; it predates this format, recompile it"),
-        (_set_op("sh_l", "kind", "zsh_ret"), "document holds the retired kind 'zsh_ret'; it predates this format"),
-        (_set_op("sg_rot", "kind", "sg_rot_inv"),
-         "document holds the retired kind 'sg_rot_inv'; it predates this format, recompile it"),
-        (_set_first(["cycles", 1, 0, "kind"], 3), "cycle 1: 3 is not a valid InstrKind"),
-        (_set_first(["cycles", 1, 0, "kind"], ["sh_l"]), "cycle 1: ['sh_l'] is not a valid InstrKind"),
-        (_set_first(["cycles", 1, 0, "kind"], None), "cycle 1: None is not a valid InstrKind"),
-        (_set_first(["cycles", 1, 0, "kind"], "SH_L"), "cycle 1: 'SH_L' is not a valid InstrKind"),
-        (lambda doc: doc["cycles"][1][0].pop("kind"), "lacks key 'kind'"),
-        (_set_circuit_gate("q", [5]), "operand 5 out of range for 2 qubits"),
-        (_set_circuit_gate("q", [-1]), "operand -1 out of range for 2 qubits"),
-    ],
-    ids=[
-        "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
-        "grid-string", "sg-angle-null", "zsh-angle-null", "axis-z", "parity-2",
-        "placement-not-pair", "circuit-qubits-mismatch", "q-number", "src-number", "ops-number",
-        "cycles-number", "circuit-gates-number", "cycle-object", "op-not-object",
-        "circuit-gate-q-number", "circuit-qubits-string", "circuit-angle-string", "zsh-angle-401-digits",
-        "zsh-angle-nan", "zsh-angle-inf", "grid-huge", "grid-too-large", "placement-off-grid",
-        "placement-shared-site", "cycle-mixed", "name-number",
-        "circuit-name-list", "digest-number", "src-float", "src-negative",
-        "circuit-gate-measure", "circuit-gate-h", "circuit-gate-cx", "circuit-gate-kind-list",
-        "typed-cycles", "src-out-of-range", "sh-dir", "sqswap-angle", "zsh-axis-parity", "zsh-dir",
-        "retired-kinds", "retired-zsh-ret", "retired-sg-rot-inv",
-        "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
-        "circuit-gate-q-5", "circuit-gate-q-negative",
-    ],
-)
+# every malformed document edit with the error message it must give; the
+# loader's differential test replays them too
+MALFORMED_DOCUMENTS = [
+    (_drop("cycles"), "lacks key 'cycles'"),
+    (_drop("placement"), "lacks key 'placement'"),
+    (_drop("trajectory_sha256"), "lacks key 'trajectory_sha256'"),
+    (_set_op("sqswap", "q", [0, 7]), "qubit 7, outside range(2)"),
+    (_old_format(positions=True), "document writes n and typed cycles; it predates this format, recompile it"),
+    (lambda doc: doc.update(grid="3"), "grid must be 2 for 2 qubits, document gives '3'"),
+    (_set_op("sg_rot", "angle", None), "sg_rot needs a numeric angle"),
+    (_set_op("zsh_r", "angle", None), "zsh_r needs a numeric angle"),
+    (_set_op("sg_rot", "axis", "z"), "needs axis x or y"),
+    (_set_op("sg_rot", "parity", 2), "needs parity 0 or 1"),
+    (lambda doc: doc.update(placement=[[0], [1, 1]]), "placement of qubit 0"),
+    (lambda doc: doc["circuit"].update(n_qubits=3), "embedded circuit has 3 qubits"),
+    (_set_op("sqswap", "q", 5), "sqswap needs q as a list of 2 qubits, document gives 5"),
+    (_set_op("sqswap", "src", 5), "sqswap src must be a list"),
+    (_set_first(["cycles", 0], 5), "cycle 0 must be a list, document gives 5"),
+    (_set_first(["cycles"], 5), "cycles must be a list"),
+    (_set_first(["circuit", "gates"], 5), "circuit gates must be a list"),
+    (_set_first(["cycles", 0], {"type": "z", "ops": []}), "cycle 0 must be a list, document gives {'type'"),
+    (_set_first(["cycles", 0, 0], 5), "cycle 0 op must be an object"),
+    (_set_circuit_gate("q", 0), "circuit gate 0 q must be a list"),
+    (_set_first(["circuit", "n_qubits"], "2"), "circuit n_qubits must be a positive integer"),
+    (_set_circuit_gate("angle", "0.5"), "circuit gate 0 angle must be a finite number"),
+    (_set_op("zsh_r", "angle", 10**400), "zsh_r needs a numeric angle, finite as a float"),
+    (_set_op("zsh_r", "angle", float("nan")), "zsh_r needs a numeric angle, finite as a float"),
+    (_set_op("zsh_r", "angle", float("inf")), "zsh_r needs a numeric angle, finite as a float"),
+    (lambda doc: doc.update(grid=10**19), "grid must be 2 for 2 qubits"),
+    (lambda doc: doc.update(grid=9), "grid must be 2 for 2 qubits"),
+    (lambda doc: doc.update(placement=[[5, 5], [1, 1]]), "qubit 0 at (5, 5) outside 2x2 grid"),
+    (lambda doc: doc.update(placement=[[1, 1], [1, 1]]), "qubits 0 and 1 share site (1, 1)"),
+    (_append_op(1, {"kind": "sg_rot", "angle": 0.1, "axis": "x", "parity": 0}),
+     "cycle 1: instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
+    (lambda doc: doc.update(name=5), "name must be a string, document gives 5"),
+    (_set_first(["circuit", "name"], ["bell"]), "circuit name must be a string, document gives ['bell']"),
+    (lambda doc: doc.update(trajectory_sha256=5), "trajectory_sha256 must be a string, document gives 5"),
+    (_set_op("sqswap", "src", [1.5]), "sqswap src must list non-negative integers, document gives [1.5]"),
+    (_set_op("sqswap", "src", [-1]), "sqswap src must list non-negative integers, document gives [-1]"),
+    (_set_first(["circuit", "gates", 0], {"kind": "measure", "q": [0]}),
+     "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'measure'"),
+    (_set_first(["circuit", "gates", 0], {"kind": "h", "q": [0]}),
+     "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'h'"),
+    (_set_first(["circuit", "gates", 1], {"kind": "cx", "q": [0, 1]}),
+     "circuit gate 1 kind must be rx, ry, rz or sqswap, document gives 'cx'"),
+    (_set_first(["circuit", "gates", 0, "kind"], ["rx"]),
+     "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives ['rx']"),
+    (_old_format(positions=False), "document writes n and typed cycles; it predates this format, recompile it"),
+    (_set_op("sqswap", "src", [100000000000]),
+     "sqswap src names gate 100000000000, outside the embedded circuit's range(8)"),
+    (_set_op("sh_r", "dir", "L"), "sh_r carries no field 'dir'; its fields are ['kind', 'q', 'src']"),
+    (_set_op("sqswap", "angle", 0.5), "sqswap carries no field 'angle'; its fields are ['kind', 'q', 'src']"),
+    (lambda doc: [_set_op("zsh_l", key, value)(doc) for key, value in (("axis", "x"), ("parity", 0))],
+     "zsh_l carries no field 'axis'; its fields are ['angle', 'kind', 'q', 'src']"),
+    (_set_op("zsh_l", "dir", "L"), "zsh_l carries no field 'dir'; its fields are ['angle', 'kind', 'q', 'src']"),
+    (_retired_kinds, "document holds the retired kind 'zsh'; it predates this format, recompile it"),
+    (_set_op("sh_l", "kind", "zsh_ret"), "document holds the retired kind 'zsh_ret'; it predates this format"),
+    (_set_op("sg_rot", "kind", "sg_rot_inv"),
+     "document holds the retired kind 'sg_rot_inv'; it predates this format, recompile it"),
+    (_set_first(["cycles", 1, 0, "kind"], 3), "cycle 1: 3 is not a valid InstrKind"),
+    (_set_first(["cycles", 1, 0, "kind"], ["sh_l"]), "cycle 1: ['sh_l'] is not a valid InstrKind"),
+    (_set_first(["cycles", 1, 0, "kind"], None), "cycle 1: None is not a valid InstrKind"),
+    (_set_first(["cycles", 1, 0, "kind"], "SH_L"), "cycle 1: 'SH_L' is not a valid InstrKind"),
+    (lambda doc: doc["cycles"][1][0].pop("kind"), "lacks key 'kind'"),
+    (_set_circuit_gate("q", [5]), "operand 5 out of range for 2 qubits"),
+    (_set_circuit_gate("q", [-1]), "operand -1 out of range for 2 qubits"),
+]
+MALFORMED_IDS = [
+    "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
+    "grid-string", "sg-angle-null", "zsh-angle-null", "axis-z", "parity-2",
+    "placement-not-pair", "circuit-qubits-mismatch", "q-number", "src-number", "ops-number",
+    "cycles-number", "circuit-gates-number", "cycle-object", "op-not-object",
+    "circuit-gate-q-number", "circuit-qubits-string", "circuit-angle-string", "zsh-angle-401-digits",
+    "zsh-angle-nan", "zsh-angle-inf", "grid-huge", "grid-too-large", "placement-off-grid",
+    "placement-shared-site", "cycle-mixed", "name-number",
+    "circuit-name-list", "digest-number", "src-float", "src-negative",
+    "circuit-gate-measure", "circuit-gate-h", "circuit-gate-cx", "circuit-gate-kind-list",
+    "typed-cycles", "src-out-of-range", "sh-dir", "sqswap-angle", "zsh-axis-parity", "zsh-dir",
+    "retired-kinds", "retired-zsh-ret", "retired-sg-rot-inv",
+    "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
+    "circuit-gate-q-5", "circuit-gate-q-negative",
+]
+
+
+@pytest.mark.parametrize("edit, message", MALFORMED_DOCUMENTS, ids=MALFORMED_IDS)
 @pytest.mark.parametrize("command", ["verify", "stats"])
 def test_malformed_document_is_a_user_error(bell_doc, capsys, command, edit, message):
     out, doc = bell_doc

@@ -1,0 +1,31 @@
+"""scripts/phase_times.py times every compile and verify phase on a small
+random-uniform circuit and prints one table row per size."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "phase_times.py"
+_spec = importlib.util.spec_from_file_location("phase_times", _SCRIPT)
+phase_times = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(phase_times)
+
+
+def test_every_phase_is_timed_on_4_qubits_30_gates():
+    ms, n_instr = phase_times.phase_times(4, 30)
+    assert list(ms) == list(phase_times.PHASES)
+    assert all(t is not None and t >= 0.0 for t in ms.values())  # equiv runs within its cap
+    assert n_instr > 30
+
+
+def test_prints_one_row_per_size(capsys):
+    assert phase_times.main(["4x30", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("| workload | parse | decompose | schedule |")
+    assert len(lines) == 3 and lines[2].startswith("| 4 q, 30 g |")
+    assert lines[2].count("|") == lines[0].count("|")
+
+
+def test_rejects_a_size_without_an_x():
+    with pytest.raises(SystemExit):
+        phase_times.main(["12"])

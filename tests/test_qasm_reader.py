@@ -227,10 +227,13 @@ def test_line_break_inside_a_statement_is_whitespace(text, n_qubits, kinds):
      ("", 1, "no qreg declaration found"),
      ("qreg q[1];\n1q;\n", 2, "cannot parse statement '1q'"),
      # only '\n' ends a line
-     ("qreg q[1];\x0ch q[0];\x1cfoo q[0];\u2028h q[0];\n", 1, "unknown gate 'foo'")],
+     ("qreg q[1];\x0ch q[0];\x1cfoo q[0];\u2028h q[0];\n", 1, "unknown gate 'foo'"),
+     # sizes and indices are ASCII digits: Arabic-Indic three and one are not
+     ("qreg q[\u0663]; h q[\u0661];", 1, "bad qreg declaration 'qreg q[\u0663]'"),
+     ("qreg q[2];\nh q[\u0661];\n", 2, "bad operand 'q[\u0661]'")],
     ids=["number-split-across-lines", "version-20", "trailing-text", "second-header-after-qreg",
          "repeated-header", "no-version", "lower-case-header", "bad-qreg", "bad-creg", "empty-qreg",
-         "empty-file", "no-leading-name", "form-feed-and-separators"],
+         "empty-file", "no-leading-name", "form-feed-and-separators", "non-ascii-size", "non-ascii-index"],
 )
 def test_split_number_and_bad_header_exit_1_naming_the_line(tmp_path, capsys, text, line, fragment):
     src = tmp_path / "in.qasm"

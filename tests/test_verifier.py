@@ -256,6 +256,25 @@ class TestRotationFold:
         assert statevector_equiv(c, s) >= FIDELITY_FLOOR
         assert 0 < calls[0] <= 2 * (n_twoq + c.n_qubits)
 
+    def test_verify_path_hashes_no_kind(self, monkeypatch):
+        # structural guard: replay and both equivalence simulators tell
+        # GateKind and InstrKind members apart by identity or read their
+        # attributes; Enum.__hash__ runs in Python on every set or dict lookup
+        c = gen_random_uniform(BenchSpec(12, 300, 50.0, 0))
+        s = compiled(c)
+        hashed = []
+        for enum in (GateKind, InstrKind):
+            def counted(member, original=enum.__hash__):
+                hashed.append(member)
+                return original(member)
+
+            monkeypatch.setattr(enum, "__hash__", counted)
+        assert GateKind.RX in {GateKind.RX} and InstrKind.SH_L in {InstrKind.SH_L}
+        assert hashed == [GateKind.RX, GateKind.RX, InstrKind.SH_L, InstrKind.SH_L]  # the counter counts
+        hashed.clear()
+        assert replay_verify(s).replay_ok
+        assert statevector_equiv(c, s) >= FIDELITY_FLOOR
+        assert hashed == []
 
     def test_fold_works_on_its_own_copy_in_place(self):
         n = 5
