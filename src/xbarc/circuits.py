@@ -17,8 +17,9 @@ class GateKind(Enum):
     whether the crossbar runs it (`native`). Gate and the per-gate walks
     read these attributes: an Enum member used as a set or dict key hashes
     in Python on every lookup. Where they compare with a member, they use a
-    name bound once, since a member read off its class (GateKind.RX) goes
-    through EnumType.__getattr__, a Python-level hook."""
+    name bound once: reading a member off its class (GateKind.RX) takes the
+    slow attribute path of a class whose metaclass defines __getattr__, as
+    EnumType does."""
 
     def __new__(cls, value: str, arity: int = 1, rotation: bool = False, native: bool = False):
         member = object.__new__(cls)

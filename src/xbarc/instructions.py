@@ -71,9 +71,10 @@ class InstrKind(Enum):
 
     The per-instruction walks read these attributes: an Enum member used as
     a set or dict key hashes in Python on every lookup. Where they compare
-    with a member, they use a name bound once at module or function level,
-    since a member read off its class (InstrKind.SG_ROT) goes through
-    EnumType.__getattr__, a Python-level hook.
+    with a member, they use a name bound once at module or function level:
+    reading a member off its class (InstrKind.SG_ROT) takes the slow
+    attribute path of a class whose metaclass defines __getattr__, as
+    EnumType does.
     """
 
     def __new__(cls, value: str, family: CycleType, delta=None):

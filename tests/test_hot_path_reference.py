@@ -4,8 +4,8 @@ The functions prefixed _reference_ are copied unchanged from the versions
 before the crossbar check and apply, the document loader and the rotation
 fold were rewritten for speed: check_parallel_set (with _legal_move and
 _borders, since removed), apply_op, instruction_from_dict with
-_circuit_from_doc, _cycle_from_doc and schedule_from_doc, and RotationFold.rotate, which
-multiplied numpy 2x2s. The rewrites must give the same output on every
+_circuit_from_doc, _cycle_from_doc and schedule_from_doc, and
+RotationFold.rotate, which multiplied numpy 2x2s. The rewrites must give the same output on every
 input below: the same conflict report, the same grid or CrossbarError
 message, the same Schedule or error message, and the same folded state.
 The loader's range checks moved into its one pass, so only a document with
@@ -18,7 +18,6 @@ import random
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from conftest import compile_native
 from test_cli import MALFORMED_DOCUMENTS, MALFORMED_IDS
@@ -372,7 +371,7 @@ def test_check_gives_the_reference_report(grid_cycle):
 
 
 def _applied(apply, grid, op):
-    """Grid state after apply(grid, op), or the CrossbarError message."""
+    """(the CrossbarError message or None, the grid state) after apply(grid, op)."""
     try:
         apply(grid, op)
     except CrossbarError as e:
