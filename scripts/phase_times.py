@@ -16,7 +16,8 @@ one warm-up run:
 - write: schedule_to_doc plus compact json.dumps;
 - load: json.loads plus schedule_from_doc.
 
-It prints one row per size with the emitted instruction count and two µs per
+It prints one row per size with the emitted instruction count, the size of
+the compact schedule_to_doc JSON in KB (1000 bytes), and two µs per
 instruction figures: schedule alone, then schedule, replay, equiv, metrics and
 write together. These are the columns of ROADMAP.md's Baseline table.
 """
@@ -54,8 +55,9 @@ def best_ms(fn) -> float:
     return 1000.0 * min(times)
 
 
-def phase_times(n_qubits: int, n_gates: int, seed: int = 0) -> tuple[dict[str, float | None], int]:
-    """ms per phase (None for a skipped equiv) and the emitted instruction count."""
+def phase_times(n_qubits: int, n_gates: int, seed: int = 0) -> tuple[dict[str, float | None], int, int]:
+    """ms per phase (None for a skipped equiv), the emitted instruction
+    count and the bytes of the compact schedule_to_doc JSON."""
     config = load_config("{}")
     text = circuit_to_qasm(gen_random_uniform(BenchSpec(n_qubits, n_gates, 50.0, seed)))
     circuit = parse_qasm(text)
@@ -74,7 +76,7 @@ def phase_times(n_qubits: int, n_gates: int, seed: int = 0) -> tuple[dict[str, f
         "write": best_ms(lambda: json.dumps(schedule_to_doc(schedule), separators=(",", ":"))),
         "load": best_ms(lambda: schedule_from_doc(json.loads(doc_text))),
     }
-    return ms, schedule.n_instructions
+    return ms, schedule.n_instructions, len(doc_text.encode())
 
 
 def _size(text: str) -> tuple[int, int]:
@@ -90,15 +92,15 @@ def main(argv: list[str]) -> int:
     parser.add_argument("sizes", nargs="+", type=_size, metavar="QUBITSxGATES")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    print("| workload | " + " | ".join(PHASES) + " | instrs | µs/instr |")
-    print("|---" * (len(PHASES) + 3) + "|")
+    print("| workload | " + " | ".join(PHASES) + " | instrs | doc KB | µs/instr |")
+    print("|---" * (len(PHASES) + 4) + "|")
     for n_qubits, n_gates in args.sizes:
-        ms, n_instr = phase_times(n_qubits, n_gates, args.seed)
+        ms, n_instr, doc_bytes = phase_times(n_qubits, n_gates, args.seed)
         cells = ["skipped" if ms[p] is None else f"{ms[p]:.1f}" for p in PHASES]
         end_to_end = sum(ms[p] or 0.0 for p in ("schedule", "replay", "equiv", "metrics", "write"))
         per_instr = 1000.0 / max(n_instr, 1)
         print(f"| {n_qubits} q, {n_gates} g | " + " | ".join(cells)
-              + f" | {n_instr} | {ms['schedule'] * per_instr:.1f} / {end_to_end * per_instr:.1f} |")
+              + f" | {n_instr} | {doc_bytes / 1000:.1f} | {ms['schedule'] * per_instr:.1f} / {end_to_end * per_instr:.1f} |")
     return 0
 
 

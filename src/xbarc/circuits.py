@@ -99,21 +99,3 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.gates)
 
-
-def gate_to_dict(g: Gate) -> dict:
-    d = {"kind": g.kind.value, "q": list(g.qubits)}
-    if g.angle is not None:
-        d["angle"] = g.angle
-    return d
-
-
-def gate_from_dict(d: dict) -> Gate:
-    return Gate(GateKind(d["kind"]), tuple(d["q"]), d.get("angle"))
-
-
-def circuit_to_dict(c: Circuit) -> dict:
-    return {"name": c.name, "n_qubits": c.n_qubits, "gates": [gate_to_dict(g) for g in c.gates]}
-
-
-def circuit_from_dict(d: dict) -> Circuit:
-    return Circuit(d.get("name", ""), d["n_qubits"], tuple(gate_from_dict(g) for g in d["gates"]))

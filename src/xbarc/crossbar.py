@@ -361,6 +361,38 @@ def _shared_or_clashing(grid: Grid, ops, sites, moves: bool) -> ConflictReport |
     return None
 
 
+def _pairwise_clear(cols: list[int], ops, sites, moves: bool) -> bool:
+    """True when _shared_or_clashing would find nothing, judged without its
+    report data: the moves' qubits and destinations distinct (by set size),
+    each destination empty in `cols`, and, for two instructions, neither
+    lowering a barrier that borders the other's sites. False leaves the
+    cycle to _shared_or_clashing, as it does every barrier check of three
+    or more instructions."""
+    k = len(ops)
+    if moves:
+        if len({op.qubits[0] for op in ops}) != k or len({dest for _, dest in sites}) != k:
+            return False
+        for _, (x, y) in sites:
+            if cols[x] >> y & 1:
+                return False
+    if k != 2:
+        return False
+    ((ax0, ay0), (ax1, ay1)), ((bx0, by0), (bx1, by1)) = sites
+    # each lowered barrier, CL_k between columns or RL_k between rows, and
+    # the coordinates across it of the other instruction's two sites
+    if ay0 == ay1:
+        a_cl, a_k, b0, b1 = True, min(ax0, ax1), bx0, bx1
+    else:
+        a_cl, a_k, b0, b1 = False, min(ay0, ay1), by0, by1
+    if by0 == by1:
+        b_cl, b_k, a0, a1 = True, min(bx0, bx1), ax0, ax1
+    else:
+        b_cl, b_k, a0, a1 = False, min(by0, by1), ay0, ay1
+    if a_cl is b_cl and a_k == b_k:  # one barrier, lowered by both
+        return True
+    return not (a_k <= b0 <= a_k + 1 or a_k <= b1 <= a_k + 1 or b_k <= a0 <= b_k + 1 or b_k <= a1 <= b_k + 1)
+
+
 def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     """Can this cycle's instructions run in parallel on this grid?
 
@@ -372,10 +404,12 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
 
     A call costs O(instructions + stay-put qubits) integer operations for a
-    lone instruction, the common cycle, plus the O(instructions^2) pairwise
-    checks of _shared_or_clashing for two or more. A move's sites are read
-    from grid.coords; its destination's occupancy and the occupied pairs
-    across a lowered barrier are read from the grid's column and row masks.
+    lone instruction, the common cycle, and for a legal pair, which
+    _pairwise_clear clears; the O(instructions^2) pairwise checks of
+    _shared_or_clashing run only for a cycle it cannot clear. A move's
+    sites are read from grid.coords; its destination's occupancy and the
+    occupied pairs across a lowered barrier are read from the grid's column
+    and row masks.
     The QL pairs are folded into two masks in which bit n-1-k stands for the
     QL_k - QL_k+1 edge: `up` when QL_k+1 must sit above QL_k, `down` when
     below. Every pair joins adjacent diagonals, so the merged digraph is a
@@ -423,9 +457,10 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     # blocked paths and barrier clashes: instruction j raises every barrier
     # bordering its two sites except the one it lowers
     if len(ops) > 1:
-        report = _shared_or_clashing(grid, ops, sites, moves)
-        if report is not None:
-            return report
+        if not _pairwise_clear(cols, ops, sites, moves):
+            report = _shared_or_clashing(grid, ops, sites, moves)
+            if report is not None:
+                return report
     elif moves:
         x, y = sites[0][1]
         if cols[x] >> y & 1:
@@ -498,6 +533,8 @@ def apply_op(grid: Grid, op: Instruction) -> None:
     elif kind is _SQSWAP:
         sqswap_sites(grid, *op.qubits)
     # sqswap and semi-global rotations leave positions unchanged
+
+
 def apply_cycle(grid: Grid, cycle: Cycle) -> None:
     """apply_op on each instruction in order, then add the occupancy to
     grid.trajectory. A CrossbarError partway undoes the moves before it in

@@ -16,19 +16,34 @@ compiled trajectory. A cycle's type follows from its instructions and the
 qubit count from the placement, so neither is stored.
 
 The JSON document written by schedule_to_doc, the authoritative compiled
-artifact, holds what a Schedule holds, each cycle as a list of instruction
-objects. Writer and loader read the fields of each instruction kind from
-FIELDS; schedule_from_doc round-trips the document exactly and rejects a
-field that a kind does not carry. It refuses a document of an earlier
-format, one that wrote n and typed cycles or holds an instruction kind
-since retired, with "recompile it".
+artifact, holds what a Schedule holds. Each instruction is one row, a JSON
+array: its kind's name, the slots of its FIELDS in table order (a qubit
+tuple spread over one slot per qubit), then src, the indices of its source
+gates in the embedded circuit, as many as it has:
+
+    ["sh_l", q, src...]    ["sh_r", q, src...]    ["sh_u", q, src...]
+    ["sh_d", q, src...]    ["zsh_l", q, angle, src...]
+    ["zsh_r", q, angle, src...]    ["sg_rot", angle, axis, parity, src...]
+    ["sqswap", q0, q1, src...]
+
+for example ["sh_r", 25, 0], ["zsh_l", 3, 1.25, 9] or ["sg_rot", 0.4622,
+"x", 0, 0]. The embedded circuit is {"name", "n_qubits", "gates"}, each gate
+a row of its name, its qubits and a rotation's angle:
+
+    ["rx", q, angle]    ["ry", q, angle]    ["rz", q, angle]
+    ["sqswap", q0, q1]
+
+for example ["rx", 3, 0.5] or ["sqswap", 1, 2]. Writer and loader read each
+instruction kind's slots from FIELDS, and schedule_from_doc round-trips the
+document exactly. It refuses a document of an earlier format with
+"recompile it": one that wrote n and typed cycles, holds an instruction
+kind since retired, or writes an instruction or a gate as an object.
 
 The loader makes one pass over the document. It checks the placement and
-grid, builds the embedded circuit gate by gate, then checks and builds each
-instruction once: the form the writer gives each kind is checked inline,
-fields, qubit range and src range together, and built positionally; any
-other form goes through instruction_from_dict, which names its fault. Of
-several faults in one document, the first the pass meets is named.
+grid, builds the embedded circuit gate by gate, then checks each
+instruction row slot by slot, qubit and src ranges included, and builds it
+positionally. Of several faults in one document, the first the pass meets
+is named.
 """
 from __future__ import annotations
 
@@ -41,10 +56,10 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
-from .circuits import NATIVE_KINDS, Circuit, Gate, circuit_to_dict, is_finite_real, is_int
-from .errors import CrossbarError, XbarcError
+from .circuits import NATIVE_KINDS, Circuit, Gate, is_finite_real, is_int
+from .errors import CompileError, CrossbarError, XbarcError
 
 
 class CycleType(Enum):
@@ -94,47 +109,38 @@ class InstrKind(Enum):
 
 
 class Field(NamedTuple):
-    """A document field of an instruction and the values the loader accepts."""
+    """An Instruction attribute, the row slots that hold it, and the values
+    the loader accepts in each of those slots."""
 
-    key: str
-    attr: str  # the Instruction attribute it holds
-    accepts: Callable[[object], bool]
-    want: str  # the accepted values, for error messages
+    attr: str
+    slots: tuple[str, ...]  # one slot name per value: a qubit tuple spreads
+    accepts: Callable[[object], bool]  # one slot's value
+    want: str  # what a slot accepts, for error messages
 
 
 def _is_index(v) -> bool:
-    """A non-negative integer (is_int, inlined): a qubit or a source gate index."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+    """A non-negative JSON integer (not a bool): a qubit or a source gate index."""
+    return type(v) is int and v >= 0
 
 
-def _qubits(arity: int) -> Field:
-    def listed(v) -> bool:
-        return isinstance(v, list) and len(v) == arity and all(map(_is_index, v))
+_Q1 = Field("qubits", ("q",), _is_index, "a qubit index (a non-negative integer)")
+_ANGLE = Field("angle", ("angle",), is_finite_real, "a number finite as a float")
 
-    return Field("q", "qubits", listed, f"q as a list of {arity} qubit{'s' * (arity > 1)}")
-
-
-_Q1 = _qubits(1)
-_ANGLE = Field("angle", "angle", is_finite_real, "a numeric angle, finite as a float")
-
-# The fields each instruction kind carries besides "kind", in document key
-# order; any kind may also carry "src", the indices of its source gates in
-# the embedded circuit, written last. zsh_l/zsh_r carry the Z phase as their
-# angle.
+# The fields each instruction kind carries, in row order; a row ends with
+# the indices of the kind's source gates in the embedded circuit (src).
+# zsh_l/zsh_r carry the Z phase as their angle.
 FIELDS: dict[InstrKind, tuple[Field, ...]] = {
     **{kind: (_Q1,) for kind in InstrKind if kind.family is CycleType.SHUTTLE},
     **{kind: (_Q1, _ANGLE) for kind in InstrKind if kind.family is CycleType.Z},
     InstrKind.SG_ROT: (
         _ANGLE,
-        Field("axis", "axis", lambda v: v in ("x", "y"), "axis x or y"),
-        Field("parity", "parity", lambda v: is_int(v) and v in (0, 1), "parity 0 or 1"),
+        Field("axis", ("axis",), lambda v: v in ("x", "y"), "x or y"),
+        Field("parity", ("parity",), lambda v: type(v) is int and 0 <= v <= 1, "0 or 1"),
     ),
-    InstrKind.SQSWAP: (_qubits(2),),
+    InstrKind.SQSWAP: (_Q1._replace(slots=("q0", "q1")),),
 }
-# the loader's lookup by document string: kind, its FIELDS row, its keys
-_ROWS = {kind.value: (kind, row, {"kind", "src"} | {f.key for f in row}) for kind, row in FIELDS.items()}
-# the kinds of the earlier format that kept a Z move's direction in a "dir"
-# field and had a separate inverse pulse
+# the kinds of the format before one kind per move, which kept a Z move's
+# direction in a "dir" field and had a separate inverse pulse
 _RETIRED = ("zsh", "zsh_ret", "sg_rot_inv")
 
 
@@ -267,59 +273,65 @@ class TrajectoryDigest:
         return self._sha.hexdigest()
 
 
-# the attributes each kind must leave at their defaults: those of the other
-# kinds' fields
-_ATTRS = {f.attr for row in FIELDS.values() for f in row}
-_UNSET = {kind: sorted(_ATTRS - {f.attr for f in row}) for kind, row in FIELDS.items()}
 _BLANK = Instruction(None)  # every attribute but kind at its default
-# the writer's lookup: kind -> its FIELDS row, a getter of its _UNSET
-# attributes, and their defaults
-_WRITE = {kind: (FIELDS[kind], attrgetter(*unset), attrgetter(*unset)(_BLANK)) for kind, unset in _UNSET.items()}
 
 
-def instruction_to_dict(op: Instruction) -> dict:
-    """Document form of an instruction: kind, the fields FIELDS lists for
-    it, and src unless it is empty. An attribute set that the kind does not
-    carry, which the document could not hold, raises ValueError naming both."""
-    row, get_unset, defaults = _WRITE[op.kind]
-    if get_unset(op) != defaults:
-        attr = next(a for a in _UNSET[op.kind] if getattr(op, a) != getattr(_BLANK, a))
-        raise ValueError(f"{op.kind.value} carries no field {attr!r}, instruction gives {getattr(op, attr)!r}")
-    d = {"kind": op.kind.value}
-    for f in row:
-        value = getattr(op, f.attr)
-        d[f.key] = list(value) if type(value) is tuple else value
-    if op.src:
-        d["src"] = list(op.src)
-    return d
+class _Layout(NamedTuple):
+    """One kind's row, as the writer and the loader read it from FIELDS."""
+
+    kind: InstrKind
+    family: CycleType
+    slots: tuple[tuple[str, Field], ...]  # (name, field) of each slot between the kind and src
+    src_at: int  # the index of the first src slot
+    get: Callable  # the kind's field attributes, then src
+    unset: tuple[str, ...]  # the other kinds' attributes: this kind leaves them at their defaults
+    get_unset: Callable
+    defaults: tuple
+    text: str  # the row layout, for error messages
 
 
-def instruction_from_dict(d: dict) -> Instruction:
-    """Inverse of instruction_to_dict. A key the kind does not carry, or a
-    value its field does not accept, raises XbarcError naming both; a
-    retired kind raises XbarcError asking for a recompile."""
-    name = d["kind"]
-    row = _ROWS.get(name) if type(name) is str else None
-    if row is None and name in _RETIRED:
-        raise XbarcError(f"document holds the retired kind {name!r}; it predates this format, recompile it")
-    # InstrKind raises ValueError "... is not a valid InstrKind" for any other value
-    kind, fields, keys = row or _ROWS[InstrKind(name).value]
-    if not keys.issuperset(d):
-        key = next(key for key in d if key not in keys)
-        raise XbarcError(f"{kind.value} carries no field {key!r}; its fields are {sorted(keys)}")
-    values = {}
-    for f in fields:
-        value = d.get(f.key)
-        if not f.accepts(value):
-            raise XbarcError(f"{kind.value} needs {f.want}, document gives {value!r}")
-        values[f.attr] = tuple(value) if type(value) is list else value
-    if "src" in d:
-        src = d["src"]
-        if not (isinstance(src, list) and all(map(_is_index, src))):
-            _typed(src, list, "{} src", kind.value)
-            raise XbarcError(f"{kind.value} src must list non-negative integers, document gives {src!r}")
-        values["src"] = tuple(src)
-    return Instruction(kind, **values)
+def _layout(kind: InstrKind, fields: tuple[Field, ...]) -> _Layout:
+    unset = tuple(sorted({f.attr for row in FIELDS.values() for f in row} - {f.attr for f in fields}))
+    slots = tuple((name, f) for f in fields for name in f.slots)
+    text = "[" + ", ".join([f'"{kind.value}"', *(name for name, _ in slots), "src..."]) + "]"
+    get_unset = attrgetter(*unset)
+    return _Layout(
+        kind, kind.family, slots, len(slots) + 1, attrgetter(*(f.attr for f in fields), "src"),
+        unset, get_unset, get_unset(_BLANK), text,
+    )
+
+
+# every kind's layout by its name: the loader looks up a row's first slot,
+# the writer op.kind._value_ (the member's value as a plain attribute; a
+# member as a dict key would hash in Python, and Enum.value is a property)
+_LAYOUTS = {kind.value: _layout(kind, fields) for kind, fields in FIELDS.items()}
+
+
+def instruction_to_row(op: Instruction) -> list:
+    """Document row of an instruction: its kind's name, the slots of the
+    fields FIELDS lists for it, a qubit tuple spread over one slot per
+    qubit, then its src. An attribute set that the kind does not carry,
+    which the row has no slot for, raises ValueError naming both."""
+    name = op.kind._value_
+    layout = _LAYOUTS[name]
+    if layout.get_unset(op) != layout.defaults:
+        attr = next(a for a in layout.unset if getattr(op, a) != getattr(_BLANK, a))
+        raise ValueError(f"{name} carries no field {attr!r}, instruction gives {getattr(op, attr)!r}")
+    row = [name]
+    for value in layout.get(op):
+        if type(value) is tuple:
+            row += value
+        else:
+            row.append(value)
+    return row
+
+
+def gate_to_row(g: Gate) -> list:
+    """Document row of a circuit gate: its kind's name, its qubits, then a
+    rotation's angle."""
+    if g.angle is None:
+        return [g.kind._value_, *g.qubits]
+    return [g.kind._value_, *g.qubits, g.angle]
 
 
 def schedule_to_doc(s: Schedule) -> dict:
@@ -327,11 +339,12 @@ def schedule_to_doc(s: Schedule) -> dict:
         "name": s.name,
         "grid": s.grid_n,
         "placement": [list(p) for p in s.placement],
-        "cycles": [[instruction_to_dict(op) for op in c.ops] for c in s.cycles],
+        "cycles": [[instruction_to_row(op) for op in c.ops] for c in s.cycles],
         "trajectory_sha256": s.trajectory_sha256,
     }
-    if s.circuit is not None:
-        doc["circuit"] = circuit_to_dict(s.circuit)
+    c = s.circuit
+    if c is not None:
+        doc["circuit"] = {"name": c.name, "n_qubits": c.n_qubits, "gates": [gate_to_row(g) for g in c.gates]}
     return doc
 
 
@@ -351,101 +364,139 @@ def _string(value, what: str) -> str:
     return value
 
 
+def _not_a_row(where: str, row) -> None:
+    """Raise an XbarcError if `row` is no non-empty list: an object, as
+    every row was before rows were positional, asks for a recompile."""
+    if isinstance(row, dict):
+        raise XbarcError(f"{where} is an object, not a row; the document predates this format, recompile it")
+    if not _typed(row, list, where):
+        raise XbarcError(f"{where} is an empty row; a row starts with its kind")
+
+
 # the native kinds by name, looked up by string only: a dict lookup would
 # fail on an unhashable kind such as a list
 _NATIVE_BY_NAME = {kind.value: kind for kind in NATIVE_KINDS}
 
 
 def _circuit_from_doc(d) -> Circuit:
-    """circuit_from_dict, with the checks its constructors leave out made
-    on each gate before it is built."""
+    """The embedded circuit, each gate row checked slot by slot before the
+    Gate is built; Gate and Circuit check arity, distinct operands and the
+    qubit range."""
     _typed(d, dict, "circuit")
     name = _string(d.get("name", ""), "circuit name")
     n = d["n_qubits"]
     if not (is_int(n) and n >= 1):
         raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {n!r}")
     gates = []
-    for i, g in enumerate(_typed(d["gates"], list, "circuit gates")):
-        kind_name = _typed(g, dict, "circuit gate {}", i)["kind"]
-        kind = _NATIVE_BY_NAME.get(kind_name) if type(kind_name) is str else None
+    for i, row in enumerate(_typed(d["gates"], list, "circuit gates")):
+        kind = _NATIVE_BY_NAME.get(row[0]) if type(row) is list and row and type(row[0]) is str else None
         if kind is None:
-            raise XbarcError(f"circuit gate {i} kind must be rx, ry, rz or sqswap, document gives {kind_name!r}")
-        q = _typed(g["q"], list, "circuit gate {} q", i)
-        if not all(map(is_int, q)):
-            raise XbarcError(f"circuit gate {i} q must list integers, document gives {q!r}")
-        angle = g.get("angle")
-        if "angle" in g and not is_finite_real(angle):
+            _not_a_row(f"circuit gate {i}", row)
+            raise XbarcError(f"circuit gate {i} kind must be rx, ry, rz or sqswap, document gives {row[0]!r}")
+        end = 1 + kind.arity
+        if len(row) != end + kind.rotation:
+            layout = ", ".join([f'"{kind.value}"', *(["q"] if kind.arity == 1 else ["q0", "q1"])]
+                               + ["angle"] * kind.rotation)
+            raise XbarcError(f"circuit gate {i} row {row!r} has {len(row)} slots; a {kind.value} row is [{layout}]")
+        qubits = tuple(row[1:end])
+        for q in qubits:
+            if not is_int(q):
+                raise XbarcError(f"circuit gate {i} qubit must be an integer, document gives {q!r}")
+        angle = row[end] if kind.rotation else None
+        if kind.rotation and not is_finite_real(angle):
             raise XbarcError(f"circuit gate {i} angle must be a finite number, document gives {angle!r}")
-        gates.append(Gate(kind, tuple(q), angle))
+        gates.append(Gate(kind, qubits, angle))
     return Circuit(name, n, tuple(gates))
 
 
+def _row_fault(i: int, j: int, row, n: int, n_gates) -> NoReturn:
+    """Raise the XbarcError that names the first fault of `row`, op j of
+    cycle i, which _cycle_from_doc refused: the row's slots are checked in
+    order against its kind's layout."""
+    where = f"cycle {i} op {j}"
+    _not_a_row(where, row)
+    name = row[0]
+    if type(name) is str and name in _RETIRED:
+        raise XbarcError(f"{where}: document holds the retired kind {name!r}; it predates this format, recompile it")
+    layout = _LAYOUTS.get(name) if type(name) is str else None
+    if layout is None:
+        raise XbarcError(f"{where}: {name!r} is not a valid InstrKind")
+    for slot, (key, f) in enumerate(layout.slots, 1):
+        if slot == len(row):
+            raise XbarcError(f"{where}: row {row!r} ends before its {key}; a {name} row is {layout.text}")
+        v = row[slot]
+        if not f.accepts(v):
+            raise XbarcError(f"{where}: {name} {key} must be {f.want}, document gives {v!r}")
+        if f.attr == "qubits" and v >= n:
+            raise XbarcError(f"{where}: {name} names qubit {v}, outside range({n})")
+    for slot in range(layout.src_at, len(row)):
+        g = row[slot]
+        if not _is_index(g):
+            raise XbarcError(
+                f"{where}: {name} slot {slot} must be a source gate index (a non-negative integer), "
+                f"document gives {g!r}; a {name} row is {layout.text}"
+            )
+        if g >= n_gates:
+            raise XbarcError(f"{where}: {name} src names gate {g}, outside the embedded circuit's range({n_gates})")
+    raise CompileError(f"{where}: the loader refused {row!r} but finds no fault in it")
+
+
 # the families _cycle_from_doc tells apart, bound once (see InstrKind)
-_XY_ROT, _SHUTTLE, _TWOQ = CycleType.XY_ROT, CycleType.SHUTTLE, CycleType.TWOQ
-
-
-def _in_range(op: Instruction, n: int, n_gates) -> Instruction:
-    """`op`, if its qubits lie below n and its src below n_gates."""
-    for q in op.qubits:
-        if q >= n:
-            raise XbarcError(f"{op.kind.value} names qubit {q}, outside range({n})")
-    if op.src and max(op.src) >= n_gates:
-        raise XbarcError(
-            f"{op.kind.value} src names gate {max(op.src)}, outside the embedded circuit's range({n_gates})"
-        )
-    return op
+_SHUTTLE, _Z, _TWOQ = CycleType.SHUTTLE, CycleType.Z, CycleType.TWOQ
 
 
 def _cycle_from_doc(i: int, ops, n: int, n_gates) -> Cycle:
     """Cycle i of a document on n qubits whose embedded circuit holds n_gates
-    gates (math.inf without one). Each instruction is checked once, its field
-    checks and its qubit and src ranges together, and built positionally.
-    The form the writer gives each kind, a float angle and at most one src,
-    is checked inline; any other instruction goes through
-    instruction_from_dict and _in_range, which accept it or raise the error
-    that names its fault."""
+    gates (math.inf without one). Each row's slots are checked once, qubit
+    and src ranges included, inline by family, and its instruction is
+    built positionally; a row refused goes to _row_fault, which names its
+    first fault. The checks here and the fields' `accepts` in _row_fault
+    take the same values."""
     built = []
+    for row in _typed(ops, list, "cycle {}", i):
+        layout = _LAYOUTS.get(row[0]) if type(row) is list and row and type(row[0]) is str else None
+        op = None
+        if layout is not None:
+            end = layout.src_at
+            m = len(row)
+            if m == end + 1:  # one source gate, as most rows have
+                g = row[end]
+                src = (g,) if type(g) is int and 0 <= g < n_gates else None
+            elif m <= end:
+                src = () if m == end else None
+            else:
+                src = tuple(row[end:])
+                for g in src:
+                    if type(g) is not int or not 0 <= g < n_gates:
+                        src = None
+                        break
+            family = layout.family
+            if src is None:
+                pass
+            elif family is _SHUTTLE:
+                q = row[1]
+                if type(q) is int and 0 <= q < n:
+                    op = Instruction(layout.kind, (q,), None, None, None, src)
+            elif family is _TWOQ:
+                q, q1 = row[1], row[2]
+                if type(q) is int and 0 <= q < n and type(q1) is int and 0 <= q1 < n:
+                    op = Instruction(layout.kind, (q, q1), None, None, None, src)
+            elif family is _Z:
+                q, a = row[1], row[2]
+                # a - a == 0.0: the float is finite
+                if type(q) is int and 0 <= q < n and (type(a) is float and a - a == 0.0 or is_finite_real(a)):
+                    op = Instruction(layout.kind, (q,), a, None, None, src)
+            else:  # a semi-global pulse
+                a, axis, parity = row[1], row[2], row[3]
+                if ((type(a) is float and a - a == 0.0 or is_finite_real(a)) and (axis == "x" or axis == "y")
+                        and type(parity) is int and 0 <= parity <= 1):
+                    op = Instruction(layout.kind, (), a, axis, parity, src)
+        if op is None:
+            _row_fault(i, len(built), row, n, n_gates)
+        built.append(op)
     try:
-        for d in _typed(ops, list, "cycle {}", i):
-            name = d.get("kind") if type(d) is dict else None
-            row = _ROWS.get(name) if type(name) is str else None
-            op = None
-            if row is not None and row[2].issuperset(d):
-                kind = row[0]
-                family = kind.family
-                src = ()
-                if "src" in d:  # one source gate, in range, or the slow path
-                    src = d["src"]
-                    g = src[0] if type(src) is list and len(src) == 1 else None
-                    src = (g,) if type(g) is int and 0 <= g < n_gates else None
-                if src is None:
-                    pass
-                elif family is _XY_ROT:
-                    a, axis, parity = d.get("angle"), d.get("axis"), d.get("parity")
-                    # a - a == 0.0: the float is finite
-                    if (type(a) is float and a - a == 0.0 and (axis == "x" or axis == "y")
-                            and type(parity) is int and 0 <= parity <= 1):
-                        op = Instruction(kind, (), a, axis, parity, src)
-                else:  # a move or a sqswap: its qubits in range
-                    q = d.get("q")
-                    q0 = q[0] if type(q) is list and q else None
-                    if type(q0) is not int or not 0 <= q0 < n:
-                        pass
-                    elif family is _TWOQ:
-                        q1 = q[1] if len(q) == 2 else None
-                        if type(q1) is int and 0 <= q1 < n:
-                            op = Instruction(kind, (q0, q1), None, None, None, src)
-                    elif len(q) != 1:
-                        pass
-                    elif family is _SHUTTLE:
-                        op = Instruction(kind, (q0,), None, None, None, src)
-                    elif type(a := d.get("angle")) is float and a - a == 0.0:  # a phase shuttle
-                        op = Instruction(kind, (q0,), a, None, None, src)
-            if op is None:
-                op = _in_range(instruction_from_dict(_typed(d, dict, "cycle {} op", i)), n, n_gates)
-            built.append(op)
         return Cycle(tuple(built))
-    except ValueError as e:  # an unknown kind, or mixed instruction families
+    except ValueError as e:  # no instruction, or mixed instruction families
         raise XbarcError(f"cycle {i}: {e}") from None
 
 

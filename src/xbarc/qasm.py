@@ -41,7 +41,7 @@ import operator
 import re
 import warnings
 
-from .circuits import ROTATION_KINDS, Circuit, Gate, GateKind
+from .circuits import Circuit, Gate, GateKind
 from .errors import QasmError
 from .instructions import CycleType, Instruction, InstrKind, Schedule
 
@@ -181,7 +181,7 @@ def parse_qasm(text: str, name: str = "") -> Circuit:
             raise QasmError(f"unknown gate {keyword!r}", line) from None
         if reg_name is None:
             raise QasmError("gate call before qreg declaration", line)
-        if (param is not None) != (kind in ROTATION_KINDS):
+        if (param is not None) != kind.rotation:
             raise QasmError(f"{keyword} parameter mismatch", line)
         angle = _eval_angle(param, line) if param is not None else None
         operands = []

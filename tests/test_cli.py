@@ -10,7 +10,8 @@ from xbarc import BenchSpec, gen_random_uniform, load_config
 from xbarc import cli
 from xbarc.cli import _compile_circuit, main, parse_range
 from xbarc.crossbar import Grid, apply_cycle
-from xbarc.instructions import schedule_from_doc, schedule_to_doc
+from xbarc.circuits import GateKind
+from xbarc.instructions import FIELDS, InstrKind, schedule_from_doc, schedule_to_doc
 from xbarc.metrics import CSV_COLUMNS
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm, emit_output, parse_qasm
 from xbarc.verifier import VerifyReport
@@ -93,8 +94,8 @@ def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
     assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     (zsh,), (ret,) = doc["cycles"][0], doc["cycles"][1]
-    assert (zsh["kind"], ret["kind"]) == ("zsh_l", "sh_r")
-    zsh["kind"], ret["kind"] = "zsh_r", "sh_l"
+    assert (zsh[0], ret[0]) == ("zsh_l", "sh_r")
+    zsh[0], ret[0] = "zsh_r", "sh_l"
     out.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "-i", str(out)]) == 2
@@ -105,8 +106,8 @@ def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
 
 def test_verify_fails_on_wrong_angle(bell_doc, capsys):
     path, doc = bell_doc
-    zsh = next(op for c in doc["cycles"] for op in c if op["kind"].startswith("zsh"))
-    zsh["angle"] += 1.0
+    zsh = next(row for c in doc["cycles"] for row in c if row[0].startswith("zsh"))
+    zsh[2] += 1.0  # ["zsh_l", q, angle, src...]
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "-i", str(path)]) == 2
@@ -117,10 +118,10 @@ def test_verify_fails_on_wrong_angle(bell_doc, capsys):
 
 def test_verify_reports_illegal_move_without_equivalence(bell_doc, capsys):
     path, doc = bell_doc
-    cycle, op = next(
-        (i, op) for i, c in enumerate(doc["cycles"]) for op in c if op["kind"] == "sh_r"
+    cycle, row = next(
+        (i, row) for i, c in enumerate(doc["cycles"]) for row in c if row[0] == "sh_r"
     )
-    op["kind"] = "sh_l"
+    row[0] = "sh_l"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert main(["verify", "-i", str(path)]) == 2
@@ -147,21 +148,36 @@ def _drop(key):
     return edit
 
 
-def _set_op(kind, key, value):
-    """Set `key` of the first instruction of `kind`."""
+def _first_row(doc, kind):
+    return next(row for c in doc["cycles"] for row in c if row[0] == kind)
+
+
+def _set_slot(kind, slot, value):
+    """Set slot `slot` of the first instruction row of `kind`; slot 0 is
+    the kind."""
 
     def edit(doc):
-        op = next(op for c in doc["cycles"] for op in c if op["kind"] == kind)
-        op[key] = value
+        _first_row(doc, kind)[slot] = value
 
     return edit
 
 
-def _set_circuit_gate(key, value):
-    """Set `key` of the first embedded circuit gate that has an angle."""
+def _insert_slots(kind, slot, *values):
+    """Insert `values` at slot `slot` of the first instruction row of
+    `kind`, making the row longer than its layout."""
 
     def edit(doc):
-        next(g for g in doc["circuit"]["gates"] if "angle" in g)[key] = value
+        _first_row(doc, kind)[slot:slot] = values
+
+    return edit
+
+
+def _set_circuit_gate(slot, value):
+    """Set slot `slot` of the first embedded circuit gate that has an angle,
+    ["rz", q, angle]."""
+
+    def edit(doc):
+        next(g for g in doc["circuit"]["gates"] if g[0] != "sqswap")[slot] = value
 
     return edit
 
@@ -185,13 +201,52 @@ def _append_op(cycle, op):
     return edit
 
 
+def _as_object(row):
+    """The object the format before positional rows wrote for an
+    instruction row: kind, each field under its key ("q" for the qubits, as
+    a list), then src unless it is empty."""
+    d, slot = {"kind": row[0]}, 1
+    for f in FIELDS[InstrKind(row[0])]:
+        if f.attr == "qubits":
+            d["q"] = row[slot:slot + len(f.slots)]
+        else:
+            d[f.attr] = row[slot]
+        slot += len(f.slots)
+    if row[slot:]:
+        d["src"] = row[slot:]
+    return d
+
+
+def _gate_as_object(row):
+    kind = GateKind(row[0])
+    d = {"kind": row[0], "q": row[1:1 + kind.arity]}
+    if kind.rotation:
+        d["angle"] = row[-1]
+    return d
+
+
+def _object_rows(cycles=True, gates=True):
+    """Rewrite the instructions, the circuit gates or both as the objects
+    the format before positional rows wrote."""
+
+    def edit(doc):
+        if cycles:
+            doc["cycles"] = [[_as_object(row) for row in c] for c in doc["cycles"]]
+        if gates:
+            doc["circuit"]["gates"] = [_gate_as_object(row) for row in doc["circuit"]["gates"]]
+
+    return edit
+
+
 def _old_format(positions):
-    """Rewrite the document as an earlier format wrote it: with n and each
-    cycle as {"type", "ops"}, and in the positions era the occupancy after
-    every cycle in place of trajectory_sha256."""
+    """Rewrite the document as an earlier format wrote it: with n, each
+    instruction and gate as an object and each cycle as {"type", "ops"},
+    and in the positions era the occupancy after every cycle in place of
+    trajectory_sha256."""
 
     def edit(doc):
         schedule = schedule_from_doc(doc)
+        _object_rows()(doc)
         old = {"name": doc["name"], "n": schedule.n_qubits, "grid": doc["grid"], "placement": doc["placement"]}
         old["cycles"] = [{"type": c.type.value, "ops": ops} for c, ops in zip(schedule.cycles, doc["cycles"])]
         if positions:
@@ -208,88 +263,101 @@ def _old_format(positions):
     return edit
 
 
-def _retired_kinds(doc):
-    """Rewrite the cycles as the format before one kind per move wrote them:
-    a phase shuttle as zsh with its direction in "dir", its return as
-    zsh_ret with a "dir", and an X/Y gate's second pulse as sg_rot_inv."""
-    z_srcs, pulsed = set(), set()
-    for op in (op for c in doc["cycles"] for op in c):
-        kind, src = op["kind"], tuple(op.get("src", ()))
-        if kind in ("zsh_l", "zsh_r") or (kind in ("sh_l", "sh_r") and src in z_srcs):
-            op["kind"], op["dir"] = "zsh" if kind[0] == "z" else "zsh_ret", kind[-1].upper()
-            z_srcs ^= {src}
-        elif kind == "sg_rot":
-            op["kind"] = "sg_rot_inv" if src in pulsed else kind
-            pulsed.add(src)
-    assert [op["kind"] for op in doc["cycles"][0] + doc["cycles"][1]] == ["zsh", "zsh_ret"]
+def _retired_kinds(objects):
+    """Rename the instructions as the format before one kind per move named
+    them: a phase shuttle zsh and its return zsh_ret (an sg_rot_inv, the
+    second pulse of an X/Y gate, has no counterpart in the Bell circuit).
+    With `objects`, write every instruction as that format did, an object,
+    with a Z move's direction under "dir"."""
+
+    def edit(doc):
+        z_srcs = set()
+        for c in doc["cycles"]:
+            for j, row in enumerate(c):
+                kind, src = row[0], row[-1]  # every row here has one src
+                op = _as_object(row) if objects else row
+                if kind in ("zsh_l", "zsh_r") or (kind in ("sh_l", "sh_r") and src in z_srcs):
+                    z_srcs ^= {src}
+                    if objects:
+                        op |= {"kind": "zsh" if kind[0] == "z" else "zsh_ret", "dir": kind[-1].upper()}
+                    else:
+                        op[0] = "zsh" if kind[0] == "z" else "zsh_ret"
+                c[j] = op
+        first = doc["cycles"][0][0], doc["cycles"][1][0]
+        assert [op["kind"] if objects else op[0] for op in first] == ["zsh", "zsh_ret"]
+
+    return edit
 
 
 # every malformed document edit with the error message it must give; the
-# loader's differential test replays them too
+# loader's differential test replays them too. Each is the row form of a
+# fault the format of instruction objects had: a key a kind does not
+# carry is a row one slot too long, a missing kind an empty row.
+_SH_R_ROW, _SQSWAP_ROW = '["sh_r", q, src...]', '["sqswap", q0, q1, src...]'
+_NOT_A_SRC = "must be a source gate index (a non-negative integer), document gives"
 MALFORMED_DOCUMENTS = [
     (_drop("cycles"), "lacks key 'cycles'"),
     (_drop("placement"), "lacks key 'placement'"),
     (_drop("trajectory_sha256"), "lacks key 'trajectory_sha256'"),
-    (_set_op("sqswap", "q", [0, 7]), "qubit 7, outside range(2)"),
+    (_set_slot("sqswap", 2, 7), "cycle 5 op 0: sqswap names qubit 7, outside range(2)"),
     (_old_format(positions=True), "document writes n and typed cycles; it predates this format, recompile it"),
     (lambda doc: doc.update(grid="3"), "grid must be 2 for 2 qubits, document gives '3'"),
-    (_set_op("sg_rot", "angle", None), "sg_rot needs a numeric angle"),
-    (_set_op("zsh_r", "angle", None), "zsh_r needs a numeric angle"),
-    (_set_op("sg_rot", "axis", "z"), "needs axis x or y"),
-    (_set_op("sg_rot", "parity", 2), "needs parity 0 or 1"),
+    (_set_slot("sg_rot", 1, None), "cycle 2 op 0: sg_rot angle must be a number finite as a float, document gives None"),
+    (_set_slot("zsh_r", 2, None), "cycle 0 op 0: zsh_r angle must be a number finite as a float, document gives None"),
+    (_set_slot("sg_rot", 2, "z"), "sg_rot axis must be x or y, document gives 'z'"),
+    (_set_slot("sg_rot", 3, 2), "sg_rot parity must be 0 or 1, document gives 2"),
     (lambda doc: doc.update(placement=[[0], [1, 1]]), "placement of qubit 0"),
     (lambda doc: doc["circuit"].update(n_qubits=3), "embedded circuit has 3 qubits"),
-    (_set_op("sqswap", "q", 5), "sqswap needs q as a list of 2 qubits, document gives 5"),
-    (_set_op("sqswap", "src", 5), "sqswap src must be a list"),
+    (_set_slot("sqswap", 1, [0, 1]), "sqswap q0 must be a qubit index (a non-negative integer), document gives [0, 1]"),
+    (_set_slot("sqswap", 3, [3]), f"sqswap slot 3 {_NOT_A_SRC} [3]; a sqswap row is {_SQSWAP_ROW}"),
     (_set_first(["cycles", 0], 5), "cycle 0 must be a list, document gives 5"),
     (_set_first(["cycles"], 5), "cycles must be a list"),
     (_set_first(["circuit", "gates"], 5), "circuit gates must be a list"),
     (_set_first(["cycles", 0], {"type": "z", "ops": []}), "cycle 0 must be a list, document gives {'type'"),
-    (_set_first(["cycles", 0, 0], 5), "cycle 0 op must be an object"),
-    (_set_circuit_gate("q", 0), "circuit gate 0 q must be a list"),
+    (_set_first(["cycles", 0, 0], 5), "cycle 0 op 0 must be a list, document gives 5"),
+    (_set_circuit_gate(1, [0]), "circuit gate 0 qubit must be an integer, document gives [0]"),
     (_set_first(["circuit", "n_qubits"], "2"), "circuit n_qubits must be a positive integer"),
-    (_set_circuit_gate("angle", "0.5"), "circuit gate 0 angle must be a finite number"),
-    (_set_op("zsh_r", "angle", 10**400), "zsh_r needs a numeric angle, finite as a float"),
-    (_set_op("zsh_r", "angle", float("nan")), "zsh_r needs a numeric angle, finite as a float"),
-    (_set_op("zsh_r", "angle", float("inf")), "zsh_r needs a numeric angle, finite as a float"),
+    (_set_circuit_gate(2, "0.5"), "circuit gate 0 angle must be a finite number, document gives '0.5'"),
+    (_set_slot("zsh_r", 2, 10**400), "zsh_r angle must be a number finite as a float, document gives 1000"),
+    (_set_slot("zsh_r", 2, float("nan")), "zsh_r angle must be a number finite as a float, document gives nan"),
+    (_set_slot("zsh_r", 2, float("inf")), "zsh_r angle must be a number finite as a float, document gives inf"),
     (lambda doc: doc.update(grid=10**19), "grid must be 2 for 2 qubits"),
     (lambda doc: doc.update(grid=9), "grid must be 2 for 2 qubits"),
     (lambda doc: doc.update(placement=[[5, 5], [1, 1]]), "qubit 0 at (5, 5) outside 2x2 grid"),
     (lambda doc: doc.update(placement=[[1, 1], [1, 1]]), "qubits 0 and 1 share site (1, 1)"),
-    (_append_op(1, {"kind": "sg_rot", "angle": 0.1, "axis": "x", "parity": 0}),
-     "cycle 1: instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
+    (_append_op(1, ["sg_rot", 0.1, "x", 0]), "cycle 1: instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
     (lambda doc: doc.update(name=5), "name must be a string, document gives 5"),
     (_set_first(["circuit", "name"], ["bell"]), "circuit name must be a string, document gives ['bell']"),
     (lambda doc: doc.update(trajectory_sha256=5), "trajectory_sha256 must be a string, document gives 5"),
-    (_set_op("sqswap", "src", [1.5]), "sqswap src must list non-negative integers, document gives [1.5]"),
-    (_set_op("sqswap", "src", [-1]), "sqswap src must list non-negative integers, document gives [-1]"),
-    (_set_first(["circuit", "gates", 0], {"kind": "measure", "q": [0]}),
+    (_set_slot("sqswap", 3, 1.5), f"sqswap slot 3 {_NOT_A_SRC} 1.5; a sqswap row is {_SQSWAP_ROW}"),
+    (_set_slot("sqswap", 3, -1), f"sqswap slot 3 {_NOT_A_SRC} -1; a sqswap row is {_SQSWAP_ROW}"),
+    (_set_first(["circuit", "gates", 0], ["measure", 0]),
      "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'measure'"),
-    (_set_first(["circuit", "gates", 0], {"kind": "h", "q": [0]}),
-     "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'h'"),
-    (_set_first(["circuit", "gates", 1], {"kind": "cx", "q": [0, 1]}),
+    (_set_first(["circuit", "gates", 0], ["h", 0]), "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives 'h'"),
+    (_set_first(["circuit", "gates", 1], ["cx", 0, 1]),
      "circuit gate 1 kind must be rx, ry, rz or sqswap, document gives 'cx'"),
-    (_set_first(["circuit", "gates", 0, "kind"], ["rx"]),
+    (_set_first(["circuit", "gates", 0, 0], ["rx"]),
      "circuit gate 0 kind must be rx, ry, rz or sqswap, document gives ['rx']"),
     (_old_format(positions=False), "document writes n and typed cycles; it predates this format, recompile it"),
-    (_set_op("sqswap", "src", [100000000000]),
+    (_set_slot("sqswap", 3, 100000000000),
      "sqswap src names gate 100000000000, outside the embedded circuit's range(8)"),
-    (_set_op("sh_r", "dir", "L"), "sh_r carries no field 'dir'; its fields are ['kind', 'q', 'src']"),
-    (_set_op("sqswap", "angle", 0.5), "sqswap carries no field 'angle'; its fields are ['kind', 'q', 'src']"),
-    (lambda doc: [_set_op("zsh_l", key, value)(doc) for key, value in (("axis", "x"), ("parity", 0))],
-     "zsh_l carries no field 'axis'; its fields are ['angle', 'kind', 'q', 'src']"),
-    (_set_op("zsh_l", "dir", "L"), "zsh_l carries no field 'dir'; its fields are ['angle', 'kind', 'q', 'src']"),
-    (_retired_kinds, "document holds the retired kind 'zsh'; it predates this format, recompile it"),
-    (_set_op("sh_l", "kind", "zsh_ret"), "document holds the retired kind 'zsh_ret'; it predates this format"),
-    (_set_op("sg_rot", "kind", "sg_rot_inv"),
+    (_insert_slots("sh_r", 2, "L"), f"sh_r slot 2 {_NOT_A_SRC} 'L'; a sh_r row is {_SH_R_ROW}"),
+    (_insert_slots("sqswap", 3, 0.5), f"sqswap slot 3 {_NOT_A_SRC} 0.5; a sqswap row is {_SQSWAP_ROW}"),
+    (_insert_slots("zsh_l", 3, "x", 0),
+     f'zsh_l slot 3 {_NOT_A_SRC} \'x\'; a zsh_l row is ["zsh_l", q, angle, src...]'),
+    (_insert_slots("zsh_l", 2, "L"), "zsh_l angle must be a number finite as a float, document gives 'L'"),
+    (_retired_kinds(objects=False),
+     "cycle 0 op 0: document holds the retired kind 'zsh'; it predates this format, recompile it"),
+    (_set_slot("sh_l", 0, "zsh_ret"), "document holds the retired kind 'zsh_ret'; it predates this format"),
+    (_set_slot("sg_rot", 0, "sg_rot_inv"),
      "document holds the retired kind 'sg_rot_inv'; it predates this format, recompile it"),
-    (_set_first(["cycles", 1, 0, "kind"], 3), "cycle 1: 3 is not a valid InstrKind"),
-    (_set_first(["cycles", 1, 0, "kind"], ["sh_l"]), "cycle 1: ['sh_l'] is not a valid InstrKind"),
-    (_set_first(["cycles", 1, 0, "kind"], None), "cycle 1: None is not a valid InstrKind"),
-    (_set_first(["cycles", 1, 0, "kind"], "SH_L"), "cycle 1: 'SH_L' is not a valid InstrKind"),
-    (lambda doc: doc["cycles"][1][0].pop("kind"), "lacks key 'kind'"),
-    (_set_circuit_gate("q", [5]), "operand 5 out of range for 2 qubits"),
-    (_set_circuit_gate("q", [-1]), "operand -1 out of range for 2 qubits"),
+    (_set_first(["cycles", 1, 0, 0], 3), "cycle 1 op 0: 3 is not a valid InstrKind"),
+    (_set_first(["cycles", 1, 0, 0], ["sh_l"]), "cycle 1 op 0: ['sh_l'] is not a valid InstrKind"),
+    (_set_first(["cycles", 1, 0, 0], None), "cycle 1 op 0: None is not a valid InstrKind"),
+    (_set_first(["cycles", 1, 0, 0], "SH_L"), "cycle 1 op 0: 'SH_L' is not a valid InstrKind"),
+    (_set_first(["cycles", 1, 0], []), "cycle 1 op 0 is an empty row; a row starts with its kind"),
+    (_set_circuit_gate(1, 5), "operand 5 out of range for 2 qubits"),
+    (_set_circuit_gate(1, -1), "operand -1 out of range for 2 qubits"),
 ]
 MALFORMED_IDS = [
     "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -306,6 +374,19 @@ MALFORMED_IDS = [
     "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
     "circuit-gate-q-5", "circuit-gate-q-negative",
 ]
+# documents of the format before positional rows, which wrote each
+# instruction and circuit gate as an object, and of the format before that,
+# with the retired kinds as objects
+PARENT_FORMATS = {
+    "object-rows": (_object_rows(), "circuit gate 0 is an object, not a row"),
+    "object-instructions": (_object_rows(gates=False), "cycle 0 op 0 is an object, not a row"),
+    "object-gates": (_object_rows(cycles=False), "circuit gate 0 is an object, not a row"),
+    "object-retired-kinds": (_retired_kinds(objects=True), "cycle 0 op 0 is an object, not a row"),
+    "object-retired-sg-rot-inv": (
+        _set_first(["cycles", 2, 0], {"kind": "sg_rot_inv", "angle": 0.5, "axis": "y", "parity": 1}),
+        "cycle 2 op 0 is an object, not a row",
+    ),
+}
 
 
 @pytest.mark.parametrize("edit, message", MALFORMED_DOCUMENTS, ids=MALFORMED_IDS)
@@ -317,6 +398,17 @@ def test_malformed_document_is_a_user_error(bell_doc, capsys, command, edit, mes
     capsys.readouterr()
     assert main([command, "-i", str(out)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", PARENT_FORMATS.values(), ids=PARENT_FORMATS)
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_parent_format_document_asks_for_a_recompile(bell_doc, capsys, command, edit, message):
+    out, doc = bell_doc
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "-i", str(out)]) == 1
+    assert f"{message}; the document predates this format, recompile it" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["gate_overhead_pct", "depth_overhead_pct", "esp"])

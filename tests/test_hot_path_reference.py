@@ -3,28 +3,39 @@
 The functions prefixed _reference_ are copied unchanged from the versions
 before the crossbar check and apply, the document loader and the rotation
 fold were rewritten for speed: check_parallel_set (with _legal_move and
-_borders, since removed), apply_op, instruction_from_dict with
-_circuit_from_doc, _cycle_from_doc and schedule_from_doc, and
-RotationFold.rotate, which multiplied numpy 2x2s. The rewrites must give the same output on every
+_borders, since removed), apply_op, the object-row document writer and
+loader (schedule_to_doc and instruction_to_dict; instruction_from_dict with
+_circuit_from_doc, _cycle_from_doc and schedule_from_doc, and the FIELDS
+table and circuit functions they read), and RotationFold.rotate, which
+multiplied numpy 2x2s. The rewrites must give the same output on every
 input below: the same conflict report, the same grid or CrossbarError
-message, the same Schedule or error message, and the same folded state.
-The loader's range checks moved into its one pass, so only a document with
-two faults could name another one first; every input here has one.
+message, and the same folded state.
+
+The document loader now reads positional rows, so it is compared with the
+reference on the object form of each input: _objects writes every row as
+the object the reference reads, and _rows, the other way, turns the
+reference writer's documents into rows, which must be what schedule_to_doc
+writes. On every input the rows loader accepts exactly when the reference
+accepts the object form, and then builds an equal Schedule.
 """
 import copy
 import json
 import random
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import compile_native
 from test_cli import MALFORMED_DOCUMENTS, MALFORMED_IDS
 from test_crossbar import grid_state, grids_and_cycles, report_tuple
+from test_golden import CORPUS
 from xbarc import BenchSpec, gen_random_uniform
 from xbarc.cli import main
-from xbarc.circuits import NATIVE_KINDS, Circuit, circuit_from_dict, is_finite_real, is_int
+from xbarc.circuits import NATIVE_KINDS, Circuit, Gate, GateKind, is_finite_real, is_int
 from xbarc.crossbar import (
     LEGAL,
     ConflictKind,
@@ -43,14 +54,11 @@ from xbarc.crossbar import (
 )
 from xbarc.errors import CrossbarError, XbarcError
 from xbarc.instructions import (
-    _RETIRED,
-    _ROWS,
     Cycle,
     CycleType,
     Instruction,
     InstrKind,
     Schedule,
-    _is_index,
     _string,
     _typed,
     grid_side,
@@ -235,16 +243,126 @@ def _reference_apply_op(grid: Grid, op: Instruction) -> None:
     # sqswap and semi-global rotations leave positions unchanged
 
 
+class _ReferenceField(NamedTuple):
+    """A document field of an instruction and the values the loader accepts."""
+
+    key: str
+    attr: str  # the Instruction attribute it holds
+    accepts: Callable[[object], bool]
+    want: str  # the accepted values, for error messages
+
+
+def _reference_is_index(v) -> bool:
+    """A non-negative integer (is_int, inlined): a qubit or a source gate index."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _reference_qubits(arity: int) -> _ReferenceField:
+    def listed(v) -> bool:
+        return isinstance(v, list) and len(v) == arity and all(map(_reference_is_index, v))
+
+    return _ReferenceField("q", "qubits", listed, f"q as a list of {arity} qubit{'s' * (arity > 1)}")
+
+
+_REFERENCE_Q1 = _reference_qubits(1)
+_REFERENCE_ANGLE = _ReferenceField("angle", "angle", is_finite_real, "a numeric angle, finite as a float")
+
+# The fields each instruction kind carries besides "kind", in document key
+# order; any kind may also carry "src", the indices of its source gates in
+# the embedded circuit, written last. zsh_l/zsh_r carry the Z phase as their
+# angle.
+_REFERENCE_FIELDS: dict[InstrKind, tuple[_ReferenceField, ...]] = {
+    **{kind: (_REFERENCE_Q1,) for kind in InstrKind if kind.family is CycleType.SHUTTLE},
+    **{kind: (_REFERENCE_Q1, _REFERENCE_ANGLE) for kind in InstrKind if kind.family is CycleType.Z},
+    InstrKind.SG_ROT: (
+        _REFERENCE_ANGLE,
+        _ReferenceField("axis", "axis", lambda v: v in ("x", "y"), "axis x or y"),
+        _ReferenceField("parity", "parity", lambda v: is_int(v) and v in (0, 1), "parity 0 or 1"),
+    ),
+    InstrKind.SQSWAP: (_reference_qubits(2),),
+}
+# the loader's lookup by document string: kind, its FIELDS row, its keys
+_REFERENCE_ROWS = {
+    kind.value: (kind, row, {"kind", "src"} | {f.key for f in row}) for kind, row in _REFERENCE_FIELDS.items()
+}
+# the kinds of the earlier format that kept a Z move's direction in a "dir"
+# field and had a separate inverse pulse
+_REFERENCE_RETIRED = ("zsh", "zsh_ret", "sg_rot_inv")
+
+# the attributes each kind must leave at their defaults: those of the other
+# kinds' fields
+_REFERENCE_ATTRS = {f.attr for row in _REFERENCE_FIELDS.values() for f in row}
+_REFERENCE_UNSET = {
+    kind: sorted(_REFERENCE_ATTRS - {f.attr for f in row}) for kind, row in _REFERENCE_FIELDS.items()
+}
+_REFERENCE_BLANK = Instruction(None)  # every attribute but kind at its default
+# the writer's lookup: kind -> its FIELDS row, a getter of its _UNSET
+# attributes, and their defaults
+_REFERENCE_WRITE = {
+    kind: (_REFERENCE_FIELDS[kind], attrgetter(*unset), attrgetter(*unset)(_REFERENCE_BLANK))
+    for kind, unset in _REFERENCE_UNSET.items()
+}
+
+
+def _reference_instruction_to_dict(op: Instruction) -> dict:
+    """Document form of an instruction: kind, the fields FIELDS lists for
+    it, and src unless it is empty. An attribute set that the kind does not
+    carry, which the document could not hold, raises ValueError naming both."""
+    row, get_unset, defaults = _REFERENCE_WRITE[op.kind]
+    if get_unset(op) != defaults:
+        attr = next(a for a in _REFERENCE_UNSET[op.kind] if getattr(op, a) != getattr(_REFERENCE_BLANK, a))
+        raise ValueError(f"{op.kind.value} carries no field {attr!r}, instruction gives {getattr(op, attr)!r}")
+    d = {"kind": op.kind.value}
+    for f in row:
+        value = getattr(op, f.attr)
+        d[f.key] = list(value) if type(value) is tuple else value
+    if op.src:
+        d["src"] = list(op.src)
+    return d
+
+
+def _reference_gate_to_dict(g: Gate) -> dict:
+    d = {"kind": g.kind.value, "q": list(g.qubits)}
+    if g.angle is not None:
+        d["angle"] = g.angle
+    return d
+
+
+def _reference_gate_from_dict(d: dict) -> Gate:
+    return Gate(GateKind(d["kind"]), tuple(d["q"]), d.get("angle"))
+
+
+def _reference_circuit_to_dict(c: Circuit) -> dict:
+    return {"name": c.name, "n_qubits": c.n_qubits, "gates": [_reference_gate_to_dict(g) for g in c.gates]}
+
+
+def _reference_circuit_from_dict(d: dict) -> Circuit:
+    return Circuit(d.get("name", ""), d["n_qubits"], tuple(_reference_gate_from_dict(g) for g in d["gates"]))
+
+
+def _reference_schedule_to_doc(s: Schedule) -> dict:
+    doc = {
+        "name": s.name,
+        "grid": s.grid_n,
+        "placement": [list(p) for p in s.placement],
+        "cycles": [[_reference_instruction_to_dict(op) for op in c.ops] for c in s.cycles],
+        "trajectory_sha256": s.trajectory_sha256,
+    }
+    if s.circuit is not None:
+        doc["circuit"] = _reference_circuit_to_dict(s.circuit)
+    return doc
+
+
 def _reference_instruction_from_dict(d: dict) -> Instruction:
     """Inverse of instruction_to_dict. A key the kind does not carry, or a
     value its field does not accept, raises XbarcError naming both; a
     retired kind raises XbarcError asking for a recompile."""
     name = d["kind"]
-    row = _ROWS.get(name) if type(name) is str else None
-    if row is None and name in _RETIRED:
+    row = _REFERENCE_ROWS.get(name) if type(name) is str else None
+    if row is None and name in _REFERENCE_RETIRED:
         raise XbarcError(f"document holds the retired kind {name!r}; it predates this format, recompile it")
     # InstrKind raises ValueError "... is not a valid InstrKind" for any other value
-    kind, fields, keys = row or _ROWS[InstrKind(name).value]
+    kind, fields, keys = row or _REFERENCE_ROWS[InstrKind(name).value]
     if not keys.issuperset(d):
         key = next(key for key in d if key not in keys)
         raise XbarcError(f"{kind.value} carries no field {key!r}; its fields are {sorted(keys)}")
@@ -256,7 +374,7 @@ def _reference_instruction_from_dict(d: dict) -> Instruction:
         values[f.attr] = tuple(value) if type(value) is list else value
     if "src" in d:
         src = d["src"]
-        if not (isinstance(src, list) and all(map(_is_index, src))):
+        if not (isinstance(src, list) and all(map(_reference_is_index, src))):
             _typed(src, list, f"{kind.value} src")
             raise XbarcError(f"{kind.value} src must list non-negative integers, document gives {src!r}")
         values["src"] = tuple(src)
@@ -285,7 +403,7 @@ def _reference_circuit_from_doc(d) -> Circuit:
             raise XbarcError(
                 f"circuit gate {i} angle must be a finite number, document gives {g['angle']!r}"
             )
-    return circuit_from_dict(d)
+    return _reference_circuit_from_dict(d)
 
 
 
@@ -410,6 +528,75 @@ def _loaded(load, doc):
         return type(e), str(e)
 
 
+def _op_object(row):
+    """The object the reference reads for an instruction row: the slots
+    after the kind go to the keys of the kind's reference FIELDS in order,
+    "q" taking one slot per qubit, and the slots after those to "src". A row
+    that is no list, an empty row and a row whose first slot names no
+    current kind become what the reference refuses for the same fault: the
+    row as it is, {} and the kind alone."""
+    if not isinstance(row, list):
+        return row
+    if not row:
+        return {}
+    entry = _REFERENCE_ROWS.get(row[0]) if type(row[0]) is str else None
+    if entry is None:
+        return {"kind": row[0]}
+    d, slot = {"kind": row[0]}, 1
+    for f in entry[1]:
+        if slot >= len(row):  # a short row: the reference misses this key
+            break
+        width = 2 if f.key == "q" and row[0] == "sqswap" else 1
+        d[f.key] = row[slot:slot + width] if f.key == "q" else row[slot]
+        slot += width
+    if row[slot:]:
+        d["src"] = row[slot:]
+    return d
+
+
+def _gate_object(row):
+    """The object the reference reads for a circuit gate row: a rotation's
+    last slot is its angle, the other slots after the kind its "q"."""
+    if not isinstance(row, list):
+        return row
+    if not row:
+        return {}
+    if row[0] in ("rx", "ry", "rz") and len(row) > 1:
+        return {"kind": row[0], "q": row[1:-1], "angle": row[-1]}
+    return {"kind": row[0], "q": row[1:]}
+
+
+def _objects(doc):
+    """doc with every instruction and circuit gate row written as the
+    object the reference reads; anything else as it is."""
+    doc = dict(doc)
+    if isinstance(doc.get("cycles"), list):
+        doc["cycles"] = [[_op_object(row) for row in c] if isinstance(c, list) else c for c in doc["cycles"]]
+    circuit = doc.get("circuit")
+    if isinstance(circuit, dict) and isinstance(circuit.get("gates"), list):
+        doc["circuit"] = circuit | {"gates": [_gate_object(row) for row in circuit["gates"]]}
+    return doc
+
+
+def _rows(doc):
+    """The reference writer's document with every instruction and circuit
+    gate object written as a positional row: the kind, each field's value
+    in reference FIELDS order with a "q" list spread, then src; a gate's
+    qubits, then its angle."""
+
+    def row(d):
+        out = [d["kind"]]
+        for f in _REFERENCE_ROWS[d["kind"]][1]:
+            out += d[f.key] if f.key == "q" else [d[f.key]]
+        return out + d.get("src", [])
+
+    doc = doc | {"cycles": [[row(d) for d in c] for c in doc["cycles"]]}
+    if "circuit" in doc:
+        gates = [[g["kind"], *g["q"], *([g["angle"]] if "angle" in g else [])] for g in doc["circuit"]["gates"]]
+        doc["circuit"] = doc["circuit"] | {"gates": gates}
+    return doc
+
+
 @pytest.fixture(scope="module")
 def bell_document(tmp_path_factory):
     """The compiled Bell document that test_cli's edits apply to."""
@@ -424,12 +611,28 @@ def test_malformed_documents_load_as_the_reference(bell_document, edit, message)
     doc = copy.deepcopy(bell_document)
     edit(doc)
     got = _loaded(schedule_from_doc, doc)
-    assert got == _loaded(_reference_schedule_from_doc, doc)
-    assert message in got[1]
+    assert isinstance(got, tuple) and message in got[1]
+    assert isinstance(_loaded(_reference_schedule_from_doc, _objects(doc)), tuple)
 
 
-# values a corrupted field may take: wrong types, out-of-range numbers,
-# non-finite floats, other kinds, and the shapes of other fields
+# the golden corpus, and a circuit of each benchmark workload's shape at seed 0
+_DOCUMENT_CIRCUITS = CORPUS | {
+    "randu-q12": lambda: gen_random_uniform(BenchSpec(12, 1000, 50.0, 0)),
+    "randu-q200": lambda: gen_random_uniform(BenchSpec(200, 300, 50.0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DOCUMENT_CIRCUITS))
+def test_documents_convert_and_load_as_the_reference(name):
+    _, s = compile_native(_DOCUMENT_CIRCUITS[name]())
+    objects = json.loads(json.dumps(_reference_schedule_to_doc(s)))
+    rows = json.loads(json.dumps(schedule_to_doc(s)))
+    assert _rows(objects) == rows and _objects(rows) == objects
+    assert schedule_from_doc(rows) == _reference_schedule_from_doc(objects) == s
+
+
+# values a corrupted slot may take: wrong types, out-of-range numbers,
+# non-finite floats, other kinds, and the shapes of other slots
 _CORRUPT = (None, True, -1, 0, 1, 2, 7, 12, 999, 1000, 10**20, 1.5, float("nan"), float("inf"), "x", "y", "sh_l",
             "sqswap", "sg_rot", "zsh_r", [], [0], [1], [0, 1], [0, 7], [-1], [1.5], [True], {}, "0")
 
@@ -455,36 +658,76 @@ def randu_q12_document():
 
 def test_randu_q12_document_loads_as_the_reference(randu_q12_document):
     doc = randu_q12_document
-    assert schedule_from_doc(doc) == _reference_schedule_from_doc(doc)
+    assert schedule_from_doc(doc) == _reference_schedule_from_doc(_objects(doc))
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_single_field_corruptions_load_as_the_reference(randu_q12_document, seed):
-    """Corrupt one field at a time, three in four of them in the cycles, and
-    load each document with both loaders; the edit is undone after each."""
+    """Corrupt one slot or key at a time, three in four of them in the
+    cycles: replace its value, or drop it, or insert one before it, which
+    makes a row one slot short or long. Load each document with the rows
+    loader and its object form with the reference; the edit is undone
+    after each."""
     rng = random.Random(seed)
     doc = randu_q12_document
     paths = list(_paths(doc))
     op_paths = [p for p in paths if p[0] == "cycles" and len(p) >= 3]
     failures = 0
-    for _ in range(40):
+    for _ in range(60):
         *parents, key = rng.choice(op_paths if rng.random() < 0.75 else paths)
         parent = doc
         for k in parents:
             parent = parent[k]
         saved = copy.copy(parent)
-        if isinstance(parent, dict) and rng.random() < 0.1:
+        edit = rng.random()
+        if edit < 0.1:
             del parent[key]
+        elif edit < 0.2 and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(rng.choice(_CORRUPT)))
         else:
             parent[key] = copy.deepcopy(rng.choice(_CORRUPT))
         try:
             got = _loaded(schedule_from_doc, doc)
-            assert got == _loaded(_reference_schedule_from_doc, doc), (parents, key)
+            theirs = _loaded(_reference_schedule_from_doc, _objects(doc))
+            assert isinstance(got, tuple) == isinstance(theirs, tuple), (parents, key, got, theirs)
+            assert isinstance(got, tuple) or got == theirs
             failures += isinstance(got, tuple)
         finally:  # in place, so the parent's own parent still holds it
             parent.clear()
             parent.update(saved) if isinstance(parent, dict) else parent.extend(saved)
-    assert failures > 10  # most corruptions are faults
+    assert failures > 15  # most corruptions are faults
+
+
+@st.composite
+def small_circuits(draw):
+    """A random circuit of 1-12 qubits and at most 30 front-end gates; on
+    one qubit only X/Y rotations, as a 1x1 grid has no site for a Z
+    shuttle."""
+    n = draw(st.integers(1, 12))
+    kinds = (GateKind.RX, GateKind.RY) if n == 1 else sorted(GateKind, key=lambda k: k.value)
+    gates = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.sampled_from(kinds))
+        qubits = draw(st.lists(st.integers(0, n - 1), min_size=kind.arity, max_size=kind.arity, unique=True))
+        gates.append(Gate(kind, tuple(qubits), draw(st.floats(-10.0, 10.0)) if kind.rotation else None))
+    return Circuit("small", n, tuple(gates))
+
+
+# a circuit whose schedule holds all eight instruction kinds
+_EVERY_KIND = gen_random_uniform(BenchSpec(12, 200, 50.0, 0))
+
+
+def test_every_kind_example_holds_every_kind():
+    _, s = compile_native(_EVERY_KIND)
+    assert {op.kind for c in s.cycles for op in c.ops} == set(InstrKind)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_circuits())
+@example(_EVERY_KIND)
+def test_schedule_round_trips_through_json(circuit):
+    _, s = compile_native(circuit)
+    assert schedule_from_doc(json.loads(json.dumps(schedule_to_doc(s)))) == s
 
 
 # -- rotation fold

@@ -12,10 +12,11 @@ _spec.loader.exec_module(phase_times)
 
 
 def test_every_phase_is_timed_on_4_qubits_30_gates():
-    ms, n_instr = phase_times.phase_times(4, 30)
+    ms, n_instr, doc_bytes = phase_times.phase_times(4, 30)
     assert list(ms) == list(phase_times.PHASES)
     assert all(t is not None and t >= 0.0 for t in ms.values())  # equiv runs within its cap
     assert n_instr > 30
+    assert doc_bytes > 10 * n_instr  # at least a short row per instruction
 
 
 def test_prints_one_row_per_size(capsys):
@@ -24,6 +25,10 @@ def test_prints_one_row_per_size(capsys):
     assert lines[0].startswith("| workload | parse | decompose | schedule |")
     assert len(lines) == 3 and lines[2].startswith("| 4 q, 30 g |")
     assert lines[2].count("|") == lines[0].count("|")
+    header = [cell.strip() for cell in lines[0].split("|")]
+    row = dict(zip(header, (cell.strip() for cell in lines[2].split("|"))))
+    _, _, doc_bytes = phase_times.phase_times(4, 30, seed=1)
+    assert row["doc KB"] == f"{doc_bytes / 1000:.1f}"
 
 
 def test_rejects_a_size_without_an_x():

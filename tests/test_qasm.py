@@ -3,13 +3,16 @@ import dataclasses
 import json
 import math
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbarc import BenchSpec, GateKind, emit_output, gen_random_uniform, parse_qasm, schedule_from_doc
-from xbarc.circuits import ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate
+from xbarc import instructions
+from xbarc.circuits import NATIVE_KINDS, ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate
+from xbarc.crossbar import checkerboard_sites
 from xbarc.errors import QasmError
 from xbarc.instructions import (
     FIELDS,
@@ -19,8 +22,9 @@ from xbarc.instructions import (
     InstrKind,
     Schedule,
     TrajectoryDigest,
-    instruction_from_dict,
-    instruction_to_dict,
+    _LAYOUTS,
+    grid_side,
+    instruction_to_row,
     schedule_to_doc,
 )
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm
@@ -154,24 +158,21 @@ class TestEmit:
 
 
 # one instruction of every kind, with parity 0, angle 0.0 and empty src among
-# them, and the document keys each must write, in order, by the role each
-# plays: a Z rotation's phase shuttle (zsh), its return (zsh_ret, a plain
-# shuttle) and the compensating pulse of an X/Y rotation (sg_rot_inv, an
-# sg_rot of negated angle) are roles, not kinds
+# them, and the document row each must write, by the role each plays: a Z
+# rotation's phase shuttle (zsh), its return (zsh_ret, a plain shuttle) and
+# the compensating pulse of an X/Y rotation (sg_rot_inv, an sg_rot of
+# negated angle) are roles, not kinds
 INSTRUCTION_CASES = {
-    "sh_l": (Instruction(InstrKind.SH_L, (0,)), ["kind", "q"]),
-    "sh_r": (Instruction(InstrKind.SH_R, (1,), src=(3,)), ["kind", "q", "src"]),
-    "sh_u": (Instruction(InstrKind.SH_U, (2,), src=(0, 5)), ["kind", "q", "src"]),
-    "sh_d": (Instruction(InstrKind.SH_D, (0,), src=(7,)), ["kind", "q", "src"]),
-    "zsh": (Instruction(InstrKind.ZSH_L, (0,), angle=0.0, src=(2,)), ["kind", "q", "angle", "src"]),
-    "zsh_r": (Instruction(InstrKind.ZSH_R, (1,), angle=-0.5), ["kind", "q", "angle"]),
-    "zsh_ret": (Instruction(InstrKind.SH_R, (4,)), ["kind", "q"]),
-    "sg_rot": (
-        Instruction(InstrKind.SG_ROT, angle=0.0, axis="x", parity=0, src=(0, 1)),
-        ["kind", "angle", "axis", "parity", "src"],
-    ),
-    "sg_rot_inv": (Instruction(InstrKind.SG_ROT, angle=-1.25, axis="y", parity=1), ["kind", "angle", "axis", "parity"]),
-    "sqswap": (Instruction(InstrKind.SQSWAP, (3, 1), src=(9,)), ["kind", "q", "src"]),
+    "sh_l": (Instruction(InstrKind.SH_L, (0,)), ["sh_l", 0]),
+    "sh_r": (Instruction(InstrKind.SH_R, (1,), src=(3,)), ["sh_r", 1, 3]),
+    "sh_u": (Instruction(InstrKind.SH_U, (2,), src=(0, 5)), ["sh_u", 2, 0, 5]),
+    "sh_d": (Instruction(InstrKind.SH_D, (0,), src=(7,)), ["sh_d", 0, 7]),
+    "zsh": (Instruction(InstrKind.ZSH_L, (0,), angle=0.0, src=(2,)), ["zsh_l", 0, 0.0, 2]),
+    "zsh_r": (Instruction(InstrKind.ZSH_R, (1,), angle=-0.5), ["zsh_r", 1, -0.5]),
+    "zsh_ret": (Instruction(InstrKind.SH_R, (4,)), ["sh_r", 4]),
+    "sg_rot": (Instruction(InstrKind.SG_ROT, angle=0.0, axis="x", parity=0, src=(0, 1)), ["sg_rot", 0.0, "x", 0, 0, 1]),
+    "sg_rot_inv": (Instruction(InstrKind.SG_ROT, angle=-1.25, axis="y", parity=1), ["sg_rot", -1.25, "y", 1]),
+    "sqswap": (Instruction(InstrKind.SQSWAP, (3, 1), src=(9,)), ["sqswap", 3, 1, 9]),
 }
 
 
@@ -179,11 +180,28 @@ def test_instruction_cases_cover_every_kind():
     assert {op.kind for op, _ in INSTRUCTION_CASES.values()} == set(InstrKind)
 
 
-@pytest.mark.parametrize(("op", "keys"), INSTRUCTION_CASES.values(), ids=INSTRUCTION_CASES)
-def test_instruction_dict_round_trip(op, keys):
-    d = instruction_to_dict(op)
-    assert list(d) == keys
-    assert instruction_from_dict(json.loads(json.dumps(d))) == op
+def _one_op_schedule(op):
+    """A schedule of the one cycle (op,) on five qubits, without an embedded
+    circuit, so any src loads; the loader does not replay the digest."""
+    return Schedule("row", grid_side(5), tuple(islice(checkerboard_sites(grid_side(5)), 5)), (Cycle((op,)),), "0" * 64)
+
+
+@pytest.mark.parametrize(("op", "row"), INSTRUCTION_CASES.values(), ids=INSTRUCTION_CASES)
+def test_instruction_dict_round_trip(op, row):
+    # the document form of an instruction is its row
+    assert instruction_to_row(op) == row
+    s = _one_op_schedule(op)
+    doc = schedule_to_doc(s)
+    assert doc["cycles"] == [[row]]
+    assert schedule_from_doc(json.loads(json.dumps(doc))) == s
+
+
+def test_module_docstring_gives_every_row_layout():
+    for name, layout in _LAYOUTS.items():
+        assert layout.text in instructions.__doc__, name
+    for kind in NATIVE_KINDS:
+        operands = ["q"] if kind.arity == 1 else ["q0", "q1"]
+        assert "[" + ", ".join([f'"{kind.value}"', *operands, *["angle"] * kind.rotation]) + "]" in instructions.__doc__
 
 
 # one value per Instruction attribute that some kind carries, falsy ones
@@ -204,12 +222,14 @@ def test_writer_rejects_an_attribute_the_kind_does_not_carry(op, attr):
     op = dataclasses.replace(op, **{attr: _ATTR_VALUES[attr]})
     message = f"{op.kind.value} carries no field {attr!r}, instruction gives {_ATTR_VALUES[attr]!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        instruction_to_dict(op)
+        instruction_to_row(op)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        schedule_to_doc(_one_op_schedule(op))
 
 
 def test_hand_built_schedule_with_a_stray_field_is_not_written():
-    # the document has no place for a shuttle's angle: dropping it would
-    # leave a schedule that does not round-trip
+    # the row has no slot for a shuttle's angle: dropping it would leave a
+    # schedule that does not round-trip
     op = Instruction(InstrKind.SH_R, (0,), angle=0.5)
     s = Schedule("stray", 2, ((0, 0), (1, 1)), (Cycle((op,)),), TrajectoryDigest([((1, 0), (1, 1))]).hexdigest())
     with pytest.raises(ValueError, match="sh_r carries no field 'angle'"):
@@ -238,9 +258,10 @@ def compiled_schedules(draw):
 def test_document_holds_what_a_schedule_holds(s):
     doc = schedule_to_doc(s)
     assert set(doc) == {"name", "grid", "placement", "cycles", "trajectory_sha256", "circuit"}
-    for cycle in doc["cycles"]:
-        for op in cycle:
-            assert set(op) - {"src"} == {"kind"} | {f.key for f in FIELDS[InstrKind(op["kind"])]}
+    for rows, cycle in zip(doc["cycles"], s.cycles, strict=True):
+        for row, op in zip(rows, cycle.ops, strict=True):
+            n_slots = sum(len(f.slots) for f in FIELDS[op.kind])
+            assert row[0] == op.kind.value and len(row) == 1 + n_slots + len(op.src)
     assert schedule_from_doc(json.loads(json.dumps(doc, separators=(",", ":")))) == s
 
 

@@ -18,10 +18,11 @@ from xbarc import (
     statevector_equiv,
     verify,
 )
-from xbarc import sim, verifier
+from xbarc import cli, sim, verifier
 from xbarc.circuits import ROTATION_KINDS, TWO_QUBIT_KINDS
 from xbarc.crossbar import Grid, apply_op
 from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
+from xbarc.qasm import circuit_to_qasm
 from xbarc.sim import (
     SQSWAP_MATRIX,
     RotationFold,
@@ -256,10 +257,11 @@ class TestRotationFold:
         assert statevector_equiv(c, s) >= FIDELITY_FLOOR
         assert 0 < calls[0] <= 2 * (n_twoq + c.n_qubits)
 
-    def test_verify_path_hashes_no_kind(self, monkeypatch):
-        # structural guard: replay and both equivalence simulators tell
-        # GateKind and InstrKind members apart by identity or read their
-        # attributes; Enum.__hash__ runs in Python on every set or dict lookup
+    def test_verify_path_hashes_no_kind(self, monkeypatch, tmp_path):
+        # structural guard: replay, both equivalence simulators and every
+        # phase of `xbarc compile` tell GateKind and InstrKind members apart
+        # by identity or read their attributes; Enum.__hash__ runs in Python
+        # on every set or dict lookup
         c = gen_random_uniform(BenchSpec(12, 300, 50.0, 0))
         s = compiled(c)
         hashed = []
@@ -274,6 +276,10 @@ class TestRotationFold:
         hashed.clear()
         assert replay_verify(s).replay_ok
         assert statevector_equiv(c, s) >= FIDELITY_FLOOR
+        assert hashed == []
+        src = tmp_path / "randu.qasm"
+        src.write_text(circuit_to_qasm(gen_random_uniform(BenchSpec(12, 1000, 50.0, 0))))
+        assert cli.main(["compile", "-i", str(src), "-o", str(tmp_path / "randu.json")]) == 0
         assert hashed == []
 
     def test_fold_works_on_its_own_copy_in_place(self):
