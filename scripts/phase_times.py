@@ -31,7 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from xbarc import BenchSpec, build_fidelity_map, gen_random_uniform, grid_for, load_config  # noqa: E402
+from xbarc import BenchSpec, build_fidelity_map, gen_random_uniform, load_config  # noqa: E402
 from xbarc.instructions import schedule_from_doc, schedule_to_doc  # noqa: E402
 from xbarc.ir import decompose  # noqa: E402
 from xbarc.mapper import initial_placement  # noqa: E402
@@ -62,14 +62,14 @@ def phase_times(n_qubits: int, n_gates: int, seed: int = 0) -> tuple[dict[str, f
     text = circuit_to_qasm(gen_random_uniform(BenchSpec(n_qubits, n_gates, 50.0, seed)))
     circuit = parse_qasm(text)
     dec = decompose(circuit, config)
-    grid = grid_for(dec.n_qubits)
-    schedule = schedule_integrated(dec, initial_placement(dec, grid))
-    fmap = build_fidelity_map(grid, config)
+    grid = initial_placement(dec.n_qubits)
+    schedule = schedule_integrated(dec, grid)
+    fmap = build_fidelity_map(grid.n, config)
     doc_text = json.dumps(schedule_to_doc(schedule), separators=(",", ":"))
     ms = {
         "parse": best_ms(lambda: parse_qasm(text)),
         "decompose": best_ms(lambda: decompose(circuit, config)),
-        "schedule": best_ms(lambda: schedule_integrated(dec, initial_placement(dec, grid))),
+        "schedule": best_ms(lambda: schedule_integrated(dec, initial_placement(dec.n_qubits))),
         "metrics": best_ms(lambda: overhead_report(dec, schedule, fmap)),
         "replay": best_ms(lambda: replay_verify(schedule)),
         "equiv": best_ms(lambda: statevector_equiv(dec, schedule)) if dec.n_qubits <= EQUIV_CAP else None,

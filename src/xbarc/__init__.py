@@ -1,6 +1,6 @@
 """Compiler toolchain for shared-control spin-qubit crossbar arrays.
 
-Pipeline: parse_qasm -> decompose -> grid_for/initial_placement ->
+Pipeline: parse_qasm -> decompose -> initial_placement ->
 schedule_integrated -> verify / metrics. See the CLI (`xbarc`) for the
 end-to-end flow.
 """
@@ -14,7 +14,6 @@ from .crossbar import (
     SignalRequirements,
     apply_op,
     check_parallel_set,
-    grid_for,
     shuttle_requirements,
 )
 from .instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, schedule_from_doc
@@ -56,7 +55,6 @@ __all__ = [
     "expand_semi_global",
     "gen_bernstein_vazirani",
     "gen_random_uniform",
-    "grid_for",
     "initial_placement",
     "interaction_graph",
     "load_config",

@@ -20,7 +20,6 @@ import numpy as np
 from .benchgen import BenchSpec, bench_name, gen_bernstein_vazirani, gen_random_uniform
 from .circuits import Circuit, is_finite_real
 from .config import ArchConfig, check_seed, load_config
-from .crossbar import grid_for
 from .errors import CompileError, XbarcError
 from .instructions import schedule_from_doc, schedule_to_doc
 from .ir import counts_by_type, decompose, interaction_graph
@@ -47,9 +46,9 @@ def _compile_circuit(circuit: Circuit, config: ArchConfig):
     """(schedule, metrics) of a circuit compiled on the smallest grid that
     holds it; the callers verify, since `compile --no-verify` does not."""
     dec = decompose(circuit, config)
-    grid = grid_for(dec.n_qubits)
-    schedule, ms = timed_schedule(dec, initial_placement(dec, grid), name=circuit.name)
-    metrics = overhead_report(dec, schedule, build_fidelity_map(grid, config), compile_time_ms=ms)
+    grid = initial_placement(dec.n_qubits)
+    schedule, ms = timed_schedule(dec, grid, name=circuit.name)
+    metrics = overhead_report(dec, schedule, build_fidelity_map(grid.n, config), compile_time_ms=ms)
     return schedule, metrics
 
 
@@ -105,9 +104,10 @@ def cmd_stats(args) -> int:
         counts = counts_by_type(schedule.circuit)
         singles = counts.n_xy + counts.n_z
         print(f"decomposed counts: xy={counts.n_xy} z={counts.n_z} twoq={counts.n_twoq}")
-        # both conventions, since foreign circuits may use either
+        # both conventions, since foreign circuits may use either; with no
+        # single-qubit gates the ratio is inf%, or 0% when there are no gates
         share = 100.0 * counts.n_twoq / max(counts.n_total, 1)
-        ratio = 100.0 * counts.n_twoq / singles if singles else float("inf")
+        ratio = 100.0 * counts.n_twoq / singles if singles else (float("inf") if counts.n_twoq else 0.0)
         print(f"two-qubit percentage: {share:.2f}% of total, {ratio:.2f}% of single-qubit count")
         qig = interaction_graph(schedule.circuit)
         print(f"qig: {len(qig.edges)} edges, total weight {qig.total_weight}")

@@ -52,13 +52,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from graphlib import CycleError, TopologicalSorter
-from itertools import islice
 from typing import Iterable, NamedTuple
 
 from .errors import CrossbarError
-from .instructions import (
-    DELTAS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest, coord_buffer, grid_side,
-)
+from .instructions import DELTAS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest, coord_buffer
 
 
 # bound once for the per-cycle and per-instruction functions (see InstrKind)
@@ -115,8 +112,8 @@ class Grid:
     placement, and the routing entry points (route_two_qubit, z_route,
     expand_semi_global) advance the grid they are given. Grid checks and
     converts nothing: its placement, a tuple of (x, y) tuples, comes from a
-    checked Schedule, from schedule_integrated's check_placement or from the
-    checkerboard, and every move from apply_op.
+    checked Schedule, from schedule_integrated's check_placement or from
+    mapper.initial_placement, and every move from apply_op.
     """
 
     __slots__ = ("n", "coords", "cols", "rows", "_site_map", "trajectory")
@@ -184,22 +181,6 @@ class Grid:
         return f"Grid(n={self.n}, pos={self.pos})"
 
 
-def checkerboard_sites(n: int):
-    """Checkerboard sites in left-to-right, bottom-to-top order."""
-    for y in range(n):
-        for x in range(n):
-            if (x + y) % 2 == 0:
-                yield (x, y)
-
-
-def grid_for(n_qubits: int) -> Grid:
-    """Smallest grid whose checkerboard holds n_qubits (side grid_side),
-    with qubit i on the i-th checkerboard site in left-to-right,
-    bottom-to-top order."""
-    n = grid_side(n_qubits)
-    return Grid(n, tuple(islice(checkerboard_sites(n), n_qubits)))
-
-
 def ql_index(site) -> int:
     x, y = site
     return x - y
@@ -225,14 +206,6 @@ def barrier_between(a, b) -> Line:
     origin and destination, or sqswap_sites)."""
     (ax, ay), (bx, by) = a, b
     return Line("CL", min(ax, bx)) if ay == by else Line("RL", min(ay, by))
-
-
-def move_sites(grid: Grid, q: int, delta) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Origin and destination of a one-site move of q by `delta` (the
-    destination may lie off the grid)."""
-    x, y = grid.site_of(q)
-    dx, dy = delta
-    return (x, y), (x + dx, y + dy)
 
 
 def sqswap_sites(grid: Grid, a: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:

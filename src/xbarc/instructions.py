@@ -193,8 +193,9 @@ class Cycle:
 
 
 def grid_side(n_qubits: int) -> int:
-    """Side N of the grid `xbarc compile` uses for n_qubits: the least N
-    whose checkerboard holds them, ceil(N^2 / 2) >= n_qubits."""
+    """Side N of the grid mapper.initial_placement lays n_qubits out on:
+    the least N whose checkerboard holds them, ceil(N^2 / 2) >= n_qubits.
+    The loader requires this side of every document."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
     return math.isqrt(2 * n_qubits - 2) + 1
@@ -379,9 +380,9 @@ _NATIVE_BY_NAME = {kind.value: kind for kind in NATIVE_KINDS}
 
 
 def _circuit_from_doc(d) -> Circuit:
-    """The embedded circuit, each gate row checked slot by slot before the
-    Gate is built; Gate and Circuit check arity, distinct operands and the
-    qubit range."""
+    """The embedded circuit, each gate row checked slot by slot, qubit range
+    included, before the Gate is built; Gate's own check, distinct
+    operands, raises an XbarcError naming the gate."""
     _typed(d, dict, "circuit")
     name = _string(d.get("name", ""), "circuit name")
     n = d["n_qubits"]
@@ -402,10 +403,15 @@ def _circuit_from_doc(d) -> Circuit:
         for q in qubits:
             if not is_int(q):
                 raise XbarcError(f"circuit gate {i} qubit must be an integer, document gives {q!r}")
+            if not 0 <= q < n:
+                raise XbarcError(f"circuit gate {i} operand {q} out of range for {n} qubits")
         angle = row[end] if kind.rotation else None
         if kind.rotation and not is_finite_real(angle):
             raise XbarcError(f"circuit gate {i} angle must be a finite number, document gives {angle!r}")
-        gates.append(Gate(kind, qubits, angle))
+        try:
+            gates.append(Gate(kind, qubits, angle))
+        except ValueError as e:
+            raise XbarcError(f"circuit gate {i}: {e}") from None
     return Circuit(name, n, tuple(gates))
 
 

@@ -1,5 +1,9 @@
 """Placement and routing onto the grid.
 
+initial_placement is the one place the idle layout is decided: the dense
+checkerboard on the smallest grid that holds the circuit, qubit i on the
+i-th checkerboard site in left-to-right, bottom-to-top order.
+
 Two-qubit gates route the first operand through a chain of diagonal steps
 (shuttle-based exchanges with whoever occupies the step target, or a plain
 two-shuttle move onto an empty checkerboard site) until it sits diagonally
@@ -17,25 +21,20 @@ which also records it in grid.trajectory.
 """
 from __future__ import annotations
 
-from itertools import islice
-
-from .circuits import Circuit
-from .crossbar import Grid, apply_cycle, check_parallel_set, checkerboard_sites
+from .crossbar import Grid, apply_cycle, check_parallel_set
 from .errors import CompileError, CrossbarError
-from .instructions import Cycle, CycleType, Instruction, InstrKind
+from .instructions import Cycle, CycleType, Instruction, InstrKind, grid_side
 
 # unit step (dx, dy) -> the plain shuttle, and dx -> the phase shuttle
 _SHUTTLE = {kind.delta: kind for kind in InstrKind if kind.family is CycleType.SHUTTLE}
 _ZSH = {kind.delta[0]: kind for kind in InstrKind if kind.family is CycleType.Z}
 
 
-def initial_placement(circuit: Circuit, grid: Grid) -> Grid:
-    """Trivial one-to-one placement: qubit i on the i-th checkerboard site
-    in left-to-right, bottom-to-top order."""
-    sites = tuple(islice(checkerboard_sites(grid.n), circuit.n_qubits))
-    if len(sites) < circuit.n_qubits:
-        raise CompileError(f"{grid.n}x{grid.n} grid cannot hold {circuit.n_qubits} qubits")
-    return Grid(grid.n, sites)
+def initial_placement(n_qubits: int) -> Grid:
+    """A fresh Grid of side grid_side(n_qubits) with qubit i on the i-th
+    checkerboard site ((x + y) even) in left-to-right, bottom-to-top order."""
+    n = grid_side(n_qubits)
+    return Grid(n, tuple((x, y) for y in range(n) for x in range(y % 2, n, 2))[:n_qubits])
 
 
 def _shuttle(q: int, dx: int, dy: int, src: tuple[int, ...]) -> Instruction:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuits import Circuit
 from .config import ArchConfig, FIDELITY_CLASSES
-from .crossbar import Grid, apply_op, move_sites, sqswap_sites
+from .crossbar import Grid, apply_op, sqswap_sites
 from .errors import CompileError
 from .instructions import InstrKind, Schedule
 from .ir import CountsByType, counts_by_type, dependency_depth
@@ -32,12 +32,12 @@ class FidelityMap:
     values: dict[str, np.ndarray]  # class -> (N, N) array indexed [y, x]
 
 
-def build_fidelity_map(grid: Grid, config: ArchConfig) -> FidelityMap:
-    """Draw per-type per-site fidelities from Normal(mean, std), clamped to
-    (0, 1]. The seeded generator walks sites row-major for each class in
-    the fixed order single_qubit, shuttle, sqswap."""
+def build_fidelity_map(n: int, config: ArchConfig) -> FidelityMap:
+    """Draw per-type per-site fidelities for an n x n grid from
+    Normal(mean, std), clamped to (0, 1]. The seeded generator walks sites
+    row-major for each class in the fixed order single_qubit, shuttle,
+    sqswap."""
     rng = np.random.default_rng(config.seed)
-    n = grid.n
     values = {}
     for cls in FIDELITY_CLASSES:
         draws = rng.normal(config.means[cls], config.stds[cls], size=(n, n))
@@ -116,8 +116,9 @@ def esp(schedule: Schedule, fmap: FidelityMap) -> float:
     sqswap_kind = InstrKind.SQSWAP  # bound once (see InstrKind)
     for cycle in schedule.cycles:
         for op in cycle.ops:
+            apply_op(grid, op)  # only a move changes the grid, and its factor is read at its destination
             if op.kind.moves:
-                _, (x, y) = move_sites(grid, op.qubits[0], op.kind.delta)
+                x, y = grid.site_of(op.qubits[0])
                 total *= shuttle[y][x]
             elif op.kind is sqswap_kind:
                 x, y = min(sqswap_sites(grid, *op.qubits), key=lambda s: s[1])
@@ -126,7 +127,6 @@ def esp(schedule: Schedule, fmap: FidelityMap) -> float:
                 for q in grid.parity_members(op.parity):
                     x, y = grid.site_of(q)
                     total *= single[y][x]
-            apply_op(grid, op)
     return total
 
 

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from xbarc import (
-    decompose,
-    grid_for,
-    initial_placement,
-    load_config,
-    schedule_integrated,
-)
+from xbarc import decompose, initial_placement, load_config, schedule_integrated
 from xbarc.crossbar import Grid
 
 
 @pytest.fixture(scope="session")
 def default_config():
     return load_config("{}")
+
+
+def checkerboard_sites(n):
+    """Every checkerboard site ((x + y) even) of the n x n grid in
+    left-to-right, bottom-to-top order: the reference for
+    initial_placement and the sites of a full board."""
+    return [(x, y) for y in range(n) for x in range(n) if (x + y) % 2 == 0]
 
 
 def sparse_grid(n, sites):
@@ -24,8 +25,7 @@ def sparse_grid(n, sites):
 def compile_native(circuit, config=None):
     config = config or load_config("{}")
     dec = decompose(circuit, config)
-    grid = initial_placement(dec, grid_for(dec.n_qubits))
-    return dec, schedule_integrated(dec, grid)
+    return dec, schedule_integrated(dec, initial_placement(dec.n_qubits))
 
 
 def rng_for(*entropy):

@@ -356,8 +356,10 @@ MALFORMED_DOCUMENTS = [
     (_set_first(["cycles", 1, 0, 0], None), "cycle 1 op 0: None is not a valid InstrKind"),
     (_set_first(["cycles", 1, 0, 0], "SH_L"), "cycle 1 op 0: 'SH_L' is not a valid InstrKind"),
     (_set_first(["cycles", 1, 0], []), "cycle 1 op 0 is an empty row; a row starts with its kind"),
-    (_set_circuit_gate(1, 5), "operand 5 out of range for 2 qubits"),
-    (_set_circuit_gate(1, -1), "operand -1 out of range for 2 qubits"),
+    (_set_circuit_gate(1, 5), "circuit gate 0 operand 5 out of range for 2 qubits"),
+    (_set_circuit_gate(1, -1), "circuit gate 0 operand -1 out of range for 2 qubits"),
+    (_set_first(["circuit", "gates", 3], ["sqswap", 1, 1]),
+     "circuit gate 3: sqswap operands must be distinct: (1, 1)"),
 ]
 MALFORMED_IDS = [
     "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -372,7 +374,7 @@ MALFORMED_IDS = [
     "typed-cycles", "src-out-of-range", "sh-dir", "sqswap-angle", "zsh-axis-parity", "zsh-dir",
     "retired-kinds", "retired-zsh-ret", "retired-sg-rot-inv",
     "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
-    "circuit-gate-q-5", "circuit-gate-q-negative",
+    "circuit-gate-q-5", "circuit-gate-q-negative", "circuit-gate-sqswap-same-qubit",
 ]
 # documents of the format before positional rows, which wrote each
 # instruction and circuit gate as an object, and of the format before that,
@@ -409,6 +411,24 @@ def test_parent_format_document_asks_for_a_recompile(bell_doc, capsys, command, 
     capsys.readouterr()
     assert main([command, "-i", str(out)]) == 1
     assert f"{message}; the document predates this format, recompile it" in capsys.readouterr().err
+
+
+def test_stats_of_an_empty_circuit_prints_zero_percent(tmp_path, capsys):
+    src, out = tmp_path / "empty.qasm", tmp_path / "empty.json"
+    src.write_text("OPENQASM 2.0;\nqreg q[3];\n")
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["stats", "-i", str(out)]) == 0
+    assert "two-qubit percentage: 0.00% of total, 0.00% of single-qubit count" in capsys.readouterr().out
+
+
+def test_stats_of_two_qubit_gates_alone_prints_inf_percent(bell_doc, capsys):
+    out, doc = bell_doc
+    doc["circuit"]["gates"] = [["sqswap", 0, 1]] * len(doc["circuit"]["gates"])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["stats", "-i", str(out)]) == 0
+    assert "two-qubit percentage: 100.00% of total, inf% of single-qubit count" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("key", ["gate_overhead_pct", "depth_overhead_pct", "esp"])

@@ -10,7 +10,7 @@ from xbarc import (
     ConflictKind,
     check_parallel_set,
     gen_random_uniform,
-    grid_for,
+    initial_placement,
     replay_verify,
     shuttle_requirements,
     verifier,
@@ -24,8 +24,6 @@ from xbarc.crossbar import (
     apply_cycle,
     apply_op,
     barrier_between,
-    checkerboard_sites,
-    move_sites,
     ql_index,
     site_barriers,
     sqswap_sites,
@@ -38,9 +36,10 @@ from xbarc.instructions import (
     InstrKind,
     Schedule,
     TrajectoryDigest,
+    grid_side,
 )
 
-from conftest import compile_native, sparse_grid
+from conftest import checkerboard_sites, compile_native, sparse_grid
 
 
 def sh(kind, q):
@@ -48,23 +47,30 @@ def sh(kind, q):
 
 
 class TestGridFor:
+    """The grid for n qubits: mapper.initial_placement's dense checkerboard
+    layout, the one place the idle layout is decided."""
+
     def test_eight_qubits_on_4x4(self):
-        g = grid_for(8)
+        g = initial_placement(8)
         assert g.n == 4
         assert g.pos == ((0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
 
     def test_single_qubit(self):
-        g = grid_for(1)
+        g = initial_placement(1)
         assert g.n == 1 and g.pos == ((0, 0),)
+
+    def test_five_on_3x3(self):
+        g = initial_placement(5)
+        assert g.n == 3 and g.pos == ((0, 0), (2, 0), (1, 1), (0, 2), (2, 2))
 
     def test_four_qubits_need_3x3(self):
         # exhaustive: N=2 holds ceil(4/2)=2 < 4, N=3 holds ceil(9/2)=5 >= 4
         assert (2 * 2 + 1) // 2 < 4 <= (3 * 3 + 1) // 2
-        assert grid_for(4).n == 3
+        assert initial_placement(4).n == 3
 
     @pytest.mark.parametrize("n", range(1, 40))
     def test_minimality_and_checkerboard(self, n):
-        g = grid_for(n)
+        g = initial_placement(n)
         assert g.is_checkerboard()
         assert (g.n * g.n + 1) // 2 >= n
         if g.n > 1:
@@ -73,15 +79,27 @@ class TestGridFor:
 
     def test_ql_anchor_sites(self):
         # the two sites sharing the QL_-2 diagonal on the 4x4 layout
-        g = grid_for(8)
+        g = initial_placement(8)
         assert ql_index(g.site_of(4)) == -2  # (0, 2)
         assert ql_index(g.site_of(6)) == -2  # (1, 3)
+
+    def test_first_checkerboard_sites_on_the_least_side(self):
+        for n in range(1, 301):
+            g = initial_placement(n)
+            assert g.n == grid_side(n)
+            assert g.pos == tuple(checkerboard_sites(g.n)[:n])
+
+    def test_each_call_returns_a_fresh_grid(self):
+        g = initial_placement(8)
+        apply_op(g, sh(InstrKind.SH_R, 0))
+        assert g.site_of(0) == (1, 0)
+        assert initial_placement(8).pos == ((0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
 
 
 class TestShuttleRequirements:
     def test_left_shuttle_requirement_set(self):
         # qubit on (1,1) of the fully placed 4x4, one site to the left
-        g = grid_for(8)
+        g = initial_placement(8)
         q = g.qubit_at((1, 1))
         r = shuttle_requirements(g, q, "L")
         assert r.lowered == Line("CL", 0)
@@ -117,7 +135,7 @@ class TestShuttleRequirements:
 
 class TestParallelSet:
     def test_opposing_shuttles_ql_contradiction(self):
-        g = grid_for(8)
+        g = initial_placement(8)
         ops = [sh(InstrKind.SH_L, g.qubit_at((1, 1))), sh(InstrKind.SH_R, g.qubit_at((2, 2)))]
         rep = check_parallel_set(g, Cycle(tuple(ops)))
         assert not rep.ok
@@ -127,7 +145,7 @@ class TestParallelSet:
     def test_swap_pair_parallelizes(self):
         # the horizontal half of a shuttle-based exchange: two opposite
         # moves of the two intended movers across one CL
-        g = grid_for(8)
+        g = initial_placement(8)
         a, b = g.qubit_at((1, 1)), g.qubit_at((2, 2))
         ops = [sh(InstrKind.SH_R, a), sh(InstrKind.SH_L, b)]
         assert check_parallel_set(g, Cycle(tuple(ops))).ok
@@ -161,13 +179,13 @@ class TestParallelSet:
 
     def test_barrier_clash(self):
         # left-moves in adjacent columns: one raises CL_1, the other lowers it
-        g = grid_for(8)
+        g = initial_placement(8)
         ops = [sh(InstrKind.SH_L, g.qubit_at((1, 1))), sh(InstrKind.SH_L, g.qubit_at((2, 2)))]
         rep = check_parallel_set(g, Cycle(tuple(ops)))
         assert rep.kind is ConflictKind.BARRIER_CLASH
 
     def test_verdict_invariant_under_permutation(self):
-        g = grid_for(8)
+        g = initial_placement(8)
         base = [
             sh(InstrKind.SH_L, g.qubit_at((1, 1))),
             sh(InstrKind.SH_R, g.qubit_at((2, 2))),
@@ -177,19 +195,19 @@ class TestParallelSet:
         assert len({(r.ok, r.kind) for r in reports}) == 1
 
     def test_sg_cycle_ok_and_clash(self):
-        g = grid_for(4)
+        g = initial_placement(4)
         rot = Instruction(InstrKind.SG_ROT, angle=0.5, axis="x", parity=0)
         assert check_parallel_set(g, Cycle((rot,))).ok
         other = Instruction(InstrKind.SG_ROT, angle=0.7, axis="x", parity=0)
         assert not check_parallel_set(g, Cycle((rot, other))).ok
 
 
-G8 = grid_for(8)
+G8 = initial_placement(8)
 
 # (grid, cycle, (ok, kind, culprits, detail)): one hand-built cycle per case
 CONFLICT_PINS = {
     "clash-semi-global": (
-        grid_for(4),
+        initial_placement(4),
         [
             Instruction(InstrKind.SG_ROT, angle=0.5, axis="x", parity=0),
             Instruction(InstrKind.SG_ROT, angle=0.7, axis="x", parity=0),
@@ -331,7 +349,7 @@ class TestApplyOp:
         assert not hasattr(Instruction, "move_delta")
 
     def test_bijection_preserved(self):
-        g = grid_for(8)
+        g = initial_placement(8)
         apply_op(g, sh(InstrKind.SH_R, 0))
         assert len({g.site_of(q) for q in range(8)}) == 8
         assert all(g.qubit_at(g.site_of(q)) == q for q in range(8))
@@ -407,6 +425,14 @@ def test_site_barriers_at_edges():
 # --- reference: check_parallel_set as it stood before the occupancy masks,
 # copied literally (one SignalRequirements with Line sets per instruction,
 # 2N qubit_at/occupied stay-put scan, DFS over the merged QL pairs)
+
+
+def move_sites(grid, q, delta):
+    """Origin and destination of a one-site move of q by `delta` (the
+    destination may lie off the grid), as the library once computed them."""
+    x, y = grid.site_of(q)
+    dx, dy = delta
+    return (x, y), (x + dx, y + dy)
 
 
 def _reference_barrier_signals(grid, a, b, ql_gt=frozenset()):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from xbarc import build_fidelity_map, esp, gen_bernstein_vazirani, gen_random_uniform, grid_for, load_config
+from xbarc import build_fidelity_map, esp, gen_bernstein_vazirani, gen_random_uniform, load_config
 from xbarc.benchgen import BenchSpec
 from xbarc.instructions import schedule_to_doc
 
@@ -38,9 +38,9 @@ CORPUS = {
 
 def fingerprint(name: str) -> dict:
     config = load_config("{}")
-    dec, schedule = compile_native(CORPUS[name](), config)
+    _, schedule = compile_native(CORPUS[name](), config)
     canonical = json.dumps(schedule_to_doc(schedule)["cycles"], sort_keys=True, separators=(",", ":"))
-    fmap = build_fidelity_map(grid_for(dec.n_qubits), config)
+    fmap = build_fidelity_map(schedule.grid_n, config)
     return {
         "cycles_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "trajectory_sha256": schedule.trajectory_sha256,

@@ -2,12 +2,12 @@
 
 The functions prefixed _reference_ are copied unchanged from the versions
 before the crossbar check and apply, the document loader and the rotation
-fold were rewritten for speed: check_parallel_set (with _legal_move and
-_borders, since removed), apply_op, the object-row document writer and
-loader (schedule_to_doc and instruction_to_dict; instruction_from_dict with
-_circuit_from_doc, _cycle_from_doc and schedule_from_doc, and the FIELDS
-table and circuit functions they read), and RotationFold.rotate, which
-multiplied numpy 2x2s. The rewrites must give the same output on every
+fold were rewritten for speed: check_parallel_set (with _legal_move,
+_borders and move_sites, since removed), apply_op, the object-row document
+writer and loader (schedule_to_doc and instruction_to_dict;
+instruction_from_dict with _circuit_from_doc, _cycle_from_doc and
+schedule_from_doc, and the FIELDS table and circuit functions they read),
+and RotationFold.rotate, which multiplied numpy 2x2s. The rewrites must give the same output on every
 input below: the same conflict report, the same grid or CrossbarError
 message, and the same folded state.
 
@@ -49,7 +49,6 @@ from xbarc.crossbar import (
     apply_op,
     barrier_between,
     check_parallel_set,
-    move_sites,
     sqswap_sites,
 )
 from xbarc.errors import CrossbarError, XbarcError
@@ -66,6 +65,14 @@ from xbarc.instructions import (
     schedule_to_doc,
 )
 from xbarc.sim import SQSWAP_MATRIX, RotationFold, rx_2x2, ry_2x2, rz_2x2
+
+
+def move_sites(grid: Grid, q: int, delta):
+    """Origin and destination of a one-site move of q by `delta` (the
+    destination may lie off the grid), as the library once computed them."""
+    x, y = grid.site_of(q)
+    dx, dy = delta
+    return (x, y), (x + dx, y + dy)
 
 
 def _reference_legal_move(grid: Grid, q: int, delta, name):

@@ -6,21 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xbarc import (
-    Circuit,
     Gate,
     GateKind,
     check_parallel_set,
     expand_semi_global,
-    grid_for,
     initial_placement,
     route_two_qubit,
     z_route,
 )
-from xbarc.crossbar import Grid, apply_cycle, checkerboard_sites
+from xbarc.crossbar import Grid, apply_cycle
 from xbarc.errors import CrossbarError
 from xbarc.instructions import CycleType, InstrKind
 
-from conftest import sparse_grid
+from conftest import checkerboard_sites, sparse_grid
 
 
 def start_of(grid):
@@ -42,21 +40,6 @@ def instructions(block):
     return [op for cycle in block for op in cycle.ops]
 
 
-class TestInitialPlacement:
-    def test_eight_on_4x4(self):
-        c = Circuit("p", 8, ())
-        g = initial_placement(c, grid_for(8))
-        assert g.pos == ((0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
-
-    def test_single(self):
-        g = initial_placement(Circuit("p", 1, ()), grid_for(1))
-        assert g.pos == ((0, 0),)
-
-    def test_five_on_3x3(self):
-        g = initial_placement(Circuit("p", 5, ()), grid_for(5))
-        assert g.pos == ((0, 0), (2, 0), (1, 1), (0, 2), (2, 2))
-
-
 class TestRouteTwoQubit:
     def test_already_diagonal(self):
         g = sparse_grid(3, [(1, 1), (0, 0)])
@@ -69,7 +52,7 @@ class TestRouteTwoQubit:
         assert len(block) == 3
 
     def test_one_exchange_then_interaction(self):
-        g = grid_for(8)
+        g = initial_placement(8)
         a, b = g.qubit_at((0, 0)), g.qubit_at((2, 2))
         block = route_two_qubit(g, a, b)
         assert len(instructions(block)) == 7  # 4 exchange shuttles + 2 + sqswap
@@ -80,7 +63,7 @@ class TestRouteTwoQubit:
         assert all(c.type is CycleType.SHUTTLE for c in first_two)
 
     def test_exchange_relocates_partner(self):
-        g = grid_for(8)
+        g = initial_placement(8)
         a, b = g.qubit_at((0, 0)), g.qubit_at((2, 2))
         partner = g.qubit_at((1, 1))
         start = start_of(g)
@@ -100,7 +83,7 @@ class TestRouteTwoQubit:
         assert end.is_checkerboard()
 
     def test_checkerboard_broken_only_inside(self):
-        g = grid_for(8)
+        g = initial_placement(8)
         a, b = g.qubit_at((0, 0)), g.qubit_at((2, 2))
         cur = start_of(g)
         block = route_two_qubit(g, a, b)
@@ -113,7 +96,7 @@ class TestRouteTwoQubit:
 
     def test_same_operand_rejected(self):
         with pytest.raises(ValueError):
-            route_two_qubit(grid_for(4), 1, 1)
+            route_two_qubit(initial_placement(4), 1, 1)
 
 
 def chebyshev(a, b):
@@ -205,7 +188,7 @@ class TestSemiGlobal:
 
     def test_lone_target_four_steps(self):
         # rotating one qubit of a populated parity costs the 4-step scheme
-        g = grid_for(8)
+        g = initial_placement(8)
         target = g.qubit_at((0, 2))
         start = start_of(g)
         block = expand_semi_global(g, target, "y", 1.1)
@@ -215,10 +198,10 @@ class TestSemiGlobal:
         assert block[0].type is CycleType.XY_ROT
         assert block[2].type is CycleType.XY_ROT
         end = replay_block(start, block)
-        assert end.pos == grid_for(8).pos
+        assert end.pos == initial_placement(8).pos
 
     def test_inverse_angle_negated(self):
-        g = grid_for(8)
+        g = initial_placement(8)
         block = expand_semi_global(g, 0, "x", 0.9)
         rot = instructions(block)[0]
         inv = instructions(block)[2]

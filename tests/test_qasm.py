@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from xbarc import BenchSpec, GateKind, emit_output, gen_random_uniform, parse_qasm, schedule_from_doc
 from xbarc import instructions
 from xbarc.circuits import NATIVE_KINDS, ROTATION_KINDS, TWO_QUBIT_KINDS, Circuit, Gate
-from xbarc.crossbar import checkerboard_sites
 from xbarc.errors import QasmError
 from xbarc.instructions import (
     FIELDS,
@@ -29,7 +28,7 @@ from xbarc.instructions import (
 )
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm
 
-from conftest import compile_native
+from conftest import checkerboard_sites, compile_native
 
 
 def test_minimal_cx():

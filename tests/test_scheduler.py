@@ -6,7 +6,7 @@ from xbarc import (
     Gate,
     GateKind,
     check_parallel_set,
-    grid_for,
+    initial_placement,
     instructions,
     schedule_integrated,
     scheduler,
@@ -108,10 +108,10 @@ class TestScheduleInvariants:
     def test_caller_grid_left_unchanged(self):
         # two-qubit routes relocate qubits, so advancing the caller's grid
         # would leave it at the final occupancy and change a second compile
-        from xbarc import BenchSpec, decompose, gen_random_uniform, initial_placement, load_config
+        from xbarc import BenchSpec, decompose, gen_random_uniform, load_config
 
         dec = decompose(gen_random_uniform(BenchSpec(6, 30, 50.0, 4)), load_config("{}"))
-        grid = initial_placement(dec, grid_for(6))
+        grid = initial_placement(dec.n_qubits)
         before = grid.pos
         first = schedule_integrated(dec, grid)
         assert grid.pos == before
@@ -138,7 +138,7 @@ class TestScheduleInvariants:
 
     def test_rejects_non_native(self):
         with pytest.raises(ValueError):
-            schedule_integrated(native("h", 1, Gate(GateKind.H, (0,))), grid_for(1))
+            schedule_integrated(native("h", 1, Gate(GateKind.H, (0,))), initial_placement(1))
 
     def test_rejects_broken_checkerboard(self):
         c = native("z", 2, Gate(GateKind.RZ, (0,), 0.5))
@@ -157,7 +157,7 @@ class TestScheduleInvariants:
             schedule_integrated(c, grid)
 
     def test_empty_circuit_empty_schedule(self):
-        s = schedule_integrated(native("e", 2), grid_for(2))
+        s = schedule_integrated(native("e", 2), initial_placement(2))
         assert s.depth == 0 and s.trajectory_sha256 == TrajectoryDigest().hexdigest()
 
 

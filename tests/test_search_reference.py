@@ -12,9 +12,11 @@ import random
 
 import pytest
 
-from xbarc.crossbar import Grid, _find_ql_cycle, checkerboard_sites
+from xbarc.crossbar import Grid, _find_ql_cycle
 from xbarc.errors import CompileError
 from xbarc.mapper import _diagonal_path, _pick_corner
+
+from conftest import checkerboard_sites
 
 
 def _reference_find_ql_cycle(pairs):
