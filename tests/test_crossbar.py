@@ -59,10 +59,6 @@ class TestGridFor:
         g = initial_placement(1)
         assert g.n == 1 and g.pos == ((0, 0),)
 
-    def test_five_on_3x3(self):
-        g = initial_placement(5)
-        assert g.n == 3 and g.pos == ((0, 0), (2, 0), (1, 1), (0, 2), (2, 2))
-
     def test_four_qubits_need_3x3(self):
         # exhaustive: N=2 holds ceil(4/2)=2 < 4, N=3 holds ceil(9/2)=5 >= 4
         assert (2 * 2 + 1) // 2 < 4 <= (3 * 3 + 1) // 2

@@ -40,6 +40,20 @@ def instructions(block):
     return [op for cycle in block for op in cycle.ops]
 
 
+class TestInitialPlacement:
+    def test_eight_on_4x4(self):
+        g = initial_placement(8)
+        assert g.pos == ((0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
+
+    def test_single(self):
+        g = initial_placement(1)
+        assert g.pos == ((0, 0),)
+
+    def test_five_on_3x3(self):
+        g = initial_placement(5)
+        assert g.n == 3 and g.pos == ((0, 0), (2, 0), (1, 1), (0, 2), (2, 2))
+
+
 class TestRouteTwoQubit:
     def test_already_diagonal(self):
         g = sparse_grid(3, [(1, 1), (0, 0)])
