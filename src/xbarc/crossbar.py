@@ -43,9 +43,14 @@ destination is a BLOCKED_PATH conflict, as are two moves of one qubit or
 two moves onto one site.
 
 A Grid is mutable and apply_op/apply_cycle advance it in place, O(1) per
-move, returning None. apply_cycle is the one place a cycle is applied: it
-undoes a cycle that fails partway and adds the occupancy after every cycle
-to the grid's own TrajectoryDigest, `grid.trajectory`.
+move, returning None. Grid.move appends each move's (q, x, y) to the grid's
+own TrajectoryDigest, `grid.trajectory`, which opens with the placement.
+apply_cycle is the one place a cycle is applied: it undoes a cycle that
+fails partway and drops that cycle's entries, puts a cycle that moved two
+or more qubits into ascending qubit order with one entry per qubit whose
+site changed, and closes every cycle with CYCLE_END. So the digest costs
+O(placement + site changes + cycles), and a cycle's rows may be listed in
+any order.
 """
 from __future__ import annotations
 
@@ -55,7 +60,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, NamedTuple
 
 from .errors import CrossbarError
-from .instructions import DELTAS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest, coord_buffer
+from .instructions import CYCLE_END, DELTAS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest, coord_buffer
 
 
 # bound once for the per-cycle and per-instruction functions (see InstrKind)
@@ -105,8 +110,11 @@ class Grid:
     x1, y1, ..., next to a site -> qubit map and two occupancy bitmask lists:
     cols[x] has bit y set and rows[y] has bit x set when (x, y) holds a
     qubit. move updates all four in place in O(1), so apply_cycle's undo,
-    which moves qubits back, restores them too. `trajectory` starts empty
-    and apply_cycle adds the occupancy after every cycle to it. Whoever
+    which moves qubits back, restores them too. `trajectory`, the
+    TrajectoryDigest log, opens with the placement; move appends the
+    (q, x, y) of every move to it, and apply_cycle orders and closes each
+    cycle's entries (a grid advanced by apply_op alone keeps a log no
+    digest reads). Whoever
     advances a grid owns it: schedule_integrated, replay_verify,
     simulate_schedule and metrics.esp each build their own from a
     placement, and the routing entry points (route_two_qubit, z_route,
@@ -127,7 +135,7 @@ class Grid:
         for x, y in pos:
             self.cols[x] |= 1 << y
             self.rows[y] |= 1 << x
-        self.trajectory = TrajectoryDigest()
+        self.trajectory = TrajectoryDigest(self.coords)
 
     @property
     def pos(self) -> tuple[tuple[int, int], ...]:
@@ -166,13 +174,11 @@ class Grid:
         self._site_map[site] = q
         cols[x] |= 1 << y
         rows[y] |= 1 << x
+        self.trajectory.extend((q, x, y))
 
     def is_checkerboard(self) -> bool:
         xy = self.coords
         return all((x + y) % 2 == 0 for x, y in zip(xy[0::2], xy[1::2]))
-
-    def column_parity(self, q: int) -> int:
-        return self.coords[2 * q] % 2
 
     def parity_members(self, parity: int) -> tuple[int, ...]:
         return tuple(q for q, x in enumerate(self.coords[0::2]) if x % 2 == parity)
@@ -508,13 +514,40 @@ def apply_op(grid: Grid, op: Instruction) -> None:
     # sqswap and semi-global rotations leave positions unchanged
 
 
+def _in_qubit_order(log: TrajectoryDigest, mark: int, ops) -> None:
+    """Rewrite the log entries a cycle of `ops` appended from `mark` on, two
+    or more moves, as one (q, x, y) per qubit whose site the cycle changed,
+    in ascending q. A qubit moved twice ends on its last entry's site and
+    drops out when its moves cancel."""
+    if len(log) - mark == 6 and log[mark] != log[mark + 3]:  # two qubits, the common exchange
+        if log[mark] > log[mark + 3]:
+            log[mark:] = log[mark + 3:] + log[mark:mark + 3]
+        return
+    sites = {}
+    for i in range(mark, len(log), 3):
+        sites[log[i]] = log[i + 1], log[i + 2]
+    if 3 * len(sites) < len(log) - mark:
+        net = dict.fromkeys(sites, (0, 0))
+        for op in ops:
+            if op.kind.moves:
+                (sx, sy), (dx, dy) = net[op.qubits[0]], op.kind.delta
+                net[op.qubits[0]] = sx + dx, sy + dy
+        sites = {q: site for q, site in sites.items() if net[q] != (0, 0)}
+    del log[mark:]
+    for q in sorted(sites):
+        log.extend((q, *sites[q]))
+
+
 def apply_cycle(grid: Grid, cycle: Cycle) -> None:
-    """apply_op on each instruction in order, then add the occupancy to
-    grid.trajectory. A CrossbarError partway undoes the moves before it in
-    reverse order (a move's origin is empty once every later move is
-    undone) and is re-raised, so the digest records the occupancy from
-    before the cycle."""
+    """apply_op on each instruction in order, then close the cycle in
+    grid.trajectory: the moves' entries in ascending qubit order, one per
+    qubit whose site changed, then CYCLE_END. A CrossbarError partway
+    undoes the moves before it in reverse order (a move's origin is empty
+    once every later move is undone), drops their entries and is re-raised,
+    so the digest records the cycle as one that changed no site."""
     ops = cycle.ops
+    log = grid.trajectory
+    mark = len(log)
     try:
         for i, op in enumerate(ops):
             apply_op(grid, op)
@@ -524,6 +557,9 @@ def apply_cycle(grid: Grid, cycle: Cycle) -> None:
                 q = op.qubits[0]
                 (x, y), (dx, dy) = grid.site_of(q), op.kind.delta
                 grid.move(q, (x - dx, y - dy))
+        del log[mark:]
         raise
     finally:
-        grid.trajectory.add(grid.coords)
+        if len(log) - mark > 3:  # a cycle of one move, the most common, is in order
+            _in_qubit_order(log, mark, ops)
+        log.append(CYCLE_END)

@@ -10,10 +10,11 @@ an X/Y rotation is an sg_rot of the negated angle.
 
 A Schedule is a sequence of single-type cycles of parallel instructions
 from an initial placement. Positions after each cycle follow from those
-two; the schedule keeps only their sha256 (TrajectoryDigest), which replay
-recomputes to catch a document whose cycles no longer reproduce the
-compiled trajectory. A cycle's type follows from its instructions and the
-qubit count from the placement, so neither is stored.
+two; the schedule keeps only moves_sha256, the sha256 of the placement and
+of the sites each cycle changed (TrajectoryDigest), which replay recomputes
+to catch a document whose cycles no longer reproduce the compiled
+trajectory. A cycle's type follows from its instructions and the qubit
+count from the placement, so neither is stored.
 
 The JSON document written by schedule_to_doc, the authoritative compiled
 artifact, holds what a Schedule holds. Each instruction is one row, a JSON
@@ -36,8 +37,10 @@ a row of its name, its qubits and a rotation's angle:
 for example ["rx", 3, 0.5] or ["sqswap", 1, 2]. Writer and loader read each
 instruction kind's slots from FIELDS, and schedule_from_doc round-trips the
 document exactly. It refuses a document of an earlier format with
-"recompile it": one that wrote n and typed cycles, holds an instruction
-kind since retired, or writes an instruction or a gate as an object.
+"recompile it": one that wrote n and typed cycles, holds trajectory_sha256
+(the digest of every qubit's site after every cycle, which moves_sha256
+replaced), holds an instruction kind since retired, or writes an
+instruction or a gate as an object.
 
 The loader makes one pass over the document. It checks the placement and
 grid, builds the embedded circuit gate by gate, then checks each
@@ -220,7 +223,7 @@ class Schedule:
     grid_n: int
     placement: tuple[tuple[int, int], ...]
     cycles: tuple[Cycle, ...]
-    trajectory_sha256: str  # TrajectoryDigest of the occupancy after every cycle
+    moves_sha256: str  # TrajectoryDigest.hexdigest of the placement and every cycle's site changes
     circuit: Circuit | None = None  # decomposed source, embedded for verification
 
     def __post_init__(self):
@@ -244,34 +247,41 @@ def coord_buffer(pos) -> array:
     return array("I", chain.from_iterable(pos))
 
 
-# coord_buffer's bytes are already the digest's little-endian uint32s
+# an array("I")'s bytes are already the digest's little-endian uint32s
 _NATIVE_IS_DIGEST = sys.byteorder == "little" and array("I").itemsize == 4
 
+# closes each cycle's changes in a TrajectoryDigest: no qubit index, since
+# a qubit index is below the qubit count and a coordinate fits a uint32
+CYCLE_END = 0xFFFFFFFF
 
-class TrajectoryDigest:
-    """sha256 over the occupancy after every cycle of a schedule.
 
-    Each snapshot is every qubit's (x, y) in qubit order, packed as
-    little-endian uint32, so any grid size encodes without loss. add takes
-    a grid's coord_buffer and hashes its bytes as they are; the constructor
-    takes snapshots as tuples of sites.
+class TrajectoryDigest(list):
+    """The log a schedule's trajectory digest hashes, as a list of uint32s.
+
+    The log opens with the placement, every qubit's (x, y) in qubit order.
+    Each applied cycle then adds the (q, x, y) of every qubit whose site the
+    cycle changed, in ascending q, and CYCLE_END. A pulse or sqswap cycle,
+    and a cycle undone after failing partway, add CYCLE_END alone. Given the
+    placement, this log and the sequence of occupancy snapshots after every
+    cycle determine each other, so the digest checks the whole trajectory
+    while costing O(placement + site changes + cycles) rather than
+    O(qubits x cycles).
+
+    Grid.move appends the (q, x, y) of each move in one C-level extend, and
+    crossbar.apply_cycle puts a cycle's entries in this form before adding
+    CYCLE_END. hexdigest packs the log once into a uint32 array and hashes
+    it as little-endian uint32 on any host, so any grid size encodes without
+    loss.
     """
 
-    __slots__ = ("_sha",)
-
-    def __init__(self, snapshots=()):
-        self._sha = hashlib.sha256()
-        for pos in snapshots:
-            self.add(coord_buffer(pos))
-
-    def add(self, coords: array) -> None:
-        if _NATIVE_IS_DIGEST:
-            self._sha.update(coords)
-        else:
-            self._sha.update(struct.pack(f"<{len(coords)}I", *coords))
+    __slots__ = ()
 
     def hexdigest(self) -> str:
-        return self._sha.hexdigest()
+        words = array("I")
+        words.fromlist(self)  # a list's fast path; array("I", self) iterates a subclass
+        if not _NATIVE_IS_DIGEST:
+            words = struct.pack(f"<{len(words)}I", *words)
+        return hashlib.sha256(words).hexdigest()
 
 
 _BLANK = Instruction(None)  # every attribute but kind at its default
@@ -341,7 +351,7 @@ def schedule_to_doc(s: Schedule) -> dict:
         "grid": s.grid_n,
         "placement": [list(p) for p in s.placement],
         "cycles": [[instruction_to_row(op) for op in c.ops] for c in s.cycles],
-        "trajectory_sha256": s.trajectory_sha256,
+        "moves_sha256": s.moves_sha256,
     }
     c = s.circuit
     if c is not None:
@@ -513,6 +523,11 @@ def schedule_from_doc(doc: dict) -> Schedule:
         raise XbarcError("schedule document must be a JSON object")
     if "n" in doc:  # both earlier formats wrote n and typed cycles
         raise XbarcError("document writes n and typed cycles; it predates this format, recompile it")
+    if "trajectory_sha256" in doc:  # the digest of whole-grid snapshots, before moves_sha256
+        raise XbarcError(
+            "document holds trajectory_sha256, a digest of every qubit's site after every cycle; "
+            "the document predates this format, recompile it"
+        )
     try:
         grid_n, placement = doc["grid"], _typed(doc["placement"], list, "placement")
         if not placement:
@@ -535,7 +550,7 @@ def schedule_from_doc(doc: dict) -> Schedule:
             grid_n=grid_n,
             placement=tuple(tuple(p) for p in placement),
             cycles=tuple(_cycle_from_doc(i, c, n, n_gates) for i, c in enumerate(cycles)),
-            trajectory_sha256=_string(doc["trajectory_sha256"], "trajectory_sha256"),
+            moves_sha256=_string(doc["moves_sha256"], "moves_sha256"),
             circuit=circuit,
         )
     except KeyError as e:

@@ -17,7 +17,7 @@ target out, an sg_rot of the negated angle on the same parity, a shuttle
 of the target home. Each move is emitted as the kind whose delta is its
 unit step. Every entry point routes one gate on the grid it is given and
 advances it: `_checked` checks each cycle and applies it with apply_cycle,
-which also records it in grid.trajectory.
+which also records its site changes in grid.trajectory.
 """
 from __future__ import annotations
 
@@ -149,13 +149,16 @@ def expand_semi_global(grid: Grid, q: int, axis: str, angle: float, src: int = 0
     left), pulse the parity by the negated angle, shuttle back. The cycles,
     the lone pulse included, are checked and applied to `grid`.
     """
-    parity = grid.column_parity(q)
+    x, y = grid.site_of(q)
+    parity = x % 2
     srcs = (src,)
     rot = Instruction(InstrKind.SG_ROT, angle=angle, axis=axis, parity=parity, src=srcs)
-    if grid.parity_members(parity) == (q,):
+    # q is alone in its parity when it is alone in its column and every
+    # other column of that parity is empty: O(side) from the column masks
+    same_parity = grid.cols[parity::2]
+    if grid.cols[x] == 1 << y and same_parity.count(0) == len(same_parity) - 1:
         cycles = (Cycle((rot,)),)
     else:
-        x, y = grid.site_of(q)
         dx = 1 if grid.in_grid((x + 1, y)) and not grid.occupied((x + 1, y)) else -1
         inv = Instruction(InstrKind.SG_ROT, angle=-angle, axis=axis, parity=parity, src=srcs)
         cycles = (

@@ -123,10 +123,12 @@ def esp(schedule: Schedule, fmap: FidelityMap) -> float:
             elif op.kind is sqswap_kind:
                 x, y = min(sqswap_sites(grid, *op.qubits), key=lambda s: s[1])
                 total *= sqswap[y][x]
-            else:  # semi-global pulse: every qubit in the parity contributes
-                for q in grid.parity_members(op.parity):
-                    x, y = grid.site_of(q)
-                    total *= single[y][x]
+            else:  # semi-global pulse: every qubit in the parity contributes, in qubit order
+                parity = op.parity
+                xy = iter(grid.coords)
+                for x, y in zip(xy, xy):
+                    if x % 2 == parity:
+                        total *= single[y][x]
     return total
 
 

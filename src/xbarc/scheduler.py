@@ -6,7 +6,8 @@ a two-qubit gate into its routed exchanges and interaction triplet, a Z
 gate into its phase shuttle and return, an X/Y gate into its compensation
 scheme. Blocks are placed in order and never parallelized across gates.
 The routing entry points check and apply each cycle on the scheduler's one
-grid, which records the trajectory digest (crossbar.apply_cycle).
+grid, which records each cycle's site changes for the trajectory digest
+(crossbar.apply_cycle).
 
 Every X/Y rotation claims its own compensation scheme instance: the pulse,
 shuttle, inverse-pulse, shuttle-back cost is charged per gate, which is
@@ -71,7 +72,7 @@ def schedule_integrated(decomposed: Circuit, grid: Grid, name: str | None = None
         grid_n=grid.n,
         placement=placement,
         cycles=tuple(cycles),
-        trajectory_sha256=grid.trajectory.hexdigest(),
+        moves_sha256=grid.trajectory.hexdigest(),
         circuit=decomposed,
     )
 

@@ -164,17 +164,32 @@ class RotationFold:
         self._batch = self.state.size >> n  # columns per basis index
         self._operands = np.empty(self.state.size, dtype=complex)
         self._product = np.empty(self.state.size, dtype=complex)
+        self._views: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}  # apply's, per qubit tuple
 
     def apply(self, qubits, u: np.ndarray) -> None:
         """The gate kernel: apply the 2**k x 2**k matrix u to the k = 1 or 2
-        `qubits` in place, qubits[0] the high bit of its basis.
+        `qubits`, a tuple, in place, qubits[0] the high bit of its basis.
 
         The state is viewed with each target qubit's bit as its own axis
         (qubit q is the bit of stride 2**q * batch), the target axes moved
         to the front; np.copyto gathers that view into the operand buffer as
         a (2**k, rest) matrix, np.matmul multiplies it into the product
         buffer, and np.copyto scatters the product back through the view.
+        The views depend only on `qubits`, so each tuple's are built once
+        (_gate_views) and kept.
         """
+        views = self._views.get(qubits)
+        if views is None:
+            views = self._views[qubits] = self._gate_views(qubits)
+        view, operands, operand_rows, product_rows, product = views
+        np.copyto(operands, view)
+        np.matmul(u, operand_rows, out=product_rows)
+        np.copyto(view, product)
+
+    def _gate_views(self, qubits) -> tuple[np.ndarray, ...]:
+        """apply's views for one qubit tuple: the state's, the operand
+        buffer's in the same shape and as (2**k, rest) rows, and the product
+        buffer's as rows and in the state view's shape."""
         if len(qubits) == 1:
             (q,) = qubits
             view = self.state.reshape(-1, 2, self._batch << q).transpose(1, 0, 2)
@@ -183,12 +198,10 @@ class RotationFold:
             lo, hi = min(a, b), max(a, b)
             view = self.state.reshape(-1, 2, 1 << (hi - lo - 1), 2, self._batch << lo)
             view = view.transpose((1, 3, 0, 2, 4) if a == hi else (3, 1, 0, 2, 4))
-        rows = len(u)
+        rows = 1 << len(qubits)
         operands = self._operands.reshape(view.shape)
-        np.copyto(operands, view)
-        product = self._product.reshape(rows, -1)
-        np.matmul(u, operands.reshape(rows, -1), out=product)
-        np.copyto(view, product.reshape(view.shape))
+        product_rows = self._product.reshape(rows, -1)
+        return view, operands, operands.reshape(rows, -1), product_rows, product_rows.reshape(view.shape)
 
     def rotate(self, q: int, u) -> None:
         """Fold the 2x2 u, nested pairs or an array, into q's pending

@@ -2,16 +2,20 @@
 
 Replay re-runs every cycle from the initial placement through the
 scheduler's own check_parallel_set/apply_cycle (so it cannot catch a fault
-in the conflict model itself) and compares the grid's trajectory digest,
-the occupancy after every cycle, with the digest the scheduler stored, so
-cycles that are each legal but no longer reproduce the compiled trajectory
-fail. Statevector equivalence simulates the compiled schedule against the
-decomposed circuit at small qubit counts; both sides fold each qubit's
-rotations, spectator ones included, into one 2x2 until that qubit's next
-two-qubit gate (sim.RotationFold), which applies every gate in place on its
-own copy of the probe states, so the probes are never written and a second
-check of the same schedule gives the same fidelity. verify() runs both
-checks; VerifyReport.ok is the verdict.
+in the conflict model itself) and compares the grid's trajectory digest
+with the moves_sha256 the scheduler stored. The digest covers the
+placement and the sites every cycle changed, with one end mark per cycle,
+which determines the occupancy after every cycle, so cycles that are each
+legal but no longer reproduce the compiled trajectory fail: a moved,
+added or dropped cycle, a pulse cycle included, or a placement that swaps
+two qubits. The order of a cycle's rows does not matter. Statevector
+equivalence simulates the compiled schedule against the decomposed circuit
+at small qubit counts; both sides fold each qubit's rotations, spectator
+ones included, into one 2x2 until that qubit's next two-qubit gate
+(sim.RotationFold), which applies every gate in place on its own copy of
+the probe states, so the probes are never written and a second check of
+the same schedule gives the same fidelity. verify() runs both checks;
+VerifyReport.ok is the verdict.
 
 Replay reads each instruction kind's facts (its unit step, its cycle
 family) from InstrKind's attributes, and every legal cycle's report is the
@@ -106,7 +110,7 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
         except CrossbarError as e:
             detail = f"cycle is not applicable: {e}"
             violations.append((idx, ConflictReport(ConflictKind.BLOCKED_PATH, detail=detail)))
-    return VerifyReport(tuple(violations), grid.trajectory.hexdigest() == schedule.trajectory_sha256)
+    return VerifyReport(tuple(violations), grid.trajectory.hexdigest() == schedule.moves_sha256)
 
 
 def simulate_schedule(schedule: Schedule, state: np.ndarray) -> np.ndarray:

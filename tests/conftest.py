@@ -1,3 +1,6 @@
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -30,3 +33,20 @@ def compile_native(circuit, config=None):
 
 def rng_for(*entropy):
     return np.random.default_rng(list(entropy))
+
+
+def moves_digest(placement, snapshots):
+    """Reference for TrajectoryDigest.hexdigest, derived from the occupancy
+    after every cycle: sha256 over little-endian uint32s, first every
+    qubit's (x, y) of the placement in qubit order, then for each snapshot
+    the (q, x, y) of every qubit whose site differs from the snapshot
+    before it, in ascending q, and 0xFFFFFFFF."""
+    words = [c for site in placement for c in site]
+    before = placement
+    for pos in snapshots:
+        for q, (old, new) in enumerate(zip(before, pos, strict=True)):
+            if old != new:
+                words += (q, *new)
+        words.append(0xFFFFFFFF)
+        before = pos
+    return hashlib.sha256(struct.pack(f"<{len(words)}I", *words)).hexdigest()

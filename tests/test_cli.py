@@ -79,7 +79,7 @@ def bell_doc(tmp_path, bell_qasm):
 
 def test_verify_detects_corruption(tmp_path, bell_doc):
     _, doc = bell_doc
-    doc["trajectory_sha256"] = "0" * 64
+    doc["moves_sha256"] = "0" * 64
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", "-i", str(bad)]) == 2
@@ -101,6 +101,24 @@ def test_verify_detects_legal_mid_trajectory_change(tmp_path, capsys):
     assert main(["verify", "-i", str(out)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["violations"] == [] and report["trajectory_match"] is False
+    assert report["equivalence_fidelity"] > 1 - 1e-9
+
+
+def test_verify_accepts_an_exchange_cycle_with_its_rows_reversed(tmp_path, capsys):
+    # the digest logs a cycle's site changes in ascending qubit order, so
+    # listing an exchange cycle's two shuttles the other way round changes
+    # nothing that replay or equivalence checks
+    src, out = tmp_path / "r12.qasm", tmp_path / "r12.json"
+    src.write_text(circuit_to_qasm(gen_random_uniform(BenchSpec(12, 100, 50.0, 0))))
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    cycle = next(c for c in doc["cycles"] if len(c) == 2 and c[0][0].startswith("sh_") and c[0][1] < c[1][1])
+    cycle.reverse()
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "-i", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] and report["violations"] == [] and report["trajectory_match"] is True
     assert report["equivalence_fidelity"] > 1 - 1e-9
 
 
@@ -255,7 +273,7 @@ def _old_format(positions):
                 apply_cycle(grid, cycle)
                 old["positions"].append([list(grid.site_of(q)) for q in range(schedule.n_qubits)])
         else:
-            old["trajectory_sha256"] = doc["trajectory_sha256"]
+            old["trajectory_sha256"] = doc["moves_sha256"]
         old |= {"circuit": doc["circuit"], "metrics": doc["metrics"]}
         doc.clear()
         doc.update(old)
@@ -298,7 +316,7 @@ _NOT_A_SRC = "must be a source gate index (a non-negative integer), document giv
 MALFORMED_DOCUMENTS = [
     (_drop("cycles"), "lacks key 'cycles'"),
     (_drop("placement"), "lacks key 'placement'"),
-    (_drop("trajectory_sha256"), "lacks key 'trajectory_sha256'"),
+    (_drop("moves_sha256"), "lacks key 'moves_sha256'"),
     (_set_slot("sqswap", 2, 7), "cycle 5 op 0: sqswap names qubit 7, outside range(2)"),
     (_old_format(positions=True), "document writes n and typed cycles; it predates this format, recompile it"),
     (lambda doc: doc.update(grid="3"), "grid must be 2 for 2 qubits, document gives '3'"),
@@ -328,7 +346,7 @@ MALFORMED_DOCUMENTS = [
     (_append_op(1, ["sg_rot", 0.1, "x", 0]), "cycle 1: instruction families ['shuttle', 'xy_rot'] cannot share a cycle"),
     (lambda doc: doc.update(name=5), "name must be a string, document gives 5"),
     (_set_first(["circuit", "name"], ["bell"]), "circuit name must be a string, document gives ['bell']"),
-    (lambda doc: doc.update(trajectory_sha256=5), "trajectory_sha256 must be a string, document gives 5"),
+    (lambda doc: doc.update(moves_sha256=5), "moves_sha256 must be a string, document gives 5"),
     (_set_slot("sqswap", 3, 1.5), f"sqswap slot 3 {_NOT_A_SRC} 1.5; a sqswap row is {_SQSWAP_ROW}"),
     (_set_slot("sqswap", 3, -1), f"sqswap slot 3 {_NOT_A_SRC} -1; a sqswap row is {_SQSWAP_ROW}"),
     (_set_first(["circuit", "gates", 0], ["measure", 0]),
@@ -376,14 +394,19 @@ MALFORMED_IDS = [
     "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
     "circuit-gate-q-5", "circuit-gate-q-negative", "circuit-gate-sqswap-same-qubit",
 ]
-# documents of the format before positional rows, which wrote each
-# instruction and circuit gate as an object, and of the format before that,
-# with the retired kinds as objects
+# documents of the format before moves_sha256, of the format before
+# positional rows, which wrote each instruction and circuit gate as an
+# object, and of the format before that, with the retired kinds as objects
 PARENT_FORMATS = {
     "object-rows": (_object_rows(), "circuit gate 0 is an object, not a row"),
     "object-instructions": (_object_rows(gates=False), "cycle 0 op 0 is an object, not a row"),
     "object-gates": (_object_rows(cycles=False), "circuit gate 0 is an object, not a row"),
     "object-retired-kinds": (_retired_kinds(objects=True), "cycle 0 op 0 is an object, not a row"),
+    # the format before moves_sha256 hashed every qubit's site after every cycle
+    "trajectory-digest": (
+        lambda doc: doc.update(trajectory_sha256=doc.pop("moves_sha256")),
+        "document holds trajectory_sha256, a digest of every qubit's site after every cycle",
+    ),
     "object-retired-sg-rot-inv": (
         _set_first(["cycles", 2, 0], {"kind": "sg_rot_inv", "angle": 0.5, "axis": "y", "parity": 1}),
         "cycle 2 op 0 is an object, not a row",

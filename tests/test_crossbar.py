@@ -2,7 +2,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xbarc import (
@@ -30,16 +30,16 @@ from xbarc.crossbar import (
 )
 from xbarc.errors import CrossbarError
 from xbarc.instructions import (
+    CYCLE_END,
     Cycle,
     CycleType,
     Instruction,
     InstrKind,
     Schedule,
-    TrajectoryDigest,
     grid_side,
 )
 
-from conftest import checkerboard_sites, compile_native, sparse_grid
+from conftest import checkerboard_sites, compile_native, moves_digest, sparse_grid
 
 
 def sh(kind, q):
@@ -658,7 +658,7 @@ class TestOccupancyMasks:
             return check_parallel_set(grid, cycle)
 
         monkeypatch.setattr(verifier, "check_parallel_set", checked)
-        digest = TrajectoryDigest([placement, raised, placement]).hexdigest()
+        digest = moves_digest(placement, [placement, raised, placement])
         report = replay_verify(Schedule("partway", 3, placement, (broken, up, down), digest))
         assert seen == [(placement, True), (placement, True), (raised, True)]
         assert [i for i, _ in report.violations] == [0, 0] and report.trajectory_match
@@ -681,7 +681,9 @@ class TestApplyCycle:
         with pytest.raises(CrossbarError):
             apply_cycle(grid, Cycle(self.LEGAL + (last,)))
         assert grid_state(grid) == before
-        assert grid.trajectory.hexdigest() == TrajectoryDigest([self.PLACEMENT]).hexdigest()
+        # the undone cycle changed no site: the placement, then CYCLE_END alone
+        assert list(grid.trajectory) == [1, 1, 2, 2, 0, 2, CYCLE_END]
+        assert grid.trajectory.hexdigest() == moves_digest(self.PLACEMENT, [self.PLACEMENT])
 
     def test_legal_cycle_records_the_occupancy_after_it(self):
         grid = Grid(3, self.PLACEMENT)
@@ -689,7 +691,28 @@ class TestApplyCycle:
         after = ((1, 2), (2, 1), (0, 2))
         assert grid.pos == after
         assert_masks_match(grid)
-        assert grid.trajectory.hexdigest() == TrajectoryDigest([after]).hexdigest()
+        assert list(grid.trajectory) == [1, 1, 2, 2, 0, 2, 0, 1, 2, 1, 2, 1, CYCLE_END]
+        assert grid.trajectory.hexdigest() == moves_digest(self.PLACEMENT, [after])
+
+    def test_rows_in_either_order_log_the_same_changes(self):
+        # the changes are logged in ascending qubit order, whatever the
+        # order of the cycle's rows
+        forward, backward = Grid(3, self.PLACEMENT), Grid(3, self.PLACEMENT)
+        apply_cycle(forward, Cycle(self.LEGAL))
+        apply_cycle(backward, Cycle(self.LEGAL[::-1]))
+        assert list(backward.trajectory) == list(forward.trajectory)
+
+    def test_a_qubit_moved_back_within_a_cycle_changed_no_site(self):
+        grid = Grid(3, self.PLACEMENT)
+        apply_cycle(grid, Cycle((sh(InstrKind.SH_U, 0), sh(InstrKind.SH_D, 1), sh(InstrKind.SH_D, 0))))
+        assert grid.pos == ((1, 1), (2, 1), (0, 2))
+        assert list(grid.trajectory)[6:] == [1, 2, 1, CYCLE_END]
+
+    def test_pulse_and_sqswap_cycles_add_only_the_end(self):
+        grid = Grid(3, ((1, 1), (1, 2)))
+        apply_cycle(grid, Cycle((Instruction(InstrKind.SG_ROT, angle=0.5, axis="x", parity=1),)))
+        apply_cycle(grid, Cycle((Instruction(InstrKind.SQSWAP, (0, 1)),)))
+        assert list(grid.trajectory) == [1, 1, 1, 2, CYCLE_END, CYCLE_END]
 
     @settings(max_examples=300, deadline=None)
     @given(grids_and_cycles())
@@ -704,4 +727,23 @@ class TestApplyCycle:
         else:
             assert_masks_match(grid)
             recorded = grid.pos
-        assert grid.trajectory.hexdigest() == TrajectoryDigest([recorded]).hexdigest()
+        assert grid.trajectory.hexdigest() == moves_digest(before[0], [recorded])
+
+    @settings(max_examples=300, deadline=None)
+    @given(grids_and_cycles())
+    # a qubit moved out and back within the cycle, and two moves listed
+    # against qubit order
+    @example((Grid(3, ((1, 1), (2, 2))), Cycle((sh(InstrKind.SH_L, 0), sh(InstrKind.SH_R, 0)))))
+    @example((Grid(3, ((1, 1), (2, 2))), Cycle((sh(InstrKind.SH_D, 1), sh(InstrKind.SH_U, 0)))))
+    def test_digest_equals_the_snapshot_reference(self, grid_and_cycle):
+        # the cycle runs twice, each run legal or failing, and the digest
+        # equals the one derived by diffing the snapshots after each run
+        grid, cycle = grid_and_cycle
+        placement, snapshots = grid.pos, []
+        for _ in range(2):
+            try:
+                apply_cycle(grid, cycle)
+            except CrossbarError:
+                pass
+            snapshots.append(grid.pos)
+        assert grid.trajectory.hexdigest() == moves_digest(placement, snapshots)

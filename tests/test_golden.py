@@ -1,8 +1,8 @@
-"""Golden outputs: compiled cycles, occupancy trajectory and ESP on a fixed corpus.
+"""Golden outputs: compiled cycles, trajectory digest and ESP on a fixed corpus.
 
 Every circuit of CORPUS is compiled and checked against golden_schedules.json:
 the sha256 of its canonical `cycles` JSON (sorted keys, compact separators,
-the form perfbench hashes), its `trajectory_sha256`, and `repr` of its ESP
+the form perfbench hashes), its `moves_sha256`, and `repr` of its ESP
 under the default architecture config. A change that alters schedules on
 purpose re-blesses the file and says why:
 
@@ -43,7 +43,7 @@ def fingerprint(name: str) -> dict:
     fmap = build_fidelity_map(schedule.grid_n, config)
     return {
         "cycles_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
-        "trajectory_sha256": schedule.trajectory_sha256,
+        "moves_sha256": schedule.moves_sha256,
         "esp": repr(esp(schedule, fmap)),
     }
 

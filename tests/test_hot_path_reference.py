@@ -353,7 +353,7 @@ def _reference_schedule_to_doc(s: Schedule) -> dict:
         "grid": s.grid_n,
         "placement": [list(p) for p in s.placement],
         "cycles": [[_reference_instruction_to_dict(op) for op in c.ops] for c in s.cycles],
-        "trajectory_sha256": s.trajectory_sha256,
+        "moves_sha256": s.moves_sha256,
     }
     if s.circuit is not None:
         doc["circuit"] = _reference_circuit_to_dict(s.circuit)
@@ -447,7 +447,7 @@ def _reference_schedule_from_doc(doc: dict) -> Schedule:
             grid_n=grid_n,
             placement=tuple(tuple(p) for p in placement),
             cycles=cycles,
-            trajectory_sha256=_string(doc["trajectory_sha256"], "trajectory_sha256"),
+            moves_sha256=_string(doc["moves_sha256"], "moves_sha256"),
             circuit=_reference_circuit_from_doc(doc["circuit"]) if "circuit" in doc else None,
         )
     except KeyError as e:

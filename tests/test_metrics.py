@@ -19,9 +19,9 @@ from xbarc import (
 )
 from xbarc.config import ArchConfig
 from xbarc.crossbar import Grid, apply_op
-from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest, grid_side
+from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, grid_side
 
-from conftest import compile_native
+from conftest import compile_native, moves_digest
 
 
 def zero_std_config(seed=1):
@@ -75,7 +75,7 @@ def diagonal_twoq_schedule():
 
 class TestEsp:
     def test_empty_schedule_is_one(self):
-        s = Schedule("e", 2, ((0, 0), (1, 1)), (), TrajectoryDigest().hexdigest())
+        s = Schedule("e", 2, ((0, 0), (1, 1)), (), moves_digest(((0, 0), (1, 1)), []))
         fmap = build_fidelity_map(grid_side(2), zero_std_config())
         assert esp(s, fmap) == 1.0
 

@@ -20,7 +20,6 @@ from xbarc.instructions import (
     Instruction,
     InstrKind,
     Schedule,
-    TrajectoryDigest,
     _LAYOUTS,
     grid_side,
     instruction_to_row,
@@ -28,7 +27,7 @@ from xbarc.instructions import (
 )
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm
 
-from conftest import checkerboard_sites, compile_native
+from conftest import checkerboard_sites, compile_native, moves_digest
 
 
 def test_minimal_cx():
@@ -118,7 +117,7 @@ def test_comments_ignored():
 
 class TestEmit:
     def test_empty_schedule(self):
-        s = Schedule("empty", 2, ((0, 0), (1, 1)), (), TrajectoryDigest().hexdigest())
+        s = Schedule("empty", 2, ((0, 0), (1, 1)), (), moves_digest(((0, 0), (1, 1)), []))
         text = emit_output(s)
         assert "qreg q[2];" in text
         assert "// cycle" not in text
@@ -126,7 +125,7 @@ class TestEmit:
 
     def test_single_twoq_cycle_format(self):
         cyc = Cycle((Instruction(InstrKind.SQSWAP, (0, 1)),))
-        digest = TrajectoryDigest([((1, 0), (1, 1))]).hexdigest()
+        digest = moves_digest(((1, 0), (1, 1)), [((1, 0), (1, 1))])
         s = Schedule("one", 2, ((1, 0), (1, 1)), (cyc,), digest)
         text = emit_output(s)
         assert "// cycle 0 [twoq]" in text
@@ -230,7 +229,8 @@ def test_hand_built_schedule_with_a_stray_field_is_not_written():
     # the row has no slot for a shuttle's angle: dropping it would leave a
     # schedule that does not round-trip
     op = Instruction(InstrKind.SH_R, (0,), angle=0.5)
-    s = Schedule("stray", 2, ((0, 0), (1, 1)), (Cycle((op,)),), TrajectoryDigest([((1, 0), (1, 1))]).hexdigest())
+    digest = moves_digest(((0, 0), (1, 1)), [((1, 0), (1, 1))])
+    s = Schedule("stray", 2, ((0, 0), (1, 1)), (Cycle((op,)),), digest)
     with pytest.raises(ValueError, match="sh_r carries no field 'angle'"):
         schedule_to_doc(s)
 
@@ -256,7 +256,7 @@ def compiled_schedules(draw):
 @given(compiled_schedules())
 def test_document_holds_what_a_schedule_holds(s):
     doc = schedule_to_doc(s)
-    assert set(doc) == {"name", "grid", "placement", "cycles", "trajectory_sha256", "circuit"}
+    assert set(doc) == {"name", "grid", "placement", "cycles", "moves_sha256", "circuit"}
     for rows, cycle in zip(doc["cycles"], s.cycles, strict=True):
         for row, op in zip(rows, cycle.ops, strict=True):
             n_slots = sum(len(f.slots) for f in FIELDS[op.kind])

@@ -1,4 +1,7 @@
 """Integrated-strategy scheduling: micro-overheads, ordering, determinism."""
+import hashlib
+from types import SimpleNamespace
+
 import pytest
 
 from xbarc import (
@@ -8,14 +11,15 @@ from xbarc import (
     check_parallel_set,
     initial_placement,
     instructions,
+    replay_verify,
     schedule_integrated,
     scheduler,
 )
 from xbarc.crossbar import Grid, apply_cycle
 from xbarc.errors import CrossbarError
-from xbarc.instructions import CycleType, InstrKind, TrajectoryDigest
+from xbarc.instructions import CYCLE_END, CycleType, InstrKind, TrajectoryDigest, coord_buffer
 
-from conftest import compile_native
+from conftest import compile_native, moves_digest
 
 
 def native(name, n, *gates):
@@ -78,22 +82,23 @@ class TestScheduleInvariants:
         c = gen_random_uniform(BenchSpec(5, 30, 25.0, 9))
         dec, s = compile_native(c)
         grid = Grid(s.grid_n, s.placement)
-        trajectory = TrajectoryDigest()
         snapshots = []
         for cy in s.cycles:
             apply_cycle(grid, cy)
-            trajectory.add(grid.coords)
             snapshots.append(grid.pos)
-        assert trajectory.hexdigest() == s.trajectory_sha256
-        # the coordinate buffer hashes to the digest of the site tuples
-        assert TrajectoryDigest(snapshots).hexdigest() == s.trajectory_sha256
+        assert grid.trajectory.hexdigest() == s.moves_sha256
+        # the log of site changes hashes to the digest derived from the snapshots
+        assert moves_digest(s.placement, snapshots) == s.moves_sha256
 
     def test_digest_bytes_do_not_depend_on_the_host(self, monkeypatch):
         # the packed fallback (big-endian hosts) gives the native buffer's digest
-        snapshots = [((0, 0), (2, 0), (70000, 3)), ((1, 0), (2, 0), (70000, 3))]
-        native_hex = TrajectoryDigest(snapshots).hexdigest()
+        placement = ((0, 0), (2, 0), (70000, 3))
+        log = TrajectoryDigest(coord_buffer(placement))
+        log.extend((0, 1, 0, CYCLE_END, 2, 70001, 3, CYCLE_END))
+        native_hex = log.hexdigest()
+        assert native_hex == moves_digest(placement, [((1, 0), (2, 0), (70000, 3)), ((1, 0), (2, 0), (70001, 3))])
         monkeypatch.setattr(instructions, "_NATIVE_IS_DIGEST", False)
-        assert TrajectoryDigest(snapshots).hexdigest() == native_hex
+        assert log.hexdigest() == native_hex
 
     def test_determinism_bit_identical(self):
         from xbarc import BenchSpec, gen_random_uniform
@@ -158,7 +163,7 @@ class TestScheduleInvariants:
 
     def test_empty_circuit_empty_schedule(self):
         s = schedule_integrated(native("e", 2), initial_placement(2))
-        assert s.depth == 0 and s.trajectory_sha256 == TrajectoryDigest().hexdigest()
+        assert s.depth == 0 and s.moves_sha256 == moves_digest(s.placement, [])
 
 
 class TestOrdering:
@@ -175,3 +180,67 @@ class TestOrdering:
         _, s = compile_native(c)
         zsh_order = [op.src[0] for cy in s.cycles for op in cy.ops if op.kind.family is CycleType.Z]
         assert zsh_order == [0, 2, 1]
+
+
+class TestDigestCost:
+    """The bytes the trajectory digest hashes grow with the placement, the
+    site changes and the cycles, not with qubits x cycles: 8 per qubit of
+    the placement, 12 per changed site and 4 per cycle."""
+
+    @staticmethod
+    def hashed(monkeypatch, fn, *args):
+        """fn(*args), and the bytes it fed to sha256 in the instructions module."""
+        fed = [0]
+
+        class Counting:
+            def __init__(self, data=b""):
+                self._sha = hashlib.sha256()
+                self.update(data)
+
+            def update(self, data):
+                fed[0] += memoryview(data).nbytes
+                self._sha.update(data)
+
+            def hexdigest(self):
+                return self._sha.hexdigest()
+
+        with monkeypatch.context() as m:
+            m.setattr(instructions, "hashlib", SimpleNamespace(sha256=Counting))
+            result = fn(*args)
+        return result, fed[0]
+
+    @staticmethod
+    def formula(s) -> int:
+        # every move of a compiled cycle changes the site of a distinct qubit
+        moves = sum(op.kind.moves for cy in s.cycles for op in cy.ops)
+        return 8 * s.n_qubits + 12 * moves + 4 * s.depth
+
+    def test_same_gates_on_2_and_400_qubits_differ_by_the_placement_alone(self, monkeypatch):
+        gates = (
+            Gate(GateKind.RZ, (0,), 0.5),
+            Gate(GateKind.SQSWAP, (0, 1)),
+            Gate(GateKind.RZ, (1,), 0.25),
+            Gate(GateKind.SQSWAP, (0, 1)),
+        )
+        small = initial_placement(2)
+        # the 400-qubit register holds qubits 0 and 1 on the same sites, (0, 0)
+        # and (1, 1), so the two schedules route alike
+        large = initial_placement(400)
+        pos = list(large.pos)
+        k = pos.index((1, 1))
+        pos[1], pos[k] = pos[k], pos[1]
+        large = Grid(large.n, tuple(pos))
+        schedules, counts = {}, {}
+        for n, grid in ((2, small), (400, large)):
+            schedules[n], counts[n] = self.hashed(monkeypatch, schedule_integrated, native(f"q{n}", n, *gates), grid)
+            assert self.hashed(monkeypatch, replay_verify, schedules[n])[1] == counts[n]
+            assert counts[n] == self.formula(schedules[n])
+        assert schedules[400].cycles == schedules[2].cycles
+        assert counts[400] - counts[2] == 8 * (400 - 2)
+
+    @pytest.mark.parametrize("n_qubits, n_gates", [(12, 200), (200, 150)])
+    def test_compiled_randu_schedule_hashes_the_formula(self, monkeypatch, n_qubits, n_gates):
+        from xbarc import BenchSpec, gen_random_uniform
+
+        _, s = compile_native(gen_random_uniform(BenchSpec(n_qubits, n_gates, 50.0, 0)))
+        assert self.hashed(monkeypatch, replay_verify, s)[1] == self.formula(s)

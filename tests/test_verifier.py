@@ -21,7 +21,7 @@ from xbarc import (
 from xbarc import cli, sim, verifier
 from xbarc.circuits import ROTATION_KINDS, TWO_QUBIT_KINDS
 from xbarc.crossbar import Grid, apply_op
-from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, TrajectoryDigest
+from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule
 from xbarc.qasm import circuit_to_qasm
 from xbarc.sim import (
     SQSWAP_MATRIX,
@@ -39,7 +39,7 @@ from xbarc.sim import (
 )
 from xbarc.verifier import FIDELITY_FLOOR, SKIPPED, simulate_schedule
 
-from conftest import compile_native
+from conftest import compile_native, moves_digest
 
 
 def compiled(circuit):
@@ -327,12 +327,22 @@ class TestReplay:
         s = compiled(Circuit("z", 2, (Gate(GateKind.RZ, (0,), 0.5),)))
         # qubit 0 shuttles right and back; store the digest of a trajectory
         # whose first snapshot has its x off by one
-        real = TrajectoryDigest([((1, 0), (1, 1)), ((0, 0), (1, 1))]).hexdigest()
-        assert s.trajectory_sha256 == real
-        wrong = TrajectoryDigest([((0, 0), (1, 1)), ((0, 0), (1, 1))]).hexdigest()
-        corrupted = dataclasses.replace(s, trajectory_sha256=wrong)
+        real = moves_digest(s.placement, [((1, 0), (1, 1)), ((0, 0), (1, 1))])
+        assert s.moves_sha256 == real
+        wrong = moves_digest(s.placement, [((0, 0), (1, 1)), ((0, 0), (1, 1))])
+        corrupted = dataclasses.replace(s, moves_sha256=wrong)
         report = replay_verify(corrupted)
         assert not report.replay_ok
+        assert report.violations == () and not report.trajectory_match
+
+    def test_placement_swapping_two_qubits_that_never_move_is_caught(self):
+        # qubits 1 and 3 never move, so every cycle stays legal and changes
+        # the same sites; only the placement the digest opens with differs
+        s = compiled(Circuit("idle", 4, (Gate(GateKind.RZ, (0,), 0.5), Gate(GateKind.SQSWAP, (0, 2)))))
+        moved = {op.qubits[0] for cy in s.cycles for op in cy.ops if op.kind.moves}
+        assert moved.isdisjoint({1, 3}) and replay_verify(s).replay_ok
+        p = s.placement
+        report = replay_verify(dataclasses.replace(s, placement=(p[0], p[3], p[2], p[1])))
         assert report.violations == () and not report.trajectory_match
 
     def test_mixed_cycle_flagged(self):
@@ -349,7 +359,7 @@ class TestReplay:
         ops = (Instruction(InstrKind.SH_L, (2,)), Instruction(InstrKind.SH_R, (5,)))
         placement = ((0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
         moved = ((0, 0), (2, 0), (0, 1), (3, 1), (0, 2), (3, 2), (1, 3), (3, 3))
-        digest = TrajectoryDigest([moved]).hexdigest()
+        digest = moves_digest(placement, [moved])
         s = Schedule("bad", 4, placement, (Cycle(ops),), digest)
         report = replay_verify(s)
         assert any(r.kind is ConflictKind.QL_CONTRADICTION for _, r in report.violations)
@@ -362,8 +372,8 @@ class TestReplay:
         placement = ((1, 1), (2, 2))
         broken = Cycle((Instruction(InstrKind.SH_L, (0,)), Instruction(InstrKind.SH_R, (1,))))
         after = Cycle((Instruction(InstrKind.SH_L, (0,)),))
-        digest = TrajectoryDigest([placement, ((0, 1), (2, 2))]).hexdigest()
-        assert digest == "de26015a7a65bb1dc36c300028a3831a735fe2b6e1b5b6de5d2e68e1efa17c7a"
+        digest = moves_digest(placement, [placement, ((0, 1), (2, 2))])
+        assert digest == "a8455e0ec53e1503c825e5de87db6aafb8cf8d3c990bc0ec2dc2a366f0b95820"
         report = replay_verify(Schedule("partway", 3, placement, (broken, after), digest))
         assert [(i, r.kind, r.culprits, r.detail) for i, r in report.violations] == [
             (0, ConflictKind.BLOCKED_PATH, (1,), "qubit 1 shuttled off-grid from (2, 2)"),
@@ -378,7 +388,7 @@ class TestReplay:
         placement = ((1, 1), (0, 1), (2, 2))
         broken = Cycle(tuple(Instruction(InstrKind.SH_R, (q,)) for q in (0, 1, 2)))
         onto = Cycle((Instruction(InstrKind.SH_R, (1,)),))
-        digest = TrajectoryDigest([placement, placement]).hexdigest()
+        digest = moves_digest(placement, [placement, placement])
         report = replay_verify(Schedule("reverse", 3, placement, (broken, onto), digest))
         assert [(i, r.detail) for i, r in report.violations] == [
             (0, "qubit 2 shuttled off-grid from (2, 2)"),
