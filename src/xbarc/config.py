@@ -140,6 +140,8 @@ def load_config(text: str) -> ArchConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError("config nests JSON deeper than the decoder allows") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     known = {"fidelities", "seed", "decompositions"}

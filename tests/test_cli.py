@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, sweep CSV."""
 import csv
+import gc
 import json
 import os
 from contextlib import nullcontext
@@ -11,6 +12,7 @@ from xbarc import cli
 from xbarc.cli import _compile_circuit, main, parse_range
 from xbarc.crossbar import Grid, apply_cycle
 from xbarc.circuits import GateKind
+from xbarc.errors import CompileError
 from xbarc.instructions import FIELDS, InstrKind, schedule_from_doc, schedule_to_doc
 from xbarc.metrics import CSV_COLUMNS
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm, emit_output, parse_qasm
@@ -462,6 +464,31 @@ def test_stats_metrics_without_a_key_is_a_user_error(bell_doc, capsys, key):
     capsys.readouterr()
     assert main(["stats", "-i", str(out)]) == 1
     assert repr(key) in capsys.readouterr().err
+    # an integer past float range, which ":.6f" cannot print, and non-finite floats
+    doc["metrics"][key] = "@"
+    for value in ("1" + "0" * 400, "NaN", "Infinity", "-Infinity"):
+        out.write_text(json.dumps(doc).replace('"@"', value))
+        assert main(["stats", "-i", str(out)]) == 1, value
+        assert f"finite number under key {key!r}" in capsys.readouterr().err
+
+
+_DEEP_JSON = "[" * 3000 + "]" * 3000  # json.dumps cannot write it: too deep for its encoder
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_document_nested_past_the_decoder_is_a_user_error(tmp_path, capsys, command):
+    doc = tmp_path / "deep.json"
+    doc.write_text(_DEEP_JSON)
+    assert main([command, "-i", str(doc)]) == 1
+    assert f"{doc} nests JSON deeper than the decoder allows" in capsys.readouterr().err
+
+
+def test_config_nested_past_the_decoder_is_a_user_error(tmp_path, bell_qasm, capsys):
+    cfg, out = tmp_path / "deep.json", tmp_path / "out.json"
+    cfg.write_text('{"seed": ' + _DEEP_JSON + "}")
+    assert main(["compile", "-i", str(bell_qasm), "-c", str(cfg), "-o", str(out)]) == 1
+    assert "config nests JSON deeper than the decoder allows" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source", ["qreg q[3];", "qreg q[2]; creg c[2]; measure q[0] -> c[0];"])
@@ -720,3 +747,97 @@ def test_bad_config_is_a_user_error(tmp_path, bell_qasm, capsys):
 def test_no_verify_skips(tmp_path, bell_qasm):
     out = tmp_path / "out.json"
     assert main(["compile", "-i", str(bell_qasm), "-o", str(out), "--no-verify"]) == 0
+
+
+@pytest.fixture()
+def collector_state():
+    """Put back the collector's on/off setting and debug flags after a test."""
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    try:
+        yield
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_command_body_runs_with_the_collector_paused(tmp_path, bell_qasm, monkeypatch, collector_state):
+    seen, real_verify = [], cli.verify
+
+    def recording_verify(schedule):
+        seen.append(gc.isenabled())
+        return real_verify(schedule)
+
+    monkeypatch.setattr(cli, "verify", recording_verify)
+    out = tmp_path / "out.json"
+    gc.enable()
+    assert main(["compile", "-i", str(bell_qasm), "-o", str(out)]) == 0
+    assert main(["verify", "-i", str(out)]) == 0
+    assert seen == [False, False]
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["caller-on", "caller-off"])
+def test_collector_setting_is_restored_on_every_exit(tmp_path, bell_qasm, monkeypatch, collector_state, enabled):
+    out = tmp_path / "out.json"
+
+    def run(argv):
+        gc.enable() if enabled else gc.disable()
+        rc = main(argv)
+        assert gc.isenabled() is enabled
+        return rc
+
+    assert run(["compile", "-i", str(bell_qasm), "-o", str(out)]) == 0
+    assert run(["verify", "-i", str(tmp_path / "missing.json")]) == 1
+
+    def broken_verify(schedule):
+        raise CompileError("replay state lost")
+
+    monkeypatch.setattr(cli, "verify", broken_verify)
+    assert run(["verify", "-i", str(out)]) == 3
+
+
+def _cyclic_garbage(argv) -> int:
+    """How many objects main(argv) leaves that only the cyclic collector
+    could free (kept in gc.garbage under DEBUG_SAVEALL instead)."""
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert main(argv) == 0
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+def test_cyclic_garbage_does_not_grow_with_the_circuit(tmp_path, capsys, collector_state):
+    """Commands build no reference cycles of their own, so pausing the
+    collector for a command cannot let its garbage pile up: what a 1000-gate
+    circuit leaves is what a 100-gate one leaves (`verify`'s indented
+    json.dumps keeps a few encoder closures, the same at any size)."""
+    def commands(n_gates):
+        src, doc = tmp_path / f"r{n_gates}.qasm", tmp_path / f"r{n_gates}.json"
+        src.write_text(circuit_to_qasm(gen_random_uniform(BenchSpec(12, n_gates, 50.0, 0))))
+        return {
+            "compile": ["compile", "-i", str(src), "-o", str(doc)],
+            "verify": ["verify", "-i", str(doc)],
+            "stats": ["stats", "-i", str(doc)],
+            "sweep": ["sweep", "--qubits", "12", "--gates", str(n_gates), "--twoq", "50",
+                      "--csv", str(tmp_path / f"sweep{n_gates}.csv")],
+        }
+
+    for argv in commands(100).values():  # first calls fill caches that outlive them
+        assert main(argv) == 0
+    small = {name: _cyclic_garbage(argv) for name, argv in commands(100).items()}
+    large = {name: _cyclic_garbage(argv) for name, argv in commands(1000).items()}
+    capsys.readouterr()
+    assert small == large
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
