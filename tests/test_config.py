@@ -101,11 +101,12 @@ def test_determinism():
         ('{"fidelities": {"shuttle": {"mean": "x"}}}', None, "fidelities.shuttle.mean must be a number, got 'x'"),
         ('{"decompositions": {"h": []}}', None, "decompositions.h must be a nonempty list"),
         ('{"decompositions": {"h": [5]}}', None, "decompositions.h: bad step 5"),
+        ('{"seed": ' + "[" * 3000 + "]" * 3000 + "}", None, "config nests JSON deeper than the decoder allows"),
     ],
     ids=[
         "decompositions-list", "angle-string", "roles-past-arity", "angle-nan", "angle-bool",
         "std-nan", "std-inf", "seed-negative", "env-seed-negative", "root-list", "fidelities-list",
-        "fidelity-class-number", "mean-string", "rule-empty", "rule-step-number",
+        "fidelity-class-number", "mean-string", "rule-empty", "rule-step-number", "json-too-deep",
     ],
 )
 def test_bad_config_names_the_field(tmp_path, monkeypatch, text, env_seed, field):
