@@ -42,15 +42,25 @@ it is applied, so it checks the moves itself: an off-grid or occupied
 destination is a BLOCKED_PATH conflict, as are two moves of one qubit or
 two moves onto one site.
 
-A Grid is mutable and apply_op/apply_cycle advance it in place, O(1) per
-move, returning None. Grid.move appends each move's (q, x, y) to the grid's
-own TrajectoryDigest, `grid.trajectory`, which opens with the placement.
-apply_cycle is the one place a cycle is applied: it undoes a cycle that
+A cycle is judged and applied in one of two ways. step_legal takes a cycle
+of one or two moves, most of every compiled schedule: _legal_step judges it
+by integer arithmetic on the grid's coordinates and masks, and step_legal
+then moves its qubits to the sites that judgement computed and logs them.
+Every other cycle, and one of one or two moves that is not legal, goes to
+check_parallel_set, which names the conflict, and to apply_cycle. The
+scheduler's check (mapper._checked) and replay (verifier.replay_verify)
+offer each cycle to step_legal first; check_parallel_set answers LEGAL
+through _legal_step too, so both ways give one verdict.
+
+A Grid is mutable and apply_op/apply_cycle/step_legal advance it in place,
+O(1) per move. The grid's own TrajectoryDigest, `grid.trajectory`, opens
+with the placement; step_legal and apply_cycle log each cycle they apply
+in it, Grid.move and apply_op log nothing. apply_cycle undoes a cycle that
 fails partway and drops that cycle's entries, puts a cycle that moved two
 or more qubits into ascending qubit order with one entry per qubit whose
-site changed, and closes every cycle with CYCLE_END. So the digest costs
-O(placement + site changes + cycles), and a cycle's rows may be listed in
-any order.
+site changed, and closes every cycle with CYCLE_END; step_legal writes
+the same entries directly. So the digest costs O(placement + site changes
++ cycles), and a cycle's rows may be listed in any order.
 """
 from __future__ import annotations
 
@@ -111,17 +121,16 @@ class Grid:
     cols[x] has bit y set and rows[y] has bit x set when (x, y) holds a
     qubit. move updates all four in place in O(1), so apply_cycle's undo,
     which moves qubits back, restores them too. `trajectory`, the
-    TrajectoryDigest log, opens with the placement; move appends the
-    (q, x, y) of every move to it, and apply_cycle orders and closes each
-    cycle's entries (a grid advanced by apply_op alone keeps a log no
-    digest reads). Whoever
+    TrajectoryDigest log, opens with the placement; step_legal and
+    apply_cycle add each cycle they apply to it, and move adds nothing, so
+    a grid advanced by apply_op alone keeps the placement only. Whoever
     advances a grid owns it: schedule_integrated, replay_verify,
     simulate_schedule and metrics.esp each build their own from a
     placement, and the routing entry points (route_two_qubit, z_route,
     expand_semi_global) advance the grid they are given. Grid checks and
     converts nothing: its placement, a tuple of (x, y) tuples, comes from a
     checked Schedule, from schedule_integrated's check_placement or from
-    mapper.initial_placement, and every move from apply_op.
+    mapper.initial_placement, and every move from apply_op or step_legal.
     """
 
     __slots__ = ("n", "coords", "cols", "rows", "_site_map", "trajectory")
@@ -162,8 +171,9 @@ class Grid:
         return 0 <= x < self.n and 0 <= y < self.n
 
     def move(self, q: int, site: tuple[int, int]) -> None:
-        """Put q on `site` in place, unchecked: apply_op checked the move, or
-        apply_cycle is undoing one."""
+        """Put q on `site` in place, unchecked: apply_op checked the move,
+        step_legal the cycle, or apply_cycle is undoing one. The trajectory
+        log is left to the two cycle appliers."""
         i = 2 * q
         xy, cols, rows = self.coords, self.cols, self.rows
         x, y = xy[i], xy[i + 1]
@@ -174,7 +184,6 @@ class Grid:
         self._site_map[site] = q
         cols[x] |= 1 << y
         rows[y] |= 1 << x
-        self.trajectory.extend((q, x, y))
 
     def is_checkerboard(self) -> bool:
         xy = self.coords
@@ -235,8 +244,8 @@ def _stay_put(grid: Grid, x: int, across: int, movers: dict[int, int]) -> int:
     """Row bits of the qubits in column x that must stay put while the
     barrier to column `across` is lowered: occupied, empty across, and not
     one of `movers` (column -> row bits of the moving qubits' origins).
-    The one home of the stay-put rule: check_parallel_set shifts the mask
-    into its QL masks, _ql_pairs lists it as pairs."""
+    The one home of the stay-put rule: _ql_clash shifts the mask into its
+    QL masks, _ql_pairs lists it as pairs."""
     return grid.cols[x] & ~grid.cols[across] & ~movers.get(x, 0)
 
 
@@ -340,36 +349,79 @@ def _shared_or_clashing(grid: Grid, ops, sites, moves: bool) -> ConflictReport |
     return None
 
 
-def _pairwise_clear(cols: list[int], ops, sites, moves: bool) -> bool:
-    """True when _shared_or_clashing would find nothing, judged without its
-    report data: the moves' qubits and destinations distinct (by set size),
-    each destination empty in `cols`, and, for two instructions, neither
-    lowering a barrier that borders the other's sites. False leaves the
-    cycle to _shared_or_clashing, as it does every barrier check of three
-    or more instructions."""
-    k = len(ops)
-    if moves:
-        if len({op.qubits[0] for op in ops}) != k or len({dest for _, dest in sites}) != k:
-            return False
-        for _, (x, y) in sites:
-            if cols[x] >> y & 1:
-                return False
-    if k != 2:
-        return False
-    ((ax0, ay0), (ax1, ay1)), ((bx0, by0), (bx1, by1)) = sites
-    # each lowered barrier, CL_k between columns or RL_k between rows, and
-    # the coordinates across it of the other instruction's two sites
-    if ay0 == ay1:
-        a_cl, a_k, b0, b1 = True, min(ax0, ax1), bx0, bx1
-    else:
-        a_cl, a_k, b0, b1 = False, min(ay0, ay1), by0, by1
-    if by0 == by1:
-        b_cl, b_k, a0, a1 = True, min(bx0, bx1), ax0, ax1
-    else:
-        b_cl, b_k, a0, a1 = False, min(by0, by1), ay0, ay1
-    if a_cl is b_cl and a_k == b_k:  # one barrier, lowered by both
-        return True
-    return not (a_k <= b0 <= a_k + 1 or a_k <= b1 <= a_k + 1 or b_k <= a0 <= b_k + 1 or b_k <= a1 <= b_k + 1)
+def _ql_clash(grid: Grid, moves, movers: dict[int, int]) -> int:
+    """Nonzero when the QL pairs of `moves`, each (x0, y0, x1, y1), hold a
+    cycle; `movers` maps a column to the row bits of the moving qubits'
+    origins. The pairs are folded into two masks in which bit n-1-k stands
+    for the QL_k - QL_k+1 edge: `up` when QL_k+1 must sit above QL_k, `down`
+    when below. Every pair joins adjacent diagonals, so the merged digraph
+    is a subgraph of a path and has a cycle exactly when up & down != 0."""
+    n = grid.n
+    up = down = 0
+    for x0, y0, x1, y1 in moves:
+        if x1 - y1 > x0 - y0:  # the destination's QL above the origin's
+            up |= 1 << (n - 1 - x0 + y0)
+        else:
+            down |= 1 << (n - 1 - x1 + y1)
+        if y0 == y1:
+            # row bit y of either column stands for the QL_(left-y) edge,
+            # bit n-1-left+y of the QL masks
+            left = min(x0, x1)
+            down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
+            up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
+    return up & down
+
+
+def _legal_step(grid: Grid, ops) -> tuple[int, ...] | None:
+    """The trajectory entries of a cycle of one or two moves that
+    check_parallel_set judges legal: (q, x, y) of each mover's destination,
+    in ascending q. None for a pulse, a sqswap, three or more moves or a
+    conflict. The verdict is check_parallel_set's, judged by integer
+    arithmetic on grid.coords, cols and rows without its report data:
+    destinations on the grid and empty, movers and destinations distinct,
+    no barrier clash, no occupied pair across a lowered barrier and no QL
+    cycle (_ql_clash)."""
+    if len(ops) > 2 or not ops[0].kind.moves:
+        return None
+    n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
+    a = ops[0]
+    q = a.qubits[0]
+    x, y = xy[2 * q], xy[2 * q + 1]
+    dx, dy = a.kind.delta
+    u, v = x + dx, y + dy
+    if not (0 <= u < n and 0 <= v < n) or cols[u] >> v & 1:
+        return None
+    # the occupied pairs across the lowered barrier: the empty destination
+    # keeps the mover's own row (or column) out of them
+    if (cols[x] & cols[u]) if dx else (rows[y] & rows[v]):
+        return None
+    if len(ops) == 1:
+        # a lone move's QL pairs never run both ways: a stay-put qubit needs
+        # its site across empty, so no row has one in both columns, and the
+        # mover's own row has none
+        return q, u, v
+    b = ops[1]
+    p = b.qubits[0]
+    s, t = xy[2 * p], xy[2 * p + 1]
+    ex, ey = b.kind.delta
+    w, z = s + ex, t + ey
+    if p == q or not (0 <= w < n and 0 <= z < n) or cols[w] >> z & 1 or (w == u and z == v):
+        return None
+    if (cols[s] & cols[w]) if ex else (rows[t] & rows[z]):
+        return None
+    # each lowered barrier, CL_k between columns or RL_k between rows; two
+    # different ones clash when either borders a site of the other move
+    ka, kb = (min(x, u) if dx else min(y, v)), (min(s, w) if ex else min(t, z))
+    if (dx == 0) != (ex == 0) or ka != kb:
+        b0, b1 = (s, w) if dx else (t, z)
+        a0, a1 = (x, u) if ex else (y, v)
+        if ka <= b0 <= ka + 1 or ka <= b1 <= ka + 1 or kb <= a0 <= kb + 1 or kb <= a1 <= kb + 1:
+            return None
+    movers = {x: 1 << y}
+    movers[s] = movers.get(s, 0) | 1 << t
+    if _ql_clash(grid, ((x, y, u, v), (s, t, w, z)), movers):
+        return None
+    return (q, u, v, p, w, z) if q < p else (p, w, z, q, u, v)
 
 
 def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
@@ -382,20 +434,16 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     constraints. Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
     UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
 
-    A call costs O(instructions + stay-put qubits) integer operations for a
-    lone instruction, the common cycle, and for a legal pair, which
-    _pairwise_clear clears; the O(instructions^2) pairwise checks of
-    _shared_or_clashing run only for a cycle it cannot clear. A move's
-    sites are read from grid.coords; its destination's occupancy and the
-    occupied pairs across a lowered barrier are read from the grid's column
-    and row masks.
-    The QL pairs are folded into two masks in which bit n-1-k stands for the
-    QL_k - QL_k+1 edge: `up` when QL_k+1 must sit above QL_k, `down` when
-    below. Every pair joins adjacent diagonals, so the merged digraph is a
-    subgraph of a path and has a cycle exactly when up & down != 0. Line
-    objects and QL pair sets are built only for a report: only then are the
-    pairs listed and _find_ql_cycle run, to name the cycle and the
-    instructions in it.
+    A legal cycle of one or two moves is answered LEGAL by step_legal's
+    judgement, _legal_step, before any report data is built. Every other
+    cycle costs O(instructions + stay-put qubits) integer operations, plus
+    the O(instructions^2) pairwise checks of _shared_or_clashing for two or
+    more instructions. A move's sites are read from grid.coords; its
+    destination's occupancy and the occupied pairs across a lowered barrier
+    are read from the grid's column and row masks, and the QL pairs are
+    folded into two masks (_ql_clash). Line objects and QL pair sets are
+    built only for a report: only then are the pairs listed and
+    _find_ql_cycle run, to name the cycle and the instructions in it.
     """
     ops = cycle.ops
     kind = ops[0].kind
@@ -408,6 +456,8 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
                 culprits=tuple(range(len(ops))),
                 detail="conflicting semi-global drives on the shared column lines",
             )
+        return LEGAL
+    if _legal_step(grid, ops) is not None:
         return LEGAL
     moves = kind.moves  # otherwise every instruction is a sqswap
     n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
@@ -436,10 +486,9 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     # blocked paths and barrier clashes: instruction j raises every barrier
     # bordering its two sites except the one it lowers
     if len(ops) > 1:
-        if not _pairwise_clear(cols, ops, sites, moves):
-            report = _shared_or_clashing(grid, ops, sites, moves)
-            if report is not None:
-                return report
+        report = _shared_or_clashing(grid, ops, sites, moves)
+        if report is not None:
+            return report
     elif moves:
         x, y = sites[0][1]
         if cols[x] >> y & 1:
@@ -472,20 +521,7 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     movers: dict[int, int] = {}
     for (x, y), _ in sites:
         movers[x] = movers.get(x, 0) | 1 << y
-    up = down = 0
-    for (x0, y0), (x1, y1) in sites:
-        dest_ql, origin_ql = x1 - y1, x0 - y0
-        if dest_ql > origin_ql:
-            up |= 1 << (n - 1 - origin_ql)
-        else:
-            down |= 1 << (n - 1 - dest_ql)
-        if y0 == y1:
-            # row bit y of either column stands for the QL_(left-y) edge,
-            # bit n-1-left+y of the QL masks
-            left = min(x0, x1)
-            down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
-            up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
-    if not up & down:
+    if not _ql_clash(grid, [(*origin, *dest) for origin, dest in sites], movers):
         return LEGAL
 
     # merged inequality set: instruction by instruction, each one's pairs
@@ -519,10 +555,6 @@ def _in_qubit_order(log: TrajectoryDigest, mark: int, ops) -> None:
     or more moves, as one (q, x, y) per qubit whose site the cycle changed,
     in ascending q. A qubit moved twice ends on its last entry's site and
     drops out when its moves cancel."""
-    if len(log) - mark == 6 and log[mark] != log[mark + 3]:  # two qubits, the common exchange
-        if log[mark] > log[mark + 3]:
-            log[mark:] = log[mark + 3:] + log[mark:mark + 3]
-        return
     sites = {}
     for i in range(mark, len(log), 3):
         sites[log[i]] = log[i + 1], log[i + 2]
@@ -539,18 +571,22 @@ def _in_qubit_order(log: TrajectoryDigest, mark: int, ops) -> None:
 
 
 def apply_cycle(grid: Grid, cycle: Cycle) -> None:
-    """apply_op on each instruction in order, then close the cycle in
-    grid.trajectory: the moves' entries in ascending qubit order, one per
-    qubit whose site changed, then CYCLE_END. A CrossbarError partway
-    undoes the moves before it in reverse order (a move's origin is empty
-    once every later move is undone), drops their entries and is re-raised,
-    so the digest records the cycle as one that changed no site."""
+    """apply_op on each instruction in order, logging each move's (q, x, y)
+    in grid.trajectory, then close the cycle there: the moves' entries in
+    ascending qubit order, one per qubit whose site changed, then
+    CYCLE_END. A CrossbarError partway undoes the moves before it in
+    reverse order (a move's origin is empty once every later move is
+    undone), drops their entries and is re-raised, so the digest records
+    the cycle as one that changed no site."""
     ops = cycle.ops
-    log = grid.trajectory
+    xy, log = grid.coords, grid.trajectory
     mark = len(log)
     try:
         for i, op in enumerate(ops):
             apply_op(grid, op)
+            if op.kind.moves:
+                q = op.qubits[0]
+                log.extend((q, xy[2 * q], xy[2 * q + 1]))
     except CrossbarError:
         for op in reversed(ops[:i]):
             if op.kind.moves:
@@ -563,3 +599,22 @@ def apply_cycle(grid: Grid, cycle: Cycle) -> None:
         if len(log) - mark > 3:  # a cycle of one move, the most common, is in order
             _in_qubit_order(log, mark, ops)
         log.append(CYCLE_END)
+
+
+def step_legal(grid: Grid, cycle: Cycle) -> bool:
+    """Apply a cycle of one or two moves that check_parallel_set judges
+    legal, in one pass: Grid.move to the sites the judgement computed
+    (_legal_step), then the cycle's entries and CYCLE_END in
+    grid.trajectory, as apply_cycle would log them. False, with the grid
+    untouched, for a pulse, a sqswap, three or more moves or a conflict;
+    check_parallel_set and apply_cycle report and apply those."""
+    entries = _legal_step(grid, cycle.ops)
+    if entries is None:
+        return False
+    grid.move(entries[0], (entries[1], entries[2]))
+    if len(entries) > 3:
+        grid.move(entries[3], (entries[4], entries[5]))
+    log = grid.trajectory
+    log.extend(entries)
+    log.append(CYCLE_END)
+    return True

@@ -52,12 +52,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import reprlib
 import struct
 import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn
 
@@ -267,8 +268,9 @@ class TrajectoryDigest(list):
     while costing O(placement + site changes + cycles) rather than
     O(qubits x cycles).
 
-    Grid.move appends the (q, x, y) of each move in one C-level extend, and
-    crossbar.apply_cycle puts a cycle's entries in this form before adding
+    crossbar.step_legal writes a cycle of one or two legal moves in this
+    form at once; crossbar.apply_cycle appends each move's (q, x, y) as it
+    applies it and puts the cycle's entries in this form before adding
     CYCLE_END. hexdigest packs the log once into a uint32 array and hashes
     it as little-endian uint32 on any host, so any grid size encodes without
     loss.
@@ -359,19 +361,54 @@ def schedule_to_doc(s: Schedule) -> dict:
     return doc
 
 
+# characters of a document value that an error message repeats
+_ECHO_CHARS = 60
+
+
+class _Echo(reprlib.Repr):
+    """reprlib.Repr that writes every value whose repr fits in _ECHO_CHARS
+    characters as repr does, objects in their key order (reprlib sorts
+    keys): such a repr holds at most 20 items of one list ("[1, 1, ...]")
+    and 30 levels of nesting ("[[...]]"). It reads no more of a longer list,
+    object or string, so a value of any size costs little."""
+
+    def __init__(self):
+        super().__init__()
+        self.maxlist = self.maxdict = 20
+        self.maxlevel = 30
+        self.maxstring = self.maxlong = self.maxother = _ECHO_CHARS
+
+    def repr_dict(self, x, level):
+        if not x or level <= 0:
+            return "{...}" if x else "{}"
+        pieces = [f"{self.repr1(k, level - 1)}: {self.repr1(v, level - 1)}" for k, v in islice(x.items(), self.maxdict)]
+        return "{" + ", ".join(pieces + ["..."] * (len(x) > self.maxdict)) + "}"
+
+
+_ECHO = _Echo()
+
+
+def _echo(value) -> str:
+    """A document value as an error message repeats it: repr(value) when
+    that is at most _ECHO_CHARS characters long, else its first
+    _ECHO_CHARS characters and "..."."""
+    text = _ECHO.repr(value)
+    return text if len(text) <= _ECHO_CHARS else text[:_ECHO_CHARS] + "..."
+
+
 def _typed(value, kind: type, what: str, *args):
     """`value`, if it is a `kind` (list or dict); an XbarcError naming
     `what`, formatted with `args` only then, otherwise."""
     if not isinstance(value, kind):
         noun = "a list" if kind is list else "an object"
-        raise XbarcError(f"{what.format(*args)} must be {noun}, document gives {value!r}")
+        raise XbarcError(f"{what.format(*args)} must be {noun}, document gives {_echo(value)}")
     return value
 
 
 def _string(value, what: str) -> str:
     """`value`, if it is a string; an XbarcError naming `what` otherwise."""
     if not isinstance(value, str):
-        raise XbarcError(f"{what} must be a string, document gives {value!r}")
+        raise XbarcError(f"{what} must be a string, document gives {_echo(value)}")
     return value
 
 
@@ -397,27 +434,27 @@ def _circuit_from_doc(d) -> Circuit:
     name = _string(d.get("name", ""), "circuit name")
     n = d["n_qubits"]
     if not (is_int(n) and n >= 1):
-        raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {n!r}")
+        raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {_echo(n)}")
     gates = []
     for i, row in enumerate(_typed(d["gates"], list, "circuit gates")):
         kind = _NATIVE_BY_NAME.get(row[0]) if type(row) is list and row and type(row[0]) is str else None
         if kind is None:
             _not_a_row(f"circuit gate {i}", row)
-            raise XbarcError(f"circuit gate {i} kind must be rx, ry, rz or sqswap, document gives {row[0]!r}")
+            raise XbarcError(f"circuit gate {i} kind must be rx, ry, rz or sqswap, document gives {_echo(row[0])}")
         end = 1 + kind.arity
         if len(row) != end + kind.rotation:
             layout = ", ".join([f'"{kind.value}"', *(["q"] if kind.arity == 1 else ["q0", "q1"])]
                                + ["angle"] * kind.rotation)
-            raise XbarcError(f"circuit gate {i} row {row!r} has {len(row)} slots; a {kind.value} row is [{layout}]")
+            raise XbarcError(f"circuit gate {i} row {_echo(row)} has {len(row)} slots; a {kind.value} row is [{layout}]")
         qubits = tuple(row[1:end])
         for q in qubits:
             if not is_int(q):
-                raise XbarcError(f"circuit gate {i} qubit must be an integer, document gives {q!r}")
+                raise XbarcError(f"circuit gate {i} qubit must be an integer, document gives {_echo(q)}")
             if not 0 <= q < n:
                 raise XbarcError(f"circuit gate {i} operand {q} out of range for {n} qubits")
         angle = row[end] if kind.rotation else None
         if kind.rotation and not is_finite_real(angle):
-            raise XbarcError(f"circuit gate {i} angle must be a finite number, document gives {angle!r}")
+            raise XbarcError(f"circuit gate {i} angle must be a finite number, document gives {_echo(angle)}")
         try:
             gates.append(Gate(kind, qubits, angle))
         except ValueError as e:
@@ -436,13 +473,13 @@ def _row_fault(i: int, j: int, row, n: int, n_gates) -> NoReturn:
         raise XbarcError(f"{where}: document holds the retired kind {name!r}; it predates this format, recompile it")
     layout = _LAYOUTS.get(name) if type(name) is str else None
     if layout is None:
-        raise XbarcError(f"{where}: {name!r} is not a valid InstrKind")
+        raise XbarcError(f"{where}: {_echo(name)} is not a valid InstrKind")
     for slot, (key, f) in enumerate(layout.slots, 1):
         if slot == len(row):
-            raise XbarcError(f"{where}: row {row!r} ends before its {key}; a {name} row is {layout.text}")
+            raise XbarcError(f"{where}: row {_echo(row)} ends before its {key}; a {name} row is {layout.text}")
         v = row[slot]
         if not f.accepts(v):
-            raise XbarcError(f"{where}: {name} {key} must be {f.want}, document gives {v!r}")
+            raise XbarcError(f"{where}: {name} {key} must be {f.want}, document gives {_echo(v)}")
         if f.attr == "qubits" and v >= n:
             raise XbarcError(f"{where}: {name} names qubit {v}, outside range({n})")
     for slot in range(layout.src_at, len(row)):
@@ -450,11 +487,11 @@ def _row_fault(i: int, j: int, row, n: int, n_gates) -> NoReturn:
         if not _is_index(g):
             raise XbarcError(
                 f"{where}: {name} slot {slot} must be a source gate index (a non-negative integer), "
-                f"document gives {g!r}; a {name} row is {layout.text}"
+                f"document gives {_echo(g)}; a {name} row is {layout.text}"
             )
         if g >= n_gates:
             raise XbarcError(f"{where}: {name} src names gate {g}, outside the embedded circuit's range({n_gates})")
-    raise CompileError(f"{where}: the loader refused {row!r} but finds no fault in it")
+    raise CompileError(f"{where}: the loader refused {_echo(row)} but finds no fault in it")
 
 
 # the families _cycle_from_doc tells apart, bound once (see InstrKind)
@@ -535,11 +572,11 @@ def schedule_from_doc(doc: dict) -> Schedule:
         for q, site in enumerate(placement):
             if not (isinstance(site, list) and len(site) == 2 and all(map(is_int, site))):
                 raise XbarcError(
-                    f"placement of qubit {q} must be an [x, y] integer pair, document gives {site!r}"
+                    f"placement of qubit {q} must be an [x, y] integer pair, document gives {_echo(site)}"
                 )
         n = len(placement)
         if not (is_int(grid_n) and grid_n == grid_side(n)):
-            raise XbarcError(f"grid must be {grid_side(n)} for {n} qubits, document gives {grid_n!r}")
+            raise XbarcError(f"grid must be {grid_side(n)} for {n} qubits, document gives {_echo(grid_n)}")
         circuit = _circuit_from_doc(doc["circuit"]) if "circuit" in doc else None
         if circuit is not None and circuit.n_qubits != n:
             raise XbarcError(f"embedded circuit has {circuit.n_qubits} qubits, schedule has {n}")

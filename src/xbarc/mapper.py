@@ -16,12 +16,14 @@ scheme: an sg_rot pulse on the target's column parity, a shuttle of the
 target out, an sg_rot of the negated angle on the same parity, a shuttle
 of the target home. Each move is emitted as the kind whose delta is its
 unit step. Every entry point routes one gate on the grid it is given and
-advances it: `_checked` checks each cycle and applies it with apply_cycle,
-which also records its site changes in grid.trajectory.
+advances it through `_checked`. A cycle of one or two moves, most routed
+cycles, is judged and applied in one pass by crossbar.step_legal;
+any other cycle is checked with check_parallel_set and applied with
+apply_cycle. Both record its site changes in grid.trajectory.
 """
 from __future__ import annotations
 
-from .crossbar import Grid, apply_cycle, check_parallel_set
+from .crossbar import Grid, apply_cycle, check_parallel_set, step_legal
 from .errors import CompileError, CrossbarError
 from .instructions import Cycle, CycleType, Instruction, InstrKind, grid_side
 
@@ -42,6 +44,10 @@ def _shuttle(q: int, dx: int, dy: int, src: tuple[int, ...]) -> Instruction:
 
 
 def _checked(grid: Grid, cycle: Cycle) -> None:
+    """Apply a routed cycle to the grid: step_legal's one pass, else
+    check_parallel_set, whose conflict is a CompileError, and apply_cycle."""
+    if step_legal(grid, cycle):
+        return
     report = check_parallel_set(grid, cycle)
     if not report.ok:
         raise CompileError(f"internal routing conflict: {report.kind.value}: {report.detail}")

@@ -7,7 +7,7 @@ gate into its phase shuttle and return, an X/Y gate into its compensation
 scheme. Blocks are placed in order and never parallelized across gates.
 The routing entry points check and apply each cycle on the scheduler's one
 grid, which records each cycle's site changes for the trajectory digest
-(crossbar.apply_cycle).
+(crossbar.step_legal, or check_parallel_set and apply_cycle).
 
 Every X/Y rotation claims its own compensation scheme instance: the pulse,
 shuttle, inverse-pulse, shuttle-back cost is charged per gate, which is

@@ -1,9 +1,11 @@
 """Schedule verification: replay and statevector equivalence, one verdict.
 
 Replay re-runs every cycle from the initial placement through the
-scheduler's own check_parallel_set/apply_cycle (so it cannot catch a fault
-in the conflict model itself) and compares the grid's trajectory digest
-with the moves_sha256 the scheduler stored. The digest covers the
+scheduler's own judgement, so it cannot catch a fault in the conflict
+model itself: crossbar.step_legal for a legal cycle of one or two moves,
+else check_parallel_set, whose report names a conflict, and apply_cycle.
+It compares the grid's trajectory digest with the moves_sha256 the
+scheduler stored. The digest covers the
 placement and the sites every cycle changed, with one end mark per cycle,
 which determines the occupancy after every cycle, so cycles that are each
 legal but no longer reproduce the compiled trajectory fail: a moved,
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import Circuit
-from .crossbar import ConflictKind, ConflictReport, Grid, apply_cycle, apply_op, check_parallel_set
+from .crossbar import ConflictKind, ConflictReport, Grid, apply_cycle, apply_op, check_parallel_set, step_legal
 from .errors import CrossbarError
 from .instructions import CycleType, InstrKind, Schedule
 from .sim import apply_1q, apply_2q  # noqa: F401  unused; perfbench/tracing.py binds these names
@@ -94,14 +96,17 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
     """Re-run every cycle from the initial placement and collect deviations.
 
     Total for every Schedule (its placement was checked when it was made):
-    problems land in the report, never in an exception. A cycle whose
-    instructions cannot all be applied is a BLOCKED_PATH violation;
-    apply_cycle undoes it, so the digest and the next cycle see the
-    occupancy from before the cycle.
+    problems land in the report, never in an exception. A cycle that
+    step_legal does not take is checked and applied separately: a conflict
+    is a violation, and a cycle whose instructions cannot all be applied is
+    a further BLOCKED_PATH violation; apply_cycle undoes it, so the digest
+    and the next cycle see the occupancy from before the cycle.
     """
     violations: list[tuple[int, ConflictReport]] = []
     grid = Grid(schedule.grid_n, schedule.placement)
     for idx, cycle in enumerate(schedule.cycles):
+        if step_legal(grid, cycle):
+            continue
         report = check_parallel_set(grid, cycle)
         if not report.ok:
             violations.append((idx, report))

@@ -472,6 +472,28 @@ def test_stats_metrics_without_a_key_is_a_user_error(bell_doc, capsys, key):
         assert f"finite number under key {key!r}" in capsys.readouterr().err
 
 
+# a value of any size is echoed cut short: a 200,000-element grid and an op
+# row nested 900 deep, written as raw text in place of the "@" marker
+HUGE_VALUES = {
+    "grid-huge-list": (lambda doc: doc.update(grid="@"), "[" + ", ".join(map(str, range(200_000))) + "]",
+                       "grid must be 2 for 2 qubits, document gives [0, 1, 2, "),
+    "op-row-nested-900": (_set_first(["cycles", 0, 0], "@"), "[" * 900 + "]" * 900,
+                          "cycle 0 op 0: [[[[[[[[[[[[[[[[[[[[[[[[[[[[[[[...]]]"),
+}
+
+
+@pytest.mark.parametrize("edit, raw, message", HUGE_VALUES.values(), ids=HUGE_VALUES)
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_huge_document_value_is_echoed_cut_short(bell_doc, capsys, command, edit, raw, message):
+    out, doc = bell_doc
+    edit(doc)
+    out.write_text(json.dumps(doc).replace('"@"', raw))
+    capsys.readouterr()
+    assert main([command, "-i", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and len(err) < 200
+
+
 @pytest.mark.parametrize("command", ["verify", "stats"])
 def test_document_nested_past_the_decoder_is_a_user_error(tmp_path, capsys, command):
     doc = tmp_path / "deep.json"

@@ -27,6 +27,7 @@ from xbarc.crossbar import (
     ql_index,
     site_barriers,
     sqswap_sites,
+    step_legal,
 )
 from xbarc.errors import CrossbarError
 from xbarc.instructions import (
@@ -646,21 +647,28 @@ class TestOccupancyMasks:
     def test_rollback_restores_masks(self, monkeypatch):
         # qubits 0 and 1 move, qubit 2 leaves the grid: replay undoes both
         # moves, and the checks of the next two cycles see masks that match
-        # the positions
+        # the positions. Replay offers every cycle to step_legal first; only
+        # the broken one falls back to check_parallel_set
         placement = ((1, 1), (0, 1), (2, 2))
         raised = ((1, 2), (0, 1), (2, 2))
         broken = Cycle(tuple(sh(InstrKind.SH_R, q) for q in (0, 1, 2)))
         up, down = Cycle((sh(InstrKind.SH_U, 0),)), Cycle((sh(InstrKind.SH_D, 0),))
-        seen = []
+        seen, fell_back = [], []
+
+        def stepped(grid, cycle):
+            seen.append((grid.pos, (grid.cols, grid.rows) == rebuilt_masks(grid)))
+            return step_legal(grid, cycle)
 
         def checked(grid, cycle):
-            seen.append((grid.pos, (grid.cols, grid.rows) == rebuilt_masks(grid)))
+            fell_back.append((cycle, grid.pos))
             return check_parallel_set(grid, cycle)
 
+        monkeypatch.setattr(verifier, "step_legal", stepped)
         monkeypatch.setattr(verifier, "check_parallel_set", checked)
         digest = moves_digest(placement, [placement, raised, placement])
         report = replay_verify(Schedule("partway", 3, placement, (broken, up, down), digest))
         assert seen == [(placement, True), (placement, True), (raised, True)]
+        assert fell_back == [(broken, placement)]
         assert [i for i, _ in report.violations] == [0, 0] and report.trajectory_match
 
 

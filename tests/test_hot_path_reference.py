@@ -11,6 +11,13 @@ and RotationFold.rotate, which multiplied numpy 2x2s. The rewrites must give the
 input below: the same conflict report, the same grid or CrossbarError
 message, and the same folded state.
 
+_reference_paired_check_parallel_set and _reference_pairwise_clear are the
+conflict check as it stood before crossbar.step_legal judged and applied
+cycles of one or two moves in one pass. step_legal must apply exactly the
+cycles that check judges legal, leaving the grid and its log as that check
+plus apply_cycle leaves them, and check_parallel_set, which now answers
+LEGAL through step_legal's judgement, must give its report on every cycle.
+
 The document loader now reads positional rows, so it is compared with the
 reference on the object form of each input: _objects writes every row as
 the object the reference reads, and _rows, the other way, turns the
@@ -29,7 +36,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import compile_native
+from conftest import compile_native, moves_digest
 from test_cli import MALFORMED_DOCUMENTS, MALFORMED_IDS
 from test_crossbar import grid_state, grids_and_cycles, report_tuple
 from test_golden import CORPUS
@@ -37,6 +44,7 @@ from xbarc import BenchSpec, gen_random_uniform
 from xbarc.cli import main
 from xbarc.circuits import NATIVE_KINDS, Circuit, Gate, GateKind, is_finite_real, is_int
 from xbarc.crossbar import (
+    _XY_ROT,
     LEGAL,
     ConflictKind,
     ConflictReport,
@@ -45,11 +53,14 @@ from xbarc.crossbar import (
     _bits,
     _find_ql_cycle,
     _ql_pairs,
+    _shared_or_clashing,
     _stay_put,
+    apply_cycle,
     apply_op,
     barrier_between,
     check_parallel_set,
     sqswap_sites,
+    step_legal,
 )
 from xbarc.errors import CrossbarError, XbarcError
 from xbarc.instructions import (
@@ -248,6 +259,166 @@ def _reference_apply_op(grid: Grid, op: Instruction) -> None:
     elif kind is InstrKind.SQSWAP:
         sqswap_sites(grid, *op.qubits)
     # sqswap and semi-global rotations leave positions unchanged
+
+
+def _reference_pairwise_clear(cols: list[int], ops, sites, moves: bool) -> bool:
+    """True when _shared_or_clashing would find nothing, judged without its
+    report data: the moves' qubits and destinations distinct (by set size),
+    each destination empty in `cols`, and, for two instructions, neither
+    lowering a barrier that borders the other's sites. False leaves the
+    cycle to _shared_or_clashing, as it does every barrier check of three
+    or more instructions."""
+    k = len(ops)
+    if moves:
+        if len({op.qubits[0] for op in ops}) != k or len({dest for _, dest in sites}) != k:
+            return False
+        for _, (x, y) in sites:
+            if cols[x] >> y & 1:
+                return False
+    if k != 2:
+        return False
+    ((ax0, ay0), (ax1, ay1)), ((bx0, by0), (bx1, by1)) = sites
+    # each lowered barrier, CL_k between columns or RL_k between rows, and
+    # the coordinates across it of the other instruction's two sites
+    if ay0 == ay1:
+        a_cl, a_k, b0, b1 = True, min(ax0, ax1), bx0, bx1
+    else:
+        a_cl, a_k, b0, b1 = False, min(ay0, ay1), by0, by1
+    if by0 == by1:
+        b_cl, b_k, a0, a1 = True, min(bx0, bx1), ax0, ax1
+    else:
+        b_cl, b_k, a0, a1 = False, min(by0, by1), ay0, ay1
+    if a_cl is b_cl and a_k == b_k:  # one barrier, lowered by both
+        return True
+    return not (a_k <= b0 <= a_k + 1 or a_k <= b1 <= a_k + 1 or b_k <= a0 <= b_k + 1 or b_k <= a1 <= b_k + 1)
+
+
+def _reference_paired_check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
+    """Can this cycle's instructions run in parallel on this grid?
+
+    The cycle holds one instruction family (Cycle's rule): semi-global
+    pulses, moves (the shuttles of one cycle family, or the phase shuttles
+    of the other) or sqswaps. Intended movers
+    contribute mover constraints; only non-movers contribute stay-put
+    constraints. Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
+    UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
+
+    A call costs O(instructions + stay-put qubits) integer operations for a
+    lone instruction, the common cycle, and for a legal pair, which
+    _pairwise_clear clears; the O(instructions^2) pairwise checks of
+    _shared_or_clashing run only for a cycle it cannot clear. A move's
+    sites are read from grid.coords; its destination's occupancy and the
+    occupied pairs across a lowered barrier are read from the grid's column
+    and row masks.
+    The QL pairs are folded into two masks in which bit n-1-k stands for the
+    QL_k - QL_k+1 edge: `up` when QL_k+1 must sit above QL_k, `down` when
+    below. Every pair joins adjacent diagonals, so the merged digraph is a
+    subgraph of a path and has a cycle exactly when up & down != 0. Line
+    objects and QL pair sets are built only for a report: only then are the
+    pairs listed and _find_ql_cycle run, to name the cycle and the
+    instructions in it.
+    """
+    ops = cycle.ops
+    kind = ops[0].kind
+    if kind.family is _XY_ROT:  # semi-global pulses
+        # the family is the one kind sg_rot, so the kind is not compared
+        distinct = {(op.axis, op.angle, op.parity) for op in ops}
+        if len(distinct) > 1:
+            return ConflictReport(
+                kind=ConflictKind.BARRIER_CLASH,
+                culprits=tuple(range(len(ops))),
+                detail="conflicting semi-global drives on the shared column lines",
+            )
+        return LEGAL
+    moves = kind.moves  # otherwise every instruction is a sqswap
+    n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
+
+    # each instruction's two sites: a move's origin and destination, or the
+    # sites of a sqswap's two qubits
+    sites: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    for i, op in enumerate(ops):
+        if moves:
+            q = op.qubits[0]
+            x, y = xy[2 * q], xy[2 * q + 1]
+            dx, dy = op.kind.delta
+            if not (0 <= x + dx < n and 0 <= y + dy < n):
+                return ConflictReport(
+                    kind=ConflictKind.BLOCKED_PATH,
+                    culprits=(i,),
+                    detail=f"qubit {q} shuttled off-grid from {(x, y)}",
+                )
+            sites.append(((x, y), (x + dx, y + dy)))
+        else:
+            try:
+                sites.append(sqswap_sites(grid, op.qubits[0], op.qubits[1]))
+            except CrossbarError as e:
+                return ConflictReport(ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e))
+
+    # blocked paths and barrier clashes: instruction j raises every barrier
+    # bordering its two sites except the one it lowers
+    if len(ops) > 1:
+        if not _reference_pairwise_clear(cols, ops, sites, moves):
+            report = _shared_or_clashing(grid, ops, sites, moves)
+            if report is not None:
+                return report
+    elif moves:
+        x, y = sites[0][1]
+        if cols[x] >> y & 1:
+            return ConflictReport(
+                kind=ConflictKind.BLOCKED_PATH,
+                culprits=(0,),
+                detail=f"destination {(x, y)} is occupied",
+            )
+
+    # unwanted interactions: the barrier an instruction lowers runs the
+    # whole line, so an occupied pair across it elsewhere couples those
+    # qubits regardless of QL relations
+    for i, ((x0, y0), (x1, y1)) in enumerate(sites):
+        if y0 == y1:  # horizontal shuttle, CL_k lowered: other rows
+            k, family, where = min(x0, x1), "CL", "row"
+            hits = cols[k] & cols[k + 1] & ~(1 << y0)
+        else:  # vertical shuttle or sqswap, RL_k lowered: other columns
+            k, family, where = min(y0, y1), "RL", "column"
+            hits = rows[k] & rows[k + 1] & ~(1 << x0)
+        if hits:
+            return ConflictReport(
+                kind=ConflictKind.UNWANTED_INTERACTION,
+                culprits=(i,),
+                detail=f"{family}_{k} lowered while {where} {next(_bits(hits))} holds an occupied pair",
+            )
+
+    if not moves:  # a sqswap holds its two QL lines equal: no inequality
+        return LEGAL
+
+    movers: dict[int, int] = {}
+    for (x, y), _ in sites:
+        movers[x] = movers.get(x, 0) | 1 << y
+    up = down = 0
+    for (x0, y0), (x1, y1) in sites:
+        dest_ql, origin_ql = x1 - y1, x0 - y0
+        if dest_ql > origin_ql:
+            up |= 1 << (n - 1 - origin_ql)
+        else:
+            down |= 1 << (n - 1 - dest_ql)
+        if y0 == y1:
+            # row bit y of either column stands for the QL_(left-y) edge,
+            # bit n-1-left+y of the QL masks
+            left = min(x0, x1)
+            down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
+            up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
+    if not up & down:
+        return LEGAL
+
+    # merged inequality set: instruction by instruction, each one's pairs
+    # sorted, first occurrence kept, so the reported cycle is deterministic
+    ql_gt = [_ql_pairs(grid, origin, dest, movers) for origin, dest in sites]
+    ql_cycle = _find_ql_cycle(dict.fromkeys(p for pairs in ql_gt for p in sorted(pairs)))
+    edges = set(zip(ql_cycle, ql_cycle[1:]))
+    return ConflictReport(
+        kind=ConflictKind.QL_CONTRADICTION,
+        culprits=tuple(i for i, pairs in enumerate(ql_gt) if pairs & edges),
+        detail="QL inequality cycle " + " > ".join(f"QL_{v}" for v in ql_cycle),
+    )
 
 
 class _ReferenceField(NamedTuple):
@@ -522,6 +693,91 @@ def test_compiled_cycles_check_and_apply_as_the_reference(n_qubits, n_gates):
         assert report_tuple(_reference_check_parallel_set(theirs, cycle)) == report_tuple(LEGAL)
         for op in cycle.ops:
             assert _applied(apply_op, mine, op) == _applied(_reference_apply_op, theirs, op)
+
+
+MOVING_KINDS = tuple(kind for kind in InstrKind if kind.moves)
+
+
+@st.composite
+def one_or_two_moves(draw):
+    """A random occupancy of a side-2..7 grid, drawn from every site or from
+    the checkerboard sites only, and a cycle of one or two moves of one
+    family (plain shuttles, or phase shuttles). The second move's qubit is
+    often the first one or one of its eight neighbours, so that exchanges,
+    a qubit moved twice, shared destinations and barriers lowered side by
+    side are common."""
+    n = draw(st.integers(2, 7))
+    pool = [(x, y) for y in range(n) for x in range(n)]
+    if draw(st.booleans()):
+        pool = [(x, y) for x, y in pool if (x + y) % 2 == 0]
+    sites = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
+    grid = Grid(n, tuple(sites))
+    family = draw(st.sampled_from((CycleType.SHUTTLE, CycleType.Z)))
+    kinds = st.sampled_from([kind for kind in MOVING_KINDS if kind.family is family])
+    angle = 0.5 if family is CycleType.Z else None
+    q = draw(st.integers(0, len(sites) - 1))
+    ops = [Instruction(draw(kinds), (q,), angle=angle)]
+    if draw(st.booleans()):
+        x, y = sites[q]
+        near = [grid.qubit_at((x + i, y + j)) for i in (-1, 0, 1) for j in (-1, 0, 1) if grid.occupied((x + i, y + j))]
+        p = draw(st.sampled_from(near)) if draw(st.booleans()) else draw(st.integers(0, len(sites) - 1))
+        ops.append(Instruction(draw(kinds), (p,), angle=angle))
+    return grid, Cycle(tuple(ops))
+
+
+def _moves(n, sites, *ops):
+    return Grid(n, sites), Cycle(tuple(Instruction(kind, (q,)) for kind, q in ops))
+
+
+STAY_PUT_ABOVE = _moves(5, ((0, 0), (1, 2), (3, 4)), (InstrKind.SH_R, 0), (InstrKind.SH_L, 2))
+STAY_PUT_BELOW = _moves(5, ((1, 0), (0, 2), (2, 4)), (InstrKind.SH_L, 0), (InstrKind.SH_R, 2))
+
+
+@settings(max_examples=1500, deadline=None)
+@given(one_or_two_moves())
+# the router's exchange, a QL contradiction of opposing moves, an occupied
+# pair across the lowered barrier, two barriers that border each other, and
+# two QL contradictions that only a stay-put qubit closes: at (1, 2), above
+# its empty site across CL_0, and at (0, 2), below its empty site across
+# CL_0, each against a move across CL_2 on the same QL edge
+@example(_moves(4, ((1, 1), (2, 2)), (InstrKind.SH_R, 0), (InstrKind.SH_L, 1)))
+@example(_moves(4, ((1, 1), (2, 2)), (InstrKind.SH_L, 0), (InstrKind.SH_R, 1)))
+@example(_moves(4, ((1, 1), (0, 3), (1, 3)), (InstrKind.SH_L, 0)))
+@example(_moves(5, ((2, 0), (2, 2)), (InstrKind.SH_L, 0), (InstrKind.SH_R, 1)))
+@example(STAY_PUT_ABOVE)
+@example(STAY_PUT_BELOW)
+def test_step_applies_exactly_the_legal_cycles(grid_cycle):
+    """step_legal applies a cycle exactly when the parent's check judges it
+    legal, and then leaves the grid and its log as that check's apply_cycle
+    does; otherwise it leaves both untouched."""
+    grid, cycle = grid_cycle
+    twin = Grid(grid.n, grid.pos)
+    before = grid_state(grid), list(grid.trajectory)
+    legal = _reference_paired_check_parallel_set(twin, cycle).ok
+    assert step_legal(grid, cycle) is legal
+    if legal:
+        apply_cycle(twin, cycle)
+        assert grid_state(grid) == grid_state(twin) and grid.coords == twin.coords
+        assert list(grid.trajectory) == list(twin.trajectory)
+        assert grid.trajectory.hexdigest() == moves_digest(before[0][0], [grid.pos])
+    else:
+        assert (grid_state(grid), list(grid.trajectory)) == before
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.one_of(one_or_two_moves(), grids_and_cycles()))
+@example(_moves(4, ((1, 1), (2, 2)), (InstrKind.SH_L, 0), (InstrKind.SH_R, 1)))
+@example(_moves(5, ((2, 0), (2, 2)), (InstrKind.SH_L, 0), (InstrKind.SH_R, 1)))
+@example(STAY_PUT_ABOVE)
+@example(STAY_PUT_BELOW)
+def test_check_gives_the_paired_reference_report(grid_cycle):
+    """check_parallel_set, which answers LEGAL through step_legal's
+    judgement, gives the parent's report on cycles of every family and
+    size, three or more moves and sqswaps included."""
+    grid, cycle = grid_cycle
+    assert report_tuple(check_parallel_set(grid, cycle)) == report_tuple(
+        _reference_paired_check_parallel_set(grid, cycle)
+    )
 
 
 # -- loader

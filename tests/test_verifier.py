@@ -20,7 +20,7 @@ from xbarc import (
 )
 from xbarc import cli, sim, verifier
 from xbarc.circuits import ROTATION_KINDS, TWO_QUBIT_KINDS
-from xbarc.crossbar import Grid, apply_op
+from xbarc.crossbar import Grid, apply_op, check_parallel_set
 from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule
 from xbarc.qasm import circuit_to_qasm
 from xbarc.sim import (
@@ -397,6 +397,24 @@ class TestReplay:
             (1, "cycle is not applicable: sh_r destination (1, 1) occupied"),
         ]
         assert report.trajectory_match
+
+    def test_full_check_runs_only_for_pulse_and_sqswap_cycles(self, monkeypatch):
+        # replay's step takes every cycle of one or two legal moves, so of
+        # a compiled 200-qubit schedule only the 300 cycles of pulses and
+        # sqswaps (150 X/Y gates' two pulses, 150 two-qubit gates) reach
+        # check_parallel_set
+        s = compiled(gen_random_uniform(BenchSpec(200, 300, 50.0, 0)))
+        checked = []
+
+        def counted(grid, cycle):
+            checked.append(cycle)
+            return check_parallel_set(grid, cycle)
+
+        monkeypatch.setattr(verifier, "check_parallel_set", counted)
+        report = replay_verify(s)
+        assert report.violations == () and report.trajectory_match
+        fixed = [cy for cy in s.cycles if not cy.ops[0].kind.moves]
+        assert len(fixed) == 300 and checked == fixed
 
 
 class TestEquivalence:
