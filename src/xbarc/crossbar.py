@@ -596,7 +596,7 @@ def apply_cycle(grid: Grid, cycle: Cycle) -> None:
         del log[mark:]
         raise
     finally:
-        if len(log) - mark > 3:  # a cycle of one move, the most common, is in order
+        if len(log) - mark > 3:  # a cycle of one move is in order
             _in_qubit_order(log, mark, ops)
         log.append(CYCLE_END)
 

@@ -747,11 +747,12 @@ STAY_PUT_BELOW = _moves(5, ((1, 0), (0, 2), (2, 4)), (InstrKind.SH_L, 0), (Instr
 @example(STAY_PUT_ABOVE)
 @example(STAY_PUT_BELOW)
 def test_step_applies_exactly_the_legal_cycles(grid_cycle):
-    """step_legal applies a cycle exactly when the parent's check judges it
-    legal, and then leaves the grid and its log as that check's apply_cycle
-    does; otherwise it leaves both untouched."""
+    """step_legal applies a cycle exactly when the reference check judges it
+    legal, and then leaves the grid and its log as apply_cycle does;
+    otherwise it leaves both untouched."""
     grid, cycle = grid_cycle
-    twin = Grid(grid.n, grid.pos)
+    # a fresh grid each run: the examples' grids are built once
+    grid, twin = Grid(grid.n, grid.pos), Grid(grid.n, grid.pos)
     before = grid_state(grid), list(grid.trajectory)
     legal = _reference_paired_check_parallel_set(twin, cycle).ok
     assert step_legal(grid, cycle) is legal
@@ -772,7 +773,7 @@ def test_step_applies_exactly_the_legal_cycles(grid_cycle):
 @example(STAY_PUT_BELOW)
 def test_check_gives_the_paired_reference_report(grid_cycle):
     """check_parallel_set, which answers LEGAL through step_legal's
-    judgement, gives the parent's report on cycles of every family and
+    judgement, gives the reference report on cycles of every family and
     size, three or more moves and sqswaps included."""
     grid, cycle = grid_cycle
     assert report_tuple(check_parallel_set(grid, cycle)) == report_tuple(
