@@ -53,14 +53,19 @@ offer each cycle to step_legal first; check_parallel_set answers LEGAL
 through _legal_step too, so both ways give one verdict.
 
 A Grid is mutable and apply_op/apply_cycle/step_legal advance it in place,
-O(1) per move. The grid's own TrajectoryDigest, `grid.trajectory`, opens
-with the placement; step_legal and apply_cycle log each cycle they apply
-in it, Grid.move and apply_op log nothing. apply_cycle undoes a cycle that
-fails partway and drops that cycle's entries, puts a cycle that moved two
-or more qubits into ascending qubit order with one entry per qubit whose
-site changed, and closes every cycle with CYCLE_END; step_legal writes
-the same entries directly. So the digest costs O(placement + site changes
-+ cycles), and a cycle's rows may be listed in any order.
+O(1) per move: Grid.move writes two slots of each of its flat tables, the
+coordinates, the site table indexed y * N + x and the two mask lists, all
+plain lists of ints, so a move neither hashes a site nor boxes a value.
+_legal_step reads a pair of moves' stay-put terms once per lowered CL,
+which a horizontal exchange's two moves share. The grid's own
+TrajectoryDigest, `grid.trajectory`, opens with the placement; step_legal
+and apply_cycle log each cycle they apply in it, Grid.move and apply_op
+log nothing. apply_cycle undoes a cycle that fails partway and drops that
+cycle's entries, puts a cycle that moved two or more qubits into ascending
+qubit order with one entry per qubit whose site changed, and closes every
+cycle with CYCLE_END; step_legal writes the same entries directly. So the
+digest costs O(placement + site changes + cycles), and a cycle's rows may
+be listed in any order.
 """
 from __future__ import annotations
 
@@ -70,7 +75,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, NamedTuple
 
 from .errors import CrossbarError
-from .instructions import CYCLE_END, DELTAS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest, coord_buffer
+from .instructions import CYCLE_END, DELTAS, Cycle, CycleType, Instruction, InstrKind, TrajectoryDigest
 
 
 # bound once for the per-cycle and per-instruction functions (see InstrKind)
@@ -116,11 +121,14 @@ class SignalRequirements:
 class Grid:
     """Mutable qubit -> site bijection on an N x N array.
 
-    `coords` holds every qubit's (x, y) as one flat uint32 buffer, x0, y0,
-    x1, y1, ..., next to a site -> qubit map and two occupancy bitmask lists:
-    cols[x] has bit y set and rows[y] has bit x set when (x, y) holds a
-    qubit. move updates all four in place in O(1), so apply_cycle's undo,
-    which moves qubits back, restores them too. `trajectory`, the
+    Three flat tables and two occupancy bitmask lists, all plain Python
+    ints: `coords` holds every qubit's (x, y) as x0, y0, x1, y1, ...;
+    `sites` holds, at index y * N + x, the qubit on (x, y) or -1 for an
+    empty site; cols[x] has bit y set and rows[y] has bit x set when (x, y)
+    holds a qubit. qubit_at and occupied bounds-check a site before they
+    index `sites`, as a negative index would wrap around. move updates all
+    four in place in O(1), writing two slots of each table, so apply_cycle's
+    undo, which moves qubits back, restores them too. `trajectory`, the
     TrajectoryDigest log, opens with the placement; step_legal and
     apply_cycle add each cycle they apply to it, and move adds nothing, so
     a grid advanced by apply_op alone keeps the placement only. Whoever
@@ -133,17 +141,18 @@ class Grid:
     mapper.initial_placement, and every move from apply_op or step_legal.
     """
 
-    __slots__ = ("n", "coords", "cols", "rows", "_site_map", "trajectory")
+    __slots__ = ("n", "coords", "cols", "rows", "sites", "trajectory")
 
     def __init__(self, n: int, pos: tuple[tuple[int, int], ...]):
         self.n = n
-        self.coords = coord_buffer(pos)
-        self._site_map = {site: q for q, site in enumerate(pos)}
-        self.cols = [0] * n
-        self.rows = [0] * n
-        for x, y in pos:
-            self.cols[x] |= 1 << y
-            self.rows[y] |= 1 << x
+        self.coords = [v for site in pos for v in site]
+        self.sites = sites = [-1] * (n * n)
+        self.cols = cols = [0] * n
+        self.rows = rows = [0] * n
+        for q, (x, y) in enumerate(pos):
+            sites[y * n + x] = q
+            cols[x] |= 1 << y
+            rows[y] |= 1 << x
         self.trajectory = TrajectoryDigest(self.coords)
 
     @property
@@ -161,10 +170,18 @@ class Grid:
         return self.coords[i], self.coords[i + 1]
 
     def qubit_at(self, site: tuple[int, int]) -> int | None:
-        return self._site_map.get(site)
+        x, y = site
+        n = self.n
+        if 0 <= x < n and 0 <= y < n:
+            q = self.sites[y * n + x]
+            if q >= 0:
+                return q
+        return None
 
     def occupied(self, site) -> bool:
-        return site in self._site_map
+        x, y = site
+        n = self.n
+        return 0 <= x < n and 0 <= y < n and self.sites[y * n + x] >= 0
 
     def in_grid(self, site) -> bool:
         x, y = site
@@ -175,13 +192,13 @@ class Grid:
         step_legal the cycle, or apply_cycle is undoing one. The trajectory
         log is left to the two cycle appliers."""
         i = 2 * q
-        xy, cols, rows = self.coords, self.cols, self.rows
+        n, xy, sites, cols, rows = self.n, self.coords, self.sites, self.cols, self.rows
         x, y = xy[i], xy[i + 1]
-        del self._site_map[x, y]
+        sites[y * n + x] = -1
         cols[x] ^= 1 << y
         rows[y] ^= 1 << x
         xy[i], xy[i + 1] = x, y = site
-        self._site_map[site] = q
+        sites[y * n + x] = q
         cols[x] |= 1 << y
         rows[y] |= 1 << x
 
@@ -244,8 +261,8 @@ def _stay_put(grid: Grid, x: int, across: int, movers: dict[int, int]) -> int:
     """Row bits of the qubits in column x that must stay put while the
     barrier to column `across` is lowered: occupied, empty across, and not
     one of `movers` (column -> row bits of the moving qubits' origins).
-    The one home of the stay-put rule: _ql_clash shifts the mask into its
-    QL masks, _ql_pairs lists it as pairs."""
+    _ql_clash shifts the mask into its QL masks and _ql_pairs lists it as
+    pairs; _legal_step folds the same mask inline for a pair of moves."""
     return grid.cols[x] & ~grid.cols[across] & ~movers.get(x, 0)
 
 
@@ -380,7 +397,9 @@ def _legal_step(grid: Grid, ops) -> tuple[int, ...] | None:
     arithmetic on grid.coords, cols and rows without its report data:
     destinations on the grid and empty, movers and destinations distinct,
     no barrier clash, no occupied pair across a lowered barrier and no QL
-    cycle (_ql_clash)."""
+    cycle. A pair of moves folds its QL pairs into _ql_clash's two masks
+    inline, taking each lowered CL's stay-put terms (_stay_put's rule)
+    once: both moves of a horizontal exchange lower the same CL."""
     if len(ops) > 2 or not ops[0].kind.moves:
         return None
     n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
@@ -417,9 +436,31 @@ def _legal_step(grid: Grid, ops) -> tuple[int, ...] | None:
         a0, a1 = (x, u) if ex else (y, v)
         if ka <= b0 <= ka + 1 or ka <= b1 <= ka + 1 or kb <= a0 <= kb + 1 or kb <= a1 <= kb + 1:
             return None
-    movers = {x: 1 << y}
-    movers[s] = movers.get(s, 0) | 1 << t
-    if _ql_clash(grid, ((x, y, u, v), (s, t, w, z)), movers):
+    # _ql_clash's QL masks, folded inline: bit n-1-k stands for the
+    # QL_k - QL_k+1 edge, set in `up` when QL_k+1 must sit above QL_k and in
+    # `down` when below; first each destination above its origin
+    m = n - 1
+    up = down = 0
+    if u - v > x - y:
+        up = 1 << (m - x + y)
+    else:
+        down = 1 << (m - u + v)
+    if w - z > s - t:
+        up |= 1 << (m - s + t)
+    else:
+        down |= 1 << (m - w + z)
+    # then the stay-put terms of each lowered CL, taken once: both moves of a
+    # horizontal exchange lower the same CL, with the same movers. Row bit y
+    # of either column stands for the QL_(left-y) edge; a column's movers
+    # are the row bits of the moves' origins in it
+    lowered = (ka,) if dx else ()
+    if ex and not (dx and ka == kb):
+        lowered += (kb,)
+    for left in lowered:
+        right = left + 1
+        down |= (cols[left] & ~cols[right] & ~((x == left) << y | (s == left) << t)) << (m - left)
+        up |= (cols[right] & ~cols[left] & ~((x == right) << y | (s == right) << t)) << (m - left)
+    if up & down:
         return None
     return (q, u, v, p, w, z) if q < p else (p, w, z, q, u, v)
 

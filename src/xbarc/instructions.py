@@ -58,7 +58,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from itertools import islice
 from operator import attrgetter
 from typing import Callable, NamedTuple, NoReturn
 
@@ -148,17 +148,7 @@ FIELDS: dict[InstrKind, tuple[Field, ...]] = {
 _RETIRED = ("zsh", "zsh_ret", "sg_rot_inv")
 
 
-# Instruction and Cycle are frozen slotted dataclasses with a hand-written
-# __init__ that sets each field through a prebound object.__setattr__: the
-# generated frozen __init__ looks that method up once per field, and the
-# slots keep each instance to one object with no __dict__. Assignment still
-# raises FrozenInstanceError, and equality, hashing, repr and
-# dataclasses.replace are the generated ones.
-_set = object.__setattr__
-
-
-@dataclass(frozen=True, slots=True, init=False)
-class Instruction:
+class Instruction(NamedTuple):
     kind: InstrKind
     # which of the fields below a kind carries: FIELDS
     qubits: tuple[int, ...] = ()
@@ -167,17 +157,11 @@ class Instruction:
     parity: int | None = None  # addressed column parity
     src: tuple[int, ...] = ()  # indices of source gates in the decomposed circuit
 
-    def __init__(self, kind, qubits=(), angle=None, axis=None, parity=None, src=()):
-        _set(self, "kind", kind)
-        _set(self, "qubits", qubits)
-        _set(self, "angle", angle)
-        _set(self, "axis", axis)
-        _set(self, "parity", parity)
-        _set(self, "src", src)
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class Cycle:
+    # a frozen dataclass whose own __init__ refuses an empty or mixed cycle,
+    # then sets its one field as the generated one would
     ops: tuple[Instruction, ...]
 
     def __init__(self, ops):
@@ -188,7 +172,7 @@ class Cycle:
             if op.kind.family is not family:
                 held = sorted({op.kind.family.value for op in ops})
                 raise ValueError(f"instruction families {held} cannot share a cycle")
-        _set(self, "ops", ops)
+        object.__setattr__(self, "ops", ops)
 
     @property
     def type(self) -> CycleType:
@@ -241,11 +225,6 @@ class Schedule:
     @property
     def depth(self) -> int:
         return len(self.cycles)
-
-
-def coord_buffer(pos) -> array:
-    """Sites (x, y) in qubit order as one flat uint32 buffer x0, y0, x1, y1, ..."""
-    return array("I", chain.from_iterable(pos))
 
 
 # an array("I")'s bytes are already the digest's little-endian uint32s

@@ -560,19 +560,23 @@ Z_FAMILY = tuple(kind for kind in InstrKind if kind.family is CycleType.Z)
 
 
 @st.composite
-def grids_and_cycles(draw):
+def grids(draw):
     """A random occupancy of a side-1..7 grid, drawn from every site or from
-    the checkerboard sites only, and a one-family cycle of 1-5 moves
-    (plain shuttles, or phase shuttles) or sqswaps. A sqswap's second qubit is
-    the first one's upper or lower neighbour when it has one, so that legal
-    sqswaps are common."""
+    the checkerboard sites only."""
     n = draw(st.integers(1, 7))
     pool = [(x, y) for y in range(n) for x in range(n)]
     if draw(st.booleans()):
         pool = list(checkerboard_sites(n))
-    sites = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))
-    grid = Grid(n, tuple(sites))
-    qubit = st.integers(0, len(sites) - 1)
+    return Grid(n, tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True))))
+
+
+@st.composite
+def cycles_on(draw, grid):
+    """A one-family cycle of 1-5 moves (plain shuttles, or phase shuttles) or
+    sqswaps of the grid's qubits. A sqswap's second qubit is the first one's
+    upper or lower neighbour when it has one, so that legal sqswaps are
+    common."""
+    qubit = st.integers(0, grid.n_qubits - 1)
     family = draw(st.sampled_from(("shuttle", "z", "twoq")))
     ops = []
     for _ in range(draw(st.integers(1, 5))):
@@ -586,7 +590,14 @@ def grids_and_cycles(draw):
             near = [grid.qubit_at((x, y + d)) for d in (1, -1) if grid.occupied((x, y + d))]
             other = draw(st.sampled_from(near)) if near and draw(st.booleans()) else draw(qubit)
             ops.append(Instruction(InstrKind.SQSWAP, (q, other)))
-    return grid, Cycle(tuple(ops))
+    return Cycle(tuple(ops))
+
+
+@st.composite
+def grids_and_cycles(draw):
+    """A grid from grids() and a cycle from cycles_on() on it."""
+    grid = draw(grids())
+    return grid, draw(cycles_on(grid))
 
 
 class TestAgainstReference:
@@ -673,7 +684,54 @@ class TestOccupancyMasks:
 
 
 def grid_state(grid):
-    return grid.pos, dict(grid._site_map), grid.cols[:], grid.rows[:]
+    """Every qubit's site, the qubit on every occupied site as qubit_at
+    reads it, and the occupancy masks."""
+    on_sites = ((x, y) for x in range(grid.n) for y in range(grid.n))
+    site_map = {site: q for site in on_sites if (q := grid.qubit_at(site)) is not None}
+    return grid.pos, site_map, grid.cols[:], grid.rows[:]
+
+
+def assert_tables_agree(grid):
+    """The site table holds each qubit at y * n + x of its coords and -1
+    elsewhere, and the masks match the coords."""
+    n = grid.n
+    table = [-1] * (n * n)
+    for q, (x, y) in enumerate(grid.pos):
+        table[y * n + x] = q
+    assert grid.sites == table
+    assert len(grid.coords) == 2 * grid.n_qubits and all(type(v) is int for v in grid.coords)
+    assert_masks_match(grid)
+
+
+class TestSiteTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_off_grid_sites_read_empty(self, n):
+        # every site occupied, so an unchecked index would find a qubit:
+        # (-1, y) would wrap to the row's last slot, (n, y) to the next row's first
+        grid = Grid(n, tuple((x, y) for y in range(n) for x in range(n)))
+        off_grid = [(x, y) for x in range(-2, n + 2) for y in range(-2, n + 2) if not grid.in_grid((x, y))]
+        assert {(-1, 0), (0, -1), (n, 0), (0, n), (n, n), (-1, -1)} <= set(off_grid)
+        for site in off_grid:
+            assert grid.qubit_at(site) is None
+            assert grid.occupied(site) is False
+        for q, site in enumerate(grid.pos):
+            assert grid.qubit_at(site) == q and grid.occupied(site) is True
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_tables_agree_after_every_cycle(self, data):
+        # each cycle goes to step_legal, else to apply_cycle, which applies
+        # it or undoes it partway
+        grid = data.draw(grids())
+        assert_tables_agree(grid)
+        for _ in range(data.draw(st.integers(1, 12))):
+            cycle = data.draw(cycles_on(grid))
+            if not step_legal(grid, cycle):
+                try:
+                    apply_cycle(grid, cycle)
+                except CrossbarError:
+                    pass
+            assert_tables_agree(grid)
 
 
 class TestApplyCycle:

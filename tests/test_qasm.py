@@ -1,5 +1,4 @@
 """QASM parsing, emission and schedule-document round trips."""
-import dataclasses
 import json
 import math
 import re
@@ -215,9 +214,9 @@ _ATTR_VALUES = {"qubits": (3,), "angle": 0.0, "axis": "x", "parity": 0, "directi
 def test_writer_rejects_an_attribute_the_kind_does_not_carry(op, attr):
     if attr == "direction":  # a move's direction is its kind: no instruction can be given one
         with pytest.raises(TypeError, match="direction"):
-            dataclasses.replace(op, direction=_ATTR_VALUES[attr])
+            Instruction(op.kind, direction=_ATTR_VALUES[attr])
         return
-    op = dataclasses.replace(op, **{attr: _ATTR_VALUES[attr]})
+    op = op._replace(**{attr: _ATTR_VALUES[attr]})
     message = f"{op.kind.value} carries no field {attr!r}, instruction gives {_ATTR_VALUES[attr]!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         instruction_to_row(op)

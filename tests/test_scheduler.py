@@ -17,7 +17,7 @@ from xbarc import (
 )
 from xbarc.crossbar import Grid, apply_cycle
 from xbarc.errors import CrossbarError
-from xbarc.instructions import CYCLE_END, CycleType, InstrKind, TrajectoryDigest, coord_buffer
+from xbarc.instructions import CYCLE_END, CycleType, InstrKind, TrajectoryDigest
 
 from conftest import compile_native, moves_digest
 
@@ -93,7 +93,7 @@ class TestScheduleInvariants:
     def test_digest_bytes_do_not_depend_on_the_host(self, monkeypatch):
         # the packed fallback (big-endian hosts) gives the native buffer's digest
         placement = ((0, 0), (2, 0), (70000, 3))
-        log = TrajectoryDigest(coord_buffer(placement))
+        log = TrajectoryDigest(v for site in placement for v in site)
         log.extend((0, 1, 0, CYCLE_END, 2, 70001, 3, CYCLE_END))
         native_hex = log.hexdigest()
         assert native_hex == moves_digest(placement, [((1, 0), (2, 0), (70000, 3)), ((1, 0), (2, 0), (70001, 3))])

@@ -437,7 +437,7 @@ class TestEquivalence:
         cycles = list(s.cycles)
         for i in pulse_cycles(s, inverse=True):
             op = cycles[i].ops[0]
-            cycles[i] = Cycle((dataclasses.replace(op, angle=op.angle + 0.5),))
+            cycles[i] = Cycle((op._replace(angle=op.angle + 0.5),))
         tampered = dataclasses.replace(s, cycles=tuple(cycles))
         fid = statevector_equiv(s.circuit, tampered)
         assert fid < 1 - 1e-3
@@ -486,10 +486,10 @@ class TestEquivalence:
         "sites_of, mutate",
         [
             (lambda s: [(i, 0) for i, cy in enumerate(s.cycles) if cy.type is CycleType.Z],
-             lambda op: dataclasses.replace(op, angle=op.angle + 1e-3)),
-            (lambda s: [(i, 0) for i in pulse_cycles(s)], lambda op: dataclasses.replace(op, parity=1 - op.parity)),
+             lambda op: op._replace(angle=op.angle + 1e-3)),
+            (lambda s: [(i, 0) for i in pulse_cycles(s)], lambda op: op._replace(parity=1 - op.parity)),
             (lambda s: [(i, 0) for i in pulse_cycles(s, inverse=True)],
-             lambda op: dataclasses.replace(op, angle=op.angle + 1e-3)),
+             lambda op: op._replace(angle=op.angle + 1e-3)),
         ],
         ids=["zsh_angle", "sg_rot_parity", "sg_rot_inv_angle"],  # the last one mutates the inverse (-angle) pulse
     )
@@ -515,7 +515,7 @@ class TestVerify:
     def test_illegal_move_fails_without_equivalence(self):
         s = compiled(Circuit("c", 2, (Gate(GateKind.SQSWAP, (0, 1)),)))
         i = next(i for i, cy in enumerate(s.cycles) if cy.ops[0].kind is InstrKind.SH_R)
-        flipped = Cycle((dataclasses.replace(s.cycles[i].ops[0], kind=InstrKind.SH_L),))
+        flipped = Cycle((s.cycles[i].ops[0]._replace(kind=InstrKind.SH_L),))
         broken = dataclasses.replace(s, cycles=s.cycles[:i] + (flipped,) + s.cycles[i + 1:])
         report = verify(broken)
         assert not report.ok and not report.replay_ok
@@ -527,7 +527,7 @@ class TestVerify:
         # clamped to a passing 1.0
         s = compiled(Circuit("z", 2, (Gate(GateKind.RZ, (0,), 0.5),)))
         i = next(i for i, cy in enumerate(s.cycles) if cy.type is CycleType.Z)
-        nan_cycle = Cycle((dataclasses.replace(s.cycles[i].ops[0], angle=math.nan),))
+        nan_cycle = Cycle((s.cycles[i].ops[0]._replace(angle=math.nan),))
         broken = dataclasses.replace(s, cycles=s.cycles[:i] + (nan_cycle,) + s.cycles[i + 1:])
         report = verify(broken)
         assert report.replay_ok and math.isnan(report.equivalence_fidelity)
@@ -559,7 +559,7 @@ class TestTrajectoryDigestFacts:
         sites = [(i, j) for i, cy in enumerate(s.cycles) for j, op in enumerate(cy.ops) if op.kind is InstrKind.SQSWAP]
         i, j = sites[len(sites) // 2]
         ops = s.cycles[i].ops
-        reversed_op = dataclasses.replace(ops[j], qubits=ops[j].qubits[::-1])
+        reversed_op = ops[j]._replace(qubits=ops[j].qubits[::-1])
         report = verify(self._mutated(s, i, (Cycle(ops[:j] + (reversed_op,) + ops[j + 1:]),)))
         assert report.ok and report.violations == () and report.trajectory_match
         assert report.equivalence_fidelity >= FIDELITY_FLOOR
