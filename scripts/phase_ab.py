@@ -1,10 +1,10 @@
 """Compare the phase times of two source trees, timed in alternating subprocesses.
 
-    python scripts/phase_ab.py [--rounds R] [--seed S] OLD_TREE NEW_TREE QUBITSxGATES [...]
+    python scripts/phase_ab.py [--seed S] OLD_TREE NEW_TREE QUBITSxGATES [...]
 
 OLD_TREE and NEW_TREE are checkouts of this repository (for example two
-`git archive` copies). Each round runs one fresh interpreter per tree, the
-tree that goes first alternating from round to round. The interpreter loads
+`git archive` copies). Each of ROUNDS rounds runs one fresh interpreter per
+tree, the tree that goes first alternating from round to round. The interpreter loads
 that tree's own `scripts/phase_times.py` (and so that tree's `src`), runs
 its `phase_table` on the sizes and hands back each phase's ms, the median
 of phase_table's own rounds. A host whose speed drifts over minutes moves
@@ -24,6 +24,8 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+ROUNDS = 10
 
 # run in each child: load the tree's phase_times.py, time the sizes, print JSON
 _CHILD = """
@@ -61,12 +63,12 @@ def time_tree(tree: Path, sizes, seed: int) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
-def phase_ab(old: Path, new: Path, sizes, rounds: int, seed: int = 0) -> list[dict]:
+def phase_ab(old: Path, new: Path, sizes, seed: int = 0) -> list[dict]:
     """Per size and phase: each tree's minimum ms, the median new/old ratio
-    of the rounds and the rounds the new tree was faster (None for a
+    of the ROUNDS rounds and the rounds the new tree was faster (None for a
     skipped phase)."""
     samples = {"old": [], "new": []}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         order = ("old", "new") if r % 2 == 0 else ("new", "old")
         for side in order:
             samples[side].append(time_tree(old if side == "old" else new, sizes, seed))
@@ -93,13 +95,10 @@ def main(argv: list[str]) -> int:
     parser.add_argument("old", type=_tree, metavar="OLD_TREE")
     parser.add_argument("new", type=_tree, metavar="NEW_TREE")
     parser.add_argument("sizes", nargs="+", type=_size, metavar="QUBITSxGATES")
-    parser.add_argument("--rounds", type=int, default=10, help="subprocess pairs (default 10)")
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    rows = phase_ab(args.old, args.new, args.sizes, args.rounds, args.seed)
-    print(f"old {args.old}\nnew {args.new}\n{args.rounds} rounds, seed {args.seed}")
+    rows = phase_ab(args.old, args.new, args.sizes, args.seed)
+    print(f"old {args.old}\nnew {args.new}\n{ROUNDS} rounds, seed {args.seed}")
     print("| workload | phase | old min ms | new min ms | new/old median | new faster |")
     print("|---|---|---|---|---|---|")
     for row in rows:
@@ -107,7 +106,7 @@ def main(argv: list[str]) -> int:
         if row["ratio"] is None:
             cells = ["skipped"] * 4
         else:
-            cells = [f"{row['old_min']:.2f}", f"{row['new_min']:.2f}", f"{row['ratio']:.3f}", f"{row['wins']}/{args.rounds}"]
+            cells = [f"{row['old_min']:.2f}", f"{row['new_min']:.2f}", f"{row['ratio']:.3f}", f"{row['wins']}/{ROUNDS}"]
         print(f"| {n_qubits} q, {n_gates} g | {phase} | " + " | ".join(cells) + " |")
     return 0
 

@@ -160,8 +160,6 @@ class Instruction(NamedTuple):
 
 @dataclass(frozen=True, slots=True, init=False)
 class Cycle:
-    # a frozen dataclass whose own __init__ refuses an empty or mixed cycle,
-    # then sets its one field as the generated one would
     ops: tuple[Instruction, ...]
 
     def __init__(self, ops):

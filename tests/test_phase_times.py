@@ -42,8 +42,9 @@ def test_rejects_a_size_without_an_x():
         phase_times.main(["12"])
 
 
-def test_ab_of_a_tree_against_itself_prints_every_phase(capsys):
-    assert phase_ab.main([str(_TREE), str(_TREE), "4x30", "--rounds", "2"]) == 0
+def test_ab_of_a_tree_against_itself_prints_every_phase(capsys, monkeypatch):
+    monkeypatch.setattr(phase_ab, "ROUNDS", 2)
+    assert phase_ab.main([str(_TREE), str(_TREE), "4x30"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[3] == "| workload | phase | old min ms | new min ms | new/old median | new faster |"
     rows = [line.split(" | ") for line in lines[5:]]
