@@ -259,8 +259,8 @@ def _stay_put(grid: Grid, x: int, across: int, movers: dict[int, int]) -> int:
     """Row bits of the qubits in column x that must stay put while the
     barrier to column `across` is lowered: occupied, empty across, and not
     one of `movers` (column -> row bits of the moving qubits' origins).
-    The one home of the stay-put rule: _ql_clash shifts the mask into its
-    QL masks, _ql_pairs lists it as pairs."""
+    _ql_clash shifts the mask into its QL masks and _ql_pairs lists it as
+    pairs; _legal_step folds the same mask inline for a pair of moves."""
     return grid.cols[x] & ~grid.cols[across] & ~movers.get(x, 0)
 
 
@@ -372,23 +372,18 @@ def _ql_clash(grid: Grid, moves, movers: dict[int, int]) -> int:
     when below. Every pair joins adjacent diagonals, so the merged digraph
     is a subgraph of a path and has a cycle exactly when up & down != 0."""
     n = grid.n
-    up = down = lowered = 0
+    up = down = 0
     for x0, y0, x1, y1 in moves:
         if x1 - y1 > x0 - y0:  # the destination's QL above the origin's
             up |= 1 << (n - 1 - x0 + y0)
         else:
             down |= 1 << (n - 1 - x1 + y1)
         if y0 == y1:
+            # row bit y of either column stands for the QL_(left-y) edge,
+            # bit n-1-left+y of the QL masks
             left = min(x0, x1)
-            # each lowered CL's stay-put terms are taken once: the masks
-            # depend on the CL and the cycle's movers only, and both moves
-            # of a horizontal exchange lower the same CL
-            if not lowered >> left & 1:
-                lowered |= 1 << left
-                # row bit y of either column stands for the QL_(left-y)
-                # edge, bit n-1-left+y of the QL masks
-                down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
-                up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
+            down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
+            up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
     return up & down
 
 
@@ -400,7 +395,7 @@ def _legal_step(grid: Grid, ops) -> tuple[int, ...] | None:
     arithmetic on grid.coords, cols and rows without its report data:
     destinations on the grid and empty, movers and destinations distinct,
     no barrier clash, no occupied pair across a lowered barrier and no QL
-    cycle (_ql_clash)."""
+    cycle: _ql_clash's masks, folded inline for a pair of moves."""
     if len(ops) > 2 or not ops[0].kind.moves:
         return None
     n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
@@ -437,9 +432,31 @@ def _legal_step(grid: Grid, ops) -> tuple[int, ...] | None:
         a0, a1 = (x, u) if ex else (y, v)
         if ka <= b0 <= ka + 1 or ka <= b1 <= ka + 1 or kb <= a0 <= kb + 1 or kb <= a1 <= kb + 1:
             return None
-    movers = {x: 1 << y}
-    movers[s] = movers.get(s, 0) | 1 << t
-    if _ql_clash(grid, ((x, y, u, v), (s, t, w, z)), movers):
+    # _ql_clash's QL masks, folded inline: bit n-1-k stands for the
+    # QL_k - QL_k+1 edge, set in `up` when QL_k+1 must sit above QL_k and in
+    # `down` when below; first each destination above its origin
+    m = n - 1
+    up = down = 0
+    if u - v > x - y:
+        up = 1 << (m - x + y)
+    else:
+        down = 1 << (m - u + v)
+    if w - z > s - t:
+        up |= 1 << (m - s + t)
+    else:
+        down |= 1 << (m - w + z)
+    # then the stay-put terms of each lowered CL, taken once: both moves of a
+    # horizontal exchange lower the same CL, with the same movers. Row bit y
+    # of either column stands for the QL_(left-y) edge; a column's movers
+    # are the row bits of the moves' origins in it
+    lowered = (ka,) if dx else ()
+    if ex and not (dx and ka == kb):
+        lowered += (kb,)
+    for left in lowered:
+        right = left + 1
+        down |= (cols[left] & ~cols[right] & ~((x == left) << y | (s == left) << t)) << (m - left)
+        up |= (cols[right] & ~cols[left] & ~((x == right) << y | (s == right) << t)) << (m - left)
+    if up & down:
         return None
     return (q, u, v, p, w, z) if q < p else (p, w, z, q, u, v)
 
