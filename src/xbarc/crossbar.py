@@ -25,10 +25,10 @@ qubit sits one column from its empty site), so the digraph lies on the path
 both directions.
 
 Grid keeps one occupancy bitmask per column (bit y) and per row (bit x), so
-check_parallel_set reads a line's occupancy in one integer operation: the
-stay-put qubits of a column are cols[x] & ~cols[across], an occupied pair
-across a lowered row barrier is rows[k] & rows[k + 1], and the QL pairs of a
-whole cycle fold into two masks, one per direction along the path.
+a line's occupancy is one integer operation: the stay-put qubits of a
+column are cols[x] & ~cols[across], and an occupied pair across a lowered
+row barrier is rows[k] & rows[k + 1]. step_legal folds a cycle's QL pairs
+into two masks, one per direction along the path.
 
 Every move (a shuttle sh_l/sh_r/sh_u/sh_d or a phase shuttle zsh_l/zsh_r)
 steps its one qubit by its kind's unit delta; a semi-global pulse (sg_rot)
@@ -42,15 +42,18 @@ it is applied, so it checks the moves itself: an off-grid or occupied
 destination is a BLOCKED_PATH conflict, as are two moves of one qubit or
 two moves onto one site.
 
-A cycle is judged and applied in one of two ways. step_legal takes a cycle
-of one or two moves, most of every compiled schedule: _legal_step judges it
-by integer arithmetic on the grid's coordinates and masks, and step_legal
-then moves its qubits to the sites that judgement computed and logs them.
-Every other cycle, and one of one or two moves that is not legal, goes to
-check_parallel_set, which names the conflict, and to apply_cycle. The
-scheduler's check (mapper._checked) and replay (verifier.replay_verify)
-offer each cycle to step_legal first; check_parallel_set answers LEGAL
-through _legal_step too, so both ways give one verdict.
+A cycle is judged and applied in one of two ways. step_legal takes a legal
+cycle of one or two moves: it judges the cycle by integer arithmetic on the
+grid's coordinates and masks, then moves its qubits and logs them in the
+same pass. Every other cycle goes to check_parallel_set, which names the
+conflict, and to apply_cycle. The scheduler's check (mapper._checked) and
+replay (verifier.replay_verify) offer each cycle to step_legal first. On
+compiled schedules step_legal takes every move cycle, and only lone pulses
+and lone sqswaps reach the fallback: a compile and a verify of randu-q12
+(12 qubits, 1000 gates) send it 1001 of them per walk, of randu-q200 (200
+qubits, 300 gates) 300, and no move cycle. So the fallback only has to be
+correct, for documents written elsewhere, and it names a QL conflict from
+the pair sets it builds for its report.
 
 A Grid is mutable and apply_op/apply_cycle/step_legal advance it in place,
 O(1) per move: Grid.move writes two slots of each of its flat tables, the
@@ -58,12 +61,13 @@ coordinates, the site table indexed y * N + x and the two mask lists, all
 plain lists of ints, so a move neither hashes a site nor boxes a value.
 The grid's own TrajectoryDigest, `grid.trajectory`, opens with the
 placement; step_legal and apply_cycle log each cycle they apply in it,
-Grid.move and apply_op log nothing. apply_cycle undoes a cycle that fails
-partway and drops that cycle's entries, puts a cycle that moved two or more
-qubits into ascending qubit order with one entry per qubit whose site
-changed, and closes every cycle with CYCLE_END; step_legal writes the same
-entries directly. So the digest costs O(placement + site changes +
-cycles), and a cycle's rows may be listed in any order.
+Grid.move and apply_op log nothing. A cycle's entries are one (q, x, y) per
+qubit whose site it changed, in ascending q, then CYCLE_END: apply_cycle
+compares each mover's site after the cycle with its site before, and a
+cycle that fails partway is undone first, so it logs CYCLE_END alone;
+step_legal writes the same entries directly. So the digest costs
+O(placement + site changes + cycles), and a cycle's rows may be listed in
+any order.
 """
 from __future__ import annotations
 
@@ -127,16 +131,18 @@ class Grid:
     index `sites`, as a negative index would wrap around. move updates all
     four in place in O(1), writing two slots of each table, so apply_cycle's
     undo, which moves qubits back, restores them too. `trajectory`, the
-    TrajectoryDigest log, opens with the placement; step_legal and
-    apply_cycle add each cycle they apply to it, and move adds nothing, so
-    a grid advanced by apply_op alone keeps the placement only. Whoever
-    advances a grid owns it: schedule_integrated, replay_verify,
-    simulate_schedule and metrics.esp each build their own from a
-    placement, and the routing entry points (route_two_qubit, z_route,
-    expand_semi_global) advance the grid they are given. Grid checks and
-    converts nothing: its placement, a tuple of (x, y) tuples, comes from a
-    checked Schedule, from schedule_integrated's check_placement or from
-    mapper.initial_placement, and every move from apply_op or step_legal.
+    TrajectoryDigest log, opens with the placement; step_legal, which
+    applies every move cycle of a compiled schedule, and apply_cycle, which
+    applies the rest (lone pulses and sqswaps), add each cycle they apply
+    to it. move adds nothing, so a grid advanced by apply_op alone keeps
+    the placement only. Whoever advances a grid owns it:
+    schedule_integrated, replay_verify, simulate_schedule and metrics.esp
+    each build their own from a placement, and the routing entry points
+    (route_two_qubit, z_route, expand_semi_global) advance the grid they
+    are given. Grid checks and converts nothing: its placement, a tuple of
+    (x, y) tuples, comes from a checked Schedule, from
+    schedule_integrated's check_placement or from mapper.initial_placement,
+    and every move from apply_op or step_legal.
     """
 
     __slots__ = ("n", "coords", "cols", "rows", "sites", "trajectory")
@@ -255,23 +261,17 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _stay_put(grid: Grid, x: int, across: int, movers: dict[int, int]) -> int:
-    """Row bits of the qubits in column x that must stay put while the
-    barrier to column `across` is lowered: occupied, empty across, and not
-    one of `movers` (column -> row bits of the moving qubits' origins).
-    _ql_clash shifts the mask into its QL masks and _ql_pairs lists it as
-    pairs; _legal_step folds the same mask inline for a pair of moves."""
-    return grid.cols[x] & ~grid.cols[across] & ~movers.get(x, 0)
-
-
 def _ql_pairs(grid: Grid, origin, dest, movers: dict[int, int]) -> set[tuple[int, int]]:
     """QL inequalities of a one-site move: the destination above the origin
     and, for a horizontal move, every stay-put qubit of the two affected
-    columns above its empty site across the lowered barrier."""
+    columns above its empty site across the lowered barrier. A stay-put
+    qubit of column x is occupied, empty across, and not one of `movers`
+    (column -> row bits of the moving qubits' origins)."""
     pairs = {(ql_index(dest), ql_index(origin))}
     if origin[1] == dest[1]:
+        cols = grid.cols
         for x, across in ((origin[0], dest[0]), (dest[0], origin[0])):
-            for y in _bits(_stay_put(grid, x, across, movers)):
+            for y in _bits(cols[x] & ~cols[across] & ~movers.get(x, 0)):
                 pairs.add((x - y, across - y))
     return pairs
 
@@ -320,10 +320,10 @@ def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
 
 
 def _shared_or_clashing(grid: Grid, ops, sites, moves: bool) -> ConflictReport | None:
-    """The checks that compare a cycle's instructions with each other, for a
-    cycle of two or more: a qubit moved twice, two moves onto one site (in
-    index order, with each destination's occupancy), and a barrier one
-    instruction lowers that borders another's sites, which raises it."""
+    """The blocked paths and barrier clashes of a cycle of moves or of two
+    or more sqswaps: a qubit moved twice, two moves onto one site or one
+    onto an occupied site (in index order), and a barrier one instruction
+    lowers that borders another's sites, which raises it."""
     if moves:
         seen_mover: dict[int, int] = {}
         for i, op in enumerate(ops):
@@ -364,103 +364,6 @@ def _shared_or_clashing(grid: Grid, ops, sites, moves: bool) -> ConflictReport |
     return None
 
 
-def _ql_clash(grid: Grid, moves, movers: dict[int, int]) -> int:
-    """Nonzero when the QL pairs of `moves`, each (x0, y0, x1, y1), hold a
-    cycle; `movers` maps a column to the row bits of the moving qubits'
-    origins. The pairs are folded into two masks in which bit n-1-k stands
-    for the QL_k - QL_k+1 edge: `up` when QL_k+1 must sit above QL_k, `down`
-    when below. Every pair joins adjacent diagonals, so the merged digraph
-    is a subgraph of a path and has a cycle exactly when up & down != 0."""
-    n = grid.n
-    up = down = 0
-    for x0, y0, x1, y1 in moves:
-        if x1 - y1 > x0 - y0:  # the destination's QL above the origin's
-            up |= 1 << (n - 1 - x0 + y0)
-        else:
-            down |= 1 << (n - 1 - x1 + y1)
-        if y0 == y1:
-            # row bit y of either column stands for the QL_(left-y) edge,
-            # bit n-1-left+y of the QL masks
-            left = min(x0, x1)
-            down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
-            up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
-    return up & down
-
-
-def _legal_step(grid: Grid, ops) -> tuple[int, ...] | None:
-    """The trajectory entries of a cycle of one or two moves that
-    check_parallel_set judges legal: (q, x, y) of each mover's destination,
-    in ascending q. None for a pulse, a sqswap, three or more moves or a
-    conflict. The verdict is check_parallel_set's, judged by integer
-    arithmetic on grid.coords, cols and rows without its report data:
-    destinations on the grid and empty, movers and destinations distinct,
-    no barrier clash, no occupied pair across a lowered barrier and no QL
-    cycle: _ql_clash's masks, folded inline for a pair of moves."""
-    if len(ops) > 2 or not ops[0].kind.moves:
-        return None
-    n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
-    a = ops[0]
-    q = a.qubits[0]
-    x, y = xy[2 * q], xy[2 * q + 1]
-    dx, dy = a.kind.delta
-    u, v = x + dx, y + dy
-    if not (0 <= u < n and 0 <= v < n) or cols[u] >> v & 1:
-        return None
-    # the occupied pairs across the lowered barrier: the empty destination
-    # keeps the mover's own row (or column) out of them
-    if (cols[x] & cols[u]) if dx else (rows[y] & rows[v]):
-        return None
-    if len(ops) == 1:
-        # a lone move's QL pairs never run both ways: a stay-put qubit needs
-        # its site across empty, so no row has one in both columns, and the
-        # mover's own row has none
-        return q, u, v
-    b = ops[1]
-    p = b.qubits[0]
-    s, t = xy[2 * p], xy[2 * p + 1]
-    ex, ey = b.kind.delta
-    w, z = s + ex, t + ey
-    if p == q or not (0 <= w < n and 0 <= z < n) or cols[w] >> z & 1 or (w == u and z == v):
-        return None
-    if (cols[s] & cols[w]) if ex else (rows[t] & rows[z]):
-        return None
-    # each lowered barrier, CL_k between columns or RL_k between rows; two
-    # different ones clash when either borders a site of the other move
-    ka, kb = (min(x, u) if dx else min(y, v)), (min(s, w) if ex else min(t, z))
-    if (dx == 0) != (ex == 0) or ka != kb:
-        b0, b1 = (s, w) if dx else (t, z)
-        a0, a1 = (x, u) if ex else (y, v)
-        if ka <= b0 <= ka + 1 or ka <= b1 <= ka + 1 or kb <= a0 <= kb + 1 or kb <= a1 <= kb + 1:
-            return None
-    # _ql_clash's QL masks, folded inline: bit n-1-k stands for the
-    # QL_k - QL_k+1 edge, set in `up` when QL_k+1 must sit above QL_k and in
-    # `down` when below; first each destination above its origin
-    m = n - 1
-    up = down = 0
-    if u - v > x - y:
-        up = 1 << (m - x + y)
-    else:
-        down = 1 << (m - u + v)
-    if w - z > s - t:
-        up |= 1 << (m - s + t)
-    else:
-        down |= 1 << (m - w + z)
-    # then the stay-put terms of each lowered CL, taken once: both moves of a
-    # horizontal exchange lower the same CL, with the same movers. Row bit y
-    # of either column stands for the QL_(left-y) edge; a column's movers
-    # are the row bits of the moves' origins in it
-    lowered = (ka,) if dx else ()
-    if ex and not (dx and ka == kb):
-        lowered += (kb,)
-    for left in lowered:
-        right = left + 1
-        down |= (cols[left] & ~cols[right] & ~((x == left) << y | (s == left) << t)) << (m - left)
-        up |= (cols[right] & ~cols[left] & ~((x == right) << y | (s == right) << t)) << (m - left)
-    if up & down:
-        return None
-    return (q, u, v, p, w, z) if q < p else (p, w, z, q, u, v)
-
-
 def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     """Can this cycle's instructions run in parallel on this grid?
 
@@ -471,16 +374,17 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     constraints. Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
     UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
 
-    A legal cycle of one or two moves is answered LEGAL by step_legal's
-    judgement, _legal_step, before any report data is built. Every other
-    cycle costs O(instructions + stay-put qubits) integer operations, plus
-    the O(instructions^2) pairwise checks of _shared_or_clashing for two or
-    more instructions. A move's sites are read from grid.coords; its
-    destination's occupancy and the occupied pairs across a lowered barrier
-    are read from the grid's column and row masks, and the QL pairs are
-    folded into two masks (_ql_clash). Line objects and QL pair sets are
-    built only for a report: only then are the pairs listed and
-    _find_ql_cycle run, to name the cycle and the instructions in it.
+    This is the fallback judge: mapper._checked and replay_verify offer
+    every cycle to step_legal first, and on compiled schedules only lone
+    pulses and lone sqswaps reach it (1001 per walk of randu-q12, 300 of
+    randu-q200), so it is written to name the conflict rather than to be
+    fast. A lone pulse or sqswap costs O(1) integer operations. A cycle of
+    moves or of two or more sqswaps adds the O(instructions^2) pairwise
+    checks of _shared_or_clashing, and a cycle of moves lists each move's
+    QL pairs (_ql_pairs) and merges them; _find_ql_cycle names a cycle in
+    the merged set, or finds none and the cycle is LEGAL. A move's sites
+    are read from grid.coords, and the occupied pairs across a lowered
+    barrier from the grid's column and row masks.
     """
     ops = cycle.ops
     kind = ops[0].kind
@@ -493,8 +397,6 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
                 culprits=tuple(range(len(ops))),
                 detail="conflicting semi-global drives on the shared column lines",
             )
-        return LEGAL
-    if _legal_step(grid, ops) is not None:
         return LEGAL
     moves = kind.moves  # otherwise every instruction is a sqswap
     n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
@@ -521,19 +423,12 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
                 return ConflictReport(ConflictKind.BLOCKED_PATH, culprits=(i,), detail=str(e))
 
     # blocked paths and barrier clashes: instruction j raises every barrier
-    # bordering its two sites except the one it lowers
-    if len(ops) > 1:
+    # bordering its two sites except the one it lowers; a lone sqswap has
+    # neither
+    if moves or len(ops) > 1:
         report = _shared_or_clashing(grid, ops, sites, moves)
         if report is not None:
             return report
-    elif moves:
-        x, y = sites[0][1]
-        if cols[x] >> y & 1:
-            return ConflictReport(
-                kind=ConflictKind.BLOCKED_PATH,
-                culprits=(0,),
-                detail=f"destination {(x, y)} is occupied",
-            )
 
     # unwanted interactions: the barrier an instruction lowers runs the
     # whole line, so an occupied pair across it elsewhere couples those
@@ -558,13 +453,12 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     movers: dict[int, int] = {}
     for (x, y), _ in sites:
         movers[x] = movers.get(x, 0) | 1 << y
-    if not _ql_clash(grid, [(*origin, *dest) for origin, dest in sites], movers):
-        return LEGAL
-
     # merged inequality set: instruction by instruction, each one's pairs
     # sorted, first occurrence kept, so the reported cycle is deterministic
     ql_gt = [_ql_pairs(grid, origin, dest, movers) for origin, dest in sites]
     ql_cycle = _find_ql_cycle(dict.fromkeys(p for pairs in ql_gt for p in sorted(pairs)))
+    if ql_cycle is None:
+        return LEGAL
     edges = set(zip(ql_cycle, ql_cycle[1:]))
     return ConflictReport(
         kind=ConflictKind.QL_CONTRADICTION,
@@ -587,71 +481,124 @@ def apply_op(grid: Grid, op: Instruction) -> None:
     # sqswap and semi-global rotations leave positions unchanged
 
 
-def _in_qubit_order(log: TrajectoryDigest, mark: int, ops) -> None:
-    """Rewrite the log entries a cycle of `ops` appended from `mark` on, two
-    or more moves, as one (q, x, y) per qubit whose site the cycle changed,
-    in ascending q. A qubit moved twice ends on its last entry's site and
-    drops out when its moves cancel."""
-    sites = {}
-    for i in range(mark, len(log), 3):
-        sites[log[i]] = log[i + 1], log[i + 2]
-    if 3 * len(sites) < len(log) - mark:
-        net = dict.fromkeys(sites, (0, 0))
-        for op in ops:
-            if op.kind.moves:
-                (sx, sy), (dx, dy) = net[op.qubits[0]], op.kind.delta
-                net[op.qubits[0]] = sx + dx, sy + dy
-        sites = {q: site for q, site in sites.items() if net[q] != (0, 0)}
-    del log[mark:]
-    for q in sorted(sites):
-        log.extend((q, *sites[q]))
-
-
 def apply_cycle(grid: Grid, cycle: Cycle) -> None:
-    """apply_op on each instruction in order, logging each move's (q, x, y)
-    in grid.trajectory, then close the cycle there: the moves' entries in
-    ascending qubit order, one per qubit whose site changed, then
-    CYCLE_END. A CrossbarError partway undoes the moves before it in
-    reverse order (a move's origin is empty once every later move is
-    undone), drops their entries and is re-raised, so the digest records
-    the cycle as one that changed no site."""
+    """apply_op on each instruction in order, then close the cycle in
+    grid.trajectory: the (q, x, y) of each mover whose site differs from
+    its site before the cycle, in ascending q, then CYCLE_END. On compiled
+    schedules every cycle that reaches it is a lone pulse or a lone sqswap,
+    which logs CYCLE_END alone. A CrossbarError partway undoes the moves
+    before it in reverse order (a move's origin is empty once every later
+    move is undone) and is re-raised, so the digest records the cycle as
+    one that changed no site."""
     ops = cycle.ops
-    xy, log = grid.coords, grid.trajectory
-    mark = len(log)
+    before = {}  # a plain loop: a comprehension would add a frame to every lone pulse and sqswap
+    for op in ops:
+        if op.kind.moves:
+            q = op.qubits[0]
+            before[q] = grid.site_of(q)
     try:
         for i, op in enumerate(ops):
             apply_op(grid, op)
-            if op.kind.moves:
-                q = op.qubits[0]
-                log.extend((q, xy[2 * q], xy[2 * q + 1]))
     except CrossbarError:
         for op in reversed(ops[:i]):
             if op.kind.moves:
                 q = op.qubits[0]
                 (x, y), (dx, dy) = grid.site_of(q), op.kind.delta
                 grid.move(q, (x - dx, y - dy))
-        del log[mark:]
         raise
     finally:
-        if len(log) - mark > 3:  # a cycle of one move is in order
-            _in_qubit_order(log, mark, ops)
+        log = grid.trajectory
+        for q in sorted(before):
+            site = grid.site_of(q)
+            if site != before[q]:
+                log.extend((q, *site))
         log.append(CYCLE_END)
 
 
 def step_legal(grid: Grid, cycle: Cycle) -> bool:
     """Apply a cycle of one or two moves that check_parallel_set judges
-    legal, in one pass: Grid.move to the sites the judgement computed
-    (_legal_step), then the cycle's entries and CYCLE_END in
-    grid.trajectory, as apply_cycle would log them. False, with the grid
-    untouched, for a pulse, a sqswap, three or more moves or a conflict;
-    check_parallel_set and apply_cycle report and apply those."""
-    entries = _legal_step(grid, cycle.ops)
-    if entries is None:
+    legal, in one pass: Grid.move to the sites the judgement computed, then
+    the movers' (q, x, y) in ascending q and CYCLE_END in grid.trajectory,
+    as apply_cycle would log them. False, with the grid untouched, for a
+    pulse, a sqswap, three or more moves or a conflict; check_parallel_set
+    and apply_cycle report and apply those. On compiled schedules it takes
+    every move cycle, most of each schedule.
+
+    The verdict is check_parallel_set's, judged by integer arithmetic on
+    grid.coords, cols and rows without its report data: destinations on
+    the grid and empty, movers and destinations distinct, no barrier clash,
+    no occupied pair across a lowered barrier and no QL cycle.
+    """
+    ops = cycle.ops
+    if len(ops) > 2 or not ops[0].kind.moves:
         return False
-    grid.move(entries[0], (entries[1], entries[2]))
-    if len(entries) > 3:
-        grid.move(entries[3], (entries[4], entries[5]))
-    log = grid.trajectory
-    log.extend(entries)
-    log.append(CYCLE_END)
+    n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
+    a = ops[0]
+    q = a.qubits[0]
+    x, y = xy[2 * q], xy[2 * q + 1]
+    dx, dy = a.kind.delta
+    u, v = x + dx, y + dy
+    if not (0 <= u < n and 0 <= v < n) or cols[u] >> v & 1:
+        return False
+    # the occupied pairs across the lowered barrier: the empty destination
+    # keeps the mover's own row (or column) out of them
+    if (cols[x] & cols[u]) if dx else (rows[y] & rows[v]):
+        return False
+    if len(ops) == 1:
+        # a lone move's QL pairs never run both ways: a stay-put qubit needs
+        # its site across empty, so no row has one in both columns, and the
+        # mover's own row has none
+        grid.move(q, (u, v))
+        grid.trajectory.extend((q, u, v, CYCLE_END))
+        return True
+    b = ops[1]
+    p = b.qubits[0]
+    s, t = xy[2 * p], xy[2 * p + 1]
+    ex, ey = b.kind.delta
+    w, z = s + ex, t + ey
+    if p == q or not (0 <= w < n and 0 <= z < n) or cols[w] >> z & 1 or (w == u and z == v):
+        return False
+    if (cols[s] & cols[w]) if ex else (rows[t] & rows[z]):
+        return False
+    # each lowered barrier, CL_k between columns or RL_k between rows; two
+    # different ones clash when either borders a site of the other move
+    ka, kb = (min(x, u) if dx else min(y, v)), (min(s, w) if ex else min(t, z))
+    if (dx == 0) != (ex == 0) or ka != kb:
+        b0, b1 = (s, w) if dx else (t, z)
+        a0, a1 = (x, u) if ex else (y, v)
+        if ka <= b0 <= ka + 1 or ka <= b1 <= ka + 1 or kb <= a0 <= kb + 1 or kb <= a1 <= kb + 1:
+            return False
+    # the QL pairs folded into two masks: bit n-1-k stands for the
+    # QL_k - QL_k+1 edge, set in `up` when QL_k+1 must sit above QL_k and in
+    # `down` when below. Every pair joins adjacent diagonals, so the merged
+    # digraph is a subgraph of a path and has a cycle exactly when
+    # up & down != 0. First each destination above its origin
+    m = n - 1
+    up = down = 0
+    if u - v > x - y:
+        up = 1 << (m - x + y)
+    else:
+        down = 1 << (m - u + v)
+    if w - z > s - t:
+        up |= 1 << (m - s + t)
+    else:
+        down |= 1 << (m - w + z)
+    # then the stay-put terms of each lowered CL, taken once: both moves of a
+    # horizontal exchange lower the same CL, with the same movers. Row bit y
+    # of either column stands for the QL_(left-y) edge; a column's movers
+    # are the row bits of the moves' origins in it. The stay-put rule's
+    # "empty across" term is left out: the occupied-pair tests above already
+    # found cols[left] & cols[right] == 0 for every lowered CL
+    lowered = (ka,) if dx else ()
+    if ex and not (dx and ka == kb):
+        lowered += (kb,)
+    for left in lowered:
+        right = left + 1
+        down |= (cols[left] & ~((x == left) << y | (s == left) << t)) << (m - left)
+        up |= (cols[right] & ~((x == right) << y | (s == right) << t)) << (m - left)
+    if up & down:
+        return False
+    grid.move(q, (u, v))
+    grid.move(p, (w, z))
+    grid.trajectory.extend((q, u, v, p, w, z, CYCLE_END) if q < p else (p, w, z, q, u, v, CYCLE_END))
     return True

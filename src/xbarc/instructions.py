@@ -246,9 +246,9 @@ class TrajectoryDigest(list):
     O(qubits x cycles).
 
     crossbar.step_legal writes a cycle of one or two legal moves in this
-    form at once; crossbar.apply_cycle appends each move's (q, x, y) as it
-    applies it and puts the cycle's entries in this form before adding
-    CYCLE_END. hexdigest packs the log once into a uint32 array and hashes
+    form at once; crossbar.apply_cycle compares each mover's site after the
+    cycle with its site before and logs the changed ones in this form.
+    hexdigest packs the log once into a uint32 array and hashes
     it as little-endian uint32 on any host, so any grid size encodes without
     loss.
     """

@@ -4,8 +4,10 @@ Replay re-runs every cycle from the initial placement through the
 scheduler's own judgement, so it cannot catch a fault in the conflict
 model itself: crossbar.step_legal for a legal cycle of one or two moves,
 else check_parallel_set, whose report names a conflict, and apply_cycle.
-It compares the grid's trajectory digest with the moves_sha256 the
-scheduler stored. The digest covers the
+On a compiled schedule step_legal takes every cycle of moves, and only the
+lone pulses and lone sqswaps reach the other two (1001 per replay of
+randu-q12, 300 of randu-q200). It compares the grid's trajectory digest
+with the moves_sha256 the scheduler stored. The digest covers the
 placement and the sites every cycle changed, with one end mark per cycle,
 which determines the occupancy after every cycle, so cycles that are each
 legal but no longer reproduce the compiled trajectory fail: a moved,

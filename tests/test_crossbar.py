@@ -11,9 +11,11 @@ from xbarc import (
     check_parallel_set,
     gen_random_uniform,
     initial_placement,
+    mapper,
     replay_verify,
     shuttle_requirements,
     verifier,
+    verify,
 )
 from xbarc.crossbar import (
     ConflictReport,
@@ -41,6 +43,7 @@ from xbarc.instructions import (
 )
 
 from conftest import checkerboard_sites, compile_native, moves_digest, sparse_grid
+from test_golden import CORPUS
 
 
 def sh(kind, q):
@@ -813,3 +816,26 @@ class TestApplyCycle:
                 pass
             snapshots.append(grid.pos)
         assert grid.trajectory.hexdigest() == moves_digest(placement, snapshots)
+
+
+def test_only_lone_pulses_and_sqswaps_reach_the_fallback(monkeypatch):
+    """Compiling and verifying the golden corpus, every cycle that
+    mapper._checked or replay_verify passes to check_parallel_set is a lone
+    pulse or a lone sqswap: step_legal takes every move cycle. The fallback
+    judge and apply_cycle are kept simple rather than fast on that ground."""
+    seen = []
+    for module in (mapper, verifier):
+        def spy(grid, cycle, caller=module.__name__):
+            seen.append((caller, cycle))
+            return check_parallel_set(grid, cycle)
+
+        monkeypatch.setattr(module, "check_parallel_set", spy)
+    for name in sorted(CORPUS):
+        _, schedule = compile_native(CORPUS[name]())
+        assert verify(schedule).ok, name
+    assert {caller for caller, _ in seen} == {mapper.__name__, verifier.__name__}
+    moving = [(caller, cycle) for caller, cycle in seen if len(cycle.ops) > 1 or cycle.ops[0].kind.moves]
+    assert not moving, (
+        f"{len(moving)} cycles of moves or of two or more instructions now reach check_parallel_set, "
+        f"the fallback judge, which was kept simple rather than fast: measure its cost again. First: {moving[0]}"
+    )

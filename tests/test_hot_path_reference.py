@@ -3,8 +3,8 @@
 The functions prefixed _reference_ are copied unchanged from the versions
 before the crossbar check and apply, the document loader and the rotation
 fold were rewritten for speed: check_parallel_set (with _legal_move,
-_borders and move_sites, since removed), apply_op, the object-row document
-writer and loader (schedule_to_doc and instruction_to_dict;
+_borders, move_sites and _stay_put, since removed), apply_op, the
+object-row document writer and loader (schedule_to_doc and instruction_to_dict;
 instruction_from_dict with _circuit_from_doc, _cycle_from_doc and
 schedule_from_doc, and the FIELDS table and circuit functions they read),
 and RotationFold.rotate, which multiplied numpy 2x2s. The rewrites must give the same output on every
@@ -15,8 +15,9 @@ _reference_paired_check_parallel_set and _reference_pairwise_clear are the
 conflict check as it stood before crossbar.step_legal judged and applied
 cycles of one or two moves in one pass. step_legal must apply exactly the
 cycles that check judges legal, leaving the grid and its log as that check
-plus apply_cycle leaves them, and check_parallel_set, which now answers
-LEGAL through step_legal's judgement, must give its report on every cycle.
+plus apply_cycle leaves them, and check_parallel_set, which now judges QL
+conflicts from the pair sets it lists for its report, must give its report
+on every cycle.
 
 The document loader now reads positional rows, so it is compared with the
 reference on the object form of each input: _objects writes every row as
@@ -54,7 +55,6 @@ from xbarc.crossbar import (
     _find_ql_cycle,
     _ql_pairs,
     _shared_or_clashing,
-    _stay_put,
     apply_cycle,
     apply_op,
     barrier_between,
@@ -104,6 +104,15 @@ def _reference_borders(line: Line, site) -> bool:
     """Does the interior barrier `line` border `site`?"""
     c = site[0] if line.family == "CL" else site[1]
     return line.index <= c <= line.index + 1
+
+
+def _reference_stay_put(grid: Grid, x: int, across: int, movers: dict[int, int]) -> int:
+    """Row bits of the qubits in column x that must stay put while the
+    barrier to column `across` is lowered: occupied, empty across, and not
+    one of `movers` (column -> row bits of the moving qubits' origins).
+    _ql_clash shifts the mask into its QL masks and _ql_pairs lists it as
+    pairs; _legal_step folds the same mask inline for a pair of moves."""
+    return grid.cols[x] & ~grid.cols[across] & ~movers.get(x, 0)
 
 
 def _reference_check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
@@ -230,8 +239,8 @@ def _reference_check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
             # row bit y of either column stands for the QL_(left-y) edge,
             # bit n-1-left+y of the QL masks
             left = min(x0, x1)
-            down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
-            up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
+            down |= _reference_stay_put(grid, left, left + 1, movers) << (n - 1 - left)
+            up |= _reference_stay_put(grid, left + 1, left, movers) << (n - 1 - left)
     if not up & down:
         return LEGAL
 
@@ -404,8 +413,8 @@ def _reference_paired_check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictRe
             # row bit y of either column stands for the QL_(left-y) edge,
             # bit n-1-left+y of the QL masks
             left = min(x0, x1)
-            down |= _stay_put(grid, left, left + 1, movers) << (n - 1 - left)
-            up |= _stay_put(grid, left + 1, left, movers) << (n - 1 - left)
+            down |= _reference_stay_put(grid, left, left + 1, movers) << (n - 1 - left)
+            up |= _reference_stay_put(grid, left + 1, left, movers) << (n - 1 - left)
     if not up & down:
         return LEGAL
 
@@ -772,9 +781,8 @@ def test_step_applies_exactly_the_legal_cycles(grid_cycle):
 @example(STAY_PUT_ABOVE)
 @example(STAY_PUT_BELOW)
 def test_check_gives_the_paired_reference_report(grid_cycle):
-    """check_parallel_set, which answers LEGAL through step_legal's
-    judgement, gives the reference report on cycles of every family and
-    size, three or more moves and sqswaps included."""
+    """check_parallel_set gives the reference report on cycles of every
+    family and size, three or more moves and sqswaps included."""
     grid, cycle = grid_cycle
     assert report_tuple(check_parallel_set(grid, cycle)) == report_tuple(
         _reference_paired_check_parallel_set(grid, cycle)
