@@ -12,8 +12,9 @@ both trees' figures of one round alike, so the per-round ratio new/old is
 steadier than either tree's figure alone.
 
 It prints one row per size and phase: each tree's minimum ms over the
-rounds, the median of the per-round new/old ratios, and in how many rounds
-the new tree was faster. A phase skipped at a size (equiv above its qubit
+rounds, the interquartile range of the old tree's ms over the rounds (its
+noise: a median gap smaller than it shows no change), the median of the
+per-round new/old ratios, and in how many rounds the new tree was faster. A phase skipped at a size (equiv above its qubit
 cap) prints "skipped". Both trees must have phase_times.phase_table.
 """
 from __future__ import annotations
@@ -63,10 +64,18 @@ def time_tree(tree: Path, sizes, seed: int) -> dict:
     return json.loads(out.splitlines()[-1])
 
 
+def _iqr(values: list[float]) -> float:
+    """Interquartile range: the third quartile less the first, each
+    interpolated between the values as numpy.percentile does."""
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q3 - q1
+
+
 def phase_ab(old: Path, new: Path, sizes, seed: int = 0) -> list[dict]:
-    """Per size and phase: each tree's minimum ms, the median new/old ratio
-    of the ROUNDS rounds and the rounds the new tree was faster (None for a
-    skipped phase)."""
+    """Per size and phase: each tree's minimum ms, the old tree's
+    interquartile range in ms, the median new/old ratio of the ROUNDS
+    rounds and the rounds the new tree was faster (None for a skipped
+    phase)."""
     samples = {"old": [], "new": []}
     for r in range(ROUNDS):
         order = ("old", "new") if r % 2 == 0 else ("new", "old")
@@ -77,12 +86,14 @@ def phase_ab(old: Path, new: Path, sizes, seed: int = 0) -> list[dict]:
         for phase in samples["new"][0]["phases"]:
             pairs = [(o["ms"][i].get(phase), n["ms"][i].get(phase)) for o, n in zip(samples["old"], samples["new"])]
             if any(o is None or n is None for o, n in pairs):
-                rows.append({"size": size, "phase": phase, "old_min": None, "new_min": None, "ratio": None, "wins": None})
+                rows.append({"size": size, "phase": phase, "old_min": None, "old_iqr": None, "new_min": None,
+                             "ratio": None, "wins": None})
                 continue
             rows.append({
                 "size": size,
                 "phase": phase,
                 "old_min": min(o for o, _ in pairs),
+                "old_iqr": _iqr([o for o, _ in pairs]),
                 "new_min": min(n for _, n in pairs),
                 "ratio": statistics.median(n / o if o > 0 else float("inf") for o, n in pairs),
                 "wins": sum(n < o for o, n in pairs),
@@ -99,14 +110,15 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     rows = phase_ab(args.old, args.new, args.sizes, args.seed)
     print(f"old {args.old}\nnew {args.new}\n{ROUNDS} rounds, seed {args.seed}")
-    print("| workload | phase | old min ms | new min ms | new/old median | new faster |")
-    print("|---|---|---|---|---|---|")
+    print("| workload | phase | old min ms | old IQR ms | new min ms | new/old median | new faster |")
+    print("|---|---|---|---|---|---|---|")
     for row in rows:
         (n_qubits, n_gates), phase = row["size"], row["phase"]
         if row["ratio"] is None:
-            cells = ["skipped"] * 4
+            cells = ["skipped"] * 5
         else:
-            cells = [f"{row['old_min']:.2f}", f"{row['new_min']:.2f}", f"{row['ratio']:.3f}", f"{row['wins']}/{ROUNDS}"]
+            cells = [f"{row['old_min']:.2f}", f"{row['old_iqr']:.2f}", f"{row['new_min']:.2f}", f"{row['ratio']:.3f}",
+                     f"{row['wins']}/{ROUNDS}"]
         print(f"| {n_qubits} q, {n_gates} g | {phase} | " + " | ".join(cells) + " |")
     return 0
 

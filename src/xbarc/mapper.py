@@ -16,11 +16,13 @@ scheme: an sg_rot pulse on the target's column parity, a shuttle of the
 target out, an sg_rot of the negated angle on the same parity, a shuttle
 of the target home. Each move is emitted as the kind whose delta is its
 unit step. Every entry point routes one gate on the grid it is given and
-advances it through `_checked`. Every routed cycle of moves, one or two of
-them, is judged and applied in one pass by crossbar.step_legal; the other
-cycles, a lone pulse or a lone sqswap (1001 per compile of randu-q12, 300
-of randu-q200), are checked with check_parallel_set and applied with
-apply_cycle. Both record its site changes in grid.trajectory.
+advances it through `_checked`. Every routed cycle of moves, a lone move
+or an exchange (the second mover stepping back across the barrier the
+first one crosses), is judged and applied in one pass by
+crossbar.step_legal; the other cycles, a lone pulse or a lone sqswap (1001
+per compile of randu-q12, 300 of randu-q200), are checked with
+check_parallel_set and applied with apply_cycle. Both record its site
+changes in grid.trajectory.
 """
 from __future__ import annotations
 

@@ -2,7 +2,8 @@
 
 Replay re-runs every cycle from the initial placement through the
 scheduler's own judgement, so it cannot catch a fault in the conflict
-model itself: crossbar.step_legal for a legal cycle of one or two moves,
+model itself: crossbar.step_legal for a legal lone move or exchange (the
+second mover stepping back across the barrier the first one crosses),
 else check_parallel_set, whose report names a conflict, and apply_cycle.
 On a compiled schedule step_legal takes every cycle of moves, and only the
 lone pulses and lone sqswaps reach the other two (1001 per replay of

@@ -525,6 +525,24 @@ def test_grid_wider_than_a_byte(tmp_path):
     assert main(["verify", "-i", str(out)]) == 0
 
 
+def test_qubit_count_past_the_bound_is_a_user_error(tmp_path, capsys):
+    # a few bytes of QASM asking for a layout of gigabytes
+    src = tmp_path / "huge.qasm"
+    src.write_text("qreg q[1048577]; x q[0];\n")
+    assert main(["compile", "-i", str(src), "-o", str(tmp_path / "huge.json")]) == 1
+    err = capsys.readouterr().err
+    assert "internal error" not in err
+    assert "error: 1048577 qubits exceed the bound of 2**20 = 1048576 qubits" in err
+
+
+def test_sweep_reports_a_qubit_count_past_the_bound_and_goes_on(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--qubits", "1048577", "--gates", "5", "--twoq", "0:50:50", "--csv", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == ["1048577 qubits exceed the bound of 2**20 = 1048576 qubits"] * 2
+
+
 @pytest.mark.parametrize("source", ["qreg q[1]; t q[0];", "bv1"])
 def test_one_qubit_z_gate_is_a_user_error(tmp_path, capsys, source):
     # a 1x1 grid has no column for a Z shuttle; that is the input's limit, not a bug

@@ -89,6 +89,13 @@ class TestGridFor:
             assert g.n == grid_side(n)
             assert g.pos == tuple(checkerboard_sites(g.n)[:n])
 
+    def test_grid_side_bounds_the_qubit_count(self):
+        # the layout takes about 0.5 KB per qubit, so the bound refuses
+        # before anything is allocated
+        assert grid_side(2**20) == 1449
+        with pytest.raises(ValueError, match=r"exceed the bound of 2\*\*20 = 1048576 qubits"):
+            grid_side(2**20 + 1)
+
     def test_each_call_returns_a_fresh_grid(self):
         g = initial_placement(8)
         apply_op(g, sh(InstrKind.SH_R, 0))
@@ -821,8 +828,9 @@ class TestApplyCycle:
 def test_only_lone_pulses_and_sqswaps_reach_the_fallback(monkeypatch):
     """Compiling and verifying the golden corpus, every cycle that
     mapper._checked or replay_verify passes to check_parallel_set is a lone
-    pulse or a lone sqswap: step_legal takes every move cycle. The fallback
-    judge and apply_cycle are kept simple rather than fast on that ground."""
+    pulse or a lone sqswap: every move cycle is a lone move or an exchange,
+    which step_legal takes. The fallback judge and apply_cycle are kept
+    simple rather than fast on that ground."""
     seen = []
     for module in (mapper, verifier):
         def spy(grid, cycle, caller=module.__name__):
@@ -837,5 +845,6 @@ def test_only_lone_pulses_and_sqswaps_reach_the_fallback(monkeypatch):
     moving = [(caller, cycle) for caller, cycle in seen if len(cycle.ops) > 1 or cycle.ops[0].kind.moves]
     assert not moving, (
         f"{len(moving)} cycles of moves or of two or more instructions now reach check_parallel_set, "
-        f"the fallback judge, which was kept simple rather than fast: measure its cost again. First: {moving[0]}"
+        f"the fallback judge, which was kept simple rather than fast, and step_legal takes only a lone move "
+        f"or an exchange: measure the fallback's cost again. First: {moving[0]}"
     )

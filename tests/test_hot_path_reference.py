@@ -13,35 +13,43 @@ message, and the same folded state.
 
 _reference_paired_check_parallel_set and _reference_pairwise_clear are the
 conflict check as it stood before crossbar.step_legal judged and applied
-cycles of one or two moves in one pass. step_legal must apply exactly the
-cycles that check judges legal, leaving the grid and its log as that check
-plus apply_cycle leaves them, and check_parallel_set, which now judges QL
-conflicts from the pair sets it lists for its report, must give its report
-on every cycle.
+cycles of moves in one pass. step_legal takes a lone move or an exchange
+(two moves, the second stepping back across the barrier the first one
+crosses): it must never apply a cycle that check judges illegal, must
+apply every legal lone move and exchange, leaving the grid and its log as
+apply_cycle leaves them, and must leave both untouched when it declines;
+step_legal, or else check_parallel_set and apply_cycle, must leave the
+grid the reference check and apply leave. check_parallel_set, which now
+judges QL conflicts from the pair sets it lists for its report, must give
+the reference's report on every cycle.
 
 The document loader now reads positional rows, so it is compared with the
 reference on the object form of each input: _objects writes every row as
 the object the reference reads, and _rows, the other way, turns the
 reference writer's documents into rows, which must be what schedule_to_doc
 writes. On every input the rows loader accepts exactly when the reference
-accepts the object form, and then builds an equal Schedule.
+accepts the object form, and then builds an equal Schedule. The loader
+builds a row of one source gate, the only shape compiled documents hold,
+inline, and every other row by its general path, _instruction_from_row,
+which must build what the inline path and the reference build.
 """
 import copy
 import json
+import math
 import random
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import compile_native, moves_digest
 from test_cli import MALFORMED_DOCUMENTS, MALFORMED_IDS
 from test_crossbar import grid_state, grids_and_cycles, report_tuple
 from test_golden import CORPUS
-from xbarc import BenchSpec, gen_random_uniform
+from xbarc import BenchSpec, gen_random_uniform, instructions
 from xbarc.cli import main
 from xbarc.circuits import NATIVE_KINDS, Circuit, Gate, GateKind, is_finite_real, is_int
 from xbarc.crossbar import (
@@ -69,6 +77,8 @@ from xbarc.instructions import (
     Instruction,
     InstrKind,
     Schedule,
+    _cycle_from_doc,
+    _instruction_from_row,
     _string,
     _typed,
     grid_side,
@@ -742,8 +752,53 @@ STAY_PUT_ABOVE = _moves(5, ((0, 0), (1, 2), (3, 4)), (InstrKind.SH_R, 0), (Instr
 STAY_PUT_BELOW = _moves(5, ((1, 0), (0, 2), (2, 4)), (InstrKind.SH_L, 0), (InstrKind.SH_R, 2))
 
 
+@st.composite
+def exchanges(draw):
+    """The router's exchange, legal or not: a qubit and a diagonal neighbour
+    on a side-2..7 grid, stepping in opposite directions across the one
+    barrier between their columns (or rows), listed in either order, with
+    stay-put qubits around them drawn from every other site or, so that the
+    cycle is often legal, from the other checkerboard sites of their
+    parity. Phase shuttles move only left or right."""
+    n = draw(st.integers(2, 7))
+    x, y = draw(st.integers(0, n - 2)), draw(st.integers(0, n - 2))
+    q_site, p_site = ((x, y), (x + 1, y + 1)) if draw(st.booleans()) else ((x, y + 1), (x + 1, y))
+    if draw(st.booleans()):
+        q_site, p_site = p_site, q_site
+    family = draw(st.sampled_from((CycleType.SHUTTLE, CycleType.Z)))
+    horizontal = family is CycleType.Z or draw(st.booleans())
+    step = (p_site[0] - q_site[0], 0) if horizontal else (0, p_site[1] - q_site[1])
+    kind_of = {kind.delta: kind for kind in MOVING_KINDS if kind.family is family}
+    pool = [(i, j) for j in range(n) for i in range(n) if (i, j) not in (q_site, p_site)]
+    if draw(st.booleans()):
+        pool = [(i, j) for i, j in pool if (i + j) % 2 == sum(q_site) % 2]
+    others = draw(st.lists(st.sampled_from(pool), max_size=len(pool), unique=True)) if pool else []
+    sites = draw(st.permutations([q_site, p_site, *others]))
+    angle = 0.5 if family is CycleType.Z else None
+    ops = [Instruction(kind_of[step], (sites.index(q_site),), angle=angle),
+           Instruction(kind_of[(-step[0], -step[1])], (sites.index(p_site),), angle=angle)]
+    if draw(st.booleans()):
+        ops.reverse()
+    return Grid(n, tuple(sites)), Cycle(tuple(ops))
+
+
+def _lone_move_or_exchange(grid: Grid, cycle: Cycle) -> bool:
+    """Is the cycle one move, or two whose second steps by the first's
+    opposite delta across the barrier the first one crosses?"""
+    a, *rest = cycle.ops
+    if not a.kind.moves or len(rest) > 1:
+        return False
+    if not rest:
+        return True
+    (b,) = rest
+    (dx, dy), (ex, ey) = a.kind.delta, b.kind.delta
+    a_origin, b_origin = grid.site_of(a.qubits[0]), grid.site_of(b.qubits[0])
+    a_line = barrier_between(a_origin, (a_origin[0] + dx, a_origin[1] + dy))
+    return (ex, ey) == (-dx, -dy) and a_line == barrier_between(b_origin, (b_origin[0] + ex, b_origin[1] + ey))
+
+
 @settings(max_examples=1500, deadline=None)
-@given(one_or_two_moves())
+@given(st.one_of(one_or_two_moves(), exchanges()))
 # the router's exchange, a QL contradiction of opposing moves, an occupied
 # pair across the lowered barrier, two barriers that border each other, and
 # two QL contradictions that only a stay-put qubit closes: at (1, 2), above
@@ -756,22 +811,40 @@ STAY_PUT_BELOW = _moves(5, ((1, 0), (0, 2), (2, 4)), (InstrKind.SH_L, 0), (Instr
 @example(STAY_PUT_ABOVE)
 @example(STAY_PUT_BELOW)
 def test_step_applies_exactly_the_legal_cycles(grid_cycle):
-    """step_legal applies a cycle exactly when the reference check judges it
-    legal, and then leaves the grid and its log as apply_cycle does;
-    otherwise it leaves both untouched."""
+    """step_legal never applies a cycle the reference check judges illegal,
+    and applies every legal lone move and legal exchange, leaving the grid
+    and its log as apply_cycle does; a cycle it declines leaves both
+    untouched. Either way, step_legal, or else check_parallel_set and, on a
+    legal cycle, apply_cycle, leave the grid the reference check and apply
+    leave, and the log derived from its snapshots. The hypothesis
+    statistics (--hypothesis-show-statistics) report the share of each
+    shape drawn, legal exchanges among them."""
     grid, cycle = grid_cycle
-    # a fresh grid each run: the examples' grids are built once
-    grid, twin = Grid(grid.n, grid.pos), Grid(grid.n, grid.pos)
-    before = grid_state(grid), list(grid.trajectory)
-    legal = _reference_paired_check_parallel_set(twin, cycle).ok
-    assert step_legal(grid, cycle) is legal
-    if legal:
-        apply_cycle(twin, cycle)
-        assert grid_state(grid) == grid_state(twin) and grid.coords == twin.coords
-        assert list(grid.trajectory) == list(twin.trajectory)
-        assert grid.trajectory.hexdigest() == moves_digest(before[0][0], [grid.pos])
+    placement = grid.pos
+    # fresh grids each run: the examples' grids are built once
+    stepped, applied, walked, reference = (Grid(grid.n, placement) for _ in range(4))
+    before = grid_state(stepped), list(stepped.trajectory)
+    legal = _reference_paired_check_parallel_set(reference, cycle).ok
+    steppable = _lone_move_or_exchange(reference, cycle)
+    shape = ("exchange" if len(cycle.ops) == 2 else "lone move") if steppable else "other pair"
+    event(f"{'legal' if legal else 'illegal'} {shape}")
+    took = step_legal(stepped, cycle)
+    assert legal or not took  # never an illegal cycle
+    assert took or not (legal and steppable)  # every legal lone move and exchange
+    if took:
+        apply_cycle(applied, cycle)
+        assert grid_state(stepped) == grid_state(applied) and stepped.coords == applied.coords
+        assert list(stepped.trajectory) == list(applied.trajectory)
     else:
-        assert (grid_state(grid), list(grid.trajectory)) == before
+        assert (grid_state(stepped), list(stepped.trajectory)) == before
+    # the callers' walk of the cycle against the reference check and apply
+    if not step_legal(walked, cycle) and check_parallel_set(walked, cycle).ok:
+        apply_cycle(walked, cycle)
+    if legal:
+        for op in cycle.ops:
+            _reference_apply_op(reference, op)
+    assert grid_state(walked) == grid_state(reference)
+    assert walked.trajectory.hexdigest() == moves_digest(placement, [reference.pos] if legal else [])
 
 
 @settings(max_examples=1500, deadline=None)
@@ -968,6 +1041,81 @@ def test_single_field_corruptions_load_as_the_reference(randu_q12_document, seed
             parent.clear()
             parent.update(saved) if isinstance(parent, dict) else parent.extend(saved)
     assert failures > 15  # most corruptions are faults
+
+
+def _compiled_documents():
+    """(the document as written and read back, the Schedule) of every
+    circuit of the golden corpus."""
+    for name in sorted(CORPUS):
+        _, s = compile_native(CORPUS[name]())
+        yield json.loads(json.dumps(schedule_to_doc(s))), s
+
+
+def test_compiled_documents_never_reach_the_general_row_path(monkeypatch):
+    """Every row of a compiled document names exactly one source gate, so
+    loading the golden corpus builds every row inline and never calls
+    _instruction_from_row; the inline path takes only that shape on that
+    ground. A row of two source gates, the spy's own check, reaches it."""
+    calls = []
+
+    def spy(i, j, row, n, n_gates):
+        calls.append(row)
+        return _instruction_from_row(i, j, row, n, n_gates)
+
+    monkeypatch.setattr(instructions, "_instruction_from_row", spy)
+    for doc, s in _compiled_documents():
+        assert schedule_from_doc(doc) == s
+    assert not calls, (
+        f"{len(calls)} rows of compiled documents now reach the general row path, which the loader's inline "
+        f"path was narrowed around: measure the loader again. First: {calls[0]}"
+    )
+    doc["cycles"][0][0].append(0)
+    schedule_from_doc(doc)
+    assert calls == [doc["cycles"][0][0]]
+
+
+def test_general_row_path_builds_every_compiled_row():
+    for doc, s in _compiled_documents():
+        n, n_gates = s.n_qubits, len(s.circuit.gates)
+        for i, (rows, cycle) in enumerate(zip(doc["cycles"], s.cycles, strict=True)):
+            general = tuple(_instruction_from_row(i, j, row, n, n_gates) for j, row in enumerate(rows))
+            assert general == _cycle_from_doc(i, rows, n, n_gates).ops == cycle.ops
+
+
+@st.composite
+def valid_rows(draw):
+    """A valid instruction row of any kind, with 0, 1 or 2 to 4 source
+    gates, and the qubit count and embedded gate count (math.inf: no
+    circuit) it is valid for. Angles are finite floats or integers."""
+    n = draw(st.integers(1, 12))
+    n_gates = draw(st.one_of(st.just(math.inf), st.integers(1, 40)))
+    kind = draw(st.sampled_from(list(InstrKind)))
+    qubit = st.integers(0, n - 1)
+    angle = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-10, 10))
+    if kind.family is CycleType.XY_ROT:
+        row = [kind.value, draw(angle), draw(st.sampled_from("xy")), draw(st.integers(0, 1))]
+    elif kind.family is CycleType.TWOQ:
+        row = [kind.value, draw(qubit), draw(qubit)]
+    elif kind.family is CycleType.Z:
+        row = [kind.value, draw(qubit), draw(angle)]
+    else:
+        row = [kind.value, draw(qubit)]
+    width = draw(st.sampled_from((0, 1, 2, 3, 4)))
+    row += [draw(st.integers(0, 49 if n_gates == math.inf else n_gates - 1)) for _ in range(width)]
+    return row, n, n_gates
+
+
+@settings(max_examples=400, deadline=None)
+@given(valid_rows())
+def test_general_row_path_builds_what_the_inline_path_and_reference_build(row_n_gates):
+    """The general path builds the Instruction the reference loader builds
+    from the row's object form, and _cycle_from_doc builds the same, inline
+    for a row of one source gate and by the general path otherwise."""
+    row, n, n_gates = row_n_gates
+    op = _instruction_from_row(0, 0, row, n, n_gates)
+    event({0: "no source gate", 1: "one source gate"}.get(len(op.src), "two or more source gates"))
+    assert op == _reference_instruction_from_dict(_op_object(row))
+    assert _cycle_from_doc(0, [row], n, n_gates).ops == (op,)
 
 
 @st.composite

@@ -46,11 +46,11 @@ def test_ab_of_a_tree_against_itself_prints_every_phase(capsys, monkeypatch):
     monkeypatch.setattr(phase_ab, "ROUNDS", 2)
     assert phase_ab.main([str(_TREE), str(_TREE), "4x30"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[3] == "| workload | phase | old min ms | new min ms | new/old median | new faster |"
+    assert lines[3] == "| workload | phase | old min ms | old IQR ms | new min ms | new/old median | new faster |"
     rows = [line.split(" | ") for line in lines[5:]]
     assert [row[1] for row in rows] == list(phase_times.PHASES)  # equiv runs within its cap
-    for _, _, old_min, new_min, ratio, wins in rows:
-        assert float(old_min) >= 0.0 and float(new_min) >= 0.0 and float(ratio) > 0.0
+    for _, _, old_min, old_iqr, new_min, ratio, wins in rows:
+        assert float(old_min) >= 0.0 and float(old_iqr) >= 0.0 and float(new_min) >= 0.0 and float(ratio) > 0.0
         assert wins.rstrip(" |") in ("0/2", "1/2", "2/2")
 
 

@@ -399,7 +399,7 @@ class TestReplay:
         assert report.trajectory_match
 
     def test_full_check_runs_only_for_pulse_and_sqswap_cycles(self, monkeypatch):
-        # replay's step takes every cycle of one or two legal moves, so of
+        # replay's step takes every legal lone move and exchange, so of
         # a compiled 200-qubit schedule only the 300 cycles of pulses and
         # sqswaps (150 X/Y gates' two pulses, 150 two-qubit gates) reach
         # check_parallel_set
