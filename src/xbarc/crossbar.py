@@ -140,8 +140,9 @@ class Grid:
     applies the rest (lone pulses and sqswaps), add each cycle they apply
     to it. move adds nothing, so a grid advanced by apply_op alone keeps
     the placement only. Whoever advances a grid owns it:
-    schedule_integrated, replay_verify, simulate_schedule and metrics.esp
-    each build their own from a placement, and the routing entry points
+    schedule_integrated, replay_verify and simulate_schedule each build
+    their own from a placement (metrics.esp walks flat tables of its own,
+    not a Grid), and the routing entry points
     (route_two_qubit, z_route, expand_semi_global) advance the grid they
     are given. Grid checks and converts nothing: its placement, a tuple of
     (x, y) tuples, comes from a checked Schedule, from

@@ -182,18 +182,22 @@ class Cycle:
         return self.ops[0].kind.family
 
 
+MAX_QUBITS = 2**20  # grid_side's bound
+
+
 def grid_side(n_qubits: int) -> int:
     """Side N of the grid mapper.initial_placement lays n_qubits out on:
     the least N whose checkerboard holds them, ceil(N^2 / 2) >= n_qubits.
     The loader requires this side of every document. Every compile path
-    and the loader call it before the layout is built, so it bounds the
-    qubit count at 2**20 (N = 1449): the layout takes about 0.5 KB per
+    calls it before the layout is built, and the loader refuses a placement
+    of more than MAX_QUBITS sites before it reads one, so the qubit count
+    is bounded at 2**20 (N = 1449): the layout takes about 0.5 KB per
     qubit, its N^2 site table included, and a few bytes of QASM could
     otherwise ask for gigabytes."""
     if n_qubits < 1:
         raise ValueError("need at least one qubit")
-    if n_qubits > 2**20:
-        raise ValueError(f"{n_qubits} qubits exceed the bound of 2**20 = {2**20} qubits")
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(f"{n_qubits} qubits exceed the bound of 2**20 = {MAX_QUBITS} qubits")
     return math.isqrt(2 * n_qubits - 2) + 1
 
 
@@ -550,6 +554,8 @@ def schedule_from_doc(doc: dict) -> Schedule:
         grid_n, placement = doc["grid"], _typed(doc["placement"], list, "placement")
         if not placement:
             raise XbarcError("placement must list at least one qubit's site")
+        if len(placement) > MAX_QUBITS:
+            raise XbarcError(f"placement lists {len(placement)} sites, over the bound of 2**20 = {MAX_QUBITS} qubits")
         for q, site in enumerate(placement):
             if not (isinstance(site, list) and len(site) == 2 and all(map(is_int, site))):
                 raise XbarcError(

@@ -7,6 +7,12 @@ delta; sqswap reads its class at the lower of its two sites; and a
 semi-global pulse (sg_rot, the compensating pulse of negated angle
 included) charges one single-qubit factor for every qubit currently in the
 addressed parity, spectators included.
+
+esp does not multiply in instruction order: one integer walk counts, per
+class and per site, how many factors the schedule charges there, and the
+product then takes f ** k once per site with a nonzero count k. The model
+is the same; the product is only reassociated, so ESP differs from
+in-order multiplication in its last digits.
 """
 from __future__ import annotations
 
@@ -16,8 +22,8 @@ import numpy as np
 
 from .circuits import Circuit
 from .config import ArchConfig, FIDELITY_CLASSES
-from .crossbar import Grid, apply_op, sqswap_sites
-from .errors import CompileError
+from .crossbar import apply_op  # noqa: F401  unused; perfbench/tracing.py binds this name
+from .errors import CompileError, CrossbarError
 from .instructions import InstrKind, Schedule
 from .ir import CountsByType, counts_by_type, dependency_depth
 
@@ -26,7 +32,7 @@ _CLAMP_LO = 1e-12
 
 @dataclass(frozen=True)
 class FidelityMap:
-    """One (N, N) fidelity table per class; esp reads each as nested lists."""
+    """One (N, N) fidelity table per class; esp reads each as a flat row-major list."""
 
     grid_n: int
     values: dict[str, np.ndarray]  # class -> (N, N) array indexed [y, x]
@@ -105,30 +111,73 @@ def csv_row(report: MetricsReport) -> list:
     ]
 
 
-def esp(schedule: Schedule, fmap: FidelityMap) -> float:
-    """Product over cycles and instructions of the applicable fidelity,
-    read from fmap's tables converted to nested lists indexed [y][x]."""
-    if fmap.grid_n != schedule.grid_n:
-        raise CompileError("fidelity map does not cover this schedule's grid")
-    single, shuttle, sqswap = (fmap.values[c].tolist() for c in FIDELITY_CLASSES)
-    grid = Grid(schedule.grid_n, schedule.placement)
-    total = 1.0
+def _factor_counts(schedule: Schedule) -> tuple[list[int], list[int], list[int]]:
+    """How many single_qubit, shuttle and sqswap factors the schedule
+    charges at each site, as three flat lists indexed y * N + x.
+
+    One walk over flat tables, the coordinates x0, y0, x1, y1, ... and a
+    site table holding the qubit on each site or -1. A pulse only counts
+    itself in pulses[parity]; arrived[q] is that count for q's column parity
+    when q reached its site, so when q leaves, and at the end, the site is
+    charged the pulses it sat through. A move off the grid or onto an
+    occupied site, or a sqswap of qubits that are not vertically adjacent,
+    raises CrossbarError, as apply_op would."""
+    n = schedule.grid_n
+    xy = [v for site in schedule.placement for v in site]
+    sites = [-1] * (n * n)
+    for q, (x, y) in enumerate(schedule.placement):
+        sites[y * n + x] = q
+    single, shuttle, sqswap = [0] * (n * n), [0] * (n * n), [0] * (n * n)
+    pulses = [0, 0]
+    arrived = [0] * len(schedule.placement)
     sqswap_kind = InstrKind.SQSWAP  # bound once (see InstrKind)
     for cycle in schedule.cycles:
         for op in cycle.ops:
-            apply_op(grid, op)  # only a move changes the grid, and its factor is read at its destination
-            if op.kind.moves:
-                x, y = grid.site_of(op.qubits[0])
-                total *= shuttle[y][x]
-            elif op.kind is sqswap_kind:
-                x, y = min(sqswap_sites(grid, *op.qubits), key=lambda s: s[1])
-                total *= sqswap[y][x]
-            else:  # semi-global pulse: every qubit in the parity contributes, in qubit order
-                parity = op.parity
-                xy = iter(grid.coords)
-                for x, y in zip(xy, xy):
-                    if x % 2 == parity:
-                        total *= single[y][x]
+            kind = op.kind
+            if kind.moves:
+                q = op.qubits[0]
+                i = 2 * q
+                x, y = xy[i], xy[i + 1]
+                dx, dy = kind.delta
+                to_x, to_y = x + dx, y + dy
+                if not (0 <= to_x < n and 0 <= to_y < n):
+                    raise CrossbarError(f"{kind.value} moves qubit {q} off-grid to {(to_x, to_y)}")
+                to = to_y * n + to_x
+                if sites[to] >= 0:
+                    raise CrossbarError(f"{kind.value} destination {(to_x, to_y)} occupied")
+                at = y * n + x
+                single[at] += pulses[x & 1] - arrived[q]
+                arrived[q] = pulses[to_x & 1]
+                sites[at], sites[to] = -1, q
+                xy[i], xy[i + 1] = to_x, to_y
+                shuttle[to] += 1
+            elif kind is sqswap_kind:
+                a, b = op.qubits
+                x, y, bx, by = xy[2 * a], xy[2 * a + 1], xy[2 * b], xy[2 * b + 1]
+                if x != bx or abs(y - by) != 1:
+                    raise CrossbarError(
+                        f"sqswap({a},{b}) needs vertically adjacent sites, got {(x, y)}, {(bx, by)}"
+                    )
+                sqswap[min(y, by) * n + x] += 1
+            else:  # semi-global pulse
+                pulses[op.parity] += 1
+    for q, y in enumerate(xy[1::2]):
+        x = xy[2 * q]
+        single[y * n + x] += pulses[x & 1] - arrived[q]
+    return single, shuttle, sqswap
+
+
+def esp(schedule: Schedule, fmap: FidelityMap) -> float:
+    """Product over the schedule's instructions of the applicable
+    fidelities, taken per site as f ** k from _factor_counts' tallies in
+    class order single_qubit, shuttle, sqswap and row-major site order."""
+    if fmap.grid_n != schedule.grid_n:
+        raise CompileError("fidelity map does not cover this schedule's grid")
+    total = 1.0
+    for cls, counts in zip(FIDELITY_CLASSES, _factor_counts(schedule)):
+        for f, k in zip(fmap.values[cls].ravel().tolist(), counts):
+            if k:
+                total *= f**k
     return total
 
 

@@ -12,7 +12,7 @@ from xbarc import cli
 from xbarc.cli import _compile_circuit, main, parse_range
 from xbarc.crossbar import Grid, apply_cycle
 from xbarc.circuits import GateKind
-from xbarc.errors import CompileError
+from xbarc.errors import CompileError, XbarcError
 from xbarc.instructions import FIELDS, InstrKind, schedule_from_doc, schedule_to_doc
 from xbarc.metrics import CSV_COLUMNS
 from xbarc.qasm import MeasurementDropped, circuit_to_qasm, emit_output, parse_qasm
@@ -541,6 +541,14 @@ def test_sweep_reports_a_qubit_count_past_the_bound_and_goes_on(tmp_path):
     with open(out) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["error"] for r in rows] == ["1048577 qubits exceed the bound of 2**20 = 1048576 qubits"] * 2
+
+
+@pytest.mark.parametrize("last_site", [[0, 0], None], ids=["repeated-site", "malformed-last-site"])
+def test_loader_refuses_a_placement_past_the_bound_before_reading_its_sites(last_site):
+    # a loader that read every site first would name the malformed last one
+    doc = {"grid": 1450, "placement": [[0, 0]] * 2**20 + [last_site], "cycles": [], "moves_sha256": ""}
+    with pytest.raises(XbarcError, match=r"placement lists 1048577 sites, over the bound of 2\*\*20 = 1048576 qubits"):
+        schedule_from_doc(doc)
 
 
 @pytest.mark.parametrize("source", ["qreg q[1]; t q[0];", "bv1"])

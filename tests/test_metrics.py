@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from xbarc import (
     load_config,
     overhead_report,
 )
-from xbarc.config import ArchConfig
+from xbarc.config import FIDELITY_CLASSES, ArchConfig
 from xbarc.crossbar import Grid, apply_op
+from xbarc.errors import CompileError, CrossbarError
 from xbarc.instructions import Cycle, CycleType, Instruction, InstrKind, Schedule, grid_side
+from xbarc.metrics import FidelityMap, _factor_counts
 
 from conftest import compile_native, moves_digest
 
@@ -140,36 +143,163 @@ class TestEsp:
         assert abs(esp(s, fmap) - esp(swapped, fmap)) < 1e-15
 
 
-def reference_esp(s, fmap):
-    """esp() written out with one numpy scalar read per factor, in the
-    same walk and factor order."""
+def hand_schedule(*ops, n=2, placement=((0, 0), (1, 1))):
+    """A Schedule of one-instruction cycles built by hand, so that no
+    scheduler has checked its moves; an op given as (kind, qubits) is that
+    Instruction."""
+    ops = [op if isinstance(op, Instruction) else Instruction(*op) for op in ops]
+    return Schedule("hand", n, placement, tuple(Cycle((op,)) for op in ops), "0" * 64)
+
+
+class TestEspChecks:
+    """esp re-checks each move and sqswap of the schedule it walks, on the
+    2x2 grid with qubit 0 at (0, 0) and qubit 1 at (1, 1) unless a case
+    says otherwise."""
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [(InstrKind.SH_L, (0,))],  # x = -1
+            [(InstrKind.SH_D, (0,))],  # y = -1
+            [(InstrKind.ZSH_L, (0,))],
+            [(InstrKind.SH_U, (1,))],  # y = n
+            [(InstrKind.SH_R, (1,))],  # (2, 1): past the end of a y * n + x table
+            [(InstrKind.SH_D, (1,)), (InstrKind.ZSH_R, (1,))],  # (2, 0): y * n + x would name (0, 1)
+        ],
+        ids=["left", "down", "zsh-left", "up", "right-row-1", "right-row-0"],
+    )
+    def test_move_off_the_grid_raises(self, ops):
+        s = hand_schedule(*ops)
+        with pytest.raises(CrossbarError, match="off-grid"):
+            esp(s, build_fidelity_map(s.grid_n, zero_std_config()))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [(InstrKind.SH_U, (0,)), (InstrKind.SH_R, (0,))],
+            [(InstrKind.SH_R, (0,)), (InstrKind.SH_U, (0,))],
+            [(InstrKind.SH_U, (0,)), (InstrKind.SH_L, (1,))],
+        ],
+        ids=["horizontal", "vertical", "onto-a-site-a-qubit-moved-to"],
+    )
+    def test_move_onto_an_occupied_site_raises(self, ops):
+        s = hand_schedule(*ops)
+        with pytest.raises(CrossbarError, match="occupied"):
+            esp(s, build_fidelity_map(s.grid_n, zero_std_config()))
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [(InstrKind.SQSWAP, (0, 1))],  # diagonal neighbours
+            [(InstrKind.SQSWAP, (1, 1))],  # one qubit twice
+            # adjacent after the first move, diagonal again after the third
+            [(InstrKind.SH_R, (0,)), (InstrKind.SQSWAP, (1, 0)), (InstrKind.SH_L, (0,)), (InstrKind.SQSWAP, (0, 1))],
+        ],
+        ids=["diagonal", "same-qubit", "after-moves"],
+    )
+    def test_sqswap_of_non_adjacent_qubits_raises(self, ops):
+        s = hand_schedule(*ops)
+        with pytest.raises(CrossbarError, match="vertically adjacent"):
+            esp(s, build_fidelity_map(s.grid_n, zero_std_config()))
+
+    def test_sqswap_two_rows_apart_raises(self):
+        s = hand_schedule((InstrKind.SQSWAP, (0, 1)), n=3, placement=((0, 0), (0, 2)))
+        with pytest.raises(CrossbarError, match="vertically adjacent"):
+            esp(s, build_fidelity_map(3, zero_std_config()))
+
+    @pytest.mark.parametrize("map_n", [1, 3])
+    def test_fidelity_map_of_the_wrong_size_raises(self, map_n):
+        s = hand_schedule((InstrKind.SH_U, (0,)))
+        with pytest.raises(CompileError, match="does not cover"):
+            esp(s, build_fidelity_map(map_n, zero_std_config()))
+
+    def test_hand_schedule_tallies_each_factor_where_it_lands(self):
+        # compiled schedules bring every qubit back, so their moves' origins
+        # and destinations balance per site; this one does not
+        s = hand_schedule(
+            Instruction(InstrKind.SG_ROT, (), 0.5, "x", 0),  # q0 in column 0
+            (InstrKind.SH_D, (1,)),  # q1 to (1, 0)
+            (InstrKind.SH_U, (0,)),  # q0 to (0, 1)
+            (InstrKind.ZSH_R, (0,)),  # q0 to (1, 1), which q1 left
+            Instruction(InstrKind.SG_ROT, (), 0.5, "y", 1),  # both qubits in column 1
+            (InstrKind.SQSWAP, (0, 1)),  # at (1, 0), the lower site
+        )
+        # sites in the order (0, 0), (1, 0), (0, 1), (1, 1)
+        expect = ([1, 1, 0, 1], [0, 1, 1, 1], [0, 1, 0, 0])
+        assert _factor_counts(s) == expect == reference_tally(s)
+        assert math.isclose(esp(s, build_fidelity_map(2, zero_std_config())), 0.9999**6 * 0.9998, rel_tol=1e-12)
+
+def reference_factors(s):
+    """(class, x, y) of every factor esp charges, in schedule order: the
+    walk esp made before it tallied, one parity scan per pulse and apply_op
+    per instruction."""
     grid = Grid(s.grid_n, s.placement)
-    total = 1.0
     for cycle in s.cycles:
         for op in cycle.ops:
             if op.kind.moves:
                 (x, y), (dx, dy) = grid.site_of(op.qubits[0]), op.kind.delta
-                total *= float(fmap.values["shuttle"][y + dy, x + dx])
+                yield "shuttle", x + dx, y + dy
             elif op.kind is InstrKind.SQSWAP:
                 x, y = min((grid.site_of(q) for q in op.qubits), key=lambda site: site[1])
-                total *= float(fmap.values["sqswap"][y, x])
+                yield "sqswap", x, y
             else:
                 for q in grid.parity_members(op.parity):
-                    x, y = grid.site_of(q)
-                    total *= float(fmap.values["single_qubit"][y, x])
+                    yield ("single_qubit", *grid.site_of(q))
             apply_op(grid, op)
+
+
+def reference_esp(s, fmap):
+    """ESP multiplied in schedule order, one numpy scalar read per factor."""
+    total = 1.0
+    for cls, x, y in reference_factors(s):
+        total *= float(fmap.values[cls][y, x])
     return total
 
 
-@pytest.mark.parametrize(("n_qubits", "n_gates"), [(5, 40), (12, 120), (40, 80)])
+def reference_tally(s):
+    """reference_factors counted per class and site, flat lists indexed y * N + x."""
+    n = s.grid_n
+    counts = {cls: [0] * (n * n) for cls in FIDELITY_CLASSES}
+    for cls, x, y in reference_factors(s):
+        counts[cls][y * n + x] += 1
+    return tuple(counts[cls] for cls in FIDELITY_CLASSES)
+
+
+REFERENCE_CASES = [(5, 40), (12, 120), (40, 80)]
+
+
+def reference_schedules(n_qubits, n_gates, cfg):
+    for seed in range(2):
+        yield compile_native(gen_random_uniform(BenchSpec(n_qubits, n_gates, 50.0, seed)), cfg)[1]
+
+
+@pytest.mark.parametrize(("n_qubits", "n_gates"), REFERENCE_CASES)
 def test_esp_equals_reference_walk(n_qubits, n_gates):
+    """The tallies equal the reference's exactly; ESP, a reassociated
+    product of the same factors, agrees to a relative 1e-12."""
     stds = {"single_qubit": 0.001, "shuttle": 0.002, "sqswap": 0.003}
     cfg = load_config(json.dumps({"seed": 21, "fidelities": {c: {"std": v} for c, v in stds.items()}}))
-    for seed in range(2):
-        dec, s = compile_native(gen_random_uniform(BenchSpec(n_qubits, n_gates, 50.0, seed)), cfg)
-        fmap = build_fidelity_map(grid_side(n_qubits), cfg)
-        assert len({float(v) for v in fmap.values["shuttle"].flat}) > 1
-        assert esp(s, fmap) == reference_esp(s, fmap)
+    fmap = build_fidelity_map(grid_side(n_qubits), cfg)
+    assert len({float(v) for v in fmap.values["shuttle"].flat}) > 1
+    for s in reference_schedules(n_qubits, n_gates, cfg):
+        tally = _factor_counts(s)
+        assert tally == reference_tally(s)
+        assert all(sum(counts) for counts in tally)  # every class is charged somewhere
+        assert math.isclose(esp(s, fmap), reference_esp(s, fmap), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(("n_qubits", "n_gates"), REFERENCE_CASES)
+def test_esp_is_exact_on_powers_of_two(n_qubits, n_gates):
+    """With every fidelity 1, 0.5 or 0.25 each product is exact until it
+    underflows, so there esp equals the in-order product bit for bit."""
+    n = grid_side(n_qubits)
+    rng = np.random.default_rng([n_qubits, n_gates])
+    values = {cls: rng.choice([1.0, 0.5, 0.25], size=(n, n), p=[0.9, 0.07, 0.03]) for cls in FIDELITY_CLASSES}
+    fmap = FidelityMap(n, values)
+    for s in reference_schedules(n_qubits, n_gates, None):
+        expect = reference_esp(s, fmap)
+        assert sys.float_info.min <= expect < 1.0  # no underflow, and some factor below 1
+        assert esp(s, fmap) == expect
 
 
 class TestOverheadReport:
