@@ -118,8 +118,8 @@ def _factor_counts(schedule: Schedule) -> tuple[list[int], list[int], list[int]]
     One walk over flat tables, the coordinates x0, y0, x1, y1, ... and a
     site table holding the qubit on each site or -1. A pulse only counts
     itself in pulses[parity]; arrived[q] is that count for q's column parity
-    when q reached its site, so when q leaves, and at the end, the site is
-    charged the pulses it sat through. A move off the grid or onto an
+    when q reached its site, so when q leaves, and at the end, its site is
+    charged the pulses q sat through there. A move off the grid or onto an
     occupied site, or a sqswap of qubits that are not vertically adjacent,
     raises CrossbarError, as apply_op would."""
     n = schedule.grid_n
@@ -161,16 +161,17 @@ def _factor_counts(schedule: Schedule) -> tuple[list[int], list[int], list[int]]
                 sqswap[min(y, by) * n + x] += 1
             else:  # semi-global pulse
                 pulses[op.parity] += 1
-    for q, y in enumerate(xy[1::2]):
-        x = xy[2 * q]
+    for q, (x, y) in enumerate(zip(xy[0::2], xy[1::2])):
         single[y * n + x] += pulses[x & 1] - arrived[q]
     return single, shuttle, sqswap
 
 
 def esp(schedule: Schedule, fmap: FidelityMap) -> float:
     """Product over the schedule's instructions of the applicable
-    fidelities, taken per site as f ** k from _factor_counts' tallies in
-    class order single_qubit, shuttle, sqswap and row-major site order."""
+    fidelities, taken per site as f ** k from _factor_counts' tallies, in
+    class order single_qubit, shuttle, sqswap and row-major site order.
+    Only the order of multiplication differs from the instruction order,
+    so the result differs from an in-order product in its last digits."""
     if fmap.grid_n != schedule.grid_n:
         raise CompileError("fidelity map does not cover this schedule's grid")
     total = 1.0

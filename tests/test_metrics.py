@@ -229,6 +229,7 @@ class TestEspChecks:
         assert _factor_counts(s) == expect == reference_tally(s)
         assert math.isclose(esp(s, build_fidelity_map(2, zero_std_config())), 0.9999**6 * 0.9998, rel_tol=1e-12)
 
+
 def reference_factors(s):
     """(class, x, y) of every factor esp charges, in schedule order: the
     walk esp made before it tallied, one parity scan per pulse and apply_op
