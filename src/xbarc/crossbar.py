@@ -35,12 +35,14 @@ steps its one qubit by its kind's unit delta; a semi-global pulse (sg_rot)
 and a sqswap leave positions as they are.
 
 instructions.check_placement checks a placement when a Schedule is made
-or schedule_integrated starts, Cycle keeps every cycle to one instruction
-family, and apply_op checks each move it applies; Grid trusts all three.
-check_parallel_set trusts the first two but judges a cycle before any of
-it is applied, so it checks the moves itself: an off-grid or occupied
-destination is a BLOCKED_PATH conflict, as are two moves of one qubit or
-two moves onto one site.
+or schedule_integrated starts, Cycle keeps a cycle of two or more
+instructions to one family, with no pulse and no qubit named by two of its
+instructions (the crossbar runs one instruction type per cycle, and one
+shared drive fires at most once), and apply_op checks each move it
+applies; Grid trusts all three. check_parallel_set trusts the first two
+but judges a cycle before any of it is applied, so it checks what depends
+on the grid itself: an off-grid or occupied destination is a BLOCKED_PATH
+conflict, as are two moves onto one site.
 
 A cycle is judged and applied in one of two ways. step_legal takes a legal
 lone move or a legal exchange, a pair of moves whose second mover steps
@@ -50,12 +52,10 @@ qubits and logs them in the same pass. Every other cycle goes to
 check_parallel_set, which names the conflict, and to apply_cycle. The
 scheduler's check (mapper._checked) and replay (verifier.replay_verify)
 offer each cycle to step_legal first. Every two-move cycle of a compiled
-schedule is an exchange (all 15,424 of random-uniform circuits of 2, 3,
-12 and 50 qubits at 1000 gates and 200 qubits at 300 gates, seeds 0 to
-2), so step_legal takes every move cycle, and only lone pulses and lone
-sqswaps reach the fallback: a compile and a verify of randu-q12 (12
-qubits, 1000 gates) send it 1001 of them per walk, of randu-q200 (200
-qubits, 300 gates) 300, and no move cycle. So the fallback only has to be
+schedule is an exchange, so step_legal takes every move cycle, and only
+lone pulses and lone sqswaps reach the fallback;
+tests/test_crossbar.py::test_only_lone_pulses_and_sqswaps_reach_the_fallback
+pins this and records the traffic. So the fallback only has to be
 correct, for documents written elsewhere, and it names a QL conflict from
 the pair sets it builds for its report.
 
@@ -66,12 +66,12 @@ plain lists of ints, so a move neither hashes a site nor boxes a value.
 The grid's own TrajectoryDigest, `grid.trajectory`, opens with the
 placement; step_legal and apply_cycle log each cycle they apply in it,
 Grid.move and apply_op log nothing. A cycle's entries are one (q, x, y) per
-qubit whose site it changed, in ascending q, then CYCLE_END: apply_cycle
-compares each mover's site after the cycle with its site before, and a
-cycle that fails partway is undone first, so it logs CYCLE_END alone;
-step_legal writes the same entries directly. So the digest costs
-O(placement + site changes + cycles), and a cycle's rows may be listed in
-any order.
+qubit whose site it changed, in ascending q, then CYCLE_END. A cycle names
+each mover once, so every mover of a cycle that applies changes its site:
+apply_cycle logs each mover's site after the cycle, and a cycle that fails
+partway is undone first and logs CYCLE_END alone; step_legal writes the
+same entries directly. So the digest costs O(placement + site changes +
+cycles), and a cycle's rows may be listed in any order.
 """
 from __future__ import annotations
 
@@ -326,19 +326,11 @@ def _find_ql_cycle(pairs: Iterable[tuple[int, int]]) -> list[int] | None:
 
 def _shared_or_clashing(grid: Grid, ops, sites, moves: bool) -> ConflictReport | None:
     """The blocked paths and barrier clashes of a cycle of moves or of two
-    or more sqswaps: a qubit moved twice, two moves onto one site or one
-    onto an occupied site (in index order), and a barrier one instruction
-    lowers that borders another's sites, which raises it."""
+    or more sqswaps, whose qubits are distinct (Cycle's rule): two moves
+    onto one site or one onto an occupied site (in index order), and a
+    barrier one instruction lowers that borders another's sites, which
+    raises it."""
     if moves:
-        seen_mover: dict[int, int] = {}
-        for i, op in enumerate(ops):
-            q = op.qubits[0]
-            if seen_mover.setdefault(q, i) != i:
-                return ConflictReport(
-                    kind=ConflictKind.BLOCKED_PATH,
-                    culprits=(seen_mover[q], i),
-                    detail=f"qubit {q} moved by two instructions",
-                )
         seen_dest: dict[tuple[int, int], int] = {}
         for i, (_, dest) in enumerate(sites):
             if seen_dest.setdefault(dest, i) != i:
@@ -372,18 +364,20 @@ def _shared_or_clashing(grid: Grid, ops, sites, moves: bool) -> ConflictReport |
 def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     """Can this cycle's instructions run in parallel on this grid?
 
-    The cycle holds one instruction family (Cycle's rule): semi-global
-    pulses, moves (the shuttles of one cycle family, or the phase shuttles
-    of the other) or sqswaps. Intended movers
-    contribute mover constraints; only non-movers contribute stay-put
-    constraints. Conflicts are classified as BLOCKED_PATH, BARRIER_CLASH,
-    UNWANTED_INTERACTION or QL_CONTRADICTION (checked in that order).
+    The cycle holds one instruction family and names each qubit in at most
+    one instruction (Cycle's rule): a lone semi-global pulse, which is
+    always LEGAL, moves (the shuttles of one cycle family, or the phase
+    shuttles of the other) or sqswaps. Intended movers contribute mover
+    constraints; only non-movers contribute stay-put constraints. Conflicts
+    are classified as BLOCKED_PATH, BARRIER_CLASH, UNWANTED_INTERACTION or
+    QL_CONTRADICTION (checked in that order).
 
     This is the fallback judge: mapper._checked and replay_verify offer
     every cycle to step_legal first, and on compiled schedules only lone
-    pulses and lone sqswaps reach it (1001 per walk of randu-q12, 300 of
-    randu-q200), so it is written to name the conflict rather than to be
-    fast. A lone pulse or sqswap costs O(1) integer operations. A cycle of
+    pulses and lone sqswaps reach it
+    (test_only_lone_pulses_and_sqswaps_reach_the_fallback), so it is
+    written to name the conflict rather than to be fast. A lone pulse or
+    sqswap costs O(1) integer operations. A cycle of
     moves or of two or more sqswaps adds the O(instructions^2) pairwise
     checks of _shared_or_clashing, and a cycle of moves lists each move's
     QL pairs (_ql_pairs) and merges them; _find_ql_cycle names a cycle in
@@ -393,15 +387,7 @@ def check_parallel_set(grid: Grid, cycle: Cycle) -> ConflictReport:
     """
     ops = cycle.ops
     kind = ops[0].kind
-    if kind.family is _XY_ROT:  # semi-global pulses
-        # the family is the one kind sg_rot, so the kind is not compared
-        distinct = {(op.axis, op.angle, op.parity) for op in ops}
-        if len(distinct) > 1:
-            return ConflictReport(
-                kind=ConflictKind.BARRIER_CLASH,
-                culprits=tuple(range(len(ops))),
-                detail="conflicting semi-global drives on the shared column lines",
-            )
+    if kind.family is _XY_ROT:  # a lone pulse (Cycle's rule)
         return LEGAL
     moves = kind.moves  # otherwise every instruction is a sqswap
     n, xy, cols, rows = grid.n, grid.coords, grid.cols, grid.rows
@@ -488,19 +474,16 @@ def apply_op(grid: Grid, op: Instruction) -> None:
 
 def apply_cycle(grid: Grid, cycle: Cycle) -> None:
     """apply_op on each instruction in order, then close the cycle in
-    grid.trajectory: the (q, x, y) of each mover whose site differs from
-    its site before the cycle, in ascending q, then CYCLE_END. On compiled
-    schedules every cycle that reaches it is a lone pulse or a lone sqswap,
-    which logs CYCLE_END alone. A CrossbarError partway undoes the moves
-    before it in reverse order (a move's origin is empty once every later
-    move is undone) and is re-raised, so the digest records the cycle as
-    one that changed no site."""
+    grid.trajectory: the (q, x, y) of each mover after the cycle, in
+    ascending q, then CYCLE_END. A cycle names each mover once (Cycle's
+    rule), so every mover changed its site. On compiled schedules every
+    cycle that reaches it is a lone pulse or a lone sqswap, which logs
+    CYCLE_END alone. A CrossbarError partway undoes the moves before it in
+    reverse order (a move's origin is empty once every later move is
+    undone), logs CYCLE_END alone and is re-raised, so the digest records
+    the cycle as one that changed no site."""
     ops = cycle.ops
-    before = {}  # a plain loop: a comprehension would add a frame to every lone pulse and sqswap
-    for op in ops:
-        if op.kind.moves:
-            q = op.qubits[0]
-            before[q] = grid.site_of(q)
+    log = grid.trajectory
     try:
         for i, op in enumerate(ops):
             apply_op(grid, op)
@@ -510,14 +493,12 @@ def apply_cycle(grid: Grid, cycle: Cycle) -> None:
                 q = op.qubits[0]
                 (x, y), (dx, dy) = grid.site_of(q), op.kind.delta
                 grid.move(q, (x - dx, y - dy))
-        raise
-    finally:
-        log = grid.trajectory
-        for q in sorted(before):
-            site = grid.site_of(q)
-            if site != before[q]:
-                log.extend((q, *site))
         log.append(CYCLE_END)
+        raise
+    if ops[0].kind.moves:  # only moves change sites; a lone pulse or sqswap builds no generator
+        for q in sorted(op.qubits[0] for op in ops):
+            log.extend((q, *grid.site_of(q)))
+    log.append(CYCLE_END)
 
 
 def step_legal(grid: Grid, cycle: Cycle) -> bool:
@@ -573,7 +554,8 @@ def step_legal(grid: Grid, cycle: Cycle) -> bool:
     # destination column (or row) into q's origin one, so q's checks above
     # cover p's move. p lands on the site across that barrier from its own
     # origin, which the occupied-pair test found empty; it lies on the grid
-    # and off q's destination, and p is not q, as their origins differ
+    # and off q's destination, and p is not q (Cycle's rule; their origins
+    # differ too)
     w, z = s + ex, t + ey
     # the QL pairs folded into two masks: bit n-1-k stands for the
     # QL_k - QL_k+1 edge, set in `up` when QL_k+1 must sit above QL_k and in

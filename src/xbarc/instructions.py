@@ -14,7 +14,9 @@ two; the schedule keeps only moves_sha256, the sha256 of the placement and
 of the sites each cycle changed (TrajectoryDigest), which replay recomputes
 to catch a document whose cycles no longer reproduce the compiled
 trajectory. A cycle's type follows from its instructions and the qubit
-count from the placement, so neither is stored.
+count from the placement, so neither is stored. A cycle names each qubit
+in at most one of its instructions and holds at most one pulse, since one
+shared drive fires at most once per cycle (Cycle).
 
 The JSON document written by schedule_to_doc, the authoritative compiled
 artifact, holds what a Schedule holds. Each instruction is one row, a JSON
@@ -46,8 +48,9 @@ The loader makes one pass over the document. It checks the placement and
 grid, builds the embedded circuit gate by gate, then checks each
 instruction row, qubit and src ranges included, and builds it
 positionally. A row with exactly one source gate, as every compiled row
-has (all 4,789 rows of randu-q12 and 4,504 of randu-q200 at seed 0), is
-checked inline by family; any other row, and a row with a fault, goes to
+has (tests/test_hot_path_reference.py::
+test_compiled_documents_never_reach_the_general_row_path), is checked
+inline by family; any other row, and a row with a fault, goes to
 the general path, which checks it slot by slot against its kind's layout.
 Both accept the same values. Of several faults in one document, the first
 the pass meets is named.
@@ -162,18 +165,45 @@ class Instruction(NamedTuple):
     src: tuple[int, ...] = ()  # indices of source gates in the decomposed circuit
 
 
+# the families Cycle and _cycle_from_doc tell apart, bound once (see InstrKind)
+_XY_ROT, _SHUTTLE, _Z, _TWOQ = CycleType.XY_ROT, CycleType.SHUTTLE, CycleType.Z, CycleType.TWOQ
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class Cycle:
+    """Instructions that run in one cycle. The crossbar runs one instruction
+    type per cycle and drives every qubit of a column parity with one shared
+    pulse, so a cycle of two or more instructions holds no pulse, keeps to
+    one instruction family and names each qubit in at most one of its
+    instructions; any other raises ValueError. A lone instruction is a
+    cycle as it is: a lone sqswap(q, q) is left to the conflict model,
+    which reports it."""
+
     ops: tuple[Instruction, ...]
 
     def __init__(self, ops):
         if not ops:
             raise ValueError("cycle must hold at least one instruction")
-        family = ops[0].kind.family
-        for op in ops:
-            if op.kind.family is not family:
-                held = sorted({op.kind.family.value for op in ops})
-                raise ValueError(f"instruction families {held} cannot share a cycle")
+        if len(ops) > 1:
+            first = ops[0]
+            family = first.kind.family
+            for op in ops:
+                if op.kind.family is not family:
+                    held = sorted({op.kind.family.value for op in ops})
+                    raise ValueError(f"instruction families {held} cannot share a cycle")
+            if family is _XY_ROT:
+                raise ValueError(f"a pulse cycle holds one pulse, this one holds {len(ops)}: one drive per cycle")
+            if len(ops) == 2 and family is not _TWOQ:  # two moves, as every exchange
+                q = first.qubits[0]
+                if q == ops[1].qubits[0]:
+                    raise ValueError(f"qubit {q} is named by two instructions of one cycle")
+            else:
+                named = set()
+                for op in ops:
+                    for q in op.qubits:
+                        if q in named:
+                            raise ValueError(f"qubit {q} is named by two instructions of one cycle")
+                    named.update(op.qubits)
         object.__setattr__(self, "ops", ops)
 
     @property
@@ -252,7 +282,8 @@ class TrajectoryDigest(list):
 
     The log opens with the placement, every qubit's (x, y) in qubit order.
     Each applied cycle then adds the (q, x, y) of every qubit whose site the
-    cycle changed, in ascending q, and CYCLE_END. A pulse or sqswap cycle,
+    cycle changed, in ascending q, and CYCLE_END; a cycle names each mover
+    once (Cycle), so these are its movers. A pulse or sqswap cycle,
     and a cycle undone after failing partway, add CYCLE_END alone. Given the
     placement, this log and the sequence of occupancy snapshots after every
     cycle determine each other, so the digest checks the whole trajectory
@@ -260,8 +291,8 @@ class TrajectoryDigest(list):
     O(qubits x cycles).
 
     crossbar.step_legal writes a legal lone move or exchange in this form
-    at once; crossbar.apply_cycle compares each mover's site after the
-    cycle with its site before and logs the changed ones in this form.
+    at once; crossbar.apply_cycle logs each mover's site after the cycle in
+    this form.
     hexdigest packs the log once into a uint32 array and hashes
     it as little-endian uint32 on any host, so any grid size encodes without
     loss.
@@ -423,11 +454,14 @@ def _circuit_from_doc(d) -> Circuit:
     operands, raises an XbarcError naming the gate."""
     _typed(d, dict, "circuit")
     name = _string(d.get("name", ""), "circuit name")
-    n = d["n_qubits"]
+    try:
+        n, rows = d["n_qubits"], d["gates"]
+    except KeyError as e:
+        raise XbarcError(f"circuit lacks key {e.args[0]!r}") from None
     if not (is_int(n) and n >= 1):
         raise XbarcError(f"circuit n_qubits must be a positive integer, document gives {_echo(n)}")
     gates = []
-    for i, row in enumerate(_typed(d["gates"], list, "circuit gates")):
+    for i, row in enumerate(_typed(rows, list, "circuit gates")):
         kind = _NATIVE_BY_NAME.get(row[0]) if type(row) is list and row and type(row[0]) is str else None
         if kind is None:
             _not_a_row(f"circuit gate {i}", row)
@@ -489,10 +523,6 @@ def _instruction_from_row(i: int, j: int, row, n: int, n_gates) -> Instruction:
     return Instruction(layout.kind, src=src, **{a: v if a == "qubits" else v[0] for a, v in fields.items()})
 
 
-# the families _cycle_from_doc tells apart, bound once (see InstrKind)
-_SHUTTLE, _Z, _TWOQ = CycleType.SHUTTLE, CycleType.Z, CycleType.TWOQ
-
-
 def _cycle_from_doc(i: int, ops, n: int, n_gates) -> Cycle:
     """Cycle i of a document on n qubits whose embedded circuit holds n_gates
     gates (math.inf without one). A row with exactly one source gate, as
@@ -534,7 +564,7 @@ def _cycle_from_doc(i: int, ops, n: int, n_gates) -> Cycle:
         built.append(op)
     try:
         return Cycle(tuple(built))
-    except ValueError as e:  # no instruction, or mixed instruction families
+    except ValueError as e:  # no instruction, mixed families, two pulses or a qubit named twice
         raise XbarcError(f"cycle {i}: {e}") from None
 
 

@@ -19,10 +19,10 @@ unit step. Every entry point routes one gate on the grid it is given and
 advances it through `_checked`. Every routed cycle of moves, a lone move
 or an exchange (the second mover stepping back across the barrier the
 first one crosses), is judged and applied in one pass by
-crossbar.step_legal; the other cycles, a lone pulse or a lone sqswap (1001
-per compile of randu-q12, 300 of randu-q200), are checked with
-check_parallel_set and applied with apply_cycle. Both record its site
-changes in grid.trajectory.
+crossbar.step_legal; the other cycles, a lone pulse or a lone sqswap
+(tests/test_crossbar.py::test_only_lone_pulses_and_sqswaps_reach_the_fallback),
+are checked with check_parallel_set and applied with apply_cycle. Both
+record its site changes in grid.trajectory.
 """
 from __future__ import annotations
 

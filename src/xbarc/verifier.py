@@ -6,11 +6,12 @@ model itself: crossbar.step_legal for a legal lone move or exchange (the
 second mover stepping back across the barrier the first one crosses),
 else check_parallel_set, whose report names a conflict, and apply_cycle.
 On a compiled schedule step_legal takes every cycle of moves, and only the
-lone pulses and lone sqswaps reach the other two (1001 per replay of
-randu-q12, 300 of randu-q200). It compares the grid's trajectory digest
-with the moves_sha256 the scheduler stored. The digest covers the
-placement and the sites every cycle changed, with one end mark per cycle,
-which determines the occupancy after every cycle, so cycles that are each
+lone pulses and lone sqswaps reach the other two
+(tests/test_crossbar.py::test_only_lone_pulses_and_sqswaps_reach_the_fallback).
+It compares the grid's trajectory digest with the moves_sha256 the
+scheduler stored. The digest covers the placement and the sites every
+cycle changed, with one end mark per cycle, which determines the
+occupancy after every cycle, so cycles that are each
 legal but no longer reproduce the compiled trajectory fail: a moved,
 added or dropped cycle, a pulse cycle included, or a placement that swaps
 two qubits. The order of a cycle's rows does not matter. Statevector
@@ -31,7 +32,8 @@ parity.
 
 The loader, instructions.schedule_from_doc, rejects a document field that
 an instruction kind does not carry, and a Cycle cannot mix instruction
-families, so replay sees only what the schedule holds.
+families, hold two pulses or name a qubit in two of its instructions, so
+replay sees only what the schedule holds.
 """
 from __future__ import annotations
 

