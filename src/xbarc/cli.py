@@ -34,7 +34,7 @@ from .benchgen import BenchSpec, bench_name, gen_bernstein_vazirani, gen_random_
 from .circuits import Circuit, is_finite_real
 from .config import ArchConfig, check_seed, load_config
 from .errors import CompileError, XbarcError
-from .instructions import schedule_from_doc, schedule_to_doc
+from .instructions import MAX_QUBITS, schedule_from_doc, schedule_to_doc
 from .ir import counts_by_type, decompose, interaction_graph
 from .mapper import initial_placement
 from .metrics import CSV_COLUMNS, build_fidelity_map, csv_row, overhead_report
@@ -122,6 +122,8 @@ def cmd_verify(args) -> int:
 def cmd_stats(args) -> int:
     doc = _read_doc(args.input)
     schedule = schedule_from_doc(doc)
+    if args.qig and schedule.circuit is None:
+        raise XbarcError("--qig needs the document's embedded circuit, and this document has none")
     m = doc.get("metrics")
     if m is not None:
         for key in ("gate_overhead_pct", "depth_overhead_pct", "esp"):
@@ -154,6 +156,8 @@ def cmd_stats(args) -> int:
 
 def cmd_benchgen(args) -> int:
     if args.bv is not None:
+        if args.bv > MAX_QUBITS:
+            raise ValueError(f"--bv must be at most 2**20 = {MAX_QUBITS} qubits, got {args.bv}")
         secret = args.secret if args.secret is not None else "1" * (args.bv - 1)
         circuit = gen_bernstein_vazirani(args.bv, secret)
     else:

@@ -49,11 +49,11 @@ lone move or a legal exchange, a pair of moves whose second mover steps
 back across the barrier the first one crosses: it judges the cycle by
 integer arithmetic on the grid's coordinates and masks, then moves its
 qubits and logs them in the same pass. Every other cycle goes to
-check_parallel_set, which names the conflict, and to apply_cycle. The
-scheduler's check (mapper._checked) and replay (verifier.replay_verify)
-offer each cycle to step_legal first. Every two-move cycle of a compiled
-schedule is an exchange, so step_legal takes every move cycle, and only
-lone pulses and lone sqswaps reach the fallback;
+check_parallel_set, which names the conflict, and only a LEGAL one on to
+apply_cycle. The scheduler's check (mapper._checked) and replay
+(verifier.replay_verify) offer each cycle to step_legal first. Every
+two-move cycle of a compiled schedule is an exchange, so step_legal takes
+every move cycle, and only lone pulses and lone sqswaps reach the fallback;
 tests/test_crossbar.py::test_only_lone_pulses_and_sqswaps_reach_the_fallback
 pins this and records the traffic. So the fallback only has to be
 correct, for documents written elsewhere, and it names a QL conflict from
@@ -67,11 +67,11 @@ The grid's own TrajectoryDigest, `grid.trajectory`, opens with the
 placement; step_legal and apply_cycle log each cycle they apply in it,
 Grid.move and apply_op log nothing. A cycle's entries are one (q, x, y) per
 qubit whose site it changed, in ascending q, then CYCLE_END. A cycle names
-each mover once, so every mover of a cycle that applies changes its site:
-apply_cycle logs each mover's site after the cycle, and a cycle that fails
-partway is undone first and logs CYCLE_END alone; step_legal writes the
-same entries directly. So the digest costs O(placement + site changes +
-cycles), and a cycle's rows may be listed in any order.
+each mover once, so every mover of an applied cycle changes its site:
+apply_cycle logs each mover's site after the cycle, and step_legal writes
+the same entries directly. Neither applies a refused cycle, which logs
+nothing. So the digest costs O(placement + site changes + cycles), and a
+cycle's rows may be listed in any order.
 """
 from __future__ import annotations
 
@@ -133,8 +133,7 @@ class Grid:
     empty site; cols[x] has bit y set and rows[y] has bit x set when (x, y)
     holds a qubit. qubit_at and occupied bounds-check a site before they
     index `sites`, as a negative index would wrap around. move updates all
-    four in place in O(1), writing two slots of each table, so apply_cycle's
-    undo, which moves qubits back, restores them too. `trajectory`, the
+    four in place in O(1), writing two slots of each table. `trajectory`, the
     TrajectoryDigest log, opens with the placement; step_legal, which
     applies every move cycle of a compiled schedule, and apply_cycle, which
     applies the rest (lone pulses and sqswaps), add each cycle they apply
@@ -197,9 +196,9 @@ class Grid:
         return 0 <= x < self.n and 0 <= y < self.n
 
     def move(self, q: int, site: tuple[int, int]) -> None:
-        """Put q on `site` in place, unchecked: apply_op checked the move,
-        step_legal the cycle, or apply_cycle is undoing one. The trajectory
-        log is left to the two cycle appliers."""
+        """Put q on `site` in place, unchecked: apply_op checked the move
+        or step_legal the cycle. The trajectory log is left to the two cycle
+        appliers."""
         i = 2 * q
         n, xy, sites, cols, rows = self.n, self.coords, self.sites, self.cols, self.rows
         x, y = xy[i], xy[i + 1]
@@ -473,32 +472,26 @@ def apply_op(grid: Grid, op: Instruction) -> None:
 
 
 def apply_cycle(grid: Grid, cycle: Cycle) -> None:
-    """apply_op on each instruction in order, then close the cycle in
+    """Apply a cycle that check_parallel_set judged LEGAL on this grid:
+    apply_op on each instruction in order, then close the cycle in
     grid.trajectory: the (q, x, y) of each mover after the cycle, in
     ascending q, then CYCLE_END. A cycle names each mover once (Cycle's
     rule), so every mover changed its site. On compiled schedules every
     cycle that reaches it is a lone pulse or a lone sqswap, which logs
-    CYCLE_END alone. A CrossbarError partway undoes the moves before it in
-    reverse order (a move's origin is empty once every later move is
-    undone), logs CYCLE_END alone and is re-raised, so the digest records
-    the cycle as one that changed no site."""
+    CYCLE_END alone.
+
+    LEGAL means every destination is on the grid, empty and distinct from
+    the others, and every sqswap's two sites are adjacent, so each apply_op
+    succeeds in turn. Both callers meet the precondition: mapper._checked
+    raises CompileError on a refused cycle and replay_verify reports it,
+    and neither applies it."""
     ops = cycle.ops
-    log = grid.trajectory
-    try:
-        for i, op in enumerate(ops):
-            apply_op(grid, op)
-    except CrossbarError:
-        for op in reversed(ops[:i]):
-            if op.kind.moves:
-                q = op.qubits[0]
-                (x, y), (dx, dy) = grid.site_of(q), op.kind.delta
-                grid.move(q, (x - dx, y - dy))
-        log.append(CYCLE_END)
-        raise
+    for op in ops:
+        apply_op(grid, op)
     if ops[0].kind.moves:  # only moves change sites; a lone pulse or sqswap builds no generator
         for q in sorted(op.qubits[0] for op in ops):
-            log.extend((q, *grid.site_of(q)))
-    log.append(CYCLE_END)
+            grid.trajectory.extend((q, *grid.site_of(q)))
+    grid.trajectory.append(CYCLE_END)
 
 
 def step_legal(grid: Grid, cycle: Cycle) -> bool:

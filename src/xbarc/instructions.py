@@ -283,8 +283,8 @@ class TrajectoryDigest(list):
     The log opens with the placement, every qubit's (x, y) in qubit order.
     Each applied cycle then adds the (q, x, y) of every qubit whose site the
     cycle changed, in ascending q, and CYCLE_END; a cycle names each mover
-    once (Cycle), so these are its movers. A pulse or sqswap cycle,
-    and a cycle undone after failing partway, add CYCLE_END alone. Given the
+    once (Cycle), so these are its movers. A pulse or sqswap cycle adds
+    CYCLE_END alone, and a refused cycle adds nothing. Given the
     placement, this log and the sequence of occupancy snapshots after every
     cycle determine each other, so the digest checks the whole trajectory
     while costing O(placement + site changes + cycles) rather than

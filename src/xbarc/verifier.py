@@ -4,9 +4,10 @@ Replay re-runs every cycle from the initial placement through the
 scheduler's own judgement, so it cannot catch a fault in the conflict
 model itself: crossbar.step_legal for a legal lone move or exchange (the
 second mover stepping back across the barrier the first one crosses),
-else check_parallel_set, whose report names a conflict, and apply_cycle.
-On a compiled schedule step_legal takes every cycle of moves, and only the
-lone pulses and lone sqswaps reach the other two
+else check_parallel_set, whose report names a conflict, and apply_cycle
+for a cycle it judges LEGAL; a refused cycle is reported once and not
+applied. On a compiled schedule step_legal takes every cycle of moves, and
+only the lone pulses and lone sqswaps reach the other two
 (tests/test_crossbar.py::test_only_lone_pulses_and_sqswaps_reach_the_fallback).
 It compares the grid's trajectory digest with the moves_sha256 the
 scheduler stored. The digest covers the placement and the sites every
@@ -42,8 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .circuits import Circuit
-from .crossbar import ConflictKind, ConflictReport, Grid, apply_cycle, apply_op, check_parallel_set, step_legal
-from .errors import CrossbarError
+from .crossbar import ConflictReport, Grid, apply_cycle, apply_op, check_parallel_set, step_legal
 from .instructions import CycleType, InstrKind, Schedule
 from .sim import apply_1q, apply_2q  # noqa: F401  unused; perfbench/tracing.py binds these names
 from .sim import (
@@ -101,11 +101,15 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
     """Re-run every cycle from the initial placement and collect deviations.
 
     Total for every Schedule (its placement was checked when it was made):
-    problems land in the report, never in an exception. A cycle that
-    step_legal does not take is checked and applied separately: a conflict
-    is a violation, and a cycle whose instructions cannot all be applied is
-    a further BLOCKED_PATH violation; apply_cycle undoes it, so the digest
-    and the next cycle see the occupancy from before the cycle.
+    problems land in the report, never in an exception. Each cycle follows
+    mapper._checked's rule: step_legal's one pass, else check_parallel_set,
+    and apply_cycle only on a LEGAL verdict. A refused cycle is one
+    violation and is not applied, so the next cycle is judged on the grid
+    as it stood before the refused one. A refused cycle adds nothing to the
+    trajectory log either, not even CYCLE_END. The scheduler's digest ends
+    every cycle it wrote, so on its document trajectory_match reads false
+    once a cycle is refused; a refused cycle that an edit added, a repeated
+    one say, may leave it true, and the violation alone fails the replay.
     """
     violations: list[tuple[int, ConflictReport]] = []
     grid = Grid(schedule.grid_n, schedule.placement)
@@ -113,13 +117,10 @@ def replay_verify(schedule: Schedule) -> VerifyReport:
         if step_legal(grid, cycle):
             continue
         report = check_parallel_set(grid, cycle)
-        if not report.ok:
-            violations.append((idx, report))
-        try:
+        if report.ok:
             apply_cycle(grid, cycle)
-        except CrossbarError as e:
-            detail = f"cycle is not applicable: {e}"
-            violations.append((idx, ConflictReport(ConflictKind.BLOCKED_PATH, detail=detail)))
+        else:
+            violations.append((idx, report))
     return VerifyReport(tuple(violations), grid.trajectory.hexdigest() == schedule.moves_sha256)
 
 

@@ -469,7 +469,8 @@ def test_no_edit_of_a_compiled_document_ends_in_an_exception_or_exit_3(tmp_path,
     """400 seeded random edits of a small compiled document, each applied to
     a fresh copy: a value swapped for one of _EDIT_VALUES, a key or list
     item deleted, or a list item repeated. verify and stats on each exit 0,
-    1 or 2, and no exception escapes main."""
+    1 or 2, no exception escapes main, and no verify report names a cycle
+    twice."""
     src, out = tmp_path / "r3.qasm", tmp_path / "r3.json"
     src.write_text(circuit_to_qasm(gen_random_uniform(BenchSpec(3, 12, 50.0, 0))))
     assert main(["compile", "-i", str(src), "-o", str(out)]) == 0
@@ -493,9 +494,13 @@ def test_no_edit_of_a_compiled_document_ends_in_an_exception_or_exit_3(tmp_path,
         out.write_text(json.dumps(doc))
         for command in ("verify", "stats"):
             rc = main([command, "-i", str(out)])
-            assert rc in codes, (command, edit, parents, key, capsys.readouterr().err)
+            printed = capsys.readouterr()
+            assert rc in codes, (command, edit, parents, key, printed.err)
             codes[rc] += 1
-        capsys.readouterr()
+            if command == "verify" and rc != 1:
+                # replay reports each refused cycle once
+                cycles = [v["cycle"] for v in json.loads(printed.out)["violations"]]
+                assert len(cycles) == len(set(cycles)), (edit, parents, key, cycles)
     assert codes[1] > 200  # most edits are faults the loader names
 
 
@@ -694,12 +699,53 @@ def test_benchgen_rejects_an_unusable_twoq(tmp_path, capsys, twoq):
 
 
 def test_benchgen_rejects_a_gate_count_past_float_range(tmp_path, capsys):
-    # n_gates * twoq_pct cannot convert such an int to a float
+    # n_gates * twoq_pct cannot convert such an int to a float; the gate
+    # bound refuses it first
     out = tmp_path / "b.qasm"
     args = ["benchgen", "--qubits", "2", "--gates", "1" + "0" * 400, "--twoq", "0", "-o", str(out)]
     assert main(args) == 1
-    assert "n_gates must be finite as a float" in capsys.readouterr().err
+    assert "n_gates must be between 1 and 2**20 = 1048576, got 1" + "0" * 400 in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("gates", [str(2**20 + 1), "1" + "0" * 20])
+def test_benchgen_rejects_a_gate_count_past_the_bound(tmp_path, capsys, gates):
+    # 10**20 fits no list index, so the generator would die in an OverflowError
+    out = tmp_path / "b.qasm"
+    assert main(["benchgen", "--qubits", "2", "--gates", gates, "-o", str(out)]) == 1
+    assert f"error: n_gates must be between 1 and 2**20 = 1048576, got {gates}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [str(2**20 + 1), "1" + "0" * 20])
+def test_benchgen_rejects_a_bv_size_past_the_bound(tmp_path, capsys, size):
+    # checked before the default secret of size - 1 ones is built
+    out = tmp_path / "b.qasm"
+    assert main(["benchgen", "--bv", size, "-o", str(out)]) == 1
+    assert f"error: --bv must be at most 2**20 = 1048576 qubits, got {size}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_reports_a_gate_count_past_the_bound_and_goes_on(tmp_path):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--qubits", "2", "--gates", "1" + "0" * 20, "--twoq", "0:50:50", "--csv", str(out)]
+    assert main(args) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["error"] for r in rows] == ["n_gates must be between 1 and 2**20 = 1048576, got 1" + "0" * 20] * 2
+
+
+def test_stats_qig_needs_the_embedded_circuit(bell_doc, tmp_path, capsys):
+    out, doc = bell_doc
+    del doc["circuit"]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    dot = tmp_path / "qig.dot"
+    assert main(["stats", "-i", str(out), "--qig", str(dot)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == "" and not dot.exists()
+    assert "error: --qig needs the document's embedded circuit, and this document has none" in printed.err
+    assert main(["stats", "-i", str(out)]) == 0
 
 
 @pytest.mark.parametrize("qubits", [str(2**63), "1" + "0" * 20])

@@ -3,7 +3,7 @@ import itertools
 import re
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from xbarc import (
@@ -716,10 +716,12 @@ class TestOccupancyMasks:
             assert_masks_match(grid)
 
     def test_rollback_restores_masks(self, monkeypatch):
-        # qubits 0 and 1 move, qubit 2 leaves the grid: replay undoes both
-        # moves, and the checks of the next two cycles see masks that match
-        # the positions. Replay offers every cycle to step_legal first; only
-        # the broken one falls back to check_parallel_set
+        # qubits 0 and 1 would move, qubit 2 would leave the grid: replay
+        # refuses the cycle and applies none of it, so the checks of the next
+        # two cycles see the placement's masks, matching the positions, and
+        # the refused cycle adds nothing to the digest. Replay offers every
+        # cycle to step_legal first; only the broken one falls back to
+        # check_parallel_set
         placement = ((1, 1), (0, 1), (2, 2))
         raised = ((1, 2), (0, 1), (2, 2))
         broken = Cycle(tuple(sh(InstrKind.SH_R, q) for q in (0, 1, 2)))
@@ -736,11 +738,11 @@ class TestOccupancyMasks:
 
         monkeypatch.setattr(verifier, "step_legal", stepped)
         monkeypatch.setattr(verifier, "check_parallel_set", checked)
-        digest = moves_digest(placement, [placement, raised, placement])
+        digest = moves_digest(placement, [raised, placement])
         report = replay_verify(Schedule("partway", 3, placement, (broken, up, down), digest))
         assert seen == [(placement, True), (placement, True), (raised, True)]
         assert fell_back == [(broken, placement)]
-        assert [i for i, _ in report.violations] == [0, 0] and report.trajectory_match
+        assert [i for i, _ in report.violations] == [0] and report.trajectory_match
 
 
 def grid_state(grid):
@@ -780,17 +782,14 @@ class TestSiteTable:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_tables_agree_after_every_cycle(self, data):
-        # each cycle goes to step_legal, else to apply_cycle, which applies
-        # it or undoes it partway
+        # each cycle goes to step_legal, else to check_parallel_set and, when
+        # it is LEGAL, to apply_cycle, as mapper._checked and replay walk it
         grid = data.draw(grids())
         assert_tables_agree(grid)
         for _ in range(data.draw(st.integers(1, 12))):
             cycle = data.draw(cycles_on(grid))
-            if not step_legal(grid, cycle):
-                try:
-                    apply_cycle(grid, cycle)
-                except CrossbarError:
-                    pass
+            if not step_legal(grid, cycle) and check_parallel_set(grid, cycle).ok:
+                apply_cycle(grid, cycle)
             assert_tables_agree(grid)
 
 
@@ -800,16 +799,25 @@ class TestApplyCycle:
     PLACEMENT = ((1, 1), (2, 2), (0, 2))
     LEGAL = (sh(InstrKind.SH_U, 0), sh(InstrKind.SH_D, 1))
 
-    @pytest.mark.parametrize("last", [sh(InstrKind.SH_L, 2), sh(InstrKind.SH_R, 2)], ids=["off-grid", "occupied"])
-    def test_failing_move_undoes_the_cycle(self, last):
+    @pytest.mark.parametrize(
+        "last, culprits, detail",
+        [
+            (sh(InstrKind.SH_L, 2), (2,), "qubit 2 shuttled off-grid from (0, 2)"),
+            (sh(InstrKind.SH_R, 2), (0, 2), "two instructions target (1, 2)"),
+        ],
+        ids=["off-grid", "occupied"],
+    )
+    def test_inapplicable_cycle_is_refused(self, last, culprits, detail):
+        # the judge refuses the whole cycle before any of it runs, and
+        # replay reports it once, applies none of it and logs nothing for it
         grid = Grid(3, self.PLACEMENT)
-        before = grid_state(grid)
-        with pytest.raises(CrossbarError):
-            apply_cycle(grid, Cycle(self.LEGAL + (last,)))
-        assert grid_state(grid) == before
-        # the undone cycle changed no site: the placement, then CYCLE_END alone
-        assert list(grid.trajectory) == [1, 1, 2, 2, 0, 2, CYCLE_END]
-        assert grid.trajectory.hexdigest() == moves_digest(self.PLACEMENT, [self.PLACEMENT])
+        before = grid_state(grid), list(grid.trajectory)
+        cycle = Cycle(self.LEGAL + (last,))
+        report = check_parallel_set(grid, cycle)
+        assert (report.kind, report.culprits, report.detail) == (ConflictKind.BLOCKED_PATH, culprits, detail)
+        assert (grid_state(grid), list(grid.trajectory)) == before
+        replayed = replay_verify(Schedule("refused", 3, self.PLACEMENT, (cycle,), moves_digest(self.PLACEMENT, [])))
+        assert replayed.violations == ((0, report),) and replayed.trajectory_match
 
     def test_legal_cycle_records_the_occupancy_after_it(self):
         grid = Grid(3, self.PLACEMENT)
@@ -834,36 +842,50 @@ class TestApplyCycle:
         apply_cycle(grid, Cycle((Instruction(InstrKind.SQSWAP, (0, 1)),)))
         assert list(grid.trajectory) == [1, 1, 1, 2, CYCLE_END, CYCLE_END]
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(grids_and_cycles())
-    def test_any_cycle_applies_whole_or_not_at_all(self, grid_and_cycle):
+    # two moves, and two sqswaps lowering different row barriers
+    @example((Grid(3, PLACEMENT), Cycle(LEGAL)))
+    @example((
+        Grid(4, ((0, 0), (0, 1), (2, 2), (2, 3))),
+        Cycle((Instruction(InstrKind.SQSWAP, (0, 1)), Instruction(InstrKind.SQSWAP, (2, 3)))),
+    ))
+    def test_accepted_cycle_always_applies(self, grid_and_cycle):
+        """Whenever check_parallel_set judges a cycle LEGAL, apply_cycle
+        raises nothing and leaves each mover on its origin plus its kind's
+        delta, the other qubits where they were: the invariant that lets
+        apply_cycle trust its callers' verdict. The hypothesis statistics
+        (--hypothesis-show-statistics) report the share of accepted cycles
+        with two or more instructions."""
         grid, cycle = grid_and_cycle
-        before = grid_state(grid)
-        try:
-            apply_cycle(grid, cycle)
-        except CrossbarError:
-            assert grid_state(grid) == before
-            recorded = before[0]
-        else:
-            assert_masks_match(grid)
-            recorded = grid.pos
-        assert grid.trajectory.hexdigest() == moves_digest(before[0], [recorded])
+        if not check_parallel_set(grid, cycle).ok:
+            event("refused")
+            return
+        event("accepted, one instruction" if len(cycle.ops) == 1 else "accepted, two or more instructions")
+        placement, expected = grid.pos, list(grid.pos)
+        for op in cycle.ops:
+            if op.kind.moves:
+                (x, y), (dx, dy) = placement[op.qubits[0]], op.kind.delta
+                expected[op.qubits[0]] = (x + dx, y + dy)
+        apply_cycle(grid, cycle)
+        assert grid.pos == tuple(expected)
+        assert_tables_agree(grid)
+        assert grid.trajectory.hexdigest() == moves_digest(placement, [grid.pos])
 
     @settings(max_examples=300, deadline=None)
     @given(grids_and_cycles())
     # two moves listed against qubit order
     @example((Grid(3, ((1, 1), (2, 2))), Cycle((sh(InstrKind.SH_D, 1), sh(InstrKind.SH_U, 0)))))
     def test_digest_equals_the_snapshot_reference(self, grid_and_cycle):
-        # the cycle runs twice, each run legal or failing, and the digest
-        # equals the one derived by diffing the snapshots after each run
+        # the cycle is offered twice and applied each time check_parallel_set
+        # accepts it; the digest equals the one derived by diffing the
+        # snapshots after each applied run
         grid, cycle = grid_and_cycle
         placement, snapshots = grid.pos, []
         for _ in range(2):
-            try:
+            if check_parallel_set(grid, cycle).ok:
                 apply_cycle(grid, cycle)
-            except CrossbarError:
-                pass
-            snapshots.append(grid.pos)
+                snapshots.append(grid.pos)
         assert grid.trajectory.hexdigest() == moves_digest(placement, snapshots)
 
 

@@ -364,37 +364,46 @@ class TestReplay:
         report = replay_verify(s)
         assert any(r.kind is ConflictKind.QL_CONTRADICTION for _, r in report.violations)
 
+    def test_refused_pair_is_not_applied(self):
+        # the QL-contradicting pair above, then qubit 2's move alone: replay
+        # reports the pair once and applies none of it, so the lone move
+        # starts from qubit 2's placement site and replays clean
+        ops = (Instruction(InstrKind.SH_L, (2,)), Instruction(InstrKind.SH_R, (5,)))
+        placement = ((0, 0), (2, 0), (1, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
+        moved = ((0, 0), (2, 0), (0, 1), (3, 1), (0, 2), (2, 2), (1, 3), (3, 3))
+        lone = Cycle((Instruction(InstrKind.SH_L, (2,)),))
+        s = Schedule("bad", 4, placement, (Cycle(ops), lone), moves_digest(placement, [moved]))
+        report = replay_verify(s)
+        assert [(i, r.kind) for i, r in report.violations] == [(0, ConflictKind.QL_CONTRADICTION)]
+        assert report.trajectory_match
 
     def test_cycle_failing_partway_rolls_back(self):
-        # the first shuttle is legal, the second leaves the 3x3 grid: both
-        # violations are reported, the first move is undone, and the next
-        # cycle (legal only from the pre-cycle occupancy) replays clean
+        # the first shuttle is legal, the second leaves the 3x3 grid: the
+        # judge refuses the cycle, which is reported once and not applied,
+        # so the next cycle (legal only from the pre-cycle occupancy) replays
+        # clean, and the digest holds the placement and that cycle alone
         placement = ((1, 1), (2, 2))
         broken = Cycle((Instruction(InstrKind.SH_L, (0,)), Instruction(InstrKind.SH_R, (1,))))
         after = Cycle((Instruction(InstrKind.SH_L, (0,)),))
-        digest = moves_digest(placement, [placement, ((0, 1), (2, 2))])
-        assert digest == "a8455e0ec53e1503c825e5de87db6aafb8cf8d3c990bc0ec2dc2a366f0b95820"
+        digest = moves_digest(placement, [((0, 1), (2, 2))])
+        assert digest == "b56c23a39efe72a37fe0c6bafd8b2d0649a4a98292d2f6fed62e0ed103704050"
         report = replay_verify(Schedule("partway", 3, placement, (broken, after), digest))
         assert [(i, r.kind, r.culprits, r.detail) for i, r in report.violations] == [
             (0, ConflictKind.BLOCKED_PATH, (1,), "qubit 1 shuttled off-grid from (2, 2)"),
-            (0, ConflictKind.BLOCKED_PATH, (), "cycle is not applicable: sh_r moves qubit 1 off-grid to (3, 2)"),
         ]
         assert report.trajectory_match
 
-    def test_rollback_undoes_moves_in_reverse_order(self):
-        # qubit 1 moves into the site qubit 0 just left, then qubit 2 fails;
-        # undoing in reverse order puts qubit 0 back on (1, 1), so the next
-        # cycle's move onto (1, 1) is refused as occupied
+    def test_next_cycle_is_judged_on_the_grid_before_a_refused_one(self):
+        # the refused cycle would have moved qubit 0 off (1, 1) and qubit 1
+        # onto it; none of it applies, so the next cycle's move onto (1, 1)
+        # finds qubit 0 there and is refused as occupied
         placement = ((1, 1), (0, 1), (2, 2))
         broken = Cycle(tuple(Instruction(InstrKind.SH_R, (q,)) for q in (0, 1, 2)))
         onto = Cycle((Instruction(InstrKind.SH_R, (1,)),))
-        digest = moves_digest(placement, [placement, placement])
-        report = replay_verify(Schedule("reverse", 3, placement, (broken, onto), digest))
+        report = replay_verify(Schedule("refused", 3, placement, (broken, onto), moves_digest(placement, [])))
         assert [(i, r.detail) for i, r in report.violations] == [
             (0, "qubit 2 shuttled off-grid from (2, 2)"),
-            (0, "cycle is not applicable: sh_r moves qubit 2 off-grid to (3, 2)"),
             (1, "destination (1, 1) is occupied"),
-            (1, "cycle is not applicable: sh_r destination (1, 1) occupied"),
         ]
         assert report.trajectory_match
 
