@@ -2,8 +2,9 @@
 
 Subcommands: compile, verify, stats, benchgen, sweep. Exit codes:
 0 success, 1 usage error, 2 verification failure (replay failed or
-equivalence fidelity below 1 - 1e-9), 3 internal defensive error. The
-SPINQ_SEED environment variable overrides the config seed.
+equivalence fidelity below 1 - 1e-9), 3 internal defensive error, 141
+standard output closed by its reader (128 + SIGPIPE). The SPINQ_SEED
+environment variable overrides the config seed.
 
 `main` runs each command with Python's cyclic garbage collector paused
 (`collector_paused`). This is safe because a command builds no reference
@@ -156,11 +157,17 @@ def cmd_stats(args) -> int:
 
 def cmd_benchgen(args) -> int:
     if args.bv is not None:
+        if args.qubits is not None or args.gates is not None:
+            raise XbarcError("--bv takes neither --qubits nor --gates")
+        if args.bv < 1:
+            raise ValueError(f"--bv must be at least 1, got {args.bv}")
         if args.bv > MAX_QUBITS:
             raise ValueError(f"--bv must be at most 2**20 = {MAX_QUBITS} qubits, got {args.bv}")
         secret = args.secret if args.secret is not None else "1" * (args.bv - 1)
         circuit = gen_bernstein_vazirani(args.bv, secret)
     else:
+        if args.secret is not None:
+            raise XbarcError("--secret needs --bv")
         if args.qubits is None or args.gates is None:
             raise XbarcError("benchgen needs --qubits/--gates (or --bv)")
         spec = BenchSpec(args.qubits, args.gates, args.twoq, args.seed)
@@ -180,12 +187,15 @@ class SweepSpec:
 
     def __post_init__(self):
         # SeedSequence takes only non-negative entropy; float(p) and g * p
-        # overflow past float range
+        # overflow past float range; an empty range would write a CSV of
+        # no rows
         for option, (start, stop, _) in (("--qubits", self.qubits), ("--gates", self.gates), ("--twoq", self.twoq)):
             if not all(is_finite_real(v) and v >= 0 for v in (start, stop)):
                 raise XbarcError(
                     f"{option} bounds must be non-negative and finite as floats, got {(start, stop)}"
                 )
+            if start > stop:
+                raise XbarcError(f"{option} range {start}:{stop} is empty: its start exceeds its stop")
         if self.seeds < 1:
             raise XbarcError(f"--seeds must be at least 1, got {self.seeds}")
 
@@ -308,7 +318,15 @@ def main(argv=None) -> int:
         return 1 if e.code not in (0, None) else 0
     try:
         with collector_paused():
-            return args.func(args)
+            status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader of standard output has gone: point stdout at devnull so
+        # the interpreter's last flush stays silent, and exit as a shell
+        # reports a writer stopped by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CompileError as e:
         print(f"internal error: {e}", file=sys.stderr)
         return 3

@@ -27,8 +27,11 @@ both directions.
 Grid keeps one occupancy bitmask per column (bit y) and per row (bit x), so
 a line's occupancy is one integer operation: the stay-put qubits of a
 column are cols[x] & ~cols[across], and an occupied pair across a lowered
-row barrier is rows[k] & rows[k + 1]. step_legal folds a cycle's QL pairs
-into two masks, one per direction along the path.
+row barrier is rows[k] & rows[k + 1]. step_legal judges by that
+occupied-pair test alone: every move of a lone move or an exchange lowers
+one barrier, and once no row (column) across it holds an occupied pair,
+each row adds at most one inequality, on its own edge, so no edge runs both
+ways and every destination is empty.
 
 Every move (a shuttle sh_l/sh_r/sh_u/sh_d or a phase shuttle zsh_l/zsh_r)
 steps its one qubit by its kind's unit delta; a semi-global pulse (sg_rot)
@@ -328,7 +331,14 @@ def _shared_or_clashing(grid: Grid, ops, sites, moves: bool) -> ConflictReport |
     or more sqswaps, whose qubits are distinct (Cycle's rule): two moves
     onto one site or one onto an occupied site (in index order), and a
     barrier one instruction lowers that borders another's sites, which
-    raises it."""
+    raises it.
+
+    The distinct-destination test never changes the verdict: two moves onto
+    one site come from two different neighbours of it, so each lowers a
+    barrier bordering the other's destination, and the barrier-clash test
+    would refuse the cycle anyway. It is kept for its report, which names
+    the real fault, BLOCKED_PATH "two instructions target ...", rather than
+    a BARRIER_CLASH; test_check_gives_the_reference_report pins it."""
     if moves:
         seen_dest: dict[tuple[int, int], int] = {}
         for i, (_, dest) in enumerate(sites):
@@ -507,13 +517,20 @@ def step_legal(grid: Grid, cycle: Cycle) -> bool:
     of two moves is an exchange, so it takes every move cycle, most of
     each schedule.
 
-    The verdict is check_parallel_set's, judged by integer arithmetic on
-    grid.coords, cols and rows without its report data: the first move's
-    destination on the grid and empty, no occupied pair across its lowered
-    barrier, and no QL cycle. An exchange's second move lowers the same
-    barrier and lands on the site across it from its origin, so the first
-    move's checks cover it: its destination is on the grid, empty and not
-    the first's, and the two lower no barrier that clashes.
+    The verdict is check_parallel_set's, from two integer tests on the
+    first move: its destination lies on the grid, and no row (for a CL) or
+    column (for an RL) holds an occupied pair across the barrier it lowers.
+    Every move of a lone move or an exchange lowers that one barrier. A row
+    (column) across it with both sites occupied is a mover's occupied
+    destination or an unwanted interaction, which the second test refuses;
+    any other row holds at most one qubit at the barrier, so every mover
+    lands on an empty site and the row adds at most one QL inequality, from
+    its mover or its stay-put qubit, on its own diagonal edge. Distinct rows
+    give distinct edges, so no edge runs both ways and the merged path
+    digraph has no cycle. The exchange's second move starts across the
+    barrier from the first's origin line and lands on the site across it
+    from its own origin, so it is on the grid, off the first's destination
+    and clashes with no barrier.
     """
     ops = cycle.ops
     if len(ops) > 2 or not ops[0].kind.moves:
@@ -524,16 +541,9 @@ def step_legal(grid: Grid, cycle: Cycle) -> bool:
     x, y = xy[2 * q], xy[2 * q + 1]
     dx, dy = a.kind.delta
     u, v = x + dx, y + dy
-    if not (0 <= u < n and 0 <= v < n) or cols[u] >> v & 1:
-        return False
-    # the occupied pairs across the lowered barrier: the empty destination
-    # keeps the mover's own row (or column) out of them
-    if (cols[x] & cols[u]) if dx else (rows[y] & rows[v]):
+    if not (0 <= u < n and 0 <= v < n) or ((cols[x] & cols[u]) if dx else (rows[y] & rows[v])):
         return False
     if len(ops) == 1:
-        # a lone move's QL pairs never run both ways: a stay-put qubit needs
-        # its site across empty, so no row has one in both columns, and the
-        # mover's own row has none
         grid.move(q, (u, v))
         grid.trajectory.extend((q, u, v, CYCLE_END))
         return True
@@ -543,41 +553,7 @@ def step_legal(grid: Grid, cycle: Cycle) -> bool:
     ex, ey = b.kind.delta
     if ex != -dx or ey != -dy or (s != u if dx else t != v):
         return False
-    # an exchange: p steps back across the barrier q crosses, from q's
-    # destination column (or row) into q's origin one, so q's checks above
-    # cover p's move. p lands on the site across that barrier from its own
-    # origin, which the occupied-pair test found empty; it lies on the grid
-    # and off q's destination, and p is not q (Cycle's rule; their origins
-    # differ too)
     w, z = s + ex, t + ey
-    # the QL pairs folded into two masks: bit n-1-k stands for the
-    # QL_k - QL_k+1 edge, set in `up` when QL_k+1 must sit above QL_k and in
-    # `down` when below. Every pair joins adjacent diagonals, so the merged
-    # digraph is a subgraph of a path and has a cycle exactly when
-    # up & down != 0. First each destination above its origin
-    m = n - 1
-    up = down = 0
-    if u - v > x - y:
-        up = 1 << (m - x + y)
-    else:
-        down = 1 << (m - u + v)
-    if w - z > s - t:
-        up |= 1 << (m - s + t)
-    else:
-        down |= 1 << (m - w + z)
-    if dx:
-        # then the stay-put terms of the one lowered CL, between q's origin
-        # column x and p's origin column u (an RL has none). Row bit r of
-        # either column stands for the QL_(min(x, u) - r) edge, and each
-        # column's mover (q's row y in column x, p's row t in column u) is
-        # left out. The stay-put rule's "empty across" term is left out too:
-        # the occupied-pair test above found cols[x] & cols[u] == 0
-        shift = m - min(x, u)
-        stay_x, stay_u = (cols[x] & ~(1 << y)) << shift, (cols[u] & ~(1 << t)) << shift
-        down |= stay_x if dx > 0 else stay_u  # the left column's
-        up |= stay_u if dx > 0 else stay_x
-    if up & down:
-        return False
     grid.move(q, (u, v))
     grid.move(p, (w, z))
     grid.trajectory.extend((q, u, v, p, w, z, CYCLE_END) if q < p else (p, w, z, q, u, v, CYCLE_END))

@@ -5,10 +5,14 @@ import gc
 import json
 import os
 import random
+import subprocess
+import sys
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 
+import xbarc
 from xbarc import BenchSpec, gen_random_uniform, load_config
 from xbarc import cli
 from xbarc.cli import _compile_circuit, main, parse_range
@@ -660,6 +664,33 @@ def test_usage_error_exit_code(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_a_closed_standard_output_exits_141_in_silence(bell_doc, command, unbuffered):
+    # the installed script's call, in a process whose stdout is a pipe with
+    # its read end closed before the command starts. Unbuffered, the first
+    # print fails; buffered, the output fits the buffer and the write fails
+    # when main flushes it
+    out, _ = bell_doc
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(xbarc.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from xbarc.cli import main; sys.exit(main())", command, "-i", str(out)],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr.decode()) == (141, "")
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: xbarc")
@@ -680,6 +711,24 @@ def test_benchgen_bv(tmp_path):
     out = tmp_path / "bv.qasm"
     assert main(["benchgen", "--bv", "4", "--secret", "101", "-o", str(out)]) == 0
     assert "cx" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--qubits", "2", "--gates", "2", "--secret", "11"], "--secret needs --bv"),
+        (["--bv", "3", "--qubits", "3"], "--bv takes neither --qubits nor --gates"),
+        (["--bv", "3", "--gates", "20"], "--bv takes neither --qubits nor --gates"),
+        (["--bv", "0"], "--bv must be at least 1, got 0"),
+        (["--bv", "-2"], "--bv must be at least 1, got -2"),
+    ],
+    ids=["secret-without-bv", "bv-with-qubits", "bv-with-gates", "bv-zero", "bv-negative"],
+)
+def test_benchgen_refuses_options_that_would_change_nothing(tmp_path, capsys, args, message):
+    out = tmp_path / "b.qasm"
+    assert main(["benchgen", *args, "-o", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_benchgen_deterministic(tmp_path):
@@ -770,6 +819,19 @@ def test_sweep_rejects_a_negative_or_overflowing_bound(tmp_path, capsys, option,
     argv = ["sweep", *(f"{k}={v}" for k, v in args.items()), "--csv", str(out)]
     assert main(argv) == 1
     assert f"error: {option} bounds must be non-negative and finite as floats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option, bound", [("--qubits", "3:2"), ("--twoq", "50:0")])
+def test_sweep_rejects_an_empty_range(tmp_path, capsys, option, bound):
+    # a range whose start exceeds its stop holds no point, so the sweep
+    # would write a CSV of the header alone
+    out = tmp_path / "s.csv"
+    args = {"--qubits": "2", "--gates": "5", "--twoq": "0"}
+    args[option] = bound
+    argv = ["sweep", *(f"{k}={v}" for k, v in args.items()), "--csv", str(out)]
+    assert main(argv) == 1
+    assert f"error: {option} range {bound} is empty: its start exceeds its stop" in capsys.readouterr().err
     assert not out.exists()
 
 

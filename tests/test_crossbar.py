@@ -1,5 +1,6 @@
 """Grid model, signal requirements and parallel-set conflict detection."""
 import itertools
+import random
 import re
 
 import pytest
@@ -919,3 +920,62 @@ def test_only_lone_pulses_and_sqswaps_reach_the_fallback(monkeypatch):
         f"the fallback judge, which was kept simple rather than fast, and step_legal takes only a lone move "
         f"or an exchange: measure the fallback's cost again. First: {moving[0]}"
     )
+
+
+MOVE_KINDS = tuple(kind for kind in InstrKind if kind.moves)
+
+
+def occupancies(n, sample, seed):
+    """Every nonempty occupancy of the n x n grid, or `sample` of them drawn
+    with `seed`, each as its sites in left-to-right, bottom-to-top order."""
+    sites = [(x, y) for y in range(n) for x in range(n)]
+    if sample is None:
+        masks = range(1, 1 << n * n)
+    else:
+        rng = random.Random(seed)
+        masks = (rng.randrange(1, 1 << n * n) for _ in range(sample))
+    for mask in masks:
+        yield tuple(site for i, site in enumerate(sites) if mask >> i & 1)
+
+
+def lone_moves_and_exchanges(placement):
+    """Every lone move and every exchange on this placement: a move of q,
+    alone or followed by a move of p by the opposite delta, in the same
+    family, where p starts on q's destination column (or row)."""
+    for q, (x, y) in enumerate(placement):
+        for a in MOVE_KINDS:
+            yield Cycle((sh(a, q),))
+            dx, dy = a.delta
+            u, v = x + dx, y + dy
+            for b in MOVE_KINDS:
+                if b.family is a.family and b.delta == (-dx, -dy):
+                    for p, (s, t) in enumerate(placement):
+                        if p != q and (s == u if dx else t == v):
+                            yield Cycle((sh(a, q), sh(b, p)))
+
+
+@pytest.mark.parametrize("n, sample", [(2, None), (3, None), (4, 150), (5, 60)])
+def test_step_legal_is_check_parallel_set_on_every_lone_move_and_exchange(n, sample):
+    """On every occupancy of the side-2 and side-3 grids and a seeded
+    sample of the side-4 and side-5 ones, step_legal takes each lone move
+    and each exchange exactly when check_parallel_set judges it LEGAL, and
+    then leaves the grid, its tables and its trajectory as apply_cycle does;
+    a refused cycle leaves the grid untouched."""
+    verdicts = set()
+    for placement in occupancies(n, sample, seed=n):
+        judge = Grid(n, placement)
+        for cycle in lone_moves_and_exchanges(placement):
+            legal = check_parallel_set(judge, cycle) is LEGAL
+            stepped = Grid(n, placement)
+            assert step_legal(stepped, cycle) is legal, (placement, cycle)
+            if legal:
+                applied = Grid(n, placement)
+                apply_cycle(applied, cycle)
+                assert grid_state(stepped) == grid_state(applied)
+                assert stepped.sites == applied.sites
+                assert list(stepped.trajectory) == list(applied.trajectory)
+            else:
+                assert grid_state(stepped) == grid_state(judge)
+                assert list(stepped.trajectory) == list(judge.trajectory)
+            verdicts.add(legal)
+    assert verdicts == {True, False}
